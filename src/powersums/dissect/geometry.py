@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
+from typing import Any, NamedTuple
 
 from ..exact import QuadExt, QuadLike, quad_from_text, quad_to_text
 
@@ -160,15 +160,17 @@ class DissectionCertificate:
             total = total + region.area
         return total
 
-    def target_layers(self) -> list[str]:
-        seen: list[str] = []
-        for layer, _ in self.targets:
-            if layer not in seen:
-                seen.append(layer)
-        return seen
-
 
 # -- JSON wire format ----------------------------------------------------
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """``value`` if its JSON type is exactly ``kind``: no value is coerced,
+    and no bool passes for an int."""
+    if type(value) is not kind:
+        raise CertificateFormatError(
+            f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def _rect_to_json(r: Rect) -> list[str]:
@@ -192,7 +194,9 @@ def _region_to_json(region: Region) -> dict[str, Any]:
 def _region_from_json(data: Any) -> Region:
     if not isinstance(data, dict) or "label" not in data or "rects" not in data:
         raise CertificateFormatError(f"region must have label and rects: {data!r}")
-    return Region(str(data["label"]), tuple(_rect_from_json(r) for r in data["rects"]))
+    rects = _typed(data["rects"], list, "rects")
+    return Region(_typed(data["label"], str, "label"),
+                  tuple(_rect_from_json(r) for r in rects))
 
 
 def certificate_to_json(cert: DissectionCertificate) -> dict[str, Any]:
@@ -224,27 +228,31 @@ def certificate_to_json(cert: DissectionCertificate) -> dict[str, Any]:
 
 def certificate_from_json(data: Any) -> DissectionCertificate:
     try:
-        construction = str(data["construction"])
-        n = int(data["n"])
+        construction = _typed(data["construction"], str, "construction")
+        n = _typed(data["n"], int, "n")
         placements = tuple(
             Placement(
-                piece_id=str(p["piece_id"]),
-                source_layer=str(p["source_layer"]),
+                piece_id=_typed(p["piece_id"], str, "piece_id"),
+                source_layer=_typed(p["source_layer"], str, "source_layer"),
                 source=_region_from_json(p["source"]),
                 transform=RigidTransform(
-                    quarter_turns=int(p["transform"]["quarter_turns"]),
-                    reflect=bool(p["transform"]["reflect"]),
+                    quarter_turns=_typed(p["transform"]["quarter_turns"], int,
+                                         "quarter_turns"),
+                    reflect=_typed(p["transform"]["reflect"], bool, "reflect"),
                     dx=quad_from_text(p["transform"]["dx"]),
                     dy=quad_from_text(p["transform"]["dy"]),
                 ),
-                destination_layer=str(p["destination_layer"]),
+                destination_layer=_typed(p["destination_layer"], str,
+                                         "destination_layer"),
             )
-            for p in data["placements"]
+            for p in _typed(data["placements"], list, "placements")
         )
         targets = tuple(
-            (str(t["layer"]), _region_from_json(t["region"])) for t in data["targets"]
+            (_typed(t["layer"], str, "layer"), _region_from_json(t["region"]))
+            for t in _typed(data["targets"], list, "targets")
         )
-        leftovers = tuple(_region_from_json(r) for r in data["leftovers"])
+        leftovers = tuple(_region_from_json(r)
+                          for r in _typed(data["leftovers"], list, "leftovers"))
     except CertificateFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -259,13 +267,6 @@ def dumps_certificate(cert: DissectionCertificate) -> str:
 def loads_certificate(text: str) -> DissectionCertificate:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CertificateFormatError(f"not valid JSON: {exc}") from exc
     return certificate_from_json(data)
-
-
-def total_region_area(regions: Iterable[Region]) -> QuadExt:
-    total = QuadExt(0)
-    for region in regions:
-        total = total + region.area
-    return total

@@ -24,8 +24,8 @@ RatLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadExt"]
 
 _TEXT_RE = re.compile(
-    r"^(?P<an>-?\d+)(?:/(?P<ad>\d+))?"
-    r"(?:\+(?P<bn>-?\d+)(?:/(?P<bd>\d+))?\*sqrt21)?$"
+    r"^(?P<an>-?[0-9]+)(?:/(?P<ad>[1-9][0-9]*))?"
+    r"(?:\+(?P<bn>-?[0-9]+)(?:/(?P<bd>[1-9][0-9]*))?\*sqrt21)?$"
 )
 
 
@@ -221,11 +221,16 @@ def quad_to_text(u: QuadLike) -> str:
 
 
 def quad_from_text(text: str) -> QuadExt:
+    """Inverse of ``quad_to_text``: only its canonical output is accepted
+    (ASCII digits, reduced, no "/1", "-0" or zero root part)."""
     m = _TEXT_RE.match(text)
     if m is None:
         raise ValueError(f"not a Q(sqrt(21)) literal: {text!r}")
     a = Fraction(int(m.group("an")), int(m.group("ad") or 1))
     if m.group("bn") is None:
-        return QuadExt(a)
-    b = Fraction(int(m.group("bn")), int(m.group("bd") or 1))
-    return QuadExt(a, b)
+        value = QuadExt(a)
+    else:
+        value = QuadExt(a, Fraction(int(m.group("bn")), int(m.group("bd") or 1)))
+    if quad_to_text(value) != text:
+        raise ValueError(f"not the canonical form {quad_to_text(value)!r}: {text!r}")
+    return value

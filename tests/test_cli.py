@@ -94,6 +94,43 @@ def test_check_malformed_is_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def _transform(data):
+    return data["placements"][0]["transform"]
+
+
+# the hostile documents of perfbench/workloads.HOSTILE_KINDS, plus an object
+# for a list and JSON nested too deeply for the decoder
+HOSTILE_EDITS = {
+    "zero-denominator": lambda data: _transform(data).update(dx="1/0"),
+    "reflect-string": lambda data: _transform(data).update(reflect="false"),
+    "fractional-n": lambda data: data.update(n=data["n"] + 0.9),
+    "quarter-turns-string": lambda data: _transform(data).update(
+        quarter_turns=str(_transform(data)["quarter_turns"])),
+    # the same value as the canonical "12", so only the spelling is wrong
+    "non-canonical": lambda data: _transform(data).update(dx="24/2"),
+    "placements-object": lambda data: data.update(placements={}),
+}
+
+
+@pytest.mark.parametrize("kind", [*HOSTILE_EDITS, "truncated", "deep-nesting"])
+def test_check_hostile_document_is_exit_3(kind, tmp_path, capsys):
+    text = dumps_certificate(gauss_rectangle(4))
+    if kind == "truncated":
+        text = text[: len(text) // 2]
+    elif kind == "deep-nesting":
+        text = "[" * 100_000
+    else:
+        data = json.loads(text)
+        assert _transform(data) == {"quarter_turns": 0, "reflect": False,
+                                    "dx": "12", "dy": "0"}
+        HOSTILE_EDITS[kind](data)
+        text = json.dumps(data)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 3 and err.startswith("error:")
+
+
 def test_step4_variants(tmp_path, capsys):
     for variant in ("overlap", "bijection", "bijection-full"):
         path = tmp_path / f"{variant}.json"

@@ -104,6 +104,15 @@ def test_serialization_fixed_forms():
         quad_from_text("1/0x")
 
 
+@pytest.mark.parametrize("text", [
+    "2/4", "-0", "0/3", "1/1", "1/02", "+1", "1/0", "3+0*sqrt21",
+    "1+2/2*sqrt21", "\u0663", "1/\u0663",
+])
+def test_parser_accepts_only_canonical_ascii_text(text):
+    with pytest.raises(ValueError):
+        quad_from_text(text)
+
+
 @given(quads)
 def test_serialization_round_trip(u):
     assert quad_from_text(quad_to_text(u)) == u

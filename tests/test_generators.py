@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from powersums.dissect import generators
 from powersums.dissect import (
     LEFTOVER_LAYER,
+    StageCheckError,
     UnsupportedN,
     check_certificate,
     excess_corner_layout,
@@ -238,6 +240,18 @@ def test_full_theorem_report_examples():
     assert r.holds and r.lhs == QuadExt(85)  # 2*3*(17/3)*(5/2)
     r = full_theorem_report(10)
     assert r.holds and r.lhs == QuadExt(5 * 25333)
+
+
+def test_interface_failure_names_its_cell(monkeypatch):
+    honest = generators._layer_sources
+    monkeypatch.setattr(generators, "_layer_sources",
+                        lambda cert, layer: honest(cert, layer)[1:])
+    with pytest.raises(StageCheckError) as info:
+        full_theorem_report(2)
+    assert info.value.stage == "interface five->step2 layer/1"
+    failure = info.value.report.failure
+    assert failure.kind == "uncovered" and failure.layer == "layer/1"
+    assert failure.cell is not None
 
 
 def test_full_theorem_arithmetic_only_beyond_cap():
