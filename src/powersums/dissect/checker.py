@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ..exact import QuadExt, quad_to_text
+from ..exact import QuadExt, lattice_sign as _sign, quad_to_text
 from .geometry import (
     CONSTRUCTIONS,
     LEFTOVER_LAYER,
@@ -34,7 +34,7 @@ from .geometry import (
 )
 
 #: Largest common denominator D the checker accepts, in bits.  Generated
-#: certificates need D = 6.
+#: certificates need a D dividing 6.
 MAX_DENOMINATOR_BITS = 256
 
 #: a + b*sqrt(21) as the int pair (a*D, b*D) over a common denominator D
@@ -87,20 +87,6 @@ def _fail(kind: str, layer: Optional[str], cell: Optional[CellInterval],
     return CheckReport(False, CheckFailure(kind, layer, cell, message))
 
 
-def _sign(a: int, b: int) -> int:
-    """Sign of the real number a + b*sqrt(21), computed exactly.
-
-    With mixed-sign parts the root term dominates exactly when
-    21*b**2 > a**2 (never equal unless b == 0, as sqrt(21) is irrational).
-    """
-    if b == 0:
-        return (a > 0) - (a < 0)
-    sb = 1 if b > 0 else -1
-    if a == 0 or (a > 0) == (b > 0) or a * a < 21 * b * b:
-        return sb
-    return -sb
-
-
 def _sorted_points(points: Iterable[Point]) -> list[Point]:
     """The points in increasing real order, exactly.
 
@@ -132,10 +118,7 @@ def _common_denominator(values: Iterable[QuadExt]) -> int:
     scaled by it, so input with many unrelated denominators would otherwise
     cost memory in proportion to their product.
     """
-    dens = set()
-    for v in values:
-        dens.add(v.a.denominator)
-        dens.add(v.b.denominator)
+    dens = {v.triple[2] for v in values}
     d = 1
     for den in dens:
         d = lcm(d, den)
@@ -146,8 +129,9 @@ def _common_denominator(values: Iterable[QuadExt]) -> int:
 
 
 def _point(v: QuadExt, d: int) -> Point:
-    a, b = v.a, v.b
-    return a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    a, b, den = v.triple
+    k = d // den
+    return a * k, b * k
 
 
 def _lattice_rect(r: Rect, d: int) -> LatticeRect:
@@ -327,7 +311,8 @@ def check_certificate(cert: DissectionCertificate) -> CheckReport:
     Checks, in order: structural well-formedness, source disjointness per
     source layer, and exact cover of every destination layer's targets
     (leftover pieces against the declared leftovers).  The first offending
-    grid cell is reported.
+    grid cell is reported, with the layers and cells scanned up to and
+    including it.
     """
     try:
         d = _common_denominator(_certificate_values(cert))
@@ -361,7 +346,8 @@ def check_certificate(cert: DissectionCertificate) -> CheckReport:
             cells_checked += cells
             layers_checked += 1
             if failure is not None:
-                return failure
+                return replace(failure, layers_checked=layers_checked,
+                               cells_checked=cells_checked)
         for layer in sorted(set(by_dest) | set(target_map)):
             failure, cells = _check_layer_cover(
                 layer, by_dest.get(layer, []), target_map.get(layer, []), d
@@ -369,7 +355,8 @@ def check_certificate(cert: DissectionCertificate) -> CheckReport:
             cells_checked += cells
             layers_checked += 1
             if failure is not None:
-                return failure
+                return replace(failure, layers_checked=layers_checked,
+                               cells_checked=cells_checked)
         return CheckReport(True, None, layers_checked, cells_checked)
     except Exception as exc:  # malformed input must never crash the checker
         return _fail("malformed", None, None, f"{type(exc).__name__}: {exc}")

@@ -21,9 +21,8 @@ bijections <= 12); beyond the caps only the arithmetic identities run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ..exact import QuadExt, strip_root
+from ..exact import HALF, QuadExt, strip_root
 from ..figurate import IdentityReport, evaluate_identity
 from .checker import CheckReport, check_certificate, cover_failure, covers_exactly
 from .geometry import (
@@ -35,8 +34,6 @@ from .geometry import (
     RigidTransform,
     rect,
 )
-
-HALF = QuadExt(Fraction(1, 2))
 
 MAX_GAUSS = 100
 MAX_THREE_PYR = 50

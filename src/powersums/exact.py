@@ -6,6 +6,10 @@ generated by sqrt(21), which hosts the scissor-cut width
 x = (-3 + sqrt(21))/6 -- the positive root of x**2 + x - 1/3 = 0 -- and
 every coordinate produced by the cut-and-paste constructions.
 
+A ``QuadExt`` is stored as integer numerators over one common denominator
+(as FLINT/Antic store ``nf_elem``), so arithmetic, ordering and the text
+codec run on ints and build no ``Fraction``.
+
 Values are immutable and hashable.  Comparisons are exact; floating point
 is consulted nowhere except ``quad_to_float``, which exists for rendering
 only.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Union
 
 Rat = Fraction
@@ -23,27 +27,42 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadExt"]
 
+# canonical literals only: no "-0", no "/1", no zero root part, ASCII digits
 _TEXT_RE = re.compile(
-    r"^(?P<an>-?[0-9]+)(?:/(?P<ad>[1-9][0-9]*))?"
-    r"(?:\+(?P<bn>-?[0-9]+)(?:/(?P<bd>[1-9][0-9]*))?\*sqrt21)?$"
+    r"(?P<an>0|-?[1-9][0-9]*)(?:/(?P<ad>[2-9]|[1-9][0-9]+))?"
+    r"(?:\+(?P<bn>-?[1-9][0-9]*)(?:/(?P<bd>[2-9]|[1-9][0-9]+))?\*sqrt21)?"
 )
 
 
 class QuadExt:
-    """Element a + b*sqrt(21) of Q(sqrt(21)) with exact rational parts."""
+    """Element a + b*sqrt(21) of Q(sqrt(21)) with exact rational parts.
 
-    __slots__ = ("a", "b")
+    Stored as the canonical integer triple (A, B, D): a = A/D, b = B/D,
+    D > 0 and gcd(A, B, D) = 1, so equal values have equal triples.
+    """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a: RatLike = 0, b: RatLike = 0) -> None:
         # floats are rejected rather than converted: Fraction(0.1) is the
         # binary expansion, not 1/10, and nothing here may be approximate
         if isinstance(a, float) or isinstance(b, float):
             raise TypeError("QuadExt parts must be exact (int or Fraction)")
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        if type(a) is int and type(b) is int:
+            _set_a(self, a)
+            _set_b(self, b)
+            _set_d(self, 1)
+            return
+        if not isinstance(a, Fraction):
+            a = Fraction(a)
+        if not isinstance(b, Fraction):
+            b = Fraction(b)
+        da, db = a.denominator, b.denominator
+        # both parts are reduced, so their lcm leaves gcd(A, B, D) = 1
+        d = da // gcd(da, db) * db
+        _set_a(self, a.numerator * (d // da))
+        _set_b(self, b.numerator * (d // db))
+        _set_d(self, d)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadExt is immutable")
@@ -54,58 +73,74 @@ class QuadExt:
             return value
         return QuadExt(value)
 
+    @property
+    def triple(self) -> tuple[int, int, int]:
+        """(A, B, D) with self = (A + B*sqrt(21))/D, D > 0 and
+        gcd(A, B, D) = 1."""
+        return self._a, self._b, self._d
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """The sqrt(21) part."""
+        return Fraction(self._b, self._d)
+
     # -- predicates ------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self._b == 0
 
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self._b == 0 and self._d == 1
 
     def sign(self) -> int:
-        """Sign of the real number a + b*sqrt(21), computed exactly.
-
-        With mixed-sign parts the root term dominates exactly when
-        21*b**2 > a**2, so the answer is read off an integer comparison.
-        """
-        sa = (self.a > 0) - (self.a < 0)
-        sb = (self.b > 0) - (self.b < 0)
-        if sb == 0:
-            return sa
-        if sa == 0 or sa == sb:
-            return sb
-        return sa if self.a * self.a > 21 * self.b * self.b else sb
+        """Sign of the real number a + b*sqrt(21), computed exactly."""
+        return lattice_sign(self._a, self._b)
 
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other: QuadLike) -> QuadExt:
-        o = QuadExt.of(other)
-        return QuadExt(self.a + o.a, self.b + o.b)
+        a, b, d = _parts(other)
+        if d == self._d:
+            return _reduced(self._a + a, self._b + b, d)
+        return _reduced(self._a * d + a * self._d, self._b * d + b * self._d,
+                        self._d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other: QuadLike) -> QuadExt:
-        o = QuadExt.of(other)
-        return QuadExt(self.a - o.a, self.b - o.b)
+        a, b, d = _parts(other)
+        if d == self._d:
+            return _reduced(self._a - a, self._b - b, d)
+        return _reduced(self._a * d - a * self._d, self._b * d - b * self._d,
+                        self._d * d)
 
     def __rsub__(self, other: QuadLike) -> QuadExt:
         return QuadExt.of(other) - self
 
     def __neg__(self) -> QuadExt:
-        return QuadExt(-self.a, -self.b)
+        return _new(-self._a, -self._b, self._d)
 
     def __mul__(self, other: QuadLike) -> QuadExt:
-        o = QuadExt.of(other)
-        return QuadExt(self.a * o.a + 21 * self.b * o.b,
-                       self.a * o.b + self.b * o.a)
+        a, b, d = _parts(other)
+        sa, sb = self._a, self._b
+        return _reduced(sa * a + 21 * sb * b, sa * b + sb * a, self._d * d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadExt:
-        norm = self.a * self.a - 21 * self.b * self.b
+        # 1/((A + B*r)/D) = D*(A - B*r)/(A**2 - 21*B**2)
+        a, b, d = self._a, self._b, self._d
+        norm = a * a - 21 * b * b
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt(21))")
-        return QuadExt(self.a / norm, -self.b / norm)
+        if norm < 0:
+            return _reduced(-d * a, d * b, -norm)
+        return _reduced(d * a, -d * b, norm)
 
     def __truediv__(self, other: QuadLike) -> QuadExt:
         return self * QuadExt.of(other).inverse()
@@ -114,36 +149,39 @@ class QuadExt:
         return QuadExt.of(other) * self.inverse()
 
     def conjugate(self) -> QuadExt:
-        return QuadExt(self.a, -self.b)
+        return _new(self._a, -self._b, self._d)
 
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, QuadExt):
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
         if isinstance(other, (int, Fraction)):
-            other = QuadExt(other)
-        if not isinstance(other, QuadExt):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
+            return (self._b == 0 and self._a == other.numerator
+                    and self._d == other.denominator)
+        return NotImplemented
 
     def __lt__(self, other: QuadLike) -> bool:
-        return (self - QuadExt.of(other)).sign() < 0
+        return _compare(self, other) < 0
 
     def __le__(self, other: QuadLike) -> bool:
-        return (self - QuadExt.of(other)).sign() <= 0
+        return _compare(self, other) <= 0
 
     def __gt__(self, other: QuadLike) -> bool:
-        return (self - QuadExt.of(other)).sign() > 0
+        return _compare(self, other) > 0
 
     def __ge__(self, other: QuadLike) -> bool:
-        return (self - QuadExt.of(other)).sign() >= 0
+        return _compare(self, other) >= 0
 
     def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b))
+        if self._b == 0:
+            # equal to the hash of the int or Fraction of the same value
+            return hash(self._a) if self._d == 1 else hash(self.a)
+        return hash((self._a, self._b, self._d))
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._a != 0 or self._b != 0
 
     def __repr__(self) -> str:
         return f"QuadExt({self.a!r}, {self.b!r})"
@@ -155,6 +193,62 @@ class QuadExt:
         return quad_to_float(self)
 
 
+_set_a = QuadExt._a.__set__  # type: ignore[attr-defined]
+_set_b = QuadExt._b.__set__  # type: ignore[attr-defined]
+_set_d = QuadExt._d.__set__  # type: ignore[attr-defined]
+_alloc = object.__new__
+
+
+def _new(a: int, b: int, d: int) -> QuadExt:
+    """(a + b*sqrt(21))/d from a triple that is already canonical."""
+    u = _alloc(QuadExt)
+    _set_a(u, a)
+    _set_b(u, b)
+    _set_d(u, d)
+    return u
+
+
+def _reduced(a: int, b: int, d: int) -> QuadExt:
+    """(a + b*sqrt(21))/d for any d > 0, reduced to canonical form."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    return _new(a, b, d)
+
+
+def _parts(value: QuadLike) -> tuple[int, int, int]:
+    """The canonical triple of a QuadExt, int or Fraction."""
+    if isinstance(value, QuadExt):
+        return value._a, value._b, value._d
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
+    u = QuadExt(value)  # refuses floats
+    return u._a, u._b, u._d
+
+
+def lattice_sign(a: int, b: int) -> int:
+    """Sign of the real number a + b*sqrt(21) for ints a, b.
+
+    With mixed-sign parts the root term dominates exactly when
+    21*b**2 > a**2 (never equal unless b == 0, as sqrt(21) is irrational).
+    """
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    if a == 0 or (a > 0) == (b > 0) or a * a < 21 * b * b:
+        return sb
+    return -sb
+
+
+def _compare(u: QuadExt, v: QuadLike) -> int:
+    """Sign of u - v, from cross-multiplied numerators."""
+    a, b, d = _parts(v)
+    if d == u._d:
+        return lattice_sign(u._a - a, u._b - b)
+    return lattice_sign(u._a * d - a * u._d, u._b * d - b * u._d)
+
+
 ZERO = QuadExt(0)
 ONE = QuadExt(1)
 HALF = QuadExt(Fraction(1, 2))
@@ -162,7 +256,7 @@ HALF = QuadExt(Fraction(1, 2))
 
 def quad_compare(u: QuadLike, v: QuadLike) -> int:
     """Exact sign of u - v as a real number: -1, 0, or +1."""
-    return (QuadExt.of(u) - QuadExt.of(v)).sign()
+    return _compare(QuadExt.of(u), v)
 
 
 def strip_root() -> QuadExt:
@@ -179,33 +273,40 @@ def quad_to_float(u: QuadLike) -> float:
 
     Brackets sqrt(21) between exact rationals and tightens the bracket
     until both endpoints round to the same float, so cancellation between
-    the rational and root parts cannot poison the result.  Raises
+    the rational and root parts cannot poison the result.  Int division
+    rounds correctly, so each endpoint is its nearest float.  Raises
     ``OverflowError`` for values outside float range (never saturates).
     """
-    u = QuadExt.of(u)
-    if u.b == 0:
-        return float(u.a)
+    a, b, d = _parts(u)
+    if b == 0:
+        return a / d
     prec = 64
     while prec <= 1 << 14:
         scale = 1 << prec
         root_lo = isqrt(21 * scale * scale)  # root_lo/scale <= sqrt(21)
-        if u.b > 0:
-            lo = u.a + u.b * Fraction(root_lo, scale)
-            hi = u.a + u.b * Fraction(root_lo + 1, scale)
-        else:
-            lo = u.a + u.b * Fraction(root_lo + 1, scale)
-            hi = u.a + u.b * Fraction(root_lo, scale)
-        flo, fhi = float(lo), float(hi)
+        # endpoints (a*scale + b*root)/(d*scale) for root = root_lo, root_lo + 1
+        den = d * scale
+        lo = a * scale + b * root_lo
+        hi = lo + b
+        if b < 0:
+            lo, hi = hi, lo
+        flo, fhi = lo / den, hi / den
         if flo == fhi:
             return flo
         prec *= 2
     return flo  # bracket straddles a rounding boundary; within one ulp
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """num/den (den > 0) in lowest terms, "/1" omitted."""
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
+
+
 def rat_to_text(r: Fraction) -> str:
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
+    return _ratio_text(r.numerator, r.denominator)
 
 
 def quad_to_text(u: QuadLike) -> str:
@@ -214,23 +315,22 @@ def quad_to_text(u: QuadLike) -> str:
     Signs live in the numerators; "/1" is omitted.  ``quad_from_text``
     round-trips this bit-exactly.
     """
-    u = QuadExt.of(u)
-    if u.b == 0:
-        return rat_to_text(u.a)
-    return f"{rat_to_text(u.a)}+{rat_to_text(u.b)}*sqrt21"
+    a, b, d = _parts(u)
+    if b == 0:
+        return _ratio_text(a, d)
+    return f"{_ratio_text(a, d)}+{_ratio_text(b, d)}*sqrt21"
 
 
 def quad_from_text(text: str) -> QuadExt:
     """Inverse of ``quad_to_text``: only its canonical output is accepted
     (ASCII digits, reduced, no "/1", "-0" or zero root part)."""
-    m = _TEXT_RE.match(text)
+    m = _TEXT_RE.fullmatch(text)
     if m is None:
-        raise ValueError(f"not a Q(sqrt(21)) literal: {text!r}")
-    a = Fraction(int(m.group("an")), int(m.group("ad") or 1))
-    if m.group("bn") is None:
-        value = QuadExt(a)
-    else:
-        value = QuadExt(a, Fraction(int(m.group("bn")), int(m.group("bd") or 1)))
-    if quad_to_text(value) != text:
-        raise ValueError(f"not the canonical form {quad_to_text(value)!r}: {text!r}")
-    return value
+        raise ValueError(f"not a canonical Q(sqrt(21)) literal: {text!r}")
+    an, ad = int(m["an"]), int(m["ad"] or 1)
+    bn, bd = (int(m["bn"]), int(m["bd"] or 1)) if m["bn"] else (0, 1)
+    if gcd(an, ad) != 1 or gcd(bn, bd) != 1:
+        raise ValueError(f"not in lowest terms: {text!r}")
+    # both parts are reduced, so their lcm leaves gcd(A, B, D) = 1
+    d = ad // gcd(ad, bd) * bd
+    return _new(an * (d // ad), bn * (d // bd), d)

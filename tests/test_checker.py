@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from powersums.dissect import (
+    CONSTRUCTIONS,
     DissectionCertificate,
     LEFTOVER_LAYER,
     Placement,
@@ -31,6 +32,7 @@ from powersums.dissect import (
 )
 from powersums.dissect.checker import (
     MUTATION_KINDS,
+    _certificate_values,
     _common_denominator,
     _lattice_rect,
     _place,
@@ -259,52 +261,53 @@ _MAKERS = {
 
 # Reports recorded from the checker that ordered QuadExt coordinates
 # directly, before it moved to integer lattice points: the lattice kernel
-# must reproduce each one, failing cell included.
+# must reproduce each one, failing cell included.  The last two fields
+# count the layers and cells scanned up to and including the failing cell.
 # (maker, n, placement index, mutation,
 #  kind, layer, cell (x1, y1, x2, y2), layers_checked, cells_checked)
 PINNED_MUTANTS = [
     ('gauss_rectangle', 3, 0, 'translate+x on GAUSS_RECT/plane/a',
-     'uncovered', 'plane', ('10', '0', '11', '1'), 0, 0),
+     'uncovered', 'plane', ('10', '0', '11', '1'), 2, 22),
     ('gauss_rectangle', 3, 0, 'translate-x on GAUSS_RECT/plane/a',
-     'outside', 'plane', ('9', '0', '10', '1'), 0, 0),
+     'outside', 'plane', ('9', '0', '10', '1'), 2, 22),
     ('gauss_rectangle', 3, 0, 'translate+y on GAUSS_RECT/plane/a',
-     'uncovered', 'plane', ('10', '0', '11', '1'), 0, 0),
+     'uncovered', 'plane', ('10', '0', '11', '1'), 2, 22),
     ('three_pyramids_2d', 3, 9, 'translate-y on THREE_PYR_2D/layer/3/stair_b',
-     'outside', 'layer/3', ('3', '-1', '4', '0'), 0, 0),
+     'outside', 'layer/3', ('3', '-1', '4', '0'), 6, 77),
     ('three_pyramids_2d', 3, 3, 'quarter-turn on THREE_PYR_2D/layer/1/halfrow',
-     'outside', 'layer/3', ('-1', '-1/2', '-1/2', '0'), 0, 0),
+     'outside', 'layer/3', ('-1', '-1/2', '-1/2', '0'), 6, 72),
     ('three_pyramids_2d', 3, 9, 'reflect on THREE_PYR_2D/layer/3/stair_b',
-     'outside', 'layer/3', ('-4', '0', '-3', '1'), 0, 0),
+     'outside', 'layer/3', ('-4', '0', '-3', '1'), 6, 72),
     ('nicomachus_4d_2d', 2, 0, 'translate+x on NICOMACHUS_4D_2D/grid/1,1/stair_a',
-     'uncovered', 'grid', ('0', '3', '1', '4'), 0, 0),
+     'uncovered', 'grid', ('0', '3', '1', '4'), 2, 52),
     ('nicomachus_4d_2d', 2, 11, 'translate-x on NICOMACHUS_4D_2D/grid/2,2/square',
-     'overlap', 'grid', ('2', '1', '3', '2'), 0, 0),
+     'overlap', 'grid', ('2', '1', '3', '2'), 2, 62),
     ('nicomachus_4d_2d', 2, 5, 'translate+y on NICOMACHUS_4D_2D/grid/1,2/square',
-     'uncovered', 'grid', ('3', '4', '5', '5'), 0, 0),
+     'uncovered', 'grid', ('3', '4', '5', '5'), 2, 74),
     ('five_pyramids_layers', 2, 3, 'translate-y on FIVE_PYR_LAYERS/layer/1/1,2/square',
-     'overlap', 'layer/1', ('3', '3', '5', '4'), 0, 0),
+     'overlap', 'layer/1', ('3', '3', '5', '4'), 5, 138),
     ('five_pyramids_layers', 2, 35, 'quarter-turn on FIVE_PYR_LAYERS/fifth/2/1,0',
-     'outside', 'excess', ('-3', '4', '-1', '5'), 0, 0),
+     'outside', 'excess', ('-3', '4', '-1', '5'), 4, 105),
     ('five_pyramids_layers', 2, 30, 'reflect on FIVE_PYR_LAYERS/layer/2/row0/2/1,0',
-     'outside', 'layer/2', ('-4', '5', '-3', '6'), 0, 0),
+     'outside', 'layer/2', ('-4', '5', '-3', '6'), 6, 152),
     ('step2_reshape', 2, 0, 'translate+x on STEP2_RESHAPE/layer/1/0,0/body',
-     'uncovered', 'layer/1', ('0', '0', '1', '2'), 0, 0),
+     'uncovered', 'layer/1', ('0', '0', '1', '2'), 3, 17),
     ('step2_reshape', 2, 14, 'translate-x on STEP2_RESHAPE/layer/2/1,1/body',
-     'overlap', 'layer/2', ('2', '2', '3', '4'), 0, 0),
+     'overlap', 'layer/2', ('2', '2', '3', '4'), 4, 30),
     ('step2_reshape', 2, 12, 'translate+y on STEP2_RESHAPE/layer/2/1,0/body',
-     'uncovered', 'layer/2', ('0', '2', '3', '3'), 0, 0),
+     'uncovered', 'layer/2', ('0', '2', '3', '3'), 4, 26),
     ('step3_scissor', 2, 45, 'translate-y on STEP3_SCISSOR/layer/2/2,1/a',
-     'overlap', 'layer/2', ('7', '3', '13/2+1/6*sqrt21', '9/2+-1/6*sqrt21'), 0, 0),
+     'overlap', 'layer/2', ('7', '3', '13/2+1/6*sqrt21', '9/2+-1/6*sqrt21'), 4, 129),
     ('step3_scissor', 2, 27, 'quarter-turn on STEP3_SCISSOR/layer/2/0,0/c',
-     'outside', 'leftover', ('-9/2+1/6*sqrt21', '3', '-5+1/3*sqrt21', '5/2+1/6*sqrt21'), 0, 0),
+     'outside', 'leftover', ('-9/2+1/6*sqrt21', '3', '-5+1/3*sqrt21', '5/2+1/6*sqrt21'), 5, 127),
     ('step3_scissor', 2, 9, 'reflect on STEP3_SCISSOR/layer/1/1,0/a',
-     'overlap', 'layer/1', ('3', '-1/2+1/6*sqrt21', '5/2+1/6*sqrt21', '5/2+-1/6*sqrt21'), 0, 0),
+     'overlap', 'layer/1', ('3', '-1/2+1/6*sqrt21', '5/2+1/6*sqrt21', '5/2+-1/6*sqrt21'), 3, 80),
     ('step4_overlap', 2, 0, 'translate+x on STEP4_TOP/overlap/dual/0,0',
-     'uncovered', 'doubled', ('2', '2', '3', '3'), 0, 0),
+     'uncovered', 'doubled', ('2', '2', '3', '3'), 5, 51),
     ('step4_overlap', 2, 6, 'translate-x on STEP4_TOP/overlap/deficit2/1',
-     'overlap', 'doubled', ('3', '4', '4', '5'), 0, 0),
+     'overlap', 'doubled', ('3', '4', '4', '5'), 5, 58),
     ('step4_overlap', 2, 0, 'translate+y on STEP4_TOP/overlap/dual/0,0',
-     'uncovered', 'doubled', ('2', '2', '3', '3'), 0, 0),
+     'uncovered', 'doubled', ('2', '2', '3', '3'), 5, 51),
 ]
 
 
@@ -322,3 +325,23 @@ def test_pinned_mutant_reports(maker, n, index, description, kind, layer,
         failure.cell.x1, failure.cell.y1, failure.cell.x2, failure.cell.y2))
     assert (failure.kind, failure.layer, got_cell, report.layers_checked,
             report.cells_checked) == (kind, layer, cell, layers, cells)
+
+
+_CERTIFICATES = {
+    "GAUSS_RECT": lambda n: [gauss_rectangle(n)],
+    "THREE_PYR_2D": lambda n: [three_pyramids_2d(n)],
+    "NICOMACHUS_4D_2D": lambda n: [nicomachus_4d_2d(n)],
+    "FIVE_PYR_LAYERS": lambda n: [five_pyramids_layers(n)],
+    "STEP2_RESHAPE": lambda n: [step2_reshape(n)],
+    "STEP3_SCISSOR": lambda n: [step3_scissor(n)],
+    "STEP4_TOP": lambda n: list(step4_top_layer(n).certificates()),
+}
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_generated_certificates_need_denominator_six(construction):
+    # halves (THREE_PYR_2D) and the strip width (-3 + sqrt(21))/6 are the
+    # only non-integers the generators emit
+    for n in range(1, 5):
+        for cert in _CERTIFICATES[construction](n):
+            assert 6 % _common_denominator(_certificate_values(cert)) == 0

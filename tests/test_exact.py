@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -176,3 +177,138 @@ def test_floats_are_rejected_not_converted():
         QuadExt(0, 0.5)
     with pytest.raises(TypeError):
         strip_root() + 0.25  # type: ignore[operator]
+
+
+# -- differential test against a Fraction-pair reference ---------------------
+#
+# The reference keeps a + b*sqrt(21) as the pair (a, b) of Fractions and
+# does the textbook field arithmetic on it; QuadExt, stored as integers
+# over one denominator, must agree with it everywhere.
+
+def _ref_add(u, v):
+    return u[0] + v[0], u[1] + v[1]
+
+
+def _ref_neg(u):
+    return -u[0], -u[1]
+
+
+def _ref_mul(u, v):
+    return u[0] * v[0] + 21 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+
+
+def _ref_sign(u):
+    a, b = u
+    sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+    if sb == 0:
+        return sa
+    if sa == 0 or sa == sb:
+        return sb
+    return sa if a * a > 21 * b * b else sb
+
+
+def _ref_text(u):
+    def rat(r):
+        return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+    return rat(u[0]) if u[1] == 0 else f"{rat(u[0])}+{rat(u[1])}*sqrt21"
+
+
+def _assert_canonical(u):
+    a, b, d = u.triple
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == (u.a, u.b)
+
+
+# (value, reference pair) for QuadExt, Fraction and int values
+quad_refs = st.tuples(rationals, rationals).map(lambda p: (QuadExt(*p), p))
+operand_refs = st.one_of(
+    quad_refs,
+    rationals.map(lambda q: (q, (q, Fraction(0)))),
+    st.integers(-10**6, 10**6).map(lambda k: (k, (Fraction(k), Fraction(0)))),
+)
+
+
+@given(quad_refs, operand_refs)
+@settings(max_examples=200)
+def test_arithmetic_matches_fraction_pairs(u_ref, v_ref):
+    (u, ru), (v, rv) = u_ref, v_ref
+    cases = [
+        (u + v, _ref_add(ru, rv)), (v + u, _ref_add(ru, rv)),
+        (u - v, _ref_add(ru, _ref_neg(rv))), (v - u, _ref_add(rv, _ref_neg(ru))),
+        (-u, _ref_neg(ru)),
+        (u * v, _ref_mul(ru, rv)), (v * u, _ref_mul(ru, rv)),
+        (u.conjugate(), (ru[0], -ru[1])),
+    ]
+    norm = ru[0] * ru[0] - 21 * ru[1] * ru[1]
+    if norm != 0:
+        cases.append((u.inverse(), (ru[0] / norm, -ru[1] / norm)))
+    for got, want in cases:
+        assert isinstance(got, QuadExt)
+        _assert_canonical(got)
+        assert (got.a, got.b) == want
+
+
+@given(quad_refs, operand_refs)
+@settings(max_examples=200)
+def test_sign_and_order_match_fraction_pairs(u_ref, v_ref):
+    (u, ru), (v, rv) = u_ref, v_ref
+    assert u.sign() == _ref_sign(ru)
+    s = _ref_sign(_ref_add(ru, _ref_neg(rv)))
+    assert quad_compare(u, v) == s
+    assert ((u < v), (u <= v), (u > v), (u >= v)) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (u == v) == (s == 0) == (v == u)
+
+
+@given(quad_refs)
+def test_text_and_float_match_fraction_pairs(u_ref):
+    u, ru = u_ref
+    _assert_canonical(u)
+    assert quad_to_text(u) == _ref_text(ru)
+    assert quad_from_text(_ref_text(ru)) == u
+    if ru[1] == 0:
+        assert quad_to_float(u) == float(ru[0])
+
+
+@given(st.one_of(rationals, st.integers()))
+def test_rationals_hash_and_compare_like_their_values(q):
+    u = QuadExt(q)
+    assert hash(u) == hash(q)
+    assert u == q and q == u
+    assert u.is_rational() and u.is_integer() == (Fraction(q).denominator == 1)
+    assert len({u, q}) == 1
+
+
+def test_storage_is_canonical():
+    forms = [QuadExt(Fraction(2, 4), 0), QuadExt(Fraction(1, 2)),
+             QuadExt(Fraction(3, 2)) - 1, QuadExt(1) / 2]
+    for u in forms:
+        assert u.triple == (1, 0, 2)
+        assert (quad_to_text(u), repr(u), hash(u)) == (
+            "1/2", "QuadExt(Fraction(1, 2), Fraction(0, 1))", hash(Fraction(1, 2)))
+    assert strip_root().triple == (-3, 1, 6)
+    assert (strip_root() + strip_root().conjugate()).triple == (-1, 0, 1)
+
+
+def test_parser_refuses_a_trailing_newline():
+    # a "$" anchor would match before a final newline
+    with pytest.raises(ValueError):
+        quad_from_text("1\n")
+
+
+@pytest.mark.parametrize("a,b", [
+    (0.5, 0), (1, 0.5), (Fraction(1, 2), 2.0), (0.0, 0.0),
+])
+def test_floats_are_rejected_in_either_part(a, b):
+    with pytest.raises(TypeError):
+        QuadExt(a, b)
+
+
+@pytest.mark.parametrize("op", [
+    operator.add, operator.sub, operator.mul, operator.truediv,
+    operator.lt, operator.ge,
+])
+def test_floats_are_rejected_by_operators(op):
+    with pytest.raises(TypeError):
+        op(strip_root(), 0.5)
+    with pytest.raises(TypeError):
+        op(0.5, strip_root())
