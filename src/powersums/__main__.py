@@ -1,0 +1,6 @@
+"""``python -m powersums``: the ``powersums`` command."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

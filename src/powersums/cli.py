@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import dissect, figurate, pyramid, render
+from ._nogc import nogc
 from .exact import quad_to_text, rat_to_text
 
 EXIT_OK = 0
@@ -331,6 +332,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     return exit_code
 
 
+@nogc
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {

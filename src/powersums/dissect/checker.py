@@ -23,6 +23,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .._nogc import nogc
 from ..exact import QuadExt, lattice_sign as _sign, quad_to_text
 from .geometry import (
     CONSTRUCTIONS,
@@ -305,6 +306,7 @@ def _certificate_values(cert: DissectionCertificate) -> Iterator[QuadExt]:
             yield from r
 
 
+@nogc
 def check_certificate(cert: DissectionCertificate) -> CheckReport:
     """Verify a certificate; returns a report, never raises.
 

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..exact import HALF, QuadExt, strip_root
+from .._nogc import nogc
+from ..exact import HALF, QuadExt, QuadLike, strip_root
 from ..figurate import IdentityReport, evaluate_identity
 from .checker import CheckReport, check_certificate, cover_failure, covers_exactly
 from .geometry import (
@@ -69,17 +70,17 @@ def _identity(piece_id: str, layer: str, region: Region) -> Placement:
 
 
 def _translated(piece_id: str, src_layer: str, region: Region,
-                dx: QuadExt, dy: QuadExt, dest_layer: str) -> Placement:
+                dx: QuadLike, dy: QuadLike, dest_layer: str) -> Placement:
     return Placement(piece_id, src_layer, region,
                      RigidTransform.translation(dx, dy), dest_layer)
 
 
-def _stair_rows(m: int, n: int, ox: QuadExt, oy: QuadExt, label: str) -> Region:
+def _stair_rows(m: int, n: int, ox: QuadLike, oy: QuadLike, label: str) -> Region:
     rows = tuple(rect(ox, oy + (n - j), j, 1) for j in range(m, n + 1))
     return Region(label, rows)
 
 
-def _stair_cols(m: int, n: int, ox: QuadExt, oy: QuadExt, label: str) -> Region:
+def _stair_cols(m: int, n: int, ox: QuadLike, oy: QuadLike, label: str) -> Region:
     cols = tuple(rect(ox + j, oy + (n - j), 1, j) for j in range(m, n + 1))
     return Region(label, cols)
 
@@ -113,7 +114,7 @@ def gauss_rectangle(n: int) -> DissectionCertificate:
 # -- three pyramids in 2D: almost-squares plus the half-row swap ----------
 
 
-def _almost_square_pieces(m: int, n: int, ox: QuadExt, oy: QuadExt,
+def _almost_square_pieces(m: int, n: int, ox: QuadLike, oy: QuadLike,
                           square_label: str, id_prefix: str,
                           split_square: bool) -> list[tuple[str, Region]]:
     """Pieces of the almost-square (m, n) at frame origin (ox, oy).
@@ -171,9 +172,9 @@ def three_pyramids_2d(n: int) -> DissectionCertificate:
 # -- the 4D Nicomachus puzzle in 2D sections ------------------------------
 
 
-def _grid_origin(r: int, s: int, n: int) -> tuple[QuadExt, QuadExt]:
+def _grid_origin(r: int, s: int, n: int) -> tuple[int, int]:
     """Frame origin of sub-puzzle (row r, column s); row 0 sits on top."""
-    return QuadExt((s - 1) * (n + 1)), QuadExt((n - r) * (n + 1))
+    return (s - 1) * (n + 1), (n - r) * (n + 1)
 
 
 def _subpuzzle_square_label(r: int, s: int) -> str:
@@ -190,10 +191,10 @@ def _green_sweep_placements(construction: str, layer: str, n: int,
     square fills every corner gap, the next one the gaps of the reduced
     array, and so on.
     """
-    oy0 = QuadExt(n * (n + 1))
+    oy0 = n * (n + 1)
     placements = []
     for u in range(lowest, n + 1):
-        oxu = QuadExt((u - 1) * (n + 1))
+        oxu = (u - 1) * (n + 1)
         for a in range(u):
             for b in range(u):
                 src = Region("main_green", (rect(oxu + a, oy0 + b, 1, 1),))
@@ -290,12 +291,12 @@ def five_pyramids_layers(n: int) -> DissectionCertificate:
                 if a <= k - 2 and b <= k - 2:
                     dest_layer = f"layer/{k}"
                     ox, oy = _grid_origin(b + 1, a + 1, n)
-                    dx = ox - QuadExt(x0 + a * k)
-                    dy = oy + (n + 1 - k) - QuadExt(b * k)
+                    dx = ox - (x0 + a * k)
+                    dy = oy + (n + 1 - k) - b * k
                 else:
                     dest_layer = "excess"
-                    dx = QuadExt(a * pitch - (x0 + a * k))
-                    dy = QuadExt(b * pitch - b * k)
+                    dx = a * pitch - (x0 + a * k)
+                    dy = b * pitch - b * k
                 placements.append(_translated(piece_id, "fifth", src,
                                               dx, dy, dest_layer))
     for i, j, k in excess_corner_layout(n):
@@ -318,15 +319,15 @@ def step2_reshape(n: int) -> DissectionCertificate:
         layer = f"layer/{t}"
         for row in range(n):
             for col in range(n):
-                x, y = QuadExt(col * (n + 1)), QuadExt(row * (n + 1))
+                x, y = col * (n + 1), row * (n + 1)
                 prefix = f"STEP2_RESHAPE/{layer}/{row},{col}"
                 body = Region("body", (rect(x, y, n + 1, n),))
                 placements.append(_translated(f"{prefix}/body", layer, body,
-                                              QuadExt(0), QuadExt(-row), layer))
+                                              0, -row, layer))
                 strip = Region("row_strip", (rect(x, y + n, n + 1, 1),))
                 placements.append(_translated(
                     f"{prefix}/strip", layer, strip,
-                    QuadExt(0), QuadExt(n * n + row) - (y + n), layer))
+                    0, n * n + row - (y + n), layer))
         for row in range(n + 1):
             for col in range(n):
                 targets.append((layer, Region(
@@ -405,25 +406,25 @@ def _gnomon_cells(k: int) -> list[tuple[int, int]]:
 
 
 def _dual_slot_targets(n: int, rings: range) -> list[tuple[int, int, list[Rect]]]:
-    """Target rects per square-of-corners slot for the given nested rings.
+    """Rects per square-of-corners slot for the given nested rings.
 
     Slot (i, j) holds the gnomons of every ring k in ``rings`` with
     k > max(i, j); their union is the n x n square minus the square of
-    side max(i, j, rings.start - 1) at the bottom left.
+    side max(i, j, rings.start - 1) at the bottom left.  The bijections
+    use them as targets and the overlap certificate as its copy B.
     """
     out = []
     lo = rings.start
     for i in range(n):
         for j in range(n):
             m = max(i, j, lo - 1)
-            base_x, base_y = QuadExt(i * n), QuadExt(j * n)
+            x, y = i * n, j * n
             rects: list[Rect] = []
-            if m < n:
-                if m > 0:
-                    rects.append(rect(base_x + m, base_y, n - m, m))
-                    rects.append(rect(base_x, base_y + m, n, n - m))
-                else:
-                    rects.append(rect(base_x, base_y, n, n))
+            if m == 0:
+                rects.append(rect(x, y, n, n))
+            elif m < n:
+                rects.append(rect(x + m, y, n - m, m))
+                rects.append(rect(x, y + m, n, n - m))
             out.append((i, j, rects))
     return out
 
@@ -450,8 +451,8 @@ def _corner_square_bijection(n: int, rings: range,
                                  (rect(i * pitch + a, j * pitch + b, 1, 1),))
                     placements.append(_translated(
                         f"{construction_tag}/{k}/{sigma}/{a},{b}", "corner", src,
-                        QuadExt(a * n + gx - (i * pitch + a)),
-                        QuadExt(b * n + gy - (j * pitch + b)),
+                        a * n + gx - (i * pitch + a),
+                        b * n + gy - (j * pitch + b),
                         "dual"))
     for i, j, rects in _dual_slot_targets(n, rings):
         for r in rects:
@@ -468,47 +469,38 @@ def _overlap_certificate(n: int) -> DissectionCertificate:
     targets: list[tuple[str, Region]] = []
 
     # copy B: the square-of-corners layer, shifted one slot up and right
-    for i in range(n):
-        for j in range(n):
-            m = max(i, j)
-            base_x, base_y = QuadExt(i * n), QuadExt(j * n)
-            rects: list[Rect] = []
-            if m > 0:
-                rects.append(rect(base_x + m, base_y, n - m, m))
-                rects.append(rect(base_x, base_y + m, n, n - m))
-            else:
-                rects.append(rect(base_x, base_y, n, n))
-            placements.append(_translated(
-                f"STEP4_TOP/overlap/dual/{i},{j}", "dual",
-                Region("dual_l", tuple(rects)),
-                QuadExt(n), QuadExt(n), "doubled"))
+    for i, j, rects in _dual_slot_targets(n, range(1, n + 1)):
+        placements.append(_translated(
+            f"STEP4_TOP/overlap/dual/{i},{j}", "dual",
+            Region("dual_l", tuple(rects)), n, n, "doubled"))
 
     # side-k pieces: 2k-1 corner-ring squares plus one square from each
     # deficit copy; k < n fills the copy-B holes, k = n the empty slots.
     deficit_x = [sum(u + 1 for u in range(1, k)) for k in range(n + 1)]
     for k in range(1, n + 1):
-        pieces: list[tuple[str, str, Rect]] = []
+        # (piece id, source layer, lower left corner of the side-k square)
+        pieces: list[tuple[str, str, int, int]] = []
         for sigma, (i, j) in enumerate(_ring_slots(k)):
             pieces.append((f"STEP4_TOP/overlap/corner/{k}/{sigma}", "corner",
-                           rect(i * pitch, j * pitch, k, k)))
+                           i * pitch, j * pitch))
         for copy in (1, 2):
             pieces.append((f"STEP4_TOP/overlap/deficit{copy}/{k}",
-                           f"deficit/{copy}", rect(deficit_x[k], 0, k, k)))
+                           f"deficit/{copy}", deficit_x[k], 0))
         if k < n:
             holes = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
                      if max(i, j) == k + 1]
-            dests = [(QuadExt(i * n), QuadExt(j * n)) for i, j in sorted(holes)]
+            dests = [(i * n, j * n) for i, j in sorted(holes)]
         else:
             empties = sorted({(i, 0) for i in range(n + 1)}
                              | {(0, j) for j in range(n + 1)})
-            dests = [(QuadExt(i * n), QuadExt(j * n)) for i, j in empties]
+            dests = [(i * n, j * n) for i, j in empties]
         assert len(pieces) == len(dests)
-        for (piece_id, src_layer, src_rect), (dest_x, dest_y) in zip(pieces, dests):
+        for (piece_id, src_layer, sx, sy), (dest_x, dest_y) in zip(pieces, dests):
             placements.append(_translated(
                 piece_id, src_layer, Region(
                     "deficit" if "deficit" in src_layer else "corner_sq",
-                    (src_rect,)),
-                dest_x - src_rect.x, dest_y - src_rect.y, "doubled"))
+                    (rect(sx, sy, k, k),)),
+                dest_x - sx, dest_y - sy, "doubled"))
 
     for i in range(n + 1):
         for j in range(n + 1):
@@ -575,6 +567,7 @@ def _interface(stage: str, layer: str, pieces: list[Rect],
         raise StageCheckError(stage, cover_failure(layer, pieces, targets))
 
 
+@nogc
 def full_theorem_report(n: int) -> IdentityReport:
     """Run the pipeline, check every certificate and stage interface, and
     confirm 5*S_4(n) = n(n+1) * (n-x)(n+1+x) * (n+1/2) exactly.

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
-from ..exact import QuadExt, QuadLike, quad_from_text, quad_to_text
+from ..exact import ZERO, QuadExt, QuadLike, quad_from_text, quad_to_text
 
 CONSTRUCTIONS = (
     "GAUSS_RECT",
@@ -68,10 +68,11 @@ class Region:
 
     @property
     def area(self) -> QuadExt:
-        total = QuadExt(0)
-        for r in self.rects:
-            total = total + r.area
-        return total
+        return _total_area((self,))
+
+
+def _total_area(regions: Iterable[Region]) -> QuadExt:
+    return sum((r.area for region in regions for r in region.rects), ZERO)
 
 
 @dataclass(frozen=True)
@@ -141,24 +142,15 @@ class DissectionCertificate:
 
     @property
     def source_area(self) -> QuadExt:
-        total = QuadExt(0)
-        for p in self.placements:
-            total = total + p.source.area
-        return total
+        return _total_area(p.source for p in self.placements)
 
     @property
     def target_area(self) -> QuadExt:
-        total = QuadExt(0)
-        for _, region in self.targets:
-            total = total + region.area
-        return total
+        return _total_area(region for _, region in self.targets)
 
     @property
     def leftover_area(self) -> QuadExt:
-        total = QuadExt(0)
-        for region in self.leftovers:
-            total = total + region.area
-        return total
+        return _total_area(self.leftovers)
 
 
 # -- JSON wire format ----------------------------------------------------

@@ -67,8 +67,14 @@ class QuadExt:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("QuadExt is immutable")
 
+    def __reduce__(self) -> tuple[object, tuple[int, int, int]]:
+        # the default restore of slot state would go through __setattr__
+        return _new, (self._a, self._b, self._d)
+
     @staticmethod
     def of(value: QuadLike) -> QuadExt:
+        if type(value) is int:
+            return _new(value, 0, 1)
         if isinstance(value, QuadExt):
             return value
         return QuadExt(value)

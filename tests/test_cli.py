@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powersums
 from powersums.cli import main
 from powersums.dissect import dumps_certificate, gauss_rectangle, loads_certificate
 
@@ -183,3 +188,13 @@ def test_verify_all_max_n_8_exits_zero(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-n", "8")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_python_dash_m_help_exits_zero():
+    src = str(Path(powersums.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "powersums", "--help"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: powersums")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 from powersums.dissect import (
     RigidTransform,
     Region,
+    check_certificate,
     dumps_certificate,
+    five_pyramids_layers,
     gauss_rectangle,
     loads_certificate,
     rect,
@@ -101,3 +105,16 @@ def test_loads_rejects_garbage():
             '"dx": "0", "dy": "0"}, "destination_layer": "l"}], '
             '"targets": [], "leftovers": []}'
         )
+
+
+@pytest.mark.parametrize("clone", [
+    copy.copy,
+    copy.deepcopy,
+    lambda cert: pickle.loads(pickle.dumps(cert)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_certificate_copies_and_pickles(clone):
+    cert = five_pyramids_layers(2)
+    twin = clone(cert)
+    assert twin == cert
+    assert hash(twin) == hash(cert)
+    assert check_certificate(twin).ok
