@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -33,16 +34,29 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_MALFORMED)
 
 
-_GENERATORS: dict[str, Callable[[int], dissect.DissectionCertificate]] = {
+_GENERATORS: dict[str, Callable[[int], dissect.DissectionCertificate
+                                 | dissect.TopLayerResult]] = {
     "GAUSS_RECT": dissect.gauss_rectangle,
     "THREE_PYR_2D": dissect.three_pyramids_2d,
     "NICOMACHUS_4D_2D": dissect.nicomachus_4d_2d,
     "FIVE_PYR_LAYERS": dissect.five_pyramids_layers,
     "STEP2_RESHAPE": dissect.step2_reshape,
     "STEP3_SCISSOR": dissect.step3_scissor,
+    "STEP4_TOP": dissect.step4_top_layer,
 }
 
-_STEP4_VARIANTS = ("overlap", "bijection", "bijection-full")
+#: ``--variant`` -> the ``TopLayerResult`` field written for STEP4_TOP.
+_STEP4_VARIANTS = {"overlap": "overlap", "bijection": "bijection",
+                   "bijection-full": "bijection_full_scale"}
+
+
+def _certificate(name: str, n: int,
+                 variant: str = "overlap") -> dissect.DissectionCertificate:
+    """``name``'s certificate at ``n``; UnsupportedN beyond its cap."""
+    made = _GENERATORS[name](n)
+    if isinstance(made, dissect.TopLayerResult):
+        return getattr(made, _STEP4_VARIANTS[variant])
+    return made
 
 
 def _build_parser() -> _Parser:
@@ -71,10 +85,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--emit", choices=("sizes", "cells"), default="sizes")
 
     p = sub.add_parser("certificate", help="generate a dissection certificate")
-    p.add_argument("construction", choices=sorted(_GENERATORS) + ["STEP4_TOP"])
+    p.add_argument("construction", choices=tuple(dissect.CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--variant", choices=_STEP4_VARIANTS, default="overlap",
+    p.add_argument("--variant", choices=tuple(_STEP4_VARIANTS),
+                   default="overlap",
                    help="which STEP4_TOP certificate to write")
 
     p = sub.add_parser("check", help="verify a certificate file")
@@ -150,15 +165,7 @@ def _cmd_sections(args: argparse.Namespace) -> int:
 
 def _cmd_certificate(args: argparse.Namespace) -> int:
     try:
-        if args.construction == "STEP4_TOP":
-            result = dissect.step4_top_layer(args.n)
-            cert = {
-                "overlap": result.overlap,
-                "bijection": result.bijection,
-                "bijection-full": result.bijection_full_scale,
-            }[args.variant]
-        else:
-            cert = _GENERATORS[args.construction](args.n)
+        cert = _certificate(args.construction, args.n, args.variant)
     except dissect.UnsupportedN as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
@@ -189,6 +196,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    if args.unit_px < 1:
+        print("error: --unit-px must be >= 1", file=sys.stderr)
+        return EXIT_MALFORMED
     spec = render.FigureSpec(figure_name=args.name, n=args.n,
                              format=args.format, unit_px=args.unit_px,
                              section=args.section)
@@ -203,6 +213,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 # -- verify-all -------------------------------------------------------------
+
+# The ranges of the acceptance criteria (tests/test_acceptance.py) that the
+# sweep mirrors; --max-n only lowers them.
+_ORACLE_MAX_N = 200  # criterion 03
+_REGISTRY_MAX_N = 100  # criterion 04
+_SECTIONS_MAX_N = 12  # criterion 05
+_MUTANTS = 100  # criterion 07, per construction
 
 
 def _sweep_checks(max_n: int) -> list[tuple[str, Callable[[], bool], str]]:
@@ -227,14 +244,15 @@ def _sweep_checks(max_n: int) -> list[tuple[str, Callable[[], bool], str]]:
         "faulhaber/oracle",
         lambda: all(
             figurate.faulhaber(p, n) == figurate.sum_powers_bruteforce(p, n)
-            for p in range(0, 9) for n in range(0, min(max_n * 10, 200) + 1)
+            for p in range(0, 9)
+            for n in range(0, min(max_n * 10, _ORACLE_MAX_N) + 1)
         ),
         "identity",
     ))
 
     def identity_sweep() -> bool:
         for name, (params, _) in figurate.REGISTRY.items():
-            for n in range(1, max_n + 1):
+            for n in range(1, min(max_n, _REGISTRY_MAX_N) + 1):
                 if "m" in params:
                     cases = [{"n": n, "m": m} for m in range(1, n + 1)]
                 else:
@@ -251,42 +269,33 @@ def _sweep_checks(max_n: int) -> list[tuple[str, Callable[[], bool], str]]:
 
     checks.append(("identity/registry", identity_sweep, "identity"))
 
-    def sections_sweep() -> bool:
-        for d in (3, 4, 5):
-            for n in range(1, min(max_n, 12) + 1):
-                if not pyramid.sections_agree(d, n).holds:
-                    return False
-        return True
+    checks.append((
+        "pyramid/sections",
+        lambda: all(pyramid.sections_agree(d, n).holds for d in (3, 4, 5)
+                    for n in range(1, min(max_n, _SECTIONS_MAX_N) + 1)),
+        "identity",
+    ))
 
-    checks.append(("pyramid/sections", sections_sweep, "identity"))
+    caps = dissect.CONSTRUCTIONS
+    # the pipeline checks the S_4 stages, together with their interfaces
+    for name in ("GAUSS_RECT", "THREE_PYR_2D", "NICOMACHUS_4D_2D"):
+        def cert_sweep(name: str = name) -> bool:
+            return all(dissect.check_certificate(_certificate(name, n)).ok
+                       for n in range(1, min(max_n, caps[name]) + 1))
+        checks.append((f"certificate/{name}", cert_sweep, "cover"))
 
-    cert_plans = [
-        ("GAUSS_RECT", dissect.gauss_rectangle, min(max_n, 100)),
-        ("THREE_PYR_2D", dissect.three_pyramids_2d, min(max_n, 50)),
-        ("NICOMACHUS_4D_2D", dissect.nicomachus_4d_2d, min(max_n, 20)),
-    ]
-    for label, gen, cap in cert_plans:
-        def cert_sweep(gen=gen, cap=cap) -> bool:
-            return all(dissect.check_certificate(gen(n)).ok
-                       for n in range(1, cap + 1))
-        checks.append((f"certificate/{label}", cert_sweep, "cover"))
-
-    def pipeline_sweep() -> bool:
-        for n in range(1, min(max_n, 10) + 1):
-            if not dissect.full_theorem_report(n).holds:
-                return False
-        return True
-
-    checks.append(("certificate/FIVE_PYR_PIPELINE", pipeline_sweep, "cover"))
+    checks.append((
+        "certificate/FIVE_PYR_PIPELINE",
+        lambda: all(dissect.full_theorem_report(n).holds for n in
+                    range(1, min(max_n, caps["FIVE_PYR_LAYERS"]) + 1)),
+        "cover",
+    ))
 
     def mutation_sweep() -> bool:
-        import random
         rng = random.Random(21)
-        certs = [gen(2) for _, gen, _c in cert_plans]
-        certs += [dissect.five_pyramids_layers(2), dissect.step2_reshape(2),
-                  dissect.step3_scissor(2), dissect.step4_top_layer(2).overlap]
-        for cert in certs:
-            for _ in range(25):
+        for name in caps:
+            cert = _certificate(name, 2)
+            for _ in range(_MUTANTS):
                 mutant, _desc = dissect.mutate_placement(cert, rng)
                 if dissect.check_certificate(mutant).ok:
                     return False

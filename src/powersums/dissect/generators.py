@@ -13,9 +13,9 @@ exact-cover checker.  Layout conventions:
   row.
 * Grid layouts address sub-puzzles row-major with row 0 at the top.
 
-Cell-level generation is capped (GAUSS <= 100, THREE_PYR <= 50,
-NICOMACHUS <= 20, five-pyramid pipeline stages <= 10, top-layer
-bijections <= 12); beyond the caps only the arithmetic identities run.
+Cell-level generation is capped at the n that ``geometry.CONSTRUCTIONS``
+gives for each construction; beyond the caps only the arithmetic
+identities run.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from ..exact import HALF, QuadExt, QuadLike, strip_root
 from ..figurate import IdentityReport, evaluate_identity
 from .checker import CheckReport, check_certificate, cover_failure, covers_exactly
 from .geometry import (
+    CONSTRUCTIONS,
     LEFTOVER_LAYER,
     DissectionCertificate,
     Placement,
@@ -35,13 +36,6 @@ from .geometry import (
     RigidTransform,
     rect,
 )
-
-MAX_GAUSS = 100
-MAX_THREE_PYR = 50
-MAX_NICOMACHUS = 20
-MAX_FIVE_PYR = 10
-MAX_TOP_BIJECTION = 12
-
 
 class UnsupportedN(ValueError):
     """n is outside the supported cell-level generation range."""
@@ -56,7 +50,8 @@ class StageCheckError(RuntimeError):
         self.report = report
 
 
-def _require(construction: str, n: int, cap: int) -> None:
+def _require(construction: str, n: int) -> None:
+    cap = CONSTRUCTIONS[construction]
     if n < 1:
         raise UnsupportedN(f"{construction}: n must be >= 1, got {n}")
     if n > cap:
@@ -90,7 +85,7 @@ def _stair_cols(m: int, n: int, ox: QuadLike, oy: QuadLike, label: str) -> Regio
 
 def gauss_rectangle(n: int) -> DissectionCertificate:
     """Two t_n staircases, one rotated half a turn, tile n+1 wide x n tall."""
-    _require("GAUSS_RECT", n, MAX_GAUSS)
+    _require("GAUSS_RECT", n)
     layer = "plane"
     x_b = n + 2
     x_target = 2 * (n + 2)
@@ -144,7 +139,7 @@ def three_pyramids_2d(n: int) -> DissectionCertificate:
     into the partner's top-row gap (the middle layer of an odd n swaps
     with itself).  Total area 3 * S_2(n).
     """
-    _require("THREE_PYR_2D", n, MAX_THREE_PYR)
+    _require("THREE_PYR_2D", n)
     placements: list[Placement] = []
     targets: list[tuple[str, Region]] = []
     zero = QuadExt(0)
@@ -209,7 +204,7 @@ def _green_sweep_placements(construction: str, layer: str, n: int,
 def nicomachus_4d_2d(n: int) -> DissectionCertificate:
     """The sum-of-cubes puzzle: (n+1) x n sub-puzzles collapse to an
     n x n array of (n+1) x (n+1) rectangles; total area 4 * S_3(n)."""
-    _require("NICOMACHUS_4D_2D", n, MAX_NICOMACHUS)
+    _require("NICOMACHUS_4D_2D", n)
     layer = "grid"
     placements: list[Placement] = []
     targets: list[tuple[str, Region]] = []
@@ -252,7 +247,7 @@ def five_pyramids_layers(n: int) -> DissectionCertificate:
     squares of each section form the excess corner layer, so the
     certificate realises 5*S_4(n) = n * n^2(n+1)^2 + sum (2k-1)k^2.
     """
-    _require("FIVE_PYR_LAYERS", n, MAX_FIVE_PYR)
+    _require("FIVE_PYR_LAYERS", n)
     pitch = n + 1
     placements: list[Placement] = []
     targets: list[tuple[str, Region]] = []
@@ -312,7 +307,7 @@ def five_pyramids_layers(n: int) -> DissectionCertificate:
 def step2_reshape(n: int) -> DissectionCertificate:
     """Turn each layer's n x n array of (n+1)-squares into an n x (n+1)
     array of (n+1)-wide, n-tall rectangles by restacking the peeled rows."""
-    _require("STEP2_RESHAPE", n, MAX_FIVE_PYR)
+    _require("STEP2_RESHAPE", n)
     placements: list[Placement] = []
     targets: list[tuple[str, Region]] = []
     for t in range(1, n + 1):
@@ -347,7 +342,7 @@ def step3_scissor(n: int) -> DissectionCertificate:
     combined area x + x^2 = 1/3 per rectangle.  Each rectangle becomes
     (n+1+x) wide x (n-x) tall, whose sides multiply to n^2 + n - 1/3.
     """
-    _require("STEP3_SCISSOR", n, MAX_FIVE_PYR)
+    _require("STEP3_SCISSOR", n)
     x = strip_root()
     placements: list[Placement] = []
     targets: list[tuple[str, Region]] = []
@@ -528,7 +523,7 @@ class TopLayerResult:
 
 
 def step4_top_layer(n: int) -> TopLayerResult:
-    _require("STEP4_TOP", n, MAX_TOP_BIJECTION)
+    _require("STEP4_TOP", n)
     return TopLayerResult(
         bijection=_corner_square_bijection(n, range(1, n + 1), "STEP4_TOP/layered"),
         bijection_full_scale=_corner_square_bijection(n, range(n, n + 1),
@@ -578,7 +573,7 @@ def full_theorem_report(n: int) -> IdentityReport:
     """
     if n < 1:
         raise UnsupportedN(f"full_theorem_report: n must be >= 1, got {n}")
-    if n <= MAX_FIVE_PYR:
+    if n <= CONSTRUCTIONS["FIVE_PYR_LAYERS"]:
         five = five_pyramids_layers(n)
         _checked("five_pyramids_layers", five)
         step2 = step2_reshape(n)

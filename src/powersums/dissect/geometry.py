@@ -14,15 +14,17 @@ from typing import Any, Iterable, NamedTuple
 
 from ..exact import ZERO, QuadExt, QuadLike, quad_from_text, quad_to_text
 
-CONSTRUCTIONS = (
-    "GAUSS_RECT",
-    "THREE_PYR_2D",
-    "NICOMACHUS_4D_2D",
-    "FIVE_PYR_LAYERS",
-    "STEP2_RESHAPE",
-    "STEP3_SCISSOR",
-    "STEP4_TOP",
-)
+#: Every construction a certificate may name, in the paper's order, with
+#: the largest n its generator builds cell by cell (cell counts grow as n^5).
+CONSTRUCTIONS: dict[str, int] = {
+    "GAUSS_RECT": 100,
+    "THREE_PYR_2D": 50,
+    "NICOMACHUS_4D_2D": 20,
+    "FIVE_PYR_LAYERS": 10,
+    "STEP2_RESHAPE": 10,
+    "STEP3_SCISSOR": 10,
+    "STEP4_TOP": 12,
+}
 
 #: Reserved destination layer id: pieces sent here must tile the declared
 #: leftover regions instead of a target frame.
@@ -101,14 +103,6 @@ class RigidTransform:
 
     def apply_region(self, region: Region) -> Region:
         return Region(region.label, tuple(self.apply_rect(r) for r in region.rects))
-
-    def compose(self, inner: RigidTransform) -> RigidTransform:
-        """Transform equal to applying ``inner`` first, then ``self``."""
-        reflect = self.reflect != inner.reflect
-        q_inner = -inner.quarter_turns if self.reflect else inner.quarter_turns
-        quarter_turns = (self.quarter_turns + q_inner) % 4
-        dx, dy = self.apply_point(inner.dx, inner.dy)
-        return RigidTransform(quarter_turns, reflect, dx, dy)
 
     @staticmethod
     def translation(dx: QuadLike, dy: QuadLike) -> RigidTransform:

@@ -6,13 +6,21 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import powersums
+from powersums import cli
 from powersums.cli import main
-from powersums.dissect import dumps_certificate, gauss_rectangle, loads_certificate
+from powersums.dissect import (
+    CONSTRUCTIONS,
+    dumps_certificate,
+    gauss_rectangle,
+    loads_certificate,
+)
 
 
 def run(capsys, *argv):
@@ -151,12 +159,46 @@ def test_certificate_out_of_range_is_exit_3(tmp_path, capsys):
     assert code == 3 and "supports n <=" in err
 
 
+_S4_STAGES = ("FIVE_PYR_LAYERS", "STEP2_RESHAPE", "STEP3_SCISSOR", "STEP4_TOP")
+
+
+@pytest.mark.parametrize("name", CONSTRUCTIONS)
+def test_construction_table(name, tmp_path, capsys):
+    cap = CONSTRUCTIONS[name]
+    # `certificate` accepts the name, and its generator refuses cap + 1
+    code, _, err = run(capsys, "certificate", name, "--n", str(cap + 1),
+                       "--out", str(tmp_path / "x.json"))
+    assert code == 3
+    assert err == (f"error: {name}: cell-level generation supports "
+                   f"n <= {cap}, got {cap + 1}\n")
+    assert not (tmp_path / "x.json").exists()
+    # full_theorem_report generates every S_4 stage up to its own cap
+    if name in _S4_STAGES:
+        assert CONSTRUCTIONS["FIVE_PYR_LAYERS"] <= cap
+
+
+def test_certificate_refuses_names_outside_the_table(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["certificate", "STEP4_TOP/layered", "--n", "2",
+              "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 3
+
+
 def test_figure_writes_file(tmp_path, capsys):
     out = tmp_path / "fig.svg"
     code, _, _ = run(capsys, "figure", "GAUSS", "--n", "4",
                      "--format", "svg", "--out", str(out))
     assert code == 0
     assert out.read_text().startswith("<?xml")
+
+
+@pytest.mark.parametrize("unit_px", ["0", "-5"])
+def test_figure_unit_px_below_one_is_exit_3(unit_px, tmp_path, capsys):
+    out = tmp_path / "fig.svg"
+    code, _, err = run(capsys, "figure", "GAUSS", "--n", "4",
+                       "--unit-px", unit_px, "--out", str(out))
+    assert code == 3 and "--unit-px" in err
+    assert not out.exists()
 
 
 def test_bad_flags_exit_3(capsys):
@@ -188,6 +230,60 @@ def test_verify_all_max_n_8_exits_zero(capsys):
     code, out, _ = run(capsys, "verify-all", "--max-n", "8")
     assert code == 0
     assert "FAIL" not in out
+
+
+def _sweep_work(monkeypatch, max_n):
+    """Run every verify-all check with the generators, the checker and the
+    identity and section evaluators replaced by counting stubs; return the
+    call counts and the certificates asked for, in order."""
+    calls: Counter = Counter()
+    generated = []
+    mutant = object()
+
+    def stub(label, result):
+        def counted(*args):
+            calls[label] += 1
+            return result
+        return counted
+
+    def certificate(name, n):
+        generated.append((name, n))
+        return object()
+
+    def check(cert):
+        calls["check"] += 1
+        return SimpleNamespace(ok=cert is not mutant)
+
+    holds = SimpleNamespace(holds=True)
+    for module, attr, label, result in (
+            (cli.figurate, "evaluate_identity", "identity", holds),
+            (cli.pyramid, "sections_agree", "sections", holds),
+            (cli.dissect, "full_theorem_report", "pipeline", holds),
+            (cli.dissect, "mutate_placement", "mutate", (mutant, ""))):
+        monkeypatch.setattr(module, attr, stub(label, result))
+    monkeypatch.setattr(cli.dissect, "check_certificate", check)
+    monkeypatch.setattr(cli, "_certificate", certificate)
+    for name, thunk, _kind in cli._sweep_checks(max_n):
+        assert thunk(), name
+    return calls, generated
+
+
+def test_verify_all_work_is_bounded_by_the_acceptance_ranges(monkeypatch):
+    calls, generated = _sweep_work(monkeypatch, 100)
+    assert _sweep_work(monkeypatch, 1000) == (calls, generated)
+    assert calls["pipeline"] == CONSTRUCTIONS["FIVE_PYR_LAYERS"]
+    standalone = [name for name in CONSTRUCTIONS if name not in _S4_STAGES]
+    assert generated[:-len(CONSTRUCTIONS)] == [
+        (name, n) for name in standalone
+        for n in range(1, CONSTRUCTIONS[name] + 1)]
+
+
+def test_verify_all_mutations_match_criterion_07(monkeypatch):
+    calls, generated = _sweep_work(monkeypatch, 2)
+    # one n = 2 certificate per construction, in table order, 100 mutants each
+    assert generated[-len(CONSTRUCTIONS):] == [(name, 2)
+                                               for name in CONSTRUCTIONS]
+    assert calls["mutate"] == 100 * len(CONSTRUCTIONS)
 
 
 def test_python_dash_m_help_exits_zero():

@@ -7,7 +7,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from powersums.dissect import (
@@ -36,7 +36,6 @@ transforms = st.builds(
     small_quads,
     small_quads,
 )
-points = st.tuples(small_quads, small_quads)
 
 
 def test_rect_validation():
@@ -66,15 +65,6 @@ def test_transform_quarter_turn_and_reflection():
 def test_transform_preserves_area(t):
     r = rect(Fraction(1, 2), 3, Fraction(7, 3), Fraction(5, 4))
     assert t.apply_rect(r).area == r.area
-
-
-@given(transforms, transforms, points)
-@settings(max_examples=80)
-def test_transform_composition(outer, inner, point):
-    x, y = point
-    via_compose = outer.compose(inner).apply_point(x, y)
-    stepwise = outer.apply_point(*inner.apply_point(x, y))
-    assert via_compose == stepwise
 
 
 def test_json_round_trip_is_bit_exact():
