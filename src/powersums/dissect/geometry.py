@@ -3,7 +3,9 @@ placements, and the certificate object with its JSON wire format.
 
 All coordinates are QuadExt values; the JSON form serialises every number
 through the canonical Q(sqrt(21)) text representation, so files round-trip
-bit-exactly.
+bit-exactly.  Every document is read by one strict walk, which yields a
+``WireCertificate`` of coordinate texts and their parsed triples: the
+checker takes it as it is, and ``loads_certificate`` builds objects from it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,15 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterable, NamedTuple
 
-from ..exact import ZERO, QuadExt, QuadLike, quad_from_text, quad_to_text
+from ..exact import (
+    ZERO,
+    QuadExt,
+    QuadLike,
+    quad_from_triple,
+    quad_to_text,
+    triple_from_text,
+)
+from .kernel import LEFTOVER_LAYER, lattice_sign
 
 #: Every construction a certificate may name, in the paper's order, with
 #: the largest n its generator builds cell by cell (cell counts grow as n^5).
@@ -25,10 +35,6 @@ CONSTRUCTIONS: dict[str, int] = {
     "STEP3_SCISSOR": 10,
     "STEP4_TOP": 12,
 }
-
-#: Reserved destination layer id: pieces sent here must tile the declared
-#: leftover regions instead of a target frame.
-LEFTOVER_LAYER = "leftover"
 
 
 class CertificateFormatError(ValueError):
@@ -149,6 +155,34 @@ class DissectionCertificate:
 
 # -- JSON wire format ----------------------------------------------------
 
+#: (label, rects) of a region, each rect the coordinate texts [x, y, w, h]
+WireRegion = tuple[str, list[list[str]]]
+
+
+class WirePlacement(NamedTuple):
+    piece_id: str
+    source_layer: str
+    source: WireRegion
+    quarter_turns: int
+    reflect: bool
+    dx: str
+    dy: str
+    destination_layer: str
+
+
+class WireCertificate(NamedTuple):
+    """A certificate document that passed the strict walk, before any
+    ``QuadExt``, ``Rect`` or ``Region`` is built: every coordinate is still
+    its canonical text, and ``values`` holds the (A, B, D) triple of each
+    distinct text, parsed once."""
+
+    construction: str
+    n: int
+    placements: list[WirePlacement]
+    targets: list[tuple[str, WireRegion]]
+    leftovers: list[WireRegion]
+    values: dict[str, tuple[int, int, int]]
+
 
 def _typed(value: Any, kind: type, what: str) -> Any:
     """``value`` if its JSON type is exactly ``kind``: no value is coerced,
@@ -159,15 +193,81 @@ def _typed(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+def _walk(data: Any) -> WireCertificate:
+    """The one strict reading of a decoded certificate document.
+
+    Fields are read in document order (construction, n, each placement,
+    each target, each leftover) and the first defect is raised as a
+    ``CertificateFormatError``.  Each distinct coordinate text is parsed
+    once; a text is looked up only once it is known to be a str, so a value
+    of another JSON type gets the parser's own message.
+    """
+    values: dict[str, tuple[int, int, int]] = {}
+    positive: set[str] = set()  # texts known to be > 0
+
+    def coordinate(text: Any) -> str:
+        if type(text) is not str or text not in values:
+            values[text] = triple_from_text(text)
+        return text
+
+    def region(data: Any) -> WireRegion:
+        if not isinstance(data, dict) or "label" not in data or "rects" not in data:
+            raise CertificateFormatError(
+                f"region must have label and rects: {data!r}")
+        rects = _typed(data["rects"], list, "rects")
+        label = _typed(data["label"], str, "label")
+        for r in rects:
+            if not isinstance(r, list) or len(r) != 4:
+                raise CertificateFormatError(f"rect must be a 4-list, got {r!r}")
+            for text in r:
+                coordinate(text)
+            w, h = r[2], r[3]
+            if w not in positive or h not in positive:
+                for side in (w, h):
+                    if lattice_sign(*values[side][:2]) <= 0:
+                        raise ValueError(
+                            f"rectangle sides must be positive: w={w} h={h}")
+                    positive.add(side)
+        return label, rects
+
+    try:
+        construction = _typed(data["construction"], str, "construction")
+        n = _typed(data["n"], int, "n")
+        placements = []
+        for p in _typed(data["placements"], list, "placements"):
+            piece_id = _typed(p["piece_id"], str, "piece_id")
+            source_layer = _typed(p["source_layer"], str, "source_layer")
+            source = region(p["source"])
+            t = p["transform"]
+            placements.append(WirePlacement(
+                piece_id, source_layer, source,
+                _typed(t["quarter_turns"], int, "quarter_turns"),
+                _typed(t["reflect"], bool, "reflect"),
+                coordinate(t["dx"]), coordinate(t["dy"]),
+                _typed(p["destination_layer"], str, "destination_layer")))
+        targets = [(_typed(t["layer"], str, "layer"), region(t["region"]))
+                   for t in _typed(data["targets"], list, "targets")]
+        leftovers = [region(r)
+                     for r in _typed(data["leftovers"], list, "leftovers")]
+    except CertificateFormatError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateFormatError(f"bad certificate structure: {exc}") from exc
+    return WireCertificate(construction, n, placements, targets, leftovers,
+                           values)
+
+
+def _decode(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers past the
+        # interpreter's digit limit
+        raise CertificateFormatError(f"not valid JSON: {exc}") from exc
+
+
 def _rect_to_json(r: Rect) -> list[str]:
     return [quad_to_text(v) for v in r]
-
-
-def _rect_from_json(data: Any) -> Rect:
-    if not isinstance(data, list) or len(data) != 4:
-        raise CertificateFormatError(f"rect must be a 4-list, got {data!r}")
-    x, y, w, h = (quad_from_text(v) for v in data)
-    return rect(x, y, w, h)
 
 
 def _region_to_json(region: Region) -> dict[str, Any]:
@@ -175,14 +275,6 @@ def _region_to_json(region: Region) -> dict[str, Any]:
         "label": region.label,
         "rects": [_rect_to_json(r) for r in region.rects],
     }
-
-
-def _region_from_json(data: Any) -> Region:
-    if not isinstance(data, dict) or "label" not in data or "rects" not in data:
-        raise CertificateFormatError(f"region must have label and rects: {data!r}")
-    rects = _typed(data["rects"], list, "rects")
-    return Region(_typed(data["label"], str, "label"),
-                  tuple(_rect_from_json(r) for r in rects))
 
 
 def certificate_to_json(cert: DissectionCertificate) -> dict[str, Any]:
@@ -213,37 +305,26 @@ def certificate_to_json(cert: DissectionCertificate) -> dict[str, Any]:
 
 
 def certificate_from_json(data: Any) -> DissectionCertificate:
-    try:
-        construction = _typed(data["construction"], str, "construction")
-        n = _typed(data["n"], int, "n")
-        placements = tuple(
-            Placement(
-                piece_id=_typed(p["piece_id"], str, "piece_id"),
-                source_layer=_typed(p["source_layer"], str, "source_layer"),
-                source=_region_from_json(p["source"]),
-                transform=RigidTransform(
-                    quarter_turns=_typed(p["transform"]["quarter_turns"], int,
-                                         "quarter_turns"),
-                    reflect=_typed(p["transform"]["reflect"], bool, "reflect"),
-                    dx=quad_from_text(p["transform"]["dx"]),
-                    dy=quad_from_text(p["transform"]["dy"]),
-                ),
-                destination_layer=_typed(p["destination_layer"], str,
-                                         "destination_layer"),
-            )
-            for p in _typed(data["placements"], list, "placements")
-        )
-        targets = tuple(
-            (_typed(t["layer"], str, "layer"), _region_from_json(t["region"]))
-            for t in _typed(data["targets"], list, "targets")
-        )
-        leftovers = tuple(_region_from_json(r)
-                          for r in _typed(data["leftovers"], list, "leftovers"))
-    except CertificateFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateFormatError(f"bad certificate structure: {exc}") from exc
-    return DissectionCertificate(construction, n, placements, targets, leftovers)
+    """The certificate of a decoded document; ``CertificateFormatError`` if
+    the strict walk refuses it.  Equal texts share one ``QuadExt``."""
+    wire = _walk(data)
+    quads = {text: quad_from_triple(v) for text, v in wire.values.items()}
+
+    def region(wire_region: WireRegion) -> Region:
+        label, rects = wire_region
+        return Region(label, tuple(Rect(quads[x], quads[y], quads[w], quads[h])
+                                   for x, y, w, h in rects))
+
+    placements = tuple(
+        Placement(p.piece_id, p.source_layer, region(p.source),
+                  RigidTransform(p.quarter_turns, p.reflect, quads[p.dx],
+                                 quads[p.dy]),
+                  p.destination_layer)
+        for p in wire.placements)
+    return DissectionCertificate(
+        wire.construction, wire.n, placements,
+        tuple((layer, region(r)) for layer, r in wire.targets),
+        tuple(region(r) for r in wire.leftovers))
 
 
 def dumps_certificate(cert: DissectionCertificate) -> str:
@@ -251,8 +332,11 @@ def dumps_certificate(cert: DissectionCertificate) -> str:
 
 
 def loads_certificate(text: str) -> DissectionCertificate:
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CertificateFormatError(f"not valid JSON: {exc}") from exc
-    return certificate_from_json(data)
+    return certificate_from_json(_decode(text))
+
+
+def read_certificate(text: str) -> WireCertificate:
+    """A certificate document read for ``check_certificate`` alone: the same
+    strict walk as ``loads_certificate``, with the same errors, but no
+    ``QuadExt``, ``Rect`` or ``Region`` is built."""
+    return _walk(_decode(text))

@@ -22,6 +22,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
+from .dissect.kernel import lattice_sign
+
 Rat = Fraction
 
 RatLike = Union[int, Fraction]
@@ -233,20 +235,6 @@ def _parts(value: QuadLike) -> tuple[int, int, int]:
     return u._a, u._b, u._d
 
 
-def lattice_sign(a: int, b: int) -> int:
-    """Sign of the real number a + b*sqrt(21) for ints a, b.
-
-    With mixed-sign parts the root term dominates exactly when
-    21*b**2 > a**2 (never equal unless b == 0, as sqrt(21) is irrational).
-    """
-    if b == 0:
-        return (a > 0) - (a < 0)
-    sb = 1 if b > 0 else -1
-    if a == 0 or (a > 0) == (b > 0) or a * a < 21 * b * b:
-        return sb
-    return -sb
-
-
 def _compare(u: QuadExt, v: QuadLike) -> int:
     """Sign of u - v, from cross-multiplied numerators."""
     a, b, d = _parts(v)
@@ -327,9 +315,9 @@ def quad_to_text(u: QuadLike) -> str:
     return f"{_ratio_text(a, d)}+{_ratio_text(b, d)}*sqrt21"
 
 
-def quad_from_text(text: str) -> QuadExt:
-    """Inverse of ``quad_to_text``: only its canonical output is accepted
-    (ASCII digits, reduced, no "/1", "-0" or zero root part)."""
+def triple_from_text(text: str) -> tuple[int, int, int]:
+    """The canonical triple (A, B, D) of the value that ``quad_from_text``
+    reads from ``text``, without building a ``QuadExt``."""
     m = _TEXT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"not a canonical Q(sqrt(21)) literal: {text!r}")
@@ -339,4 +327,16 @@ def quad_from_text(text: str) -> QuadExt:
         raise ValueError(f"not in lowest terms: {text!r}")
     # both parts are reduced, so their lcm leaves gcd(A, B, D) = 1
     d = ad // gcd(ad, bd) * bd
-    return _new(an * (d // ad), bn * (d // bd), d)
+    return an * (d // ad), bn * (d // bd), d
+
+
+def quad_from_triple(triple: tuple[int, int, int]) -> QuadExt:
+    """The value of a canonical triple, as ``QuadExt.triple`` and
+    ``triple_from_text`` give it."""
+    return _new(*triple)
+
+
+def quad_from_text(text: str) -> QuadExt:
+    """Inverse of ``quad_to_text``: only its canonical output is accepted
+    (ASCII digits, reduced, no "/1", "-0" or zero root part)."""
+    return _new(*triple_from_text(text))

@@ -294,3 +294,13 @@ def test_python_dash_m_help_exits_zero():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: powersums")
+
+
+def test_verify_all_compares_figures_with_the_golden_bytes(monkeypatch):
+    render_check = {name: thunk for name, thunk, _kind
+                    in cli._sweep_checks(2)}["render/golden"]
+    assert render_check()
+    emit = cli.render.emit_figure
+    monkeypatch.setattr(cli.render, "emit_figure",
+                        lambda spec: emit(spec).replace("<", "< ", 1))
+    assert not render_check()

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
 
+from powersums.cli import _GOLDEN_FIGURES
 from powersums.dissect import (
     UnsupportedN,
     five_pyramids_layers,
@@ -129,3 +131,12 @@ def test_figure_name_list_is_complete():
     assert len(FIGURE_NAMES) == 14
     for spec in ALL_SPECS:
         assert spec.figure_name in FIGURE_NAMES
+
+
+def test_verify_all_golden_table_matches_the_golden_files():
+    ext = {"svg": "svg", "tikz": "tex"}
+    table = {f"{name}_n{n}.{ext[fmt]}": digest
+             for (name, n, fmt), digest in _GOLDEN_FIGURES.items()}
+    on_disk = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in GOLDEN_DIR.iterdir()}
+    assert table == on_disk
