@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from . import dissect, figurate, pyramid, render
+from . import dissect, figurate, pyramid, render, verify
 from ._nogc import nogc
+# _GENERATORS is bound here too, as the same dict: perfbench reads it from cli
+from .dissect.generators import _GENERATORS, _STEP4_VARIANTS, _certificate  # noqa: F401
 from .exact import quad_to_text, rat_to_text
 
 EXIT_OK = 0
@@ -32,31 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_MALFORMED)
-
-
-_GENERATORS: dict[str, Callable[[int], dissect.DissectionCertificate
-                                 | dissect.TopLayerResult]] = {
-    "GAUSS_RECT": dissect.gauss_rectangle,
-    "THREE_PYR_2D": dissect.three_pyramids_2d,
-    "NICOMACHUS_4D_2D": dissect.nicomachus_4d_2d,
-    "FIVE_PYR_LAYERS": dissect.five_pyramids_layers,
-    "STEP2_RESHAPE": dissect.step2_reshape,
-    "STEP3_SCISSOR": dissect.step3_scissor,
-    "STEP4_TOP": dissect.step4_top_layer,
-}
-
-#: ``--variant`` -> the ``TopLayerResult`` field written for STEP4_TOP.
-_STEP4_VARIANTS = {"overlap": "overlap", "bijection": "bijection",
-                   "bijection-full": "bijection_full_scale"}
-
-
-def _certificate(name: str, n: int,
-                 variant: str = "overlap") -> dissect.DissectionCertificate:
-    """``name``'s certificate at ``n``; UnsupportedN beyond its cap."""
-    made = _GENERATORS[name](n)
-    if isinstance(made, dissect.TopLayerResult):
-        return getattr(made, _STEP4_VARIANTS[variant])
-    return made
 
 
 def _build_parser() -> _Parser:
@@ -212,149 +188,29 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# -- verify-all -------------------------------------------------------------
-
-# The ranges of the acceptance criteria (tests/test_acceptance.py) that the
-# sweep mirrors; --max-n only lowers them.
-_ORACLE_MAX_N = 200  # criterion 03
-_REGISTRY_MAX_N = 100  # criterion 04
-_SECTIONS_MAX_N = 12  # criterion 05
-_MUTANTS = 100  # criterion 07, per construction
-
-#: (figure, n, format) -> sha256 of its bytes, for each file in tests/golden
-#: (criterion 10); rendered at these n whatever --max-n is
-_GOLDEN_FIGURES = {
-    ("GAUSS", 4, "svg"):
-        "178ba2e86e2630f72d6c7bd7c5b27da8fbcc56fc8c91589efc5488f6506dee8f",
-    ("GAUSS", 4, "tikz"):
-        "3dc9ba54bb82213b52472b7190275c7a2998fd72457dc8b759751f00b66e7afe",
-    ("MAIN_SECTIONS", 4, "svg"):
-        "b6267b200585800daa0b7cef531801381b39dd4e002fe5394bfed61b35d10ea8",
-    ("NICOMACHUS_GRID_DIY", 3, "svg"):
-        "542cd9c43b5cfae81effdd30725d6d3205bc1f77b5fe9dcb7c6bf4af7ce3fdb0",
-    ("STEP3_SCISSOR", 2, "svg"):
-        "ab55ec04a20676eae5b0d6c5a0438690097e5bab5b6548451d400251542815ce",
-    ("STEP3_SCISSOR", 2, "tikz"):
-        "920f9910d7ca9af14f7caf8098744e6d592c6627ab127a06ec554aeaddd30c50",
-    ("TWO_COPIES", 3, "svg"):
-        "477dfc9f71360c2b9c2caaf9723ca8584c6cbc64ea94d15ea3693865db55427b",
-}
-
-
-def _sweep_checks(max_n: int) -> list[tuple[str, Callable[[], bool], str]]:
-    """(name, thunk, failure kind) triples for the verification sweep."""
-    table_expected = ["1", "1/2", "1/6", "0", "-1/30", "0", "1/42", "0",
-                      "-1/30", "0", "5/66", "0", "-691/2730", "0", "7/6", "0"]
-    checks: list[tuple[str, Callable[[], bool], str]] = []
-
-    checks.append((
-        "bernoulli/table",
-        lambda: [rat_to_text(v) for v in figurate.bernoulli_table(15)]
-        == table_expected,
-        "identity",
-    ))
-    checks.append((
-        "faulhaber/boast",
-        lambda: figurate.faulhaber(10, 1000)
-        == 91409924241424243424241924242500,
-        "identity",
-    ))
-    checks.append((
-        "faulhaber/oracle",
-        lambda: all(
-            figurate.faulhaber(p, n) == figurate.sum_powers_bruteforce(p, n)
-            for p in range(0, 9)
-            for n in range(0, min(max_n * 10, _ORACLE_MAX_N) + 1)
-        ),
-        "identity",
-    ))
-
-    def identity_sweep() -> bool:
-        for name, (params, _) in figurate.REGISTRY.items():
-            for n in range(1, min(max_n, _REGISTRY_MAX_N) + 1):
-                if "m" in params:
-                    cases = [{"n": n, "m": m} for m in range(1, n + 1)]
-                else:
-                    cases = [{"n": n}]
-                for case in cases:
-                    if "p" in params:
-                        for p in range(0, 5):
-                            if not figurate.evaluate_identity(
-                                    name, {**case, "p": p}).holds:
-                                return False
-                    elif not figurate.evaluate_identity(name, case).holds:
-                        return False
-        return True
-
-    checks.append(("identity/registry", identity_sweep, "identity"))
-
-    checks.append((
-        "pyramid/sections",
-        lambda: all(pyramid.sections_agree(d, n).holds for d in (3, 4, 5)
-                    for n in range(1, min(max_n, _SECTIONS_MAX_N) + 1)),
-        "identity",
-    ))
-
-    caps = dissect.CONSTRUCTIONS
-    # the pipeline checks the S_4 stages, together with their interfaces
-    for name in ("GAUSS_RECT", "THREE_PYR_2D", "NICOMACHUS_4D_2D"):
-        def cert_sweep(name: str = name) -> bool:
-            return all(dissect.check_certificate(_certificate(name, n)).ok
-                       for n in range(1, min(max_n, caps[name]) + 1))
-        checks.append((f"certificate/{name}", cert_sweep, "cover"))
-
-    checks.append((
-        "certificate/FIVE_PYR_PIPELINE",
-        lambda: all(dissect.full_theorem_report(n).holds for n in
-                    range(1, min(max_n, caps["FIVE_PYR_LAYERS"]) + 1)),
-        "cover",
-    ))
-
-    def mutation_sweep() -> bool:
-        rng = random.Random(21)
-        for name in caps:
-            cert = _certificate(name, 2)
-            for _ in range(_MUTANTS):
-                mutant, _desc = dissect.mutate_placement(cert, rng)
-                if dissect.check_certificate(mutant).ok:
-                    return False
-        return True
-
-    checks.append(("certificate/mutations", mutation_sweep, "cover"))
-
-    def render_sweep() -> bool:
-        # imported here: hashlib maps OpenSSL, about 3 MiB of resident
-        # memory that no other command needs
-        import hashlib
-
-        return all(
-            hashlib.sha256(render.emit_figure(render.FigureSpec(
-                name, n, format=fmt)).encode("utf-8")).hexdigest() == digest
-            for (name, n, fmt), digest in _GOLDEN_FIGURES.items())
-
-    checks.append(("render/golden", render_sweep, "identity"))
-    return checks
-
-
 def _cmd_verify_all(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         print("error: --max-n must be >= 1", file=sys.stderr)
         return EXIT_MALFORMED
     results = []
     exit_code = EXIT_OK
-    for name, thunk, kind in _sweep_checks(args.max_n):
+    for criterion in verify.CRITERIA:
+        name = criterion.check
         start = time.perf_counter()
         try:
-            ok = thunk()
+            failure = criterion.run(args.max_n)
         except Exception as exc:  # a crash is a failure, not an abort
-            ok = False
-            name = f"{name} ({type(exc).__name__}: {exc})"
+            failure = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
+        ok = failure is None
+        if not ok:
+            name = f"{name} ({failure})"
         results.append({"check": name, "ok": ok, "seconds": round(elapsed, 3)})
         if args.report == "text":
             print(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.2f}s)")
         if not ok and exit_code == EXIT_OK:
-            exit_code = EXIT_COVER if kind == "cover" else EXIT_IDENTITY
+            exit_code = (EXIT_COVER if criterion.kind == "cover"
+                         else EXIT_IDENTITY)
     if args.report == "json":
         print(json.dumps({"ok": exit_code == EXIT_OK, "max_n": args.max_n,
                           "checks": results}, indent=1))

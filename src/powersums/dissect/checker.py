@@ -31,7 +31,6 @@ from .geometry import (
     CONSTRUCTIONS,
     DissectionCertificate,
     Rect,
-    RigidTransform,
     WireCertificate,
 )
 from .kernel import (
@@ -40,7 +39,6 @@ from .kernel import (
     LatticeRect,
     Point,
     _check_layer_cover,
-    _place as _place_lattice,
     _scan,
     _validate_structure,
 )
@@ -236,28 +234,3 @@ def cover_failure(layer: str, piece_rects: Sequence[Rect],
 def covers_exactly(piece_rects: Iterable[Rect], target_rects: Iterable[Rect]) -> bool:
     """True iff the first rect collection tiles the second exactly once."""
     return cover_failure("-", list(piece_rects), list(target_rects)) is None
-
-
-# -- single-value forms of the front end's conversion -------------------------
-
-
-def _common_denominator(values: Iterable[QuadExt]) -> int:
-    """lcm of every rational-part and sqrt(21)-part denominator."""
-    return _denominator({v.triple[2] for v in values})
-
-
-def _lattice_rect(r: Rect, d: int) -> LatticeRect:
-    """``r`` as lattice corners over ``d``, a multiple of its denominators."""
-    x, y, w, h = ((a * (d // den), b * (d // den)) for a, b, den in
-                  (v.triple for v in r))
-    return _corners(x, y, w, h)
-
-
-def _place(rects: Sequence[LatticeRect], t: RigidTransform,
-           d: int) -> list[LatticeRect]:
-    """``t`` applied to lattice rects over ``d``; agrees with
-    ``RigidTransform.apply_rect``."""
-    (dxa, dxb, dxd), (dya, dyb, dyd) = t.dx.triple, t.dy.triple
-    return _place_lattice(rects, (t.quarter_turns, t.reflect,
-                                  (dxa * (d // dxd), dxb * (d // dxd)),
-                                  (dya * (d // dyd), dyb * (d // dyd))))

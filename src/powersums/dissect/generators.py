@@ -21,6 +21,7 @@ identities run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .._nogc import nogc
 from ..exact import HALF, QuadExt, QuadLike, strip_root
@@ -603,3 +604,30 @@ def full_theorem_report(n: int) -> IdentityReport:
             if not report.holds:
                 raise StageCheckError(f"identity {name}", CheckReport(False, None))
     return evaluate_identity("FINAL_ASSEMBLY", {"n": n})
+
+
+# -- by name ------------------------------------------------------------------
+
+#: construction name -> its generator, for every entry of ``CONSTRUCTIONS``
+_GENERATORS: dict[str, Callable[[int], DissectionCertificate | TopLayerResult]] = {
+    "GAUSS_RECT": gauss_rectangle,
+    "THREE_PYR_2D": three_pyramids_2d,
+    "NICOMACHUS_4D_2D": nicomachus_4d_2d,
+    "FIVE_PYR_LAYERS": five_pyramids_layers,
+    "STEP2_RESHAPE": step2_reshape,
+    "STEP3_SCISSOR": step3_scissor,
+    "STEP4_TOP": step4_top_layer,
+}
+
+#: ``--variant`` -> the ``TopLayerResult`` field written for STEP4_TOP.
+_STEP4_VARIANTS = {"overlap": "overlap", "bijection": "bijection",
+                   "bijection-full": "bijection_full_scale"}
+
+
+def _certificate(name: str, n: int,
+                 variant: str = "overlap") -> DissectionCertificate:
+    """``name``'s certificate at ``n``; UnsupportedN beyond its cap."""
+    made = _GENERATORS[name](n)
+    if isinstance(made, TopLayerResult):
+        return getattr(made, _STEP4_VARIANTS[variant])
+    return made

@@ -18,6 +18,7 @@ from ..exact import (
     ZERO,
     QuadExt,
     QuadLike,
+    bounded_repr,
     quad_from_triple,
     quad_to_text,
     triple_from_text,
@@ -189,7 +190,7 @@ def _typed(value: Any, kind: type, what: str) -> Any:
     and no bool passes for an int."""
     if type(value) is not kind:
         raise CertificateFormatError(
-            f"{what} must be a JSON {kind.__name__}, got {value!r}")
+            f"{what} must be a JSON {kind.__name__}, got {bounded_repr(value)}")
     return value
 
 
@@ -213,12 +214,13 @@ def _walk(data: Any) -> WireCertificate:
     def region(data: Any) -> WireRegion:
         if not isinstance(data, dict) or "label" not in data or "rects" not in data:
             raise CertificateFormatError(
-                f"region must have label and rects: {data!r}")
+                f"region must have label and rects: {bounded_repr(data)}")
         rects = _typed(data["rects"], list, "rects")
         label = _typed(data["label"], str, "label")
         for r in rects:
             if not isinstance(r, list) or len(r) != 4:
-                raise CertificateFormatError(f"rect must be a 4-list, got {r!r}")
+                raise CertificateFormatError(
+                    f"rect must be a 4-list, got {bounded_repr(r)}")
             for text in r:
                 coordinate(text)
             w, h = r[2], r[3]

@@ -140,25 +140,6 @@ class QuadExt:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> QuadExt:
-        # 1/((A + B*r)/D) = D*(A - B*r)/(A**2 - 21*B**2)
-        a, b, d = self._a, self._b, self._d
-        norm = a * a - 21 * b * b
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt(21))")
-        if norm < 0:
-            return _reduced(-d * a, d * b, -norm)
-        return _reduced(d * a, -d * b, norm)
-
-    def __truediv__(self, other: QuadLike) -> QuadExt:
-        return self * QuadExt.of(other).inverse()
-
-    def __rtruediv__(self, other: QuadLike) -> QuadExt:
-        return QuadExt.of(other) * self.inverse()
-
-    def conjugate(self) -> QuadExt:
-        return _new(self._a, -self._b, self._d)
-
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -315,16 +296,26 @@ def quad_to_text(u: QuadLike) -> str:
     return f"{_ratio_text(a, d)}+{_ratio_text(b, d)}*sqrt21"
 
 
+def bounded_repr(value: object, limit: int = 200) -> str:
+    """``repr(value)``, cut after ``limit`` characters: error messages echo
+    outside values through it, so their size does not grow with the input."""
+    text = repr(value)
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def triple_from_text(text: str) -> tuple[int, int, int]:
     """The canonical triple (A, B, D) of the value that ``quad_from_text``
     reads from ``text``, without building a ``QuadExt``."""
     m = _TEXT_RE.fullmatch(text)
     if m is None:
-        raise ValueError(f"not a canonical Q(sqrt(21)) literal: {text!r}")
+        raise ValueError(
+            f"not a canonical Q(sqrt(21)) literal: {bounded_repr(text)}")
     an, ad = int(m["an"]), int(m["ad"] or 1)
     bn, bd = (int(m["bn"]), int(m["bd"] or 1)) if m["bn"] else (0, 1)
     if gcd(an, ad) != 1 or gcd(bn, bd) != 1:
-        raise ValueError(f"not in lowest terms: {text!r}")
+        raise ValueError(f"not in lowest terms: {bounded_repr(text)}")
     # both parts are reduced, so their lcm leaves gcd(A, B, D) = 1
     d = ad // gcd(ad, bd) * bd
     return an * (d // ad), bn * (d // bd), d

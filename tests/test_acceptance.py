@@ -1,241 +1,105 @@
-"""Acceptance suite: one test per criterion, exact checks at desk scale.
+"""Acceptance suite: one test per criterion of ``powersums.verify``, run at
+the acceptance ranges.
 
-Every test prints a single PASS/FAIL line (visible with ``pytest -s``)
-and enforces its time budget.  All comparisons are exact; the only
-tolerances in this file are wall-clock limits.
+Every test prints a single ACCEPT line (visible with ``pytest -s``) and
+enforces its time budget.  All comparisons are exact; the only tolerances
+in this file are wall-clock limits.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from fractions import Fraction
-from pathlib import Path
+from types import SimpleNamespace
 
-from powersums.dissect import (
-    check_certificate,
-    five_pyramids_layers,
-    full_theorem_report,
-    gauss_rectangle,
-    mutate_placement,
-    nicomachus_4d_2d,
-    step2_reshape,
-    step3_scissor,
-    step4_top_layer,
-    three_pyramids_2d,
-)
-from powersums.exact import QuadExt, quad_compare, strip_root
-from powersums.figurate import (
-    REGISTRY,
-    bernoulli_table,
-    evaluate_identity,
-    faulhaber,
-    sum_powers_bruteforce,
-)
-from powersums.pyramid import build_pyramid, main_sections, secondary_sections
-from powersums.render import FigureSpec, emit_figure
+import pytest
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
+from powersums import figurate, pyramid, render, verify
+from powersums.exact import QuadExt
 
 
-class _Criterion:
-    def __init__(self, number: int, label: str, budget_seconds: float) -> None:
-        self.number = number
-        self.label = label
-        self.budget = budget_seconds
-        self.start = time.perf_counter()
-
-    def finish(self, ok: bool) -> None:
-        elapsed = time.perf_counter() - self.start
-        verdict = "PASS" if ok else "FAIL"
-        print(f"ACCEPT-{self.number:02d} {verdict} {self.label} "
-              f"({elapsed:.2f}s / budget {self.budget:g}s)")
-        assert ok, f"criterion {self.number} failed: {self.label}"
-        assert elapsed < self.budget, (
-            f"criterion {self.number} exceeded budget: {elapsed:.2f}s"
-        )
+def _accept(number: int, budget_seconds: float) -> None:
+    criterion = verify.CRITERIA[number - 1]
+    assert criterion.number == number
+    start = time.perf_counter()
+    failure = criterion.run(None)
+    elapsed = time.perf_counter() - start
+    print(f"ACCEPT-{number:02d} {'PASS' if failure is None else 'FAIL'} "
+          f"{criterion.label} ({elapsed:.2f}s / budget {budget_seconds:g}s)")
+    assert failure is None, f"criterion {number} failed: {failure}"
+    assert elapsed < budget_seconds, (
+        f"criterion {number} exceeded budget: {elapsed:.2f}s")
 
 
 def test_criterion_01_bernoulli_fidelity():
-    crit = _Criterion(1, "Bernoulli table B_0..B_15", 1.0)
-    expected = [
-        Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(0),
-        Fraction(-1, 30), Fraction(0), Fraction(1, 42), Fraction(0),
-        Fraction(-1, 30), Fraction(0), Fraction(5, 66), Fraction(0),
-        Fraction(-691, 2730), Fraction(0), Fraction(7, 6), Fraction(0),
-    ]
-    crit.finish(bernoulli_table(15) == expected)
+    _accept(1, 1.0)
 
 
 def test_criterion_02_bernoullis_boast():
-    crit = _Criterion(2, "faulhaber(10, 1000) quoted sum", 1.0)
-    crit.finish(faulhaber(10, 1000) == 91409924241424243424241924242500)
+    _accept(2, 1.0)
 
 
 def test_criterion_03_faulhaber_vs_oracle():
-    crit = _Criterion(3, "faulhaber == brute force, p <= 8, n <= 200", 10.0)
-    ok = True
-    for p in range(0, 9):
-        running = 0
-        if faulhaber(p, 0) != 0:
-            ok = False
-        for n in range(1, 201):
-            running += n**p
-            if faulhaber(p, n) != running:
-                ok = False
-                break
-    crit.finish(ok)
+    _accept(3, 10.0)
 
 
 def test_criterion_04_identity_registry_sweep():
-    crit = _Criterion(4, "registry sweep, n <= 100 (all m, p <= 4)", 30.0)
-    ok = True
-    for name, (params, _) in REGISTRY.items():
-        for n in range(1, 101):
-            m_values = range(1, n + 1) if "m" in params else (None,)
-            p_values = range(0, 5) if "p" in params else (None,)
-            for m in m_values:
-                for p in p_values:
-                    call = {"n": n}
-                    if m is not None:
-                        call["m"] = m
-                    if p is not None:
-                        call["p"] = p
-                    if not evaluate_identity(name, call).holds:
-                        ok = False
-    crit.finish(ok)
+    _accept(4, 30.0)
 
 
 def test_criterion_05_section_partitions():
-    crit = _Criterion(5, "section partitions, d = 3..5, n <= 12", 60.0)
-    ok = True
-    for d in (3, 4, 5):
-        for n in range(1, 13):
-            pyramid = build_pyramid(d, n)
-            mains = main_sections(pyramid)
-            rebuilt = {(k, *cell) for k, s in enumerate(mains, start=1)
-                       for cell in s.cells}
-            if rebuilt != set(pyramid.cells):
-                ok = False
-            if [len(s) for s in mains] != [k ** (d - 1) for k in range(1, n + 1)]:
-                ok = False
-            expected_sizes = [
-                sum(k ** (d - 2) for k in range(m, n + 1))
-                for m in range(1, n + 1)
-            ]
-            for axis in range(2, d + 1):
-                secs = secondary_sections(pyramid, axis)
-                if [len(s) for s in secs] != expected_sizes:
-                    ok = False
-                idx = axis - 1
-                rebuilt = {
-                    cell[:idx] + (m - 1,) + cell[idx:]
-                    for m, s in enumerate(secs, start=1) for cell in s.cells
-                }
-                if rebuilt != set(pyramid.cells):
-                    ok = False
-    crit.finish(ok)
+    _accept(5, 60.0)
 
 
 def test_criterion_06_certificate_suite():
-    crit = _Criterion(6, "certificate suite at full supported ranges", 300.0)
-    ok = True
-    for n in range(1, 101):
-        cert = gauss_rectangle(n)
-        ok &= check_certificate(cert).ok
-        ok &= cert.target_area == QuadExt(n * (n + 1))
-    for n in range(1, 51):
-        cert = three_pyramids_2d(n)
-        ok &= check_certificate(cert).ok
-        ok &= cert.source_area == QuadExt(3 * sum_powers_bruteforce(2, n))
-    for n in range(1, 21):
-        cert = nicomachus_4d_2d(n)
-        ok &= check_certificate(cert).ok
-        ok &= cert.source_area == QuadExt(n * n * (n + 1) ** 2)
-    for n in range(1, 11):
-        five = five_pyramids_layers(n)
-        ok &= check_certificate(five).ok
-        ok &= five.source_area == QuadExt(5 * sum_powers_bruteforce(4, n))
-        ok &= check_certificate(step2_reshape(n)).ok
-        ok &= check_certificate(step3_scissor(n)).ok
-        top = step4_top_layer(n)
-        for cert in top.certificates():
-            ok &= check_certificate(cert).ok
-    crit.finish(ok)
+    _accept(6, 300.0)
 
 
 def test_criterion_07_mutation_sensitivity():
-    crit = _Criterion(7, "100 mutations per construction all fail", 60.0)
-    rng = random.Random(21)
-    certificates = [
-        gauss_rectangle(2),
-        three_pyramids_2d(2),
-        nicomachus_4d_2d(2),
-        five_pyramids_layers(2),
-        step2_reshape(2),
-        step3_scissor(2),
-        step4_top_layer(2).overlap,
-    ]
-    ok = True
-    for cert in certificates:
-        for _ in range(100):
-            mutant, _desc = mutate_placement(cert, rng)
-            if check_certificate(mutant).ok:
-                ok = False
-    crit.finish(ok)
+    _accept(7, 60.0)
 
 
 def test_criterion_08_quadratic_field_facts():
-    crit = _Criterion(8, "strip root, scissor factor, leftover = 1/3", 1.0)
-    x = strip_root()
-    third = QuadExt(Fraction(1, 3))
-    ok = x * x + x == third
-    ok &= quad_compare(x, QuadExt(0)) == 1
-    for n in range(1, 101):
-        product = (QuadExt(n) - x) * (QuadExt(n + 1) + x)
-        ok &= product == QuadExt(Fraction(n * n + n) - Fraction(1, 3))
-    ok &= x * QuadExt(1) + x * x == third  # B (1 by x) plus C (x by x)
-    crit.finish(ok)
+    _accept(8, 1.0)
 
 
 def test_criterion_09_final_assembly():
-    crit = _Criterion(9, "pipeline n <= 10 and factored form n <= 10000", 120.0)
-    ok = True
-    for n in range(1, 11):
-        report = full_theorem_report(n)
-        ok &= report.holds
-        ok &= report.lhs == QuadExt(5 * sum_powers_bruteforce(4, n))
-    # arithmetic-only form: running literal sum against the factored
-    # product; the QuadExt route is sampled on top of the integer form
-    running = 0
-    for n in range(1, 10001):
-        running += n**4
-        factored = (Fraction(n * (n + 1)) * Fraction(2 * n + 1, 2)
-                    * (Fraction(n * n + n) - Fraction(1, 3)))
-        if Fraction(5 * running) != factored:
-            ok = False
-            break
-        if 30 * running != n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1):
-            ok = False
-            break
-        if n % 500 == 0 or n <= 20:
-            if not evaluate_identity("FINAL_ASSEMBLY", {"n": n}).holds:
-                ok = False
-                break
-    crit.finish(ok)
+    _accept(9, 120.0)
 
 
 def test_criterion_10_rendering_determinism():
-    crit = _Criterion(10, "figure emission deterministic and golden", 10.0)
-    cases = [
-        ("GAUSS", 4), ("MAIN_SECTIONS", 4), ("NICOMACHUS_GRID_DIY", 3),
-        ("STEP3_SCISSOR", 2), ("TWO_COPIES", 3),
-    ]
-    ok = True
-    for name, n in cases:
-        spec = FigureSpec(name, n)
-        first, second = emit_figure(spec), emit_figure(spec)
-        ok &= first == second
-        golden = (GOLDEN_DIR / f"{name}_n{n}.svg").read_text(encoding="utf-8")
-        ok &= first == golden
-    crit.finish(ok)
+    _accept(10, 10.0)
+
+
+def _drop_a_cell(cells):
+    *sections, last = pyramid.main_sections(cells)
+    return [*sections, pyramid.CellSet(last.dimension,
+                                       last.cells - {min(last.cells)})]
+
+
+def _fails(report):
+    return lambda *args: report
+
+
+# (criterion, name in verify's namespace, planted fault)
+FAULTS = [
+    (1, "bernoulli_table", lambda upto: [Fraction(0)] * (upto + 1)),
+    (2, "faulhaber", lambda p, n: figurate.faulhaber(p, n) + 1),
+    (3, "faulhaber", lambda p, n: figurate.faulhaber(p, n) + 1),
+    (4, "evaluate_identity", _fails(SimpleNamespace(holds=False))),
+    (5, "main_sections", _drop_a_cell),
+    (6, "check_certificate", _fails(SimpleNamespace(ok=False))),
+    (6, "AREAS", {**verify.AREAS, "GAUSS_RECT": ("target_area", lambda n: n * n)}),
+    (7, "mutate_placement", lambda cert, rng: (cert, "no change")),
+    (8, "strip_root", lambda: QuadExt(Fraction(1, 3))),
+    (9, "full_theorem_report", _fails(SimpleNamespace(holds=False, lhs=0))),
+    (10, "emit_figure", lambda spec: render.emit_figure(spec) + " "),
+]
+
+
+@pytest.mark.parametrize("number,name,fault", FAULTS,
+                         ids=[f"{number:02d}-{name}" for number, name, _ in FAULTS])
+def test_each_criterion_can_fail(number, name, fault, monkeypatch):
+    monkeypatch.setattr(verify, name, fault)
+    failure = verify.CRITERIA[number - 1].run(2)
+    assert isinstance(failure, str) and "\n" not in failure

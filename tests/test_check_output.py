@@ -226,3 +226,27 @@ def test_check_output_is_pinned(name, tmp_path, capsys):
     code = main(["check", str(path)])
     out, err = capsys.readouterr()
     assert (code, out, err) == EXPECTED[name]
+
+
+def _unlabelled_region(data: Any) -> None:
+    source = _placement(data)["source"]
+    del source["label"]
+    source["rects"] *= 6_000
+
+
+@pytest.mark.parametrize("edit", [
+    _unlabelled_region,
+    _set(_rect, 0, "1" * 100_000 + "/0"),
+    _set(lambda data: _placement(data)["source"], "label", ["x"] * 50_000),
+    _set(lambda data: _placement(data)["source"]["rects"], 0, ["0"] * 50_000),
+], ids=["unlabelled region of 6000 rects", "100 KB bad literal",
+        "50000-item label", "50000-item rect"])
+def test_oversized_values_are_not_echoed_whole(edit, tmp_path, capsys):
+    text = _edited(edit)
+    assert len(text) > 100_000
+    path = tmp_path / "cert.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["check", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and len(err.encode()) < 1024

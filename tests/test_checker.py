@@ -30,12 +30,12 @@ from powersums.dissect import (
     step4_top_layer,
     three_pyramids_2d,
 )
+from powersums.dissect import kernel
 from powersums.dissect.checker import (
     MUTATION_KINDS,
     _certificate_values,
-    _common_denominator,
-    _lattice_rect,
-    _place,
+    _from_objects,
+    _lattice_points,
     _sign,
     _sorted_points,
 )
@@ -233,10 +233,12 @@ def test_lattice_transform_matches_placed(reflect, quarter_turns):
     r = rect(x + Fraction(1, 3), QuadExt(-2) - x, QuadExt(3) + x, x)
     t = RigidTransform(quarter_turns, reflect, QuadExt(Fraction(5, 2)) - x,
                        QuadExt(1, Fraction(-1, 3)))
-    placed = Placement("p", "a", Region("piece", (r,)), t, "b").placed()
-    d = _common_denominator([*r, *placed.rects[0], t.dx, t.dy])
-    assert _place([_lattice_rect(r, d)], t, d) == [
-        _lattice_rect(placed.rects[0], d)]
+    piece = Placement("p", "a", Region("piece", (r,)), t, "b")
+    cert = DissectionCertificate("GAUSS_RECT", 1, (piece,),
+                                 (("b", piece.placed()),), ())
+    _d, lattice = _from_objects(cert)
+    [(_id, _source_layer, source, transform, _layer)] = lattice.pieces
+    assert kernel._place(source, transform) == lattice.targets[0][1]
 
 
 class _Fixed:
@@ -344,4 +346,5 @@ def test_generated_certificates_need_denominator_six(construction):
     # only non-integers the generators emit
     for n in range(1, 5):
         for cert in _CERTIFICATES[construction](n):
-            assert 6 % _common_denominator(_certificate_values(cert)) == 0
+            d, _points = _lattice_points(v.triple for v in _certificate_values(cert))
+            assert 6 % d == 0

@@ -9,11 +9,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
+from unittest.mock import ANY
 
 import pytest
 
 import powersums
-from powersums import cli
+from powersums import cli, verify
 from powersums.cli import main
 from powersums.dissect import (
     CONSTRUCTIONS,
@@ -49,16 +50,15 @@ def test_identity_missing_param_is_exit_3(capsys):
 def test_bernoulli_listing(capsys):
     code, out, _ = run(capsys, "bernoulli", "--upto", "12")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "B_0 = 1"
-    assert lines[1] == "B_1 = 1/2"
-    assert lines[12] == "B_12 = -691/2730"
+    assert out.splitlines() == [f"B_{m} = {value}"
+                                for m, value in enumerate(verify.BERNOULLI[:13])]
 
 
 def test_faulhaber_boast(capsys):
-    code, out, _ = run(capsys, "faulhaber", "--p", "10", "--n", "1000")
+    p, n, total = verify.BOAST
+    code, out, _ = run(capsys, "faulhaber", "--p", str(p), "--n", str(n))
     assert code == 0
-    assert out.strip() == "91409924241424243424241924242500"
+    assert out == f"{total}\n"
 
 
 def test_sections_sizes_and_cells(capsys):
@@ -224,6 +224,8 @@ def test_verify_all_json_report(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(check["ok"] for check in payload["checks"])
+    assert [check["check"] for check in payload["checks"]] == [
+        criterion.check for criterion in verify.CRITERIA]
 
 
 def test_verify_all_max_n_8_exits_zero(capsys):
@@ -233,9 +235,10 @@ def test_verify_all_max_n_8_exits_zero(capsys):
 
 
 def _sweep_work(monkeypatch, max_n):
-    """Run every verify-all check with the generators, the checker and the
-    identity and section evaluators replaced by counting stubs; return the
-    call counts and the certificates asked for, in order."""
+    """Run every criterion of verify-all with the generators, the checker,
+    the pipeline and the identity and section evaluators replaced by
+    counting stubs; return the call counts and the certificates asked for,
+    in order."""
     calls: Counter = Counter()
     generated = []
     mutant = object()
@@ -246,25 +249,26 @@ def _sweep_work(monkeypatch, max_n):
             return result
         return counted
 
-    def certificate(name, n):
+    def certificates(name, n):
         generated.append((name, n))
-        return object()
+        # areas equal to any expected value
+        return {name: SimpleNamespace(source_area=ANY, target_area=ANY)}
 
     def check(cert):
         calls["check"] += 1
         return SimpleNamespace(ok=cert is not mutant)
 
-    holds = SimpleNamespace(holds=True)
-    for module, attr, label, result in (
-            (cli.figurate, "evaluate_identity", "identity", holds),
-            (cli.pyramid, "sections_agree", "sections", holds),
-            (cli.dissect, "full_theorem_report", "pipeline", holds),
-            (cli.dissect, "mutate_placement", "mutate", (mutant, ""))):
-        monkeypatch.setattr(module, attr, stub(label, result))
-    monkeypatch.setattr(cli.dissect, "check_certificate", check)
-    monkeypatch.setattr(cli, "_certificate", certificate)
-    for name, thunk, _kind in cli._sweep_checks(max_n):
-        assert thunk(), name
+    for attr, label, result in (
+            ("evaluate_identity", "identity", SimpleNamespace(holds=True)),
+            ("_section_failure", "sections", None),
+            ("full_theorem_report", "pipeline",
+             SimpleNamespace(holds=True, lhs=ANY)),
+            ("mutate_placement", "mutate", (mutant, ""))):
+        monkeypatch.setattr(verify, attr, stub(label, result))
+    monkeypatch.setattr(verify, "check_certificate", check)
+    monkeypatch.setattr(verify, "_certificates", certificates)
+    for criterion in verify.CRITERIA:
+        assert criterion.run(max_n) is None, criterion.check
     return calls, generated
 
 
@@ -272,9 +276,9 @@ def test_verify_all_work_is_bounded_by_the_acceptance_ranges(monkeypatch):
     calls, generated = _sweep_work(monkeypatch, 100)
     assert _sweep_work(monkeypatch, 1000) == (calls, generated)
     assert calls["pipeline"] == CONSTRUCTIONS["FIVE_PYR_LAYERS"]
-    standalone = [name for name in CONSTRUCTIONS if name not in _S4_STAGES]
+    # every construction up to its cap, STEP4_TOP's n = 11 and 12 included
     assert generated[:-len(CONSTRUCTIONS)] == [
-        (name, n) for name in standalone
+        (name, n) for name in CONSTRUCTIONS
         for n in range(1, CONSTRUCTIONS[name] + 1)]
 
 
@@ -284,6 +288,15 @@ def test_verify_all_mutations_match_criterion_07(monkeypatch):
     assert generated[-len(CONSTRUCTIONS):] == [(name, 2)
                                                for name in CONSTRUCTIONS]
     assert calls["mutate"] == 100 * len(CONSTRUCTIONS)
+
+
+def test_verify_all_reports_a_failing_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "mutate_placement",
+                        lambda cert, rng: (cert, "unchanged"))
+    code, out, _ = run(capsys, "verify-all", "--max-n", "1")
+    assert code == cli.EXIT_COVER
+    assert ("FAIL certificate/mutations (mutant GAUSS_RECT n=2 unchanged "
+            "passes)") in out
 
 
 def test_python_dash_m_help_exits_zero():
@@ -297,10 +310,9 @@ def test_python_dash_m_help_exits_zero():
 
 
 def test_verify_all_compares_figures_with_the_golden_bytes(monkeypatch):
-    render_check = {name: thunk for name, thunk, _kind
-                    in cli._sweep_checks(2)}["render/golden"]
-    assert render_check()
-    emit = cli.render.emit_figure
-    monkeypatch.setattr(cli.render, "emit_figure",
+    golden = verify.CRITERIA[9]
+    assert golden.check == "render/golden" and golden.run(2) is None
+    emit = verify.emit_figure
+    monkeypatch.setattr(verify, "emit_figure",
                         lambda spec: emit(spec).replace("<", "< ", 1))
-    assert not render_check()
+    assert golden.run(2) is not None

@@ -53,9 +53,10 @@ def test_strip_root_value_and_equation():
 
 def test_strip_root_companion_root():
     x = strip_root()
-    y = QuadExt(-1) - x
+    y = -1 - strip_root()
     third = QuadExt(Fraction(1, 3))
     assert y * y + y == third
+    assert y < 0
     assert x * y == -third  # product of roots of t^2 + t - 1/3
     assert x + y == QuadExt(-1)
 
@@ -83,14 +84,6 @@ def test_float_conversion_overflow_reports():
         quad_to_float(QuadExt(Fraction(10 ** 400), 0))
     with pytest.raises(OverflowError):
         quad_to_float(QuadExt(0, Fraction(10 ** 400)))
-
-
-def test_division_and_inverse():
-    u = QuadExt(Fraction(3, 2), Fraction(-1, 7))
-    assert u * u.inverse() == QuadExt(1)
-    assert (u / u) == QuadExt(1)
-    with pytest.raises(ZeroDivisionError):
-        QuadExt(0).inverse()
 
 
 def test_serialization_fixed_forms():
@@ -129,18 +122,6 @@ def test_field_laws(u, v, w):
     assert u * v == v * u
     assert u + QuadExt(0) == u
     assert u * QuadExt(1) == u
-
-
-@given(quads)
-def test_multiplicative_inverse(u):
-    if u != QuadExt(0):
-        assert u * u.inverse() == QuadExt(1)
-
-
-@given(quads, quads)
-def test_conjugate_is_multiplicative(u, v):
-    assert (u * v).conjugate() == u.conjugate() * v.conjugate()
-    assert (u + v).conjugate() == u.conjugate() + v.conjugate()
 
 
 @given(quads, quads)
@@ -237,11 +218,7 @@ def test_arithmetic_matches_fraction_pairs(u_ref, v_ref):
         (u - v, _ref_add(ru, _ref_neg(rv))), (v - u, _ref_add(rv, _ref_neg(ru))),
         (-u, _ref_neg(ru)),
         (u * v, _ref_mul(ru, rv)), (v * u, _ref_mul(ru, rv)),
-        (u.conjugate(), (ru[0], -ru[1])),
     ]
-    norm = ru[0] * ru[0] - 21 * ru[1] * ru[1]
-    if norm != 0:
-        cases.append((u.inverse(), (ru[0] / norm, -ru[1] / norm)))
     for got, want in cases:
         assert isinstance(got, QuadExt)
         _assert_canonical(got)
@@ -280,13 +257,14 @@ def test_rationals_hash_and_compare_like_their_values(q):
 
 def test_storage_is_canonical():
     forms = [QuadExt(Fraction(2, 4), 0), QuadExt(Fraction(1, 2)),
-             QuadExt(Fraction(3, 2)) - 1, QuadExt(1) / 2]
+             QuadExt(Fraction(3, 2)) - 1]
     for u in forms:
         assert u.triple == (1, 0, 2)
         assert (quad_to_text(u), repr(u), hash(u)) == (
             "1/2", "QuadExt(Fraction(1, 2), Fraction(0, 1))", hash(Fraction(1, 2)))
     assert strip_root().triple == (-3, 1, 6)
-    assert (strip_root() + strip_root().conjugate()).triple == (-1, 0, 1)
+    assert (strip_root() + QuadExt(Fraction(-1, 2), Fraction(-1, 6))).triple == (
+        -1, 0, 1)
 
 
 def test_parser_refuses_a_trailing_newline():

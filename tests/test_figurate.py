@@ -19,20 +19,13 @@ from powersums.figurate import (
     odd_weighted_squares,
     sum_powers_bruteforce,
 )
-
-# B_0..B_15 under the B_1 = +1/2 convention.
-BERNOULLI_FIRST_16 = [
-    Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(0),
-    Fraction(-1, 30), Fraction(0), Fraction(1, 42), Fraction(0),
-    Fraction(-1, 30), Fraction(0), Fraction(5, 66), Fraction(0),
-    Fraction(-691, 2730), Fraction(0), Fraction(7, 6), Fraction(0),
-]
+from powersums.verify import BERNOULLI, BOAST
 
 
 def test_bernoulli_matches_frozen_table():
-    assert bernoulli_table(15) == BERNOULLI_FIRST_16
+    assert bernoulli_table(15) == [Fraction(b) for b in BERNOULLI]
+    assert [bernoulli(m) for m in range(16)] == bernoulli_table(15)
     assert bernoulli(1) == Fraction(1, 2)
-    assert bernoulli(12) == Fraction(-691, 2730)
     assert bernoulli(13) == 0
 
 
@@ -55,15 +48,16 @@ def test_bernoulli_rejects_negative():
 def test_sum_powers_examples():
     assert sum_powers_bruteforce(3, 3) == 36  # 1 + 8 + 27
     assert sum_powers_bruteforce(4, 0) == 0
-    assert (sum_powers_bruteforce(10, 1000)
-            == 91409924241424243424241924242500)
+    p, n, total = BOAST
+    assert sum_powers_bruteforce(p, n) == total
 
 
 def test_faulhaber_examples():
     assert faulhaber(2, 4) == 30  # 1 + 4 + 9 + 16
     assert faulhaber(4, 3) == 98  # 1 + 16 + 81
     assert faulhaber(1, 0) == 0
-    assert faulhaber(10, 1000) == 91409924241424243424241924242500
+    p, n, total = BOAST
+    assert faulhaber(p, n) == total
 
 
 def test_faulhaber_agrees_with_bruteforce():

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from powersums.cli import _GOLDEN_FIGURES
 from powersums.dissect import (
     UnsupportedN,
     five_pyramids_layers,
@@ -22,6 +21,7 @@ from powersums.render import (
     emit_figure,
     figure_cell_count,
 )
+from powersums.verify import GOLDEN_FIGURES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -136,7 +136,7 @@ def test_figure_name_list_is_complete():
 def test_verify_all_golden_table_matches_the_golden_files():
     ext = {"svg": "svg", "tikz": "tex"}
     table = {f"{name}_n{n}.{ext[fmt]}": digest
-             for (name, n, fmt), digest in _GOLDEN_FIGURES.items()}
+             for (name, n, fmt), digest in GOLDEN_FIGURES.items()}
     on_disk = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in GOLDEN_DIR.iterdir()}
     assert table == on_disk
