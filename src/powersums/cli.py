@@ -18,12 +18,17 @@ from . import dissect, figurate, pyramid, render, verify
 from ._nogc import nogc
 # _GENERATORS is bound here too, as the same dict: perfbench reads it from cli
 from .dissect.generators import _GENERATORS, _STEP4_VARIANTS, _certificate  # noqa: F401
+from .dissect.kernel import bounded
 from .exact import quad_to_text, rat_to_text
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_COVER = 2
 EXIT_MALFORMED = 3
+
+#: Largest ``figure --unit-px``: no drawing needs more, and far larger
+#: values overflow the float pixel sizes.
+MAX_UNIT_PX = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,7 +150,11 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
     except dissect.UnsupportedN as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    args.out.write_text(dissect.dumps_certificate(cert), encoding="utf-8")
+    try:
+        args.out.write_text(dissect.dumps_certificate(cert), encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
     print(f"{cert.construction} n={cert.n}: {len(cert.placements)} placements, "
           f"area {quad_to_text(cert.source_area)} -> {args.out}")
     return EXIT_OK
@@ -163,7 +172,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
     report = dissect.check_certificate(cert)
-    print(f"{cert.construction} n={cert.n}: {report}")
+    print(f"{bounded(cert.construction)} n={bounded(str(cert.n))}: {report}")
     if report.ok:
         return EXIT_OK
     if report.failure is not None and report.failure.kind == "malformed":
@@ -172,8 +181,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    if args.unit_px < 1:
-        print("error: --unit-px must be >= 1", file=sys.stderr)
+    if not 1 <= args.unit_px <= MAX_UNIT_PX:
+        print(f"error: --unit-px must be 1..{MAX_UNIT_PX}", file=sys.stderr)
         return EXIT_MALFORMED
     spec = render.FigureSpec(figure_name=args.name, n=args.n,
                              format=args.format, unit_px=args.unit_px,
@@ -183,7 +192,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     except dissect.UnsupportedN as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED
-    args.out.write_text(document, encoding="utf-8")
+    try:
+        args.out.write_text(document, encoding="utf-8")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MALFORMED
     print(f"{args.name} n={args.n} -> {args.out}")
     return EXIT_OK
 

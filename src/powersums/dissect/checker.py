@@ -41,6 +41,7 @@ from .kernel import (
     _check_layer_cover,
     _scan,
     _validate_structure,
+    bounded,
 )
 # importable from here as before: the per-layer scans by perfbench's traced
 # run, which rebinds them by name, and the rest by tests/test_checker.py
@@ -67,8 +68,9 @@ class CellInterval:
     y2: QuadExt
 
     def __str__(self) -> str:
-        return (f"[{quad_to_text(self.x1)}, {quad_to_text(self.x2)}] x "
-                f"[{quad_to_text(self.y1)}, {quad_to_text(self.y2)}]")
+        x1, x2, y1, y2 = (bounded(quad_to_text(v))
+                          for v in (self.x1, self.x2, self.y1, self.y2))
+        return f"[{x1}, {x2}] x [{y1}, {y2}]"
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class CheckFailure:
     message: str
 
     def __str__(self) -> str:
-        where = f" on layer {self.layer!r}" if self.layer else ""
+        where = f" on layer {bounded(repr(self.layer))}" if self.layer else ""
         at = f" at {self.cell}" if self.cell else ""
         return f"{self.kind}{where}{at}: {self.message}"
 

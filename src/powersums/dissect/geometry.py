@@ -18,12 +18,11 @@ from ..exact import (
     ZERO,
     QuadExt,
     QuadLike,
-    bounded_repr,
     quad_from_triple,
     quad_to_text,
     triple_from_text,
 )
-from .kernel import LEFTOVER_LAYER, lattice_sign
+from .kernel import LEFTOVER_LAYER, bounded, lattice_sign
 
 #: Every construction a certificate may name, in the paper's order, with
 #: the largest n its generator builds cell by cell (cell counts grow as n^5).
@@ -190,7 +189,7 @@ def _typed(value: Any, kind: type, what: str) -> Any:
     and no bool passes for an int."""
     if type(value) is not kind:
         raise CertificateFormatError(
-            f"{what} must be a JSON {kind.__name__}, got {bounded_repr(value)}")
+            f"{what} must be a JSON {kind.__name__}, got {bounded(repr(value))}")
     return value
 
 
@@ -214,21 +213,21 @@ def _walk(data: Any) -> WireCertificate:
     def region(data: Any) -> WireRegion:
         if not isinstance(data, dict) or "label" not in data or "rects" not in data:
             raise CertificateFormatError(
-                f"region must have label and rects: {bounded_repr(data)}")
+                f"region must have label and rects: {bounded(repr(data))}")
         rects = _typed(data["rects"], list, "rects")
         label = _typed(data["label"], str, "label")
         for r in rects:
             if not isinstance(r, list) or len(r) != 4:
                 raise CertificateFormatError(
-                    f"rect must be a 4-list, got {bounded_repr(r)}")
+                    f"rect must be a 4-list, got {bounded(repr(r))}")
             for text in r:
                 coordinate(text)
             w, h = r[2], r[3]
             if w not in positive or h not in positive:
                 for side in (w, h):
                     if lattice_sign(*values[side][:2]) <= 0:
-                        raise ValueError(
-                            f"rectangle sides must be positive: w={w} h={h}")
+                        raise ValueError("rectangle sides must be positive: "
+                                         f"w={bounded(w)} h={bounded(h)}")
                     positive.add(side)
         return label, rects
 

@@ -55,6 +55,14 @@ class Failure(NamedTuple):
     message: str
 
 
+def bounded(text: str, limit: int = 200) -> str:
+    """``text``, cut after ``limit`` characters: messages echo outside
+    values through it, so their size does not grow with the input."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def lattice_sign(a: int, b: int) -> int:
     """Sign of the real number a + b*sqrt(21) for ints a, b.
 
@@ -213,9 +221,10 @@ def _validate_structure(cert: LatticeCertificate,
     outside 0..3, or an empty or degenerate source."""
     if cert.construction not in constructions:
         return Failure("malformed", None, None,
-                       f"unknown construction {cert.construction!r}")
+                       f"unknown construction {bounded(repr(cert.construction))}")
     if cert.n < 1:
-        return Failure("malformed", None, None, f"n must be >= 1, got {cert.n}")
+        return Failure("malformed", None, None,
+                       f"n must be >= 1, got {bounded(str(cert.n))}")
     for layer, _rects in cert.targets:
         if layer == LEFTOVER_LAYER:
             return Failure("malformed", layer, None,
@@ -225,20 +234,22 @@ def _validate_structure(cert: LatticeCertificate,
         quarter_turns = transform[0]
         if piece_id in seen_ids:
             return Failure("malformed", None, None,
-                           f"duplicate piece id {piece_id!r}")
+                           f"duplicate piece id {bounded(repr(piece_id))}")
         seen_ids.add(piece_id)
         if not 0 <= quarter_turns <= 3:
             return Failure("malformed", None, None,
-                           f"piece {piece_id!r}: quarter_turns must be 0..3, "
-                           f"got {quarter_turns}")
+                           f"piece {bounded(repr(piece_id))}: quarter_turns "
+                           f"must be 0..3, got {bounded(str(quarter_turns))}")
         if not rects:
             return Failure("malformed", source_layer, None,
-                           f"piece {piece_id!r} has an empty source region")
+                           f"piece {bounded(repr(piece_id))} has an empty "
+                           "source region")
         for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
             if (lattice_sign(x2a - x1a, x2b - x1b) <= 0
                     or lattice_sign(y2a - y1a, y2b - y1b) <= 0):
                 return Failure("malformed", source_layer, None,
-                               f"piece {piece_id!r} has a degenerate rectangle")
+                               f"piece {bounded(repr(piece_id))} has a "
+                               "degenerate rectangle")
     return None
 
 

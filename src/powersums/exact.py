@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Union
 
-from .dissect.kernel import lattice_sign
+from .dissect.kernel import bounded, lattice_sign
 
 Rat = Fraction
 
@@ -296,26 +296,17 @@ def quad_to_text(u: QuadLike) -> str:
     return f"{_ratio_text(a, d)}+{_ratio_text(b, d)}*sqrt21"
 
 
-def bounded_repr(value: object, limit: int = 200) -> str:
-    """``repr(value)``, cut after ``limit`` characters: error messages echo
-    outside values through it, so their size does not grow with the input."""
-    text = repr(value)
-    if len(text) <= limit:
-        return text
-    return f"{text[:limit]}... ({len(text)} characters)"
-
-
 def triple_from_text(text: str) -> tuple[int, int, int]:
     """The canonical triple (A, B, D) of the value that ``quad_from_text``
     reads from ``text``, without building a ``QuadExt``."""
     m = _TEXT_RE.fullmatch(text)
     if m is None:
         raise ValueError(
-            f"not a canonical Q(sqrt(21)) literal: {bounded_repr(text)}")
+            f"not a canonical Q(sqrt(21)) literal: {bounded(repr(text))}")
     an, ad = int(m["an"]), int(m["ad"] or 1)
     bn, bd = (int(m["bn"]), int(m["bd"] or 1)) if m["bn"] else (0, 1)
     if gcd(an, ad) != 1 or gcd(bn, bd) != 1:
-        raise ValueError(f"not in lowest terms: {bounded_repr(text)}")
+        raise ValueError(f"not in lowest terms: {bounded(repr(text))}")
     # both parts are reduced, so their lcm leaves gcd(A, B, D) = 1
     d = ad // gcd(ad, bd) * bd
     return an * (d // ad), bn * (d // bd), d

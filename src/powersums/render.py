@@ -1,15 +1,18 @@
 """Deterministic figure reconstruction as SVG or TikZ.
 
-Geometry comes from the exact generators; floats appear only at the last
-moment, when exact coordinates are formatted into the output document.
-Adjacency is therefore decided by the exact model and rounding can never
-open gaps or create overlaps in the drawing's structure.  Identical
-FigureSpec inputs produce byte-identical documents.
+Geometry comes from the exact generators, and the exact model decides every
+split and adjacency: a rect is drawn as unit cells exactly when its corners
+and sides are integers, and those cells are computed on ints.  Each drawn
+rect is converted to float once, into the box the emitters print, so
+rounding can never open gaps or create overlaps in the drawing's structure.
+Identical FigureSpec inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable
 
 from .dissect.generators import (
     UnsupportedN,
@@ -21,26 +24,9 @@ from .dissect.generators import (
     step4_top_layer,
     three_pyramids_2d,
 )
-from .dissect.geometry import DissectionCertificate, Rect, Region, rect
-from .exact import QuadExt, quad_to_float, strip_root
+from .dissect.geometry import DissectionCertificate, Region
+from .exact import QuadLike, quad_to_float, strip_root
 from .pyramid import build_pyramid, main_sections, secondary_sections
-
-FIGURE_NAMES = (
-    "ODD_NUMBERS",
-    "GAUSS",
-    "MAIN_SECTIONS",
-    "SECONDARY_SECTIONS",
-    "PUZZLE_3D",
-    "PUZZLE_3D_DIY",
-    "NICOMACHUS_GRID",
-    "NICOMACHUS_GRID_DIY",
-    "FIVE_PYR_SECTION",
-    "CONVOLUTION_EXCESS",
-    "STEP2",
-    "STEP3_SCISSOR",
-    "TOP_DUAL",
-    "TWO_COPIES",
-)
 
 #: Fill colours per piece label (total over everything the generators and
 #: figure builders emit).
@@ -80,197 +66,223 @@ class FigureSpec:
     section: int = 1  # FIVE_PYR_SECTION: which layer t to draw
 
 
+#: A drawn rect as the numbers the emitters print: x, y, x2, y2, w, h.
+_Box = tuple[float, float, float, float, float, float]
+
+
+def _float_box(x: QuadLike, y: QuadLike, w: QuadLike, h: QuadLike) -> _Box:
+    return (quad_to_float(x), quad_to_float(y), quad_to_float(x + w),
+            quad_to_float(y + h), quad_to_float(w), quad_to_float(h))
+
+
 @dataclass
 class _Scene:
-    fills: list[tuple[Rect, str]] = field(default_factory=list)
-    frames: list[Rect] = field(default_factory=list)
-    notes: list[tuple[QuadExt, QuadExt, str]] = field(default_factory=list)
+    fills: list[tuple[_Box, str]] = field(default_factory=list)
+    frames: list[_Box] = field(default_factory=list)
+    notes: list[tuple[float, float, str]] = field(default_factory=list)
 
-    def add_region(self, region: Region, dx: int = 0, dy: int = 0,
-                   label: str | None = None) -> None:
+    def add_cells(self, x: int, y: int, w: int, h: int, label: str) -> None:
+        """The w x h unit cells whose lower-left corner is (x, y)."""
+        self.fills += [((i, j, i + 1, j + 1, 1, 1), label)
+                       for i in range(x, x + w) for j in range(y, y + h)]
+
+    def add_region(self, region: Region, dx: int = 0, dy: int = 0) -> None:
+        """Each rect of ``region``, shifted: as unit cells if its corners
+        and sides are integers, else whole."""
         for r in region.rects:
-            self.add_rect(r, label or region.label, dx, dy)
+            (xa, xb, xd), (ya, yb, yd), (wa, wb, wd), (ha, hb, hd) = (
+                v.triple for v in r)
+            if xb == yb == wb == hb == 0 and xd == yd == wd == hd == 1:
+                self.add_cells(xa + dx, ya + dy, wa, ha, region.label)
+            else:
+                self.fills.append((_float_box(r.x + dx, r.y + dy, r.w, r.h),
+                                   region.label))
 
-    def add_rect(self, r: Rect, label: str, dx: int = 0, dy: int = 0) -> None:
-        shifted = Rect(r.x + dx, r.y + dy, r.w, r.h)
-        for cell in _unit_cells(shifted):
-            self.fills.append((cell, label))
-
-    def add_frame(self, r: Rect, dx: int = 0, dy: int = 0) -> None:
-        self.frames.append(Rect(r.x + dx, r.y + dy, r.w, r.h))
-
-    def cell_count(self) -> int:
-        return len(self.fills)
-
-
-def _unit_cells(r: Rect) -> list[Rect]:
-    """Split a rect with integer corners and sides into unit cells;
-    anything with fractional or irrational extent is drawn whole."""
-    if not (r.x.is_integer() and r.y.is_integer()
-            and r.w.is_integer() and r.h.is_integer()):
-        return [r]
-    x0, y0 = int(r.x.a), int(r.y.a)
-    w, h = int(r.w.a), int(r.h.a)
-    one = QuadExt(1)
-    return [Rect(QuadExt(x0 + i), QuadExt(y0 + j), one, one)
-            for i in range(w) for j in range(h)]
+    def add_frame(self, x: QuadLike, y: QuadLike, w: QuadLike,
+                  h: QuadLike) -> None:
+        self.frames.append(_float_box(x, y, w, h))
 
 
 def _placed_scene(cert: DissectionCertificate, layers: set[str] | None,
-                  scene: _Scene, dx: int = 0, dy: int = 0) -> None:
+                  scene: _Scene, dx: int = 0) -> None:
     """Draw the destination state of a certificate (selected layers)."""
     for p in cert.placements:
         if layers is None or p.destination_layer in layers:
-            scene.add_region(p.placed(), dx, dy)
+            scene.add_region(p.placed(), dx)
     for layer, region in cert.targets:
         if layers is None or layer in layers:
             for r in region.rects:
-                scene.add_frame(r, dx, dy)
+                scene.add_frame(r.x + dx, r.y, r.w, r.h)
 
 
 def _source_scene(cert: DissectionCertificate, layers: set[str],
-                  scene: _Scene, dx: int = 0, dy: int = 0) -> None:
+                  scene: _Scene, dx: int = 0) -> None:
     for p in cert.placements:
         if p.source_layer in layers:
-            scene.add_region(p.source, dx, dy)
+            scene.add_region(p.source, dx)
 
 
-def _gnomon_rects(k: int, x0: int, y0: int) -> list[Rect]:
-    if k == 1:
-        return [rect(x0, y0, 1, 1)]
-    return [rect(x0 + k - 1, y0, 1, k), rect(x0, y0 + k - 1, k - 1, 1)]
+def _gnomon(scene: _Scene, k: int, x0: int, y0: int) -> None:
+    """The k-th odd number 2k - 1 as an L of unit cells: the column, then
+    the rest of the row (empty for k = 1)."""
+    label = f"ring{(k - 1) % 5}"
+    scene.add_cells(x0 + k - 1, y0, 1, k, label)
+    scene.add_cells(x0, y0 + k - 1, k - 1, 1, label)
 
 
-def _ring_label(k: int) -> str:
-    return f"ring{(k - 1) % 5}"
+# -- one builder per figure ----------------------------------------------------
+
+
+def _odd_numbers(scene: _Scene, spec: FigureSpec) -> None:
+    n, x0 = spec.n, 0
+    for k in range(1, n + 1):
+        _gnomon(scene, k, x0, 0)
+        x0 += k + 1
+    for k in range(1, n + 1):  # the assembled square, ring by ring
+        _gnomon(scene, k, x0, 0)
+    scene.add_frame(x0, 0, n, n)
+
+
+def _gauss(scene: _Scene, spec: FigureSpec) -> None:
+    _placed_scene(gauss_rectangle(spec.n), None, scene)
+
+
+def _main_sections(scene: _Scene, spec: FigureSpec) -> None:
+    x0 = 0
+    for section in main_sections(build_pyramid(3, spec.n)):
+        k = max(c[0] for c in section.cells) + 1
+        scene.add_cells(x0, 0, k, k, "square_orange")
+        x0 += k + 1
+
+
+def _secondary_sections(scene: _Scene, spec: FigureSpec) -> None:
+    n, x0 = spec.n, 0
+    pyramid = build_pyramid(3, n)
+    for m, _section in enumerate(secondary_sections(pyramid, 2), start=1):
+        for j in range(m, n + 1):
+            scene.add_cells(x0, n - j, j, 1, "stair_a")
+        x0 += n + 2
+
+
+def _puzzle_3d(scene: _Scene, spec: FigureSpec) -> None:
+    n = spec.n
+    cert = three_pyramids_2d(n)
+    for m in range(1, n + 1):
+        dx = (m - 1) * (n + 3)
+        _source_scene(cert, {f"layer/{m}"}, scene, dx)
+        scene.add_frame(dx, 0, n + 1, n + 1)
+
+
+def _puzzle_3d_diy(scene: _Scene, spec: FigureSpec) -> None:
+    n = spec.n
+    cert = three_pyramids_2d(n)
+    for m in range(1, n + 1):
+        _placed_scene(cert, {f"layer/{m}"}, scene, (m - 1) * (n + 3))
+
+
+def _nicomachus_grid(scene: _Scene, spec: FigureSpec) -> None:
+    _source_scene(nicomachus_4d_2d(spec.n), {"grid"}, scene)
+
+
+def _nicomachus_grid_diy(scene: _Scene, spec: FigureSpec) -> None:
+    _placed_scene(nicomachus_4d_2d(spec.n), {"grid"}, scene)
+
+
+def _five_pyr_section(scene: _Scene, spec: FigureSpec) -> None:
+    n, t = spec.n, spec.section
+    if not 1 <= t <= n:
+        raise UnsupportedN(f"FIVE_PYR_SECTION: section must be 1..{n}, got {t}")
+    _placed_scene(five_pyramids_layers(n), {f"layer/{t}"}, scene)
+
+
+def _convolution_excess(scene: _Scene, spec: FigureSpec) -> None:
+    _placed_scene(five_pyramids_layers(spec.n), {"excess"}, scene)
+
+
+def _step2(scene: _Scene, spec: FigureSpec) -> None:
+    n = spec.n
+    cert = step2_reshape(n)
+    _source_scene(cert, {"layer/1"}, scene)
+    _placed_scene(cert, {"layer/1"}, scene, n * (n + 1) + 2)
+
+
+def _step3_scissor(scene: _Scene, spec: FigureSpec) -> None:
+    n = spec.n
+    first = [p for p in step3_scissor(n).placements
+             if p.piece_id.startswith("STEP3_SCISSOR/layer/1/0,0/")]
+    for p in first:  # before: the cut rectangle
+        scene.add_region(p.source)
+    after_dx = n + 4
+    for p in first:  # after: reshaped rectangle plus the leftovers
+        if p.destination_layer == "leftover":
+            scene.add_region(p.placed(), after_dx + n + 3, n)
+        else:
+            scene.add_region(p.placed(), after_dx)
+    x = quad_to_float(strip_root())
+    scene.notes.append((0, n + 1, f"x ~ {x:.4f}"))
+
+
+def _top_dual(scene: _Scene, spec: FigureSpec) -> None:
+    n = spec.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(max(i, j) + 1, n + 1):
+                _gnomon(scene, k, i * n, j * n)
+            scene.add_frame(i * n, j * n, n, n)
+
+
+def _two_copies(scene: _Scene, spec: FigureSpec) -> None:
+    _placed_scene(step4_top_layer(spec.n).overlap, {"doubled"}, scene)
+
+
+#: Every figure by name: its builder and the largest n it draws.  None
+#: means the generator it draws from refuses n above its own
+#: ``CONSTRUCTIONS`` cap; the four figures drawn from no generator state
+#: theirs here, since their cell counts grow as n^2 to n^4.
+_FIGURES: dict[str, tuple[Callable[[_Scene, FigureSpec], None], int | None]] = {
+    "ODD_NUMBERS": (_odd_numbers, 100),
+    "GAUSS": (_gauss, None),
+    "MAIN_SECTIONS": (_main_sections, 50),
+    "SECONDARY_SECTIONS": (_secondary_sections, 50),
+    "PUZZLE_3D": (_puzzle_3d, None),
+    "PUZZLE_3D_DIY": (_puzzle_3d_diy, None),
+    "NICOMACHUS_GRID": (_nicomachus_grid, None),
+    "NICOMACHUS_GRID_DIY": (_nicomachus_grid_diy, None),
+    "FIVE_PYR_SECTION": (_five_pyr_section, None),
+    "CONVOLUTION_EXCESS": (_convolution_excess, None),
+    "STEP2": (_step2, None),
+    "STEP3_SCISSOR": (_step3_scissor, None),
+    "TOP_DUAL": (_top_dual, 20),
+    "TWO_COPIES": (_two_copies, None),
+}
+
+FIGURE_NAMES = tuple(_FIGURES)
 
 
 def _build_scene(spec: FigureSpec) -> _Scene:
-    name, n = spec.figure_name, spec.n
+    build, max_n = _FIGURES[spec.figure_name]
+    if spec.n < 1:
+        raise UnsupportedN(f"n must be >= 1, got {spec.n}")
+    if max_n is not None and spec.n > max_n:
+        raise UnsupportedN(f"{spec.figure_name}: figure supports n <= {max_n}, "
+                           f"got {spec.n}")
     scene = _Scene()
-
-    if name == "ODD_NUMBERS":
-        x0 = 0
-        for k in range(1, n + 1):
-            for r in _gnomon_rects(k, x0, 0):
-                scene.add_rect(r, _ring_label(k))
-            x0 += k + 1
-        for k in range(1, n + 1):  # the assembled square, ring by ring
-            for r in _gnomon_rects(k, x0, 0):
-                scene.add_rect(r, _ring_label(k))
-        scene.add_frame(rect(x0, 0, n, n))
-
-    elif name == "GAUSS":
-        cert = gauss_rectangle(n)
-        _placed_scene(cert, None, scene)
-
-    elif name == "MAIN_SECTIONS":
-        x0 = 0
-        for section in main_sections(build_pyramid(3, n)):
-            k = max(c[0] for c in section.cells) + 1
-            scene.add_rect(rect(x0, 0, k, k), "square_orange")
-            x0 += k + 1
-
-    elif name == "SECONDARY_SECTIONS":
-        x0 = 0
-        pyramid = build_pyramid(3, n)
-        for m, _section in enumerate(secondary_sections(pyramid, 2), start=1):
-            for j in range(m, n + 1):
-                scene.add_rect(rect(x0, n - j, j, 1), "stair_a")
-            x0 += n + 2
-
-    elif name in ("PUZZLE_3D", "PUZZLE_3D_DIY"):
-        cert = three_pyramids_2d(n)
-        for m in range(1, n + 1):
-            layer = {f"layer/{m}"}
-            dx = (m - 1) * (n + 3)
-            if name == "PUZZLE_3D":
-                _source_scene(cert, layer, scene, dx=dx)
-                scene.add_frame(rect(dx, 0, n + 1, n + 1))
-            else:
-                _placed_scene(cert, layer, scene, dx=dx)
-
-    elif name == "NICOMACHUS_GRID":
-        cert = nicomachus_4d_2d(n)
-        _source_scene(cert, {"grid"}, scene)
-
-    elif name == "NICOMACHUS_GRID_DIY":
-        cert = nicomachus_4d_2d(n)
-        _placed_scene(cert, {"grid"}, scene)
-
-    elif name == "FIVE_PYR_SECTION":
-        t = spec.section
-        if not 1 <= t <= n:
-            raise UnsupportedN(f"FIVE_PYR_SECTION: section must be 1..{n}, got {t}")
-        cert = five_pyramids_layers(n)
-        _placed_scene(cert, {f"layer/{t}"}, scene)
-
-    elif name == "CONVOLUTION_EXCESS":
-        cert = five_pyramids_layers(n)
-        _placed_scene(cert, {"excess"}, scene)
-
-    elif name == "STEP2":
-        cert = step2_reshape(n)
-        layer = {"layer/1"}
-        _source_scene(cert, layer, scene)
-        _placed_scene(cert, layer, scene, dx=n * (n + 1) + 2)
-
-    elif name == "STEP3_SCISSOR":
-        cert = step3_scissor(n)
-        first = [p for p in cert.placements
-                 if p.piece_id.startswith("STEP3_SCISSOR/layer/1/0,0/")]
-        for p in first:  # before: the cut rectangle
-            scene.add_region(p.source)
-        after_dx = n + 4
-        for p in first:  # after: reshaped rectangle plus the leftovers
-            dest = p.placed()
-            if p.destination_layer == "leftover":
-                scene.add_region(Region(dest.label, tuple(
-                    Rect(r.x + after_dx + n + 3, r.y + n, r.w, r.h)
-                    for r in dest.rects)))
-            else:
-                scene.add_region(dest, dx=after_dx)
-        x = quad_to_float(strip_root())
-        scene.notes.append((QuadExt(0), QuadExt(n + 1), f"x ~ {x:.4f}"))
-
-    elif name == "TOP_DUAL":
-        for i in range(n):
-            for j in range(n):
-                for k in range(max(i, j) + 1, n + 1):
-                    for r in _gnomon_rects(k, i * n, j * n):
-                        scene.add_rect(r, _ring_label(k))
-                scene.add_frame(rect(i * n, j * n, n, n))
-
-    elif name == "TWO_COPIES":
-        cert = step4_top_layer(n).overlap
-        _placed_scene(cert, {"doubled"}, scene)
-
-    else:
-        raise ValueError(f"unknown figure: {name!r}")
+    build(scene, spec)
     return scene
 
 
+@lru_cache(maxsize=4096)  # unit-cell coordinates repeat across a figure
 def _fmt(value: float) -> str:
     text = f"{value:.4f}".rstrip("0").rstrip(".")
     return "0" if text == "-0" else text
 
 
-def _bounds(scene: _Scene) -> tuple[float, float, float, float]:
-    xs: list[float] = []
-    ys: list[float] = []
-    for r, _ in scene.fills:
-        xs += [quad_to_float(r.x), quad_to_float(r.x2)]
-        ys += [quad_to_float(r.y), quad_to_float(r.y2)]
-    for r in scene.frames:
-        xs += [quad_to_float(r.x), quad_to_float(r.x2)]
-        ys += [quad_to_float(r.y), quad_to_float(r.y2)]
-    if not xs:
-        return 0.0, 0.0, 1.0, 1.0
-    return min(xs), min(ys), max(xs), max(ys)
-
-
 def _emit_svg(scene: _Scene, unit_px: int) -> str:
-    x0, y0, x1, y1 = _bounds(scene)
+    boxes = [box for box, _ in scene.fills] + scene.frames
+    x0 = min((box[0] for box in boxes), default=0.0)
+    y0 = min((box[1] for box in boxes), default=0.0)
+    x1 = max((box[2] for box in boxes), default=1.0)
+    y1 = max((box[3] for box in boxes), default=1.0)
     margin = 0.5
     width = (x1 - x0 + 2 * margin) * unit_px
     height = (y1 - y0 + 2 * margin) * unit_px
@@ -281,79 +293,57 @@ def _emit_svg(scene: _Scene, unit_px: int) -> str:
     def py(y: float) -> str:  # flip: SVG y grows downward
         return _fmt((y1 - y + margin) * unit_px)
 
+    def svg_rect(box: _Box, paint: str) -> str:
+        x, _y, _x2, y2, w, h = box
+        return (f'<rect x="{px(x)}" y="{py(y2)}" width="{_fmt(w * unit_px)}" '
+                f'height="{_fmt(h * unit_px)}" {paint}/>')
+
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    for r, label in scene.fills:
-        rx, ry = quad_to_float(r.x), quad_to_float(r.y2)
-        rw = quad_to_float(r.w) * unit_px
-        rh = quad_to_float(r.h) * unit_px
-        lines.append(
-            f'<rect x="{px(rx)}" y="{py(ry)}" width="{_fmt(rw)}" '
-            f'height="{_fmt(rh)}" fill="{PALETTE[label]}" '
-            f'stroke="{_STROKE}" stroke-width="1"/>'
-        )
-    for r in scene.frames:
-        rx, ry = quad_to_float(r.x), quad_to_float(r.y2)
-        rw = quad_to_float(r.w) * unit_px
-        rh = quad_to_float(r.h) * unit_px
-        lines.append(
-            f'<rect x="{px(rx)}" y="{py(ry)}" width="{_fmt(rw)}" '
-            f'height="{_fmt(rh)}" fill="none" stroke="{_STROKE}" '
-            'stroke-width="2" stroke-dasharray="4 3"/>'
-        )
-    for x, y, text in scene.notes:
-        lines.append(
-            f'<text x="{px(quad_to_float(x))}" y="{py(quad_to_float(y))}" '
-            f'font-family="monospace" font-size="{_fmt(unit_px * 0.6)}" '
-            f'fill="{_STROKE}">{text}</text>'
-        )
+    lines += [svg_rect(box, f'fill="{PALETTE[label]}" stroke="{_STROKE}" '
+                            'stroke-width="1"')
+              for box, label in scene.fills]
+    lines += [svg_rect(box, f'fill="none" stroke="{_STROKE}" stroke-width="2" '
+                            'stroke-dasharray="4 3"')
+              for box in scene.frames]
+    lines += [f'<text x="{px(x)}" y="{py(y)}" font-family="monospace" '
+              f'font-size="{_fmt(unit_px * 0.6)}" fill="{_STROKE}">{text}</text>'
+              for x, y, text in scene.notes]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
 def _emit_tikz(scene: _Scene) -> str:
-    used = sorted({label for _, label in scene.fills})
+    def corners(box: _Box) -> str:
+        x, y, x2, y2, _w, _h = box
+        return f"({_fmt(x)},{_fmt(y)}) rectangle ({_fmt(x2)},{_fmt(y2)});"
+
     lines = []
-    for label in used:
+    for label in sorted({label for _, label in scene.fills}):
         rgb = PALETTE[label].lstrip("#")
         r, g, b = (int(rgb[i:i + 2], 16) for i in (0, 2, 4))
         lines.append(f"\\definecolor{{fill{label.replace('_', '')}}}"
                      f"{{RGB}}{{{r},{g},{b}}}")
     lines.append("\\begin{tikzpicture}[scale=0.42]")
-    for r, label in scene.fills:
-        name = f"fill{label.replace('_', '')}"
-        lines.append(
-            f"\\draw[fill={name}, line width=0.3pt] "
-            f"({_fmt(quad_to_float(r.x))},{_fmt(quad_to_float(r.y))}) rectangle "
-            f"({_fmt(quad_to_float(r.x2))},{_fmt(quad_to_float(r.y2))});"
-        )
-    for r in scene.frames:
-        lines.append(
-            f"\\draw[dashed, thick] "
-            f"({_fmt(quad_to_float(r.x))},{_fmt(quad_to_float(r.y))}) rectangle "
-            f"({_fmt(quad_to_float(r.x2))},{_fmt(quad_to_float(r.y2))});"
-        )
-    for x, y, text in scene.notes:
-        escaped = text.replace("~", "$\\approx$")
-        lines.append(
-            f"\\node[anchor=west] at ({_fmt(quad_to_float(x))},"
-            f"{_fmt(quad_to_float(y))}) {{{escaped}}};"
-        )
+    lines += [f"\\draw[fill=fill{label.replace('_', '')}, line width=0.3pt] "
+              + corners(box) for box, label in scene.fills]
+    lines += ["\\draw[dashed, thick] " + corners(box) for box in scene.frames]
+    lines += [f"\\node[anchor=west] at ({_fmt(x)},{_fmt(y)}) "
+              + "{" + text.replace("~", "$\\approx$") + "};"
+              for x, y, text in scene.notes]
     lines.append("\\end{tikzpicture}")
     return "\n".join(lines) + "\n"
 
 
 def emit_figure(spec: FigureSpec) -> str:
     """Render one figure to a text document (SVG or TikZ fragment)."""
-    if spec.figure_name not in FIGURE_NAMES:
+    if spec.figure_name not in _FIGURES:
         raise ValueError(f"unknown figure: {spec.figure_name!r}")
     if spec.format not in ("svg", "tikz"):
         raise ValueError(f"format must be svg or tikz, got {spec.format!r}")
-    if spec.n < 1:
-        raise UnsupportedN(f"n must be >= 1, got {spec.n}")
     scene = _build_scene(spec)
     if spec.format == "svg":
         return _emit_svg(scene, spec.unit_px)
@@ -362,4 +352,4 @@ def emit_figure(spec: FigureSpec) -> str:
 
 def figure_cell_count(spec: FigureSpec) -> int:
     """Number of unit cells the figure draws (for cell-count invariants)."""
-    return _build_scene(spec).cell_count()
+    return len(_build_scene(spec).fills)

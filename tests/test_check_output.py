@@ -11,13 +11,14 @@ from typing import Any, Callable
 import pytest
 
 from powersums.cli import main
-from powersums.dissect import dumps_certificate, step3_scissor
+from powersums.dissect import dumps_certificate, gauss_rectangle, step3_scissor
 
 BASE_TEXT = dumps_certificate(step3_scissor(1))
+GAUSS_TEXT = dumps_certificate(gauss_rectangle(1))
 
 
-def _edited(edit: Callable[[Any], None]) -> str:
-    data = json.loads(BASE_TEXT)
+def _edited(edit: Callable[[Any], None], base: str = BASE_TEXT) -> str:
+    data = json.loads(base)
     edit(data)
     return json.dumps(data, indent=1)
 
@@ -234,19 +235,58 @@ def _unlabelled_region(data: Any) -> None:
     source["rects"] *= 6_000
 
 
-@pytest.mark.parametrize("edit", [
-    _unlabelled_region,
-    _set(_rect, 0, "1" * 100_000 + "/0"),
-    _set(lambda data: _placement(data)["source"], "label", ["x"] * 50_000),
-    _set(lambda data: _placement(data)["source"]["rects"], 0, ["0"] * 50_000),
-], ids=["unlabelled region of 6000 rects", "100 KB bad literal",
-        "50000-item label", "50000-item rect"])
-def test_oversized_values_are_not_echoed_whole(edit, tmp_path, capsys):
-    text = _edited(edit)
-    assert len(text) > 100_000
+def _long_piece_ids(data: Any) -> None:
+    for p in data["placements"]:
+        p["piece_id"] = "p" * 100_000
+
+
+def _long_id_turned_7(data: Any) -> None:
+    _placement(data)["piece_id"] = "p" * 100_000
+    _placement(data)["transform"]["quarter_turns"] = 7
+
+
+DIGITS = "9" * 4_000
+
+
+def _gauss(edit: Callable[[Any], None]) -> str:
+    return _edited(edit, GAUSS_TEXT)
+
+
+# (document, exit code, the stream it answers on); each echoes a value of
+# 4,000 characters or more from the document
+@pytest.mark.parametrize("text,expected_code,stream", [
+    pytest.param(_edited(_unlabelled_region), 3, "err",
+                 id="unlabelled region of 6000 rects"),
+    pytest.param(_edited(_set(_rect, 0, "1" * 100_000 + "/0")), 3, "err",
+                 id="100 KB bad literal"),
+    pytest.param(_edited(_set(lambda data: _placement(data)["source"], "label",
+                              ["x"] * 50_000)), 3, "err", id="50000-item label"),
+    pytest.param(_edited(_set(lambda data: _placement(data)["source"]["rects"],
+                              0, ["0"] * 50_000)), 3, "err", id="50000-item rect"),
+    pytest.param(_gauss(_set(lambda d: d, "construction", "C" * 100_000)), 3,
+                 "out", id="100000-character construction"),
+    pytest.param(_gauss(_long_piece_ids), 3, "out",
+                 id="duplicate 100000-character piece id"),
+    pytest.param(_gauss(_long_id_turned_7), 3, "out",
+                 id="quarter_turns 7 on a 100000-character id"),
+    pytest.param(_gauss(_set(lambda d: d["targets"][0], "layer", "L" * 100_000)),
+                 2, "out", id="100000-character target layer"),
+    pytest.param(_gauss(_set(_rect, 2, "-" + DIGITS)), 3, "err",
+                 id="negative 4000-digit side"),
+    pytest.param(_gauss(_set(_rect, 0, "-" + DIGITS)), 2, "out",
+                 id="4000-digit cell corner"),
+    pytest.param(_gauss(_set(lambda d: d, "n", -int(DIGITS))), 3, "out",
+                 id="negative 4000-digit n"),
+])
+def test_oversized_values_are_not_echoed_whole(text, expected_code, stream,
+                                               tmp_path, capsys):
+    assert len(text) > 4_000
     path = tmp_path / "cert.json"
     path.write_text(text, encoding="utf-8")
     code = main(["check", str(path)])
     out, err = capsys.readouterr()
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and len(err.encode()) < 1024
+    written, silent = (err, out) if stream == "err" else (out, err)
+    assert (code, silent) == (expected_code, "")
+    if stream == "err":
+        assert err.startswith("error: ")
+    assert written.count("\n") == 1 and len(written.encode()) < 1024

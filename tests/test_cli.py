@@ -192,13 +192,26 @@ def test_figure_writes_file(tmp_path, capsys):
     assert out.read_text().startswith("<?xml")
 
 
-@pytest.mark.parametrize("unit_px", ["0", "-5"])
-def test_figure_unit_px_below_one_is_exit_3(unit_px, tmp_path, capsys):
+@pytest.mark.parametrize("unit_px", [
+    "0", "-5", "1001", pytest.param("1" + "0" * 400, id="10**400")])
+def test_figure_unit_px_out_of_range_is_exit_3(unit_px, tmp_path, capsys):
     out = tmp_path / "fig.svg"
     code, _, err = run(capsys, "figure", "GAUSS", "--n", "4",
                        "--unit-px", unit_px, "--out", str(out))
     assert code == 3 and "--unit-px" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("certificate", "GAUSS_RECT", "--n", "2"),
+    ("figure", "GAUSS", "--n", "2"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("out", ["directory", "missing/x.out"])
+def test_unwritable_out_is_exit_3(argv, out, tmp_path, capsys):
+    path = tmp_path if out == "directory" else tmp_path / out
+    code, stdout, err = run(capsys, *argv, "--out", str(path))
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_bad_flags_exit_3(capsys):

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
+from powersums.cli import main
 from powersums.dissect import (
     UnsupportedN,
     five_pyramids_layers,
@@ -15,6 +17,7 @@ from powersums.dissect import (
     step4_top_layer,
 )
 from powersums.render import (
+    _FIGURES,
     FIGURE_NAMES,
     PALETTE,
     FigureSpec,
@@ -24,6 +27,8 @@ from powersums.render import (
 from powersums.verify import GOLDEN_FIGURES
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+#: sha256 of every certificate and figure the benchmark's emit workload writes
+DIGESTS = Path(__file__).parents[1] / "perfbench" / "digests.json"
 
 ALL_SPECS = [
     FigureSpec("ODD_NUMBERS", 4),
@@ -125,12 +130,20 @@ def test_unsupported_inputs():
         emit_figure(FigureSpec("NICOMACHUS_GRID", 21))
     with pytest.raises(UnsupportedN):
         emit_figure(FigureSpec("FIVE_PYR_SECTION", 3, section=4))
+    # the figures that draw from no generator state their own cap
+    for name, cap in [("ODD_NUMBERS", 100), ("MAIN_SECTIONS", 50),
+                      ("SECONDARY_SECTIONS", 50), ("TOP_DUAL", 20)]:
+        with pytest.raises(UnsupportedN, match=f"n <= {cap}, got {cap + 1}"):
+            emit_figure(FigureSpec(name, cap + 1))
 
 
 def test_figure_name_list_is_complete():
     assert len(FIGURE_NAMES) == 14
     for spec in ALL_SPECS:
         assert spec.figure_name in FIGURE_NAMES
+    # one name per builder, in the order the figures have always been listed
+    assert FIGURE_NAMES == tuple(_FIGURES)
+    assert FIGURE_NAMES == tuple(spec.figure_name for spec in ALL_SPECS)
 
 
 def test_verify_all_golden_table_matches_the_golden_files():
@@ -140,3 +153,16 @@ def test_verify_all_golden_table_matches_the_golden_files():
     on_disk = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in GOLDEN_DIR.iterdir()}
     assert table == on_disk
+
+
+def test_every_emit_output_matches_the_digest_table(tmp_path, capsys):
+    digests = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert len(digests) == 262
+    out = tmp_path / "out"
+    wrong = []
+    for key, digest in digests.items():
+        code = main(key.split() + ["--out", str(out)])
+        if code != 0 or hashlib.sha256(out.read_bytes()).hexdigest() != digest:
+            wrong.append(key)
+    capsys.readouterr()
+    assert wrong == []
