@@ -619,15 +619,18 @@ _GENERATORS: dict[str, Callable[[int], DissectionCertificate | TopLayerResult]] 
     "STEP4_TOP": step4_top_layer,
 }
 
-#: ``--variant`` -> the ``TopLayerResult`` field written for STEP4_TOP.
+#: STEP4_TOP's variants, the default first -> the ``TopLayerResult`` field
 _STEP4_VARIANTS = {"overlap": "overlap", "bijection": "bijection",
                    "bijection-full": "bijection_full_scale"}
 
 
-def _certificate(name: str, n: int,
-                 variant: str = "overlap") -> DissectionCertificate:
-    """``name``'s certificate at ``n``; UnsupportedN beyond its cap."""
+def certificates_by_variant(
+        name: str, n: int) -> dict[str | None, DissectionCertificate]:
+    """``name``'s certificates at ``n`` by variant, the default first; a
+    construction with one certificate has the one variant ``None``.
+    UnsupportedN beyond its cap."""
     made = _GENERATORS[name](n)
     if isinstance(made, TopLayerResult):
-        return getattr(made, _STEP4_VARIANTS[variant])
-    return made
+        return {variant: getattr(made, field)
+                for variant, field in _STEP4_VARIANTS.items()}
+    return {None: made}

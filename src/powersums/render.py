@@ -63,7 +63,7 @@ class FigureSpec:
     n: int
     format: str = "svg"  # "svg" or "tikz"
     unit_px: int = 24
-    section: int = 1  # FIVE_PYR_SECTION: which layer t to draw
+    section: int | None = None  # FIVE_PYR_SECTION only: layer t, default 1
 
 
 #: A drawn rect as the numbers the emitters print: x, y, x2, y2, w, h.
@@ -189,7 +189,7 @@ def _nicomachus_grid_diy(scene: _Scene, spec: FigureSpec) -> None:
 
 
 def _five_pyr_section(scene: _Scene, spec: FigureSpec) -> None:
-    n, t = spec.n, spec.section
+    n, t = spec.n, 1 if spec.section is None else spec.section
     if not 1 <= t <= n:
         raise UnsupportedN(f"FIVE_PYR_SECTION: section must be 1..{n}, got {t}")
     _placed_scene(five_pyramids_layers(n), {f"layer/{t}"}, scene)
@@ -261,6 +261,8 @@ FIGURE_NAMES = tuple(_FIGURES)
 
 def _build_scene(spec: FigureSpec) -> _Scene:
     build, max_n = _FIGURES[spec.figure_name]
+    if spec.section is not None and build is not _five_pyr_section:
+        raise ValueError(f"{spec.figure_name} takes no section")
     if spec.n < 1:
         raise UnsupportedN(f"n must be >= 1, got {spec.n}")
     if max_n is not None and spec.n > max_n:

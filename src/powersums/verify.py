@@ -21,12 +21,11 @@ from .dissect import (
     CONSTRUCTIONS,
     DissectionCertificate,
     StageCheckError,
-    TopLayerResult,
     check_certificate,
     full_theorem_report,
     mutate_placement,
 )
-from .dissect.generators import _GENERATORS, _STEP4_VARIANTS
+from .dissect.generators import certificates_by_variant
 from .exact import QuadExt, rat_to_text, strip_root
 from .figurate import (
     REGISTRY,
@@ -83,11 +82,8 @@ def _upto(bound: int, max_n: Optional[int]) -> range:
 def _certificates(name: str, n: int) -> dict[str, DissectionCertificate]:
     """Each of ``name``'s certificates at ``n`` under a label naming it;
     the first is the one ``powersums certificate`` writes by default."""
-    made = _GENERATORS[name](n)
-    if isinstance(made, TopLayerResult):
-        return {f"{name} n={n} {variant}": getattr(made, field)
-                for variant, field in _STEP4_VARIANTS.items()}
-    return {f"{name} n={n}": made}
+    return {f"{name} n={n}" + ("" if variant is None else f" {variant}"): cert
+            for variant, cert in certificates_by_variant(name, n).items()}
 
 
 def mutants() -> Iterator[tuple[DissectionCertificate, str]]:
