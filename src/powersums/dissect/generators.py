@@ -37,6 +37,7 @@ from .geometry import (
     RigidTransform,
     rect,
 )
+from .kernel import bounded
 
 class UnsupportedN(ValueError):
     """n is outside the supported cell-level generation range."""
@@ -54,10 +55,11 @@ class StageCheckError(RuntimeError):
 def _require(construction: str, n: int) -> None:
     cap = CONSTRUCTIONS[construction]
     if n < 1:
-        raise UnsupportedN(f"{construction}: n must be >= 1, got {n}")
+        raise UnsupportedN(f"{construction}: n must be >= 1, got {bounded(str(n))}")
     if n > cap:
         raise UnsupportedN(
-            f"{construction}: cell-level generation supports n <= {cap}, got {n}"
+            f"{construction}: cell-level generation supports n <= {cap}, "
+            f"got {bounded(str(n))}"
         )
 
 
@@ -573,7 +575,8 @@ def full_theorem_report(n: int) -> IdentityReport:
     interface failure.
     """
     if n < 1:
-        raise UnsupportedN(f"full_theorem_report: n must be >= 1, got {n}")
+        raise UnsupportedN(
+            f"full_theorem_report: n must be >= 1, got {bounded(str(n))}")
     if n <= CONSTRUCTIONS["FIVE_PYR_LAYERS"]:
         five = five_pyramids_layers(n)
         _checked("five_pyramids_layers", five)

@@ -25,6 +25,7 @@ from .dissect.generators import (
     three_pyramids_2d,
 )
 from .dissect.geometry import DissectionCertificate, Region
+from .dissect.kernel import bounded
 from .exact import QuadLike, quad_to_float, strip_root
 from .pyramid import build_pyramid, main_sections, secondary_sections
 
@@ -191,7 +192,8 @@ def _nicomachus_grid_diy(scene: _Scene, spec: FigureSpec) -> None:
 def _five_pyr_section(scene: _Scene, spec: FigureSpec) -> None:
     n, t = spec.n, 1 if spec.section is None else spec.section
     if not 1 <= t <= n:
-        raise UnsupportedN(f"FIVE_PYR_SECTION: section must be 1..{n}, got {t}")
+        raise UnsupportedN(f"FIVE_PYR_SECTION: section must be 1..{n}, "
+                           f"got {bounded(str(t))}")
     _placed_scene(five_pyramids_layers(n), {f"layer/{t}"}, scene)
 
 
@@ -264,10 +266,10 @@ def _build_scene(spec: FigureSpec) -> _Scene:
     if spec.section is not None and build is not _five_pyr_section:
         raise ValueError(f"{spec.figure_name} takes no section")
     if spec.n < 1:
-        raise UnsupportedN(f"n must be >= 1, got {spec.n}")
+        raise UnsupportedN(f"n must be >= 1, got {bounded(str(spec.n))}")
     if max_n is not None and spec.n > max_n:
         raise UnsupportedN(f"{spec.figure_name}: figure supports n <= {max_n}, "
-                           f"got {spec.n}")
+                           f"got {bounded(str(spec.n))}")
     scene = _Scene()
     build(scene, spec)
     return scene

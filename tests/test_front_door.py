@@ -11,6 +11,7 @@ import pytest
 
 from powersums import cli, figurate, pyramid
 from powersums.cli import main
+from powersums.dissect import full_theorem_report
 
 HUGE = "1" + "0" * 400  # 10**400
 
@@ -153,3 +154,71 @@ def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
     assert len(lines) >= 9
     for line in lines:  # in order: `check` reads what `certificate` wrote
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
+
+
+# -- the faulhaber --n budget ----------------------------------------------------
+
+
+def _first_refused_n(p):
+    """The least n whose (p + 1) * n.bit_length() is over the budget."""
+    return 2 ** (figurate.MAX_FAULHABER_BITS // (p + 1))
+
+
+@pytest.mark.parametrize("p, value", [
+    (0, "cap + 1"), (10, "cap + 1"), (400, "cap + 1"),
+    (10, "10**400"), (400, "10**400"),  # p = 0 admits 10**400
+])
+def test_faulhaber_n_over_budget_is_refused_before_summing(p, value,
+                                                           monkeypatch, capsys):
+    def no_sum(upto):
+        raise AssertionError("summed")
+
+    monkeypatch.setattr(figurate, "bernoulli_table", no_sum)
+    n = str(_first_refused_n(p)) if value == "cap + 1" else HUGE
+    assert run(capsys, "faulhaber", "--p", str(p), "--n", n) == (
+        3, "", f"error: too large: S_p(n) is evaluated for (p + 1) * "
+               f"n.bit_length() <= {figurate.MAX_FAULHABER_BITS}\n")
+
+
+@pytest.mark.parametrize("p", [0, 10, 400])
+def test_faulhaber_budget_admits_a_result_that_prints(p, capsys):
+    n = _first_refused_n(p) - 1
+    code, out, err = run(capsys, "faulhaber", "--p", str(p), "--n", str(n))
+    assert (code, err) == (0, "")
+    assert int(out) == figurate.faulhaber(p, n) > 0
+
+
+# -- out-of-range ints are not echoed whole --------------------------------------
+
+BIG = "1" + "0" * 4000  # 10**4000, within argparse's int-to-text limit
+
+
+@pytest.mark.parametrize("argv", [
+    ("sections", "--dim", "3", "--n", "3", "--secondary", BIG),
+    ("sections", "--dim", BIG, "--n", "3"),
+    ("sections", "--dim", "3", "--n", "-" + BIG),
+    ("certificate", "GAUSS_RECT", "--n", BIG, "--out", "F"),
+    ("certificate", "GAUSS_RECT", "--n", "-" + BIG, "--out", "F"),
+    ("figure", "GAUSS", "--n", BIG, "--out", "F"),
+    ("figure", "GAUSS", "--n", "-" + BIG, "--out", "F"),
+    ("figure", "FIVE_PYR_SECTION", "--n", "2", "--section", BIG, "--out", "F"),
+    ("identity", "NICOMACHUS", "--n", "-" + BIG),
+    ("identity", "TRUNCATED", "--n", "5", "--m", BIG, "--p", "2"),
+    ("identity", "ROWS_COLS", "--n", "3", "--p", "-" + BIG),
+], ids=lambda argv: " ".join(argv).replace(BIG, "N"))
+def test_an_out_of_range_int_is_not_echoed_whole(argv, tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 1024
+    assert not (tmp_path / "F").exists()
+
+
+def test_library_refusals_do_not_echo_an_int_whole():
+    for refuse in (lambda: full_theorem_report(-int(BIG)),
+                   lambda: pyramid.truncated_pyramid(3, 3, int(BIG))):
+        with pytest.raises(ValueError) as exc:
+            refuse()
+        assert len(str(exc.value)) < 1024

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
-import pytest
+import hashlib
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from powersums import pyramid
+from powersums.cli import main
 from powersums.figurate import sum_powers_bruteforce, truncated_power_sum
 from powersums.pyramid import (
+    MAX_PYRAMID_CELLS,
     AxisOutOfRange,
     CellSet,
     DimensionOutOfRange,
@@ -122,3 +130,164 @@ def test_truncated_pyramid_reproduces_lemma_rows():
                             + [truncated_power_sum(d - 2, j, n)
                                for j in range(m + 1, n + 1)])
                 assert sizes == expected
+
+
+# -- one pass per family, against the per-slice filter ---------------------------
+
+
+def reference_main_sections(p):
+    """Main sections by one filter over p per level."""
+    if not p.cells:
+        raise NotAPyramid("empty cell set")
+    d, n = p.dimension, max(c[0] for c in p.cells)
+    levels = sorted({c[0] for c in p.cells})
+    if levels != list(range(1, n + 1)):
+        raise NotAPyramid(f"stack levels are {levels}, expected 1..{n}")
+    sections = []
+    for k in range(1, n + 1):
+        cells = frozenset(c[1:] for c in p.cells if c[0] == k)
+        if len(cells) != k ** (d - 1):
+            raise NotAPyramid(
+                f"level {k} has {len(cells)} cells, expected {k ** (d - 1)}")
+        sections.append(CellSet(d - 1, cells))
+    return sections
+
+
+def reference_secondary_sections(p, axis):
+    """Secondary sections by one filter over p per slice."""
+    if not p.cells:
+        raise NotAPyramid("empty cell set")
+    idx, n = axis - 1, max(c[0] for c in p.cells)
+    return [CellSet(p.dimension - 1,
+                    frozenset(c[:idx] + c[idx + 1:] for c in p.cells
+                              if c[idx] == m - 1))
+            for m in range(1, n + 1)]
+
+
+def _outcome(sections, *args):
+    try:
+        return sections(*args)
+    except NotAPyramid as exc:
+        return f"NotAPyramid: {exc}"
+
+
+@st.composite
+def cell_sets(draw):
+    d = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 5 if d == 5 else 7))
+    kind = draw(st.sampled_from(["built", "truncated", "perturbed", "random"]))
+    if kind == "built":
+        return build_pyramid(d, n)
+    if kind == "truncated":
+        return truncated_pyramid(d, n, draw(st.integers(1, n)))
+    # a coordinate below 0 or at n and above is off every slice of its axis
+    cells = st.lists(st.tuples(*[st.integers(-2, n + 2)] * d), max_size=12)
+    extra = set(draw(cells))
+    if kind == "random":
+        return CellSet(d, frozenset(extra))
+    built = build_pyramid(d, n).sorted_cells()
+    dropped = set(draw(st.lists(st.sampled_from(built), max_size=3)))
+    return CellSet(d, frozenset(set(built) - dropped | extra))
+
+
+@given(cell_sets())
+@settings(max_examples=200, deadline=None)
+def test_sections_match_the_per_slice_filter(p):
+    assert _outcome(main_sections, p) == _outcome(reference_main_sections, p)
+    for axis in range(2, p.dimension + 1):
+        assert (_outcome(secondary_sections, p, axis)
+                == _outcome(reference_secondary_sections, p, axis))
+
+
+def test_main_sections_name_what_is_not_a_pyramid():
+    p = build_pyramid(3, 3)
+    cases = {
+        frozenset(): "empty cell set",
+        p.cells - {c for c in p.cells if c[0] == 2}:
+            "stack levels are [1, 3], expected 1..3",
+        p.cells | {(2, 5, 5)}: "level 2 has 5 cells, expected 4",
+        p.cells - {(3, 1, 1)}: "level 3 has 8 cells, expected 9",
+    }
+    for cells, message in cases.items():
+        with pytest.raises(NotAPyramid) as exc:
+            main_sections(CellSet(3, cells))
+        assert str(exc.value) == message
+
+
+def test_secondary_sections_drop_cells_off_every_slice():
+    p = build_pyramid(4, 3)
+    for axis in (2, 3, 4):
+        strays = set()
+        for off in (-1, 3, 10**40):  # below 0 and at or past n = 3
+            cell = [2, 0, 0, 0]
+            cell[axis - 1] = off
+            strays.add(tuple(cell))
+        with_strays = CellSet(4, p.cells | strays)
+        assert secondary_sections(with_strays, axis) == secondary_sections(p, axis)
+
+
+class CountingCells(frozenset):
+    """A cell set that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_sections_pass_over_the_cells_a_fixed_number_of_times(d):
+    passes = {"main": set(), "secondary": set()}
+    for n in range(1, 13):
+        cells = CountingCells(build_pyramid(d, n).cells)
+        p = CellSet(d, cells)
+        before = cells.iterations
+        main_sections(p)
+        passes["main"].add(cells.iterations - before)
+        for axis in range(2, d + 1):
+            before = cells.iterations
+            secondary_sections(p, axis)
+            passes["secondary"].add(cells.iterations - before)
+    assert [len(counts) for counts in passes.values()] == [1, 1], passes
+
+
+def test_truncated_pyramid_makes_only_its_levels(monkeypatch):
+    expected = {(d, n, m): frozenset(c for c in build_pyramid(d, n).cells
+                                     if c[0] >= m)
+                for d in (2, 3, 4, 5) for n in (1, 4) for m in range(1, n + 1)}
+
+    def whole_pyramid(d, n):
+        raise AssertionError("truncated_pyramid built the whole of P_d(n)")
+
+    monkeypatch.setattr(pyramid, "build_pyramid", whole_pyramid)
+    for (d, n, m), cells in expected.items():
+        assert truncated_pyramid(d, n, m) == CellSet(d, cells)
+
+
+def test_truncated_pyramid_is_refused_as_the_whole_pyramid_is():
+    # level 14 of P_5(14) alone has 14**4 = 38,416 cells, P_5(14) 127,687
+    too_large = f"too large: P_5(n) is built for at most {MAX_PYRAMID_CELLS} cells"
+    with pytest.raises(ValueError, match=re.escape(too_large)):
+        truncated_pyramid(5, 14, 14)
+    with pytest.raises(DimensionOutOfRange):
+        truncated_pyramid(6, 3, 2)
+    with pytest.raises(ValueError, match="m must satisfy"):
+        truncated_pyramid(3, 3, 4)
+
+
+def test_sections_cli_bytes_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for d in (2, 3, 4, 5):
+        for n in (1, 2, 3, 4):
+            for axis in (None, *range(2, d + 1)):
+                for emit in ("cells", "sizes"):
+                    argv = ["sections", "--dim", str(d), "--n", str(n),
+                            "--emit", emit]
+                    if axis is not None:
+                        argv += ["--secondary", str(axis)]
+                    assert main(argv) == 0
+                    digest.update(repr(argv).encode())
+                    digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "9c1ae3da71be8f1f6d0fdbabb2f56305da43979ba04bd210fe94fbc85eca1aa9")
