@@ -25,7 +25,7 @@ from ._nogc import nogc
 from .dissect.generators import (  # noqa: F401
     _GENERATORS,
     _STEP4_VARIANTS,
-    certificates_by_variant,
+    certificate_builders,
 )
 from .dissect.kernel import bounded
 from .exact import quad_to_text, rat_to_text
@@ -89,11 +89,11 @@ def _cmd_sections(args: argparse.Namespace) -> int:
 
 
 def _cmd_certificate(args: argparse.Namespace) -> int:
-    certs = certificates_by_variant(args.construction, args.n)
-    variant = next(iter(certs)) if args.variant is None else args.variant
-    if variant not in certs:
+    builders = certificate_builders(args.construction)
+    variant = next(iter(builders)) if args.variant is None else args.variant
+    if variant not in builders:
         raise ValueError(f"{args.construction} takes no variant")
-    cert = certs[variant]
+    cert = builders[variant](args.n)
     args.out.write_text(dissect.dumps_certificate(cert), encoding="utf-8")
     print(f"{cert.construction} n={cert.n}: {len(cert.placements)} placements, "
           f"area {quad_to_text(cert.source_area)} -> {args.out}")

@@ -43,15 +43,9 @@ from .kernel import (
     _validate_structure,
     bounded,
 )
-# importable from here as before: the per-layer scans by perfbench's traced
-# run, which rebinds them by name, and the rest by tests/test_checker.py
-from .kernel import (  # noqa: F401
-    _check_source_disjoint,
-    _grid_counts,
-    _sorted_points,
-    lattice_sign as _sign,
-)
-from .mutants import MUTATION_KINDS  # noqa: F401
+# unused here: perfbench's traced run rebinds these per-layer scans through
+# checker, by name
+from .kernel import _check_source_disjoint, _grid_counts  # noqa: F401
 
 #: Largest common denominator D the checker accepts, in bits.  Generated
 #: certificates need a D dividing 6.

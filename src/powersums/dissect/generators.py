@@ -336,6 +336,47 @@ def step2_reshape(n: int) -> DissectionCertificate:
 
 # -- step 3: the scissor cut of width x ------------------------------------
 
+_STRIP_WIDTH = strip_root()  # x, made once for every rectangle
+
+
+def scissor_rectangle(n: int, t: int, row: int, col: int) -> tuple[
+        list[Placement], list[Region], tuple[str, Region]]:
+    """Cut the strip of width x off rectangle (row, col) of layer t: its
+    pieces (body, A, B, C), the leftovers B and C are set aside on, and its
+    (n+1+x) x (n-x) target.  UnsupportedN beyond STEP3_SCISSOR's cap."""
+    _require("STEP3_SCISSOR", n)
+    x = _STRIP_WIDTH
+    layer = f"layer/{t}"
+    sx, sy = QuadExt(col * (n + 1)), QuadExt(row * n)
+    dest_x = QuadExt(col * (n + 2))
+    idx = row * n + col
+    prefix = f"STEP3_SCISSOR/{layer}/{row},{col}"
+    body = Region("body", (rect(sx, sy, n + 1, QuadExt(n) - x),))
+    seg_a = Region("strip_a", (Rect(sx, sy + n - x, QuadExt(n) - x, x),))
+    lx, ly = QuadExt(2 * idx), QuadExt(2 * (t - 1))
+    seg_b = Region("left_b", (Rect(sx + n - x, sy + n - x, QuadExt(1), x),))
+    seg_c = Region("left_c", (Rect(sx + n + 1 - x, sy + n - x, x, x),))
+    pieces = [
+        _translated(f"{prefix}/body", layer, body, dest_x - sx, QuadExt(0),
+                    layer),
+        # quarter turn sends [x1,x2]x[y1,y2] to [-y2,-y1]x[x1,x2]
+        Placement(f"{prefix}/a", layer, seg_a,
+                  RigidTransform(quarter_turns=1, reflect=False,
+                                 dx=dest_x + (n + 1) + (sy + n),
+                                 dy=-(sx - sy)),
+                  layer),
+        _translated(f"{prefix}/b", layer, seg_b,
+                    lx - (sx + n - x), ly - (sy + n - x), LEFTOVER_LAYER),
+        _translated(f"{prefix}/c", layer, seg_c,
+                    lx + 1 - (sx + n + 1 - x), ly - (sy + n - x),
+                    LEFTOVER_LAYER),
+    ]
+    leftovers = [Region("left_b", (Rect(lx, ly, QuadExt(1), x),)),
+                 Region("left_c", (Rect(lx + 1, ly, x, x),))]
+    target = Region("target", (Rect(dest_x, sy, QuadExt(n + 1) + x,
+                                    QuadExt(n) - x),))
+    return pieces, leftovers, (layer, target)
+
 
 def step3_scissor(n: int) -> DissectionCertificate:
     """Cut a strip of irrational width x off every rectangle.
@@ -346,47 +387,12 @@ def step3_scissor(n: int) -> DissectionCertificate:
     (n+1+x) wide x (n-x) tall, whose sides multiply to n^2 + n - 1/3.
     """
     _require("STEP3_SCISSOR", n)
-    x = strip_root()
-    placements: list[Placement] = []
-    targets: list[tuple[str, Region]] = []
-    leftovers: list[Region] = []
-    for t in range(1, n + 1):
-        layer = f"layer/{t}"
-        for row in range(n + 1):
-            for col in range(n):
-                sx, sy = QuadExt(col * (n + 1)), QuadExt(row * n)
-                dest_x = QuadExt(col * (n + 2))
-                idx = row * n + col
-                prefix = f"STEP3_SCISSOR/{layer}/{row},{col}"
-                body = Region("body", (rect(sx, sy, n + 1, QuadExt(n) - x),))
-                placements.append(_translated(f"{prefix}/body", layer, body,
-                                              dest_x - sx, QuadExt(0), layer))
-                seg_a = Region("strip_a",
-                               (Rect(sx, sy + n - x, QuadExt(n) - x, x),))
-                # quarter turn sends [x1,x2]x[y1,y2] to [-y2,-y1]x[x1,x2]
-                placements.append(Placement(
-                    f"{prefix}/a", layer, seg_a,
-                    RigidTransform(quarter_turns=1, reflect=False,
-                                   dx=dest_x + (n + 1) + (sy + n),
-                                   dy=-(sx - sy)),
-                    layer,
-                ))
-                lx, ly = QuadExt(2 * idx), QuadExt(2 * (t - 1))
-                seg_b = Region("left_b", (Rect(sx + n - x, sy + n - x, QuadExt(1), x),))
-                placements.append(_translated(f"{prefix}/b", layer, seg_b,
-                                              lx - (sx + n - x), ly - (sy + n - x),
-                                              LEFTOVER_LAYER))
-                seg_c = Region("left_c", (Rect(sx + n + 1 - x, sy + n - x, x, x),))
-                placements.append(_translated(f"{prefix}/c", layer, seg_c,
-                                              lx + 1 - (sx + n + 1 - x),
-                                              ly - (sy + n - x),
-                                              LEFTOVER_LAYER))
-                leftovers.append(Region("left_b", (Rect(lx, ly, QuadExt(1), x),)))
-                leftovers.append(Region("left_c", (Rect(lx + 1, ly, x, x),)))
-                targets.append((layer, Region(
-                    "target", (Rect(dest_x, sy, QuadExt(n + 1) + x, QuadExt(n) - x),))))
-    return DissectionCertificate("STEP3_SCISSOR", n, tuple(placements),
-                                 tuple(targets), tuple(leftovers))
+    cut = [scissor_rectangle(n, t, row, col) for t in range(1, n + 1)
+           for row in range(n + 1) for col in range(n)]
+    return DissectionCertificate(
+        "STEP3_SCISSOR", n, tuple(p for pieces, _, _ in cut for p in pieces),
+        tuple(target for _, _, target in cut),
+        tuple(r for _, leftovers, _ in cut for r in leftovers))
 
 
 # -- step 4: the top layer and its doubling --------------------------------
@@ -435,6 +441,7 @@ def _corner_square_bijection(n: int, rings: range,
     gnomon cell sigma inside dual slot (a, b): swapping "which entry" with
     "which cell" is the commutativity of the two figurate roles.
     """
+    _require("STEP4_TOP", n)
     pitch = n + 1
     placements: list[Placement] = []
     targets: list[tuple[str, Region]] = []
@@ -459,9 +466,10 @@ def _corner_square_bijection(n: int, rings: range,
                                  tuple(targets), ())
 
 
-def _overlap_certificate(n: int) -> DissectionCertificate:
+def step4_overlap(n: int) -> DissectionCertificate:
     """Two top-layer copies plus two sum-of-squares deficits tile the
     (n+1) x (n+1) arrangement of n x n squares (the doubling identity)."""
+    _require("STEP4_TOP", n)
     pitch = n + 1
     placements: list[Placement] = []
     targets: list[tuple[str, Region]] = []
@@ -508,33 +516,33 @@ def _overlap_certificate(n: int) -> DissectionCertificate:
                                  tuple(targets), ())
 
 
+def step4_bijection(n: int) -> DissectionCertificate:
+    """The corner/square bijection in layered form: rings k = 1..n."""
+    return _corner_square_bijection(n, range(1, n + 1), "STEP4_TOP/layered")
+
+
+def step4_bijection_full(n: int) -> DissectionCertificate:
+    """The corner/square bijection at full scale: ring n alone."""
+    return _corner_square_bijection(n, range(n, n + 1), "STEP4_TOP/full")
+
+
 @dataclass(frozen=True)
 class TopLayerResult:
     """Step-4 artifacts: the corner/square commutativity bijections (in
-    the layered excess form and at full scale), the doubling-overlap
-    certificate, and the balance reports that force the leftover area to
-    be exactly 1/3."""
+    the layered excess form and at full scale) and the doubling-overlap
+    certificate."""
 
     bijection: DissectionCertificate
     bijection_full_scale: DissectionCertificate
     overlap: DissectionCertificate
-    r_balance: IdentityReport
-    top_layer_double: IdentityReport
 
     def certificates(self) -> tuple[DissectionCertificate, ...]:
         return (self.bijection, self.bijection_full_scale, self.overlap)
 
 
 def step4_top_layer(n: int) -> TopLayerResult:
-    _require("STEP4_TOP", n)
-    return TopLayerResult(
-        bijection=_corner_square_bijection(n, range(1, n + 1), "STEP4_TOP/layered"),
-        bijection_full_scale=_corner_square_bijection(n, range(n, n + 1),
-                                                      "STEP4_TOP/full"),
-        overlap=_overlap_certificate(n),
-        r_balance=evaluate_identity("R_BALANCE", {"n": n}),
-        top_layer_double=evaluate_identity("TOP_LAYER_DOUBLE", {"n": n}),
-    )
+    return TopLayerResult(step4_bijection(n), step4_bijection_full(n),
+                          step4_overlap(n))
 
 
 # -- the full pipeline ------------------------------------------------------
@@ -622,18 +630,18 @@ _GENERATORS: dict[str, Callable[[int], DissectionCertificate | TopLayerResult]] 
     "STEP4_TOP": step4_top_layer,
 }
 
-#: STEP4_TOP's variants, the default first -> the ``TopLayerResult`` field
-_STEP4_VARIANTS = {"overlap": "overlap", "bijection": "bijection",
-                   "bijection-full": "bijection_full_scale"}
+#: STEP4_TOP's variants, the default first -> the builder of that one
+#: certificate
+_STEP4_VARIANTS: dict[str, Callable[[int], DissectionCertificate]] = {
+    "overlap": step4_overlap, "bijection": step4_bijection,
+    "bijection-full": step4_bijection_full}
 
 
-def certificates_by_variant(
-        name: str, n: int) -> dict[str | None, DissectionCertificate]:
-    """``name``'s certificates at ``n`` by variant, the default first; a
-    construction with one certificate has the one variant ``None``.
-    UnsupportedN beyond its cap."""
-    made = _GENERATORS[name](n)
-    if isinstance(made, TopLayerResult):
-        return {variant: getattr(made, field)
-                for variant, field in _STEP4_VARIANTS.items()}
-    return {None: made}
+def certificate_builders(
+        name: str) -> dict[str | None, Callable[[int], DissectionCertificate]]:
+    """``name``'s certificate builders by variant, the default first; a
+    construction with one certificate has the one variant ``None``.  Each
+    builder raises UnsupportedN beyond the construction's cap."""
+    if name == "STEP4_TOP":
+        return dict(_STEP4_VARIANTS)
+    return {None: _GENERATORS[name]}

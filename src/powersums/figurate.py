@@ -293,8 +293,8 @@ def evaluate_identity(name: str, params: Mapping[str, int]) -> IdentityReport:
     A parameter given as ``None`` is absent.  Raises ``MissingParameter``
     when a required integer is absent, ``UnexpectedParameter`` when one
     the identity does not take is present, and ``ConstraintViolated`` on
-    out-of-range parameters (n outside 1..MAX_IDENTITY_N, m outside 1..n,
-    p outside 0..MAX_IDENTITY_P).
+    parameters that are not ints (bool included) or out of range (n
+    outside 1..MAX_IDENTITY_N, m outside 1..n, p outside 0..MAX_IDENTITY_P).
     """
     if name not in REGISTRY:
         raise ValueError(f"unknown identity: {name!r}")
@@ -306,7 +306,10 @@ def evaluate_identity(name: str, params: Mapping[str, int]) -> IdentityReport:
     for key in wanted:
         if key not in params or params[key] is None:
             raise MissingParameter(f"{name} requires parameter {key!r}")
-        args[key] = int(params[key])
+        if type(params[key]) is not int:  # never coerce: int(3.9) is 3
+            raise ConstraintViolated(f"{name}: {key} must be an int, "
+                                     f"got {bounded(repr(params[key]))}")
+        args[key] = params[key]
     if args["n"] < 1:
         raise ConstraintViolated(
             f"{name}: n must be >= 1, got {bounded(str(args['n']))}")

@@ -19,12 +19,12 @@ from .dissect.generators import (
     five_pyramids_layers,
     gauss_rectangle,
     nicomachus_4d_2d,
+    scissor_rectangle,
     step2_reshape,
-    step3_scissor,
-    step4_top_layer,
+    step4_overlap,
     three_pyramids_2d,
 )
-from .dissect.geometry import DissectionCertificate, Region
+from .dissect.geometry import LEFTOVER_LAYER, DissectionCertificate, Region
 from .dissect.kernel import bounded
 from .exact import QuadLike, quad_to_float, strip_root
 from .pyramid import build_pyramid, main_sections, secondary_sections
@@ -210,13 +210,12 @@ def _step2(scene: _Scene, spec: FigureSpec) -> None:
 
 def _step3_scissor(scene: _Scene, spec: FigureSpec) -> None:
     n = spec.n
-    first = [p for p in step3_scissor(n).placements
-             if p.piece_id.startswith("STEP3_SCISSOR/layer/1/0,0/")]
-    for p in first:  # before: the cut rectangle
+    pieces, _leftovers, _target = scissor_rectangle(n, 1, 0, 0)
+    for p in pieces:  # before: the cut rectangle
         scene.add_region(p.source)
     after_dx = n + 4
-    for p in first:  # after: reshaped rectangle plus the leftovers
-        if p.destination_layer == "leftover":
+    for p in pieces:  # after: reshaped rectangle plus the leftovers
+        if p.destination_layer == LEFTOVER_LAYER:
             scene.add_region(p.placed(), after_dx + n + 3, n)
         else:
             scene.add_region(p.placed(), after_dx)
@@ -234,7 +233,7 @@ def _top_dual(scene: _Scene, spec: FigureSpec) -> None:
 
 
 def _two_copies(scene: _Scene, spec: FigureSpec) -> None:
-    _placed_scene(step4_top_layer(spec.n).overlap, {"doubled"}, scene)
+    _placed_scene(step4_overlap(spec.n), {"doubled"}, scene)
 
 
 #: Every figure by name: its builder and the largest n it draws.  None

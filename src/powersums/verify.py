@@ -25,7 +25,7 @@ from .dissect import (
     full_theorem_report,
     mutate_placement,
 )
-from .dissect.generators import certificates_by_variant
+from .dissect.generators import certificate_builders
 from .exact import QuadExt, rat_to_text, strip_root
 from .figurate import (
     REGISTRY,
@@ -79,11 +79,13 @@ def _upto(bound: int, max_n: Optional[int]) -> range:
     return range(1, (bound if max_n is None else min(bound, max_n)) + 1)
 
 
-def _certificates(name: str, n: int) -> dict[str, DissectionCertificate]:
-    """Each of ``name``'s certificates at ``n`` under a label naming it;
-    the first is the one ``powersums certificate`` writes by default."""
-    return {f"{name} n={n}" + ("" if variant is None else f" {variant}"): cert
-            for variant, cert in certificates_by_variant(name, n).items()}
+def _certificates(name: str,
+                  n: int) -> Iterator[tuple[str, DissectionCertificate]]:
+    """Each of ``name``'s certificates at ``n``, built one at a time, under
+    a label naming it; the first is the one ``powersums certificate``
+    writes by default."""
+    for variant, build in certificate_builders(name).items():
+        yield f"{name} n={n}" + ("" if variant is None else f" {variant}"), build(n)
 
 
 def mutants() -> Iterator[tuple[DissectionCertificate, str]]:
@@ -91,7 +93,7 @@ def mutants() -> Iterator[tuple[DissectionCertificate, str]]:
     at n = 2, in table order, from one seeded generator."""
     rng = random.Random(21)
     for name in CONSTRUCTIONS:
-        cert = next(iter(_certificates(name, 2).values()))
+        _label, cert = next(_certificates(name, 2))
         for _ in range(100):
             mutant, description = mutate_placement(cert, rng)
             yield mutant, f"{name} n=2 {description}"
@@ -165,7 +167,7 @@ def _sections(max_n: Optional[int]) -> Optional[str]:
 def _certificate_suite(max_n: Optional[int]) -> Optional[str]:
     for name, cap in CONSTRUCTIONS.items():
         for n in _upto(cap, max_n):
-            for where, cert in _certificates(name, n).items():
+            for where, cert in _certificates(name, n):
                 report = check_certificate(cert)
                 if not report.ok:
                     return f"{where}: {report}"

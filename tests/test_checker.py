@@ -32,13 +32,12 @@ from powersums.dissect import (
 )
 from powersums.dissect import kernel
 from powersums.dissect.checker import (
-    MUTATION_KINDS,
     _certificate_values,
     _from_objects,
     _lattice_points,
-    _sign,
-    _sorted_points,
 )
+from powersums.dissect.kernel import _sorted_points, lattice_sign as _sign
+from powersums.dissect.mutants import MUTATION_KINDS
 from powersums.exact import QuadExt, quad_to_text, strip_root
 
 

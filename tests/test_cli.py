@@ -14,8 +14,9 @@ from unittest.mock import ANY
 import pytest
 
 import powersums
-from powersums import cli, verify
+from powersums import cli, figurate, verify
 from powersums.cli import main
+from powersums.dissect import generators
 from powersums.dissect import (
     CONSTRUCTIONS,
     dumps_certificate,
@@ -153,6 +154,68 @@ def test_step4_variants(tmp_path, capsys):
         assert loads_certificate(path.read_text()).construction == "STEP4_TOP"
 
 
+#: STEP4_TOP's variants -> the generators function that builds it
+_STEP4_BUILDERS = {"overlap": "step4_overlap", "bijection": "step4_bijection",
+                   "bijection-full": "step4_bijection_full"}
+
+
+def _count_calls(monkeypatch, *functions):
+    """Wrap each (module, name) function in a call counter, wherever a
+    package module or a module-level table holds it; return the counts."""
+    calls: Counter = Counter()
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "powersums" or key.startswith("powersums.")]
+    for module, name in functions:
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for namespace in map(vars, modules):
+            for key, value in list(namespace.items()):
+                if value is original:
+                    monkeypatch.setitem(namespace, key, counted)
+                elif type(value) is dict:
+                    for k in [k for k, v in value.items() if v is original]:
+                        monkeypatch.setitem(value, k, counted)
+    return calls
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    return _count_calls(
+        monkeypatch, (figurate, "evaluate_identity"),
+        (generators, "step3_scissor"),
+        *((generators, name) for name in _STEP4_BUILDERS.values()))
+
+
+@pytest.mark.parametrize("variant", [None, *_STEP4_BUILDERS])
+def test_a_step4_certificate_builds_only_its_variant(variant, builds, tmp_path,
+                                                     capsys):
+    flags = () if variant is None else ("--variant", variant)
+    code, _, _ = run(capsys, "certificate", "STEP4_TOP", "--n", "3",
+                     "--out", str(tmp_path / "x.json"), *flags)
+    assert code == 0
+    assert builds == Counter({_STEP4_BUILDERS[variant or "overlap"]: 1})
+
+
+def test_figures_and_verify_build_only_what_they_draw(builds, tmp_path, capsys):
+    for name in ("TWO_COPIES", "STEP3_SCISSOR"):
+        code, _, _ = run(capsys, "figure", name, "--n", "3",
+                         "--out", str(tmp_path / f"{name}.svg"))
+        assert code == 0
+    assert builds == Counter({"step4_overlap": 1})
+    label, _cert = next(verify._certificates("STEP4_TOP", 2))
+    assert label == "STEP4_TOP n=2 overlap"
+    assert builds == Counter({"step4_overlap": 2})
+
+
+def test_step4_top_layer_evaluates_no_identity(builds):
+    generators.step4_top_layer(3)
+    assert builds == Counter(dict.fromkeys(_STEP4_BUILDERS.values(), 1))
+
+
 def test_certificate_out_of_range_is_exit_3(tmp_path, capsys):
     code, _, err = run(capsys, "certificate", "NICOMACHUS_4D_2D",
                        "--n", "21", "--out", str(tmp_path / "x.json"))
@@ -265,7 +328,7 @@ def _sweep_work(monkeypatch, max_n):
     def certificates(name, n):
         generated.append((name, n))
         # areas equal to any expected value
-        return {name: SimpleNamespace(source_area=ANY, target_area=ANY)}
+        return iter([(name, SimpleNamespace(source_area=ANY, target_area=ANY))])
 
     def check(cert):
         calls["check"] += 1

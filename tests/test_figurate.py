@@ -145,6 +145,18 @@ def test_missing_parameter_and_constraints():
         evaluate_identity("NOT_A_ROW", {"n": 3})
 
 
+@pytest.mark.parametrize("value, shown", [
+    (3.9, "3.9"), (True, "True"), (Fraction(7, 2), "Fraction(7, 2)"),
+    ("12", "'12'"), ("9" * 4000, "'" + "9" * 199 + "... (4002 characters)"),
+], ids=["float", "bool", "fraction", "str", "long-str"])
+def test_a_parameter_that_is_not_an_int_is_refused(value, shown):
+    with pytest.raises(ConstraintViolated) as refused:
+        evaluate_identity("NICOMACHUS", {"n": value})
+    assert str(refused.value) == f"NICOMACHUS: n must be an int, got {shown}"
+    with pytest.raises(ConstraintViolated):
+        evaluate_identity("ALMOST_SQUARE", {"n": 5, "m": value})
+
+
 def test_report_string_form():
     text = str(evaluate_identity("NICOMACHUS", {"n": 6}))
     assert "441 = 441" in text and "HOLDS" in text

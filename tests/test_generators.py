@@ -23,7 +23,11 @@ from powersums.dissect import (
     three_pyramids_2d,
 )
 from powersums.exact import QuadExt, strip_root
-from powersums.figurate import odd_weighted_squares, sum_powers_bruteforce
+from powersums.figurate import (
+    evaluate_identity,
+    odd_weighted_squares,
+    sum_powers_bruteforce,
+)
 from powersums.verify import AREAS
 
 
@@ -212,12 +216,13 @@ def test_step4_certificates_and_counts():
     assert res.overlap.source_area == QuadExt(144)  # 3^2 * 4^2
     for cert in res.certificates():
         assert check_certificate(cert).ok
-    assert res.r_balance.holds and res.top_layer_double.holds
+    assert evaluate_identity("R_BALANCE", {"n": 3}).holds
+    assert evaluate_identity("TOP_LAYER_DOUBLE", {"n": 3}).holds
 
     res = step4_top_layer(2)
     # 2 * 13 + 2 * 5 = 36 = 2^2 * 3^2
     assert res.overlap.source_area == QuadExt(36)
-    assert res.top_layer_double.lhs == QuadExt(26)
+    assert evaluate_identity("TOP_LAYER_DOUBLE", {"n": 2}).lhs == QuadExt(26)
 
     res = step4_top_layer(1)
     assert res.overlap.source_area == QuadExt(4)
