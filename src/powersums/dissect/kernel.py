@@ -14,10 +14,11 @@ the target frame of the reserved ``leftover`` layer.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import isqrt
-from operator import add, itemgetter
-from typing import Collection, Iterable, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import (Callable, Collection, Iterable, Iterator, NamedTuple,
+                    Optional, Sequence)
 
 #: Reserved destination layer id: pieces sent here must tile the declared
 #: leftover regions instead of a target frame.
@@ -121,97 +122,107 @@ def _place(rects: Sequence[LatticeRect], t: Transform) -> list[LatticeRect]:
 
 _X1, _Y1, _X2, _Y2 = (itemgetter(k) for k in range(4))
 
+#: Most grid cells one layer may have, checked before any cell is counted.
+#: The largest generated layer, NICOMACHUS_4D_2D at n = 20, has 112,980.
+MAX_LAYER_CELLS = 2 ** 22
 
-def _grid_counts(rect_groups: Sequence[Sequence[LatticeRect]],
-                 ) -> tuple[list[Point], list[Point], list[list[list[int]]]]:
-    """Compressed-grid coverage counts for several rect collections.
 
-    Returns the sorted distinct x and y coordinates and, per collection,
-    a (len(xs)-1) x (len(ys)-1) matrix counting how many rectangles cover
-    each grid cell.
+def _grid_counts(groups: Sequence[tuple[int, Sequence[LatticeRect]]],
+                 ) -> tuple[list[Point], list[Point], Iterator[list[int]]]:
+    """Weighted compressed-grid coverage counts of (weight, rects) groups.
+
+    Returns the sorted distinct x and y coordinates and an iterator over
+    the len(xs)-1 rows: row i holds, for each of the len(ys)-1 cells
+    between xs[i] and xs[i+1], the summed weights of the rects covering
+    it.  Each rect's y-interval is bucketed at its two x-edges and one
+    y-difference row is kept running, so memory is O(X + Y + R) for X and
+    Y distinct coordinates and R rects, and rows are made one at a time.
     """
     coords_x: set[Point] = set()
     coords_y: set[Point] = set()
-    for group in rect_groups:
-        coords_x.update(map(_X1, group), map(_X2, group))
-        coords_y.update(map(_Y1, group), map(_Y2, group))
+    for _weight, rects in groups:
+        coords_x.update(map(_X1, rects), map(_X2, rects))
+        coords_y.update(map(_Y1, rects), map(_Y2, rects))
     xs = _sorted_points(coords_x)
     ys = _sorted_points(coords_y)
     x_index = {v: i for i, v in enumerate(xs)}
     y_index = {v: i for i, v in enumerate(ys)}
-    nx, ny = max(len(xs) - 1, 0), max(len(ys) - 1, 0)
-    counts: list[list[list[int]]] = []
-    for group in rect_groups:
-        diff = [[0] * (ny + 1) for _ in range(nx + 1)]
-        for x1, y1, x2, y2 in group:
-            i1, i2 = x_index[x1], x_index[x2]
+    edges: list[list[tuple[int, int, int]]] = [[] for _ in xs]
+    for weight, rects in groups:
+        for x1, y1, x2, y2 in rects:
             j1, j2 = y_index[y1], y_index[y2]
-            diff[i1][j1] += 1
-            diff[i2][j1] -= 1
-            diff[i1][j2] -= 1
-            diff[i2][j2] += 1
-        grid = []
-        row = [0] * ny
-        for i in range(nx):  # row i = row i-1 plus the prefix sums of diff[i]
-            row = list(map(add, row, accumulate(diff[i])))
-            grid.append(row)
-        counts.append(grid)
-    return xs, ys, counts
+            edges[x_index[x1]].append((j1, j2, weight))
+            edges[x_index[x2]].append((j1, j2, -weight))
+
+    def rows() -> Iterator[list[int]]:
+        diff = [0] * len(ys)
+        for i in range(len(xs) - 1):
+            for j1, j2, weight in edges[i]:
+                diff[j1] += weight
+                diff[j2] -= weight
+            yield list(islice(accumulate(diff), len(ys) - 1))
+
+    return xs, ys, rows()
+
+
+def _first_outside(layer: str,
+                   groups: Sequence[tuple[int, Sequence[LatticeRect]]],
+                   allowed: frozenset[int],
+                   describe: Callable[[int], tuple[str, str]],
+                   ) -> tuple[Optional[Failure], int]:
+    """The first cell of ``layer``'s grid, in row-major order, whose count
+    is not in ``allowed`` (its kind and message from ``describe(count)``),
+    or None, and the number of cells scanned up to and including it.  A
+    grid of more than ``MAX_LAYER_CELLS`` cells is refused unscanned."""
+    xs, ys, rows = _grid_counts(groups)
+    ny = len(ys) - 1
+    if (len(xs) - 1) * ny > MAX_LAYER_CELLS:
+        return Failure("malformed", layer, None,
+                       f"too large: {len(xs) - 1} x {ny} grid cells, at most "
+                       f"{MAX_LAYER_CELLS} on one layer"), 0
+    cells = 0
+    for i, row in enumerate(rows):
+        if allowed.issuperset(row):
+            cells += ny
+            continue
+        j = next(j for j, count in enumerate(row) if count not in allowed)
+        kind, message = describe(row[j])
+        return (Failure(kind, layer, (xs[i], ys[j], xs[i + 1], ys[j + 1]),
+                        message), cells + j + 1)
+    return None, cells
 
 
 def _check_layer_cover(layer: str, piece_rects: Sequence[LatticeRect],
                        target_rects: Sequence[LatticeRect],
                        ) -> tuple[Optional[Failure], int]:
     """The first grid cell where the pieces do not tile the targets exactly
-    once (None if there is none), and the number of cells scanned."""
-    xs, ys, counts = _grid_counts([piece_rects, target_rects])
-    pieces, targets = counts
-    cells = 0
-    ny = len(ys) - 1
-    for i in range(len(xs) - 1):
-        if pieces[i] == targets[i] and max(targets[i], default=0) <= 1:
-            cells += ny  # every cell of the row is covered exactly as it should be
-            continue
-        for j in range(ny):
-            cells += 1
-            pc = pieces[i][j]
-            tc = targets[i][j]
-            if pc == tc and tc <= 1:
-                continue
-            cell = xs[i], ys[j], xs[i + 1], ys[j + 1]
-            if tc > 1:
-                return Failure("malformed", layer, cell,
-                               f"target regions overlap ({tc} deep)"), cells
-            if tc == 0:
-                return Failure("outside", layer, cell,
-                               f"{pc} piece(s) outside every target"), cells
-            if pc == 0:
-                return Failure("uncovered", layer, cell,
-                               "target cell covered by no piece"), cells
-            return Failure("overlap", layer, cell,
-                           f"target cell covered {pc} times"), cells
-    return None, cells
+    once (None if there is none), and the number of cells scanned.
+
+    Pieces weigh 1 and targets k, more than all pieces together, so a
+    cell's count c is k * (targets over it) + (pieces over it)."""
+    k = len(piece_rects) + 1
+
+    def describe(count: int) -> tuple[str, str]:
+        tc, pc = divmod(count, k)
+        if tc > 1:
+            return "malformed", f"target regions overlap ({tc} deep)"
+        if tc == 0:
+            return "outside", f"{pc} piece(s) outside every target"
+        if pc == 0:
+            return "uncovered", "target cell covered by no piece"
+        return "overlap", f"target cell covered {pc} times"
+
+    return _first_outside(layer, [(1, piece_rects), (k, target_rects)],
+                          frozenset((0, k + 1)), describe)
 
 
 def _check_source_disjoint(layer: str, source_rects: Sequence[LatticeRect],
                            ) -> tuple[Optional[Failure], int]:
     """The first grid cell covered by two sources (None if there is none),
     and the number of cells scanned."""
-    xs, ys, counts = _grid_counts([source_rects])
-    grid = counts[0]
-    cells = 0
-    ny = len(ys) - 1
-    for i in range(len(xs) - 1):
-        if max(grid[i], default=0) <= 1:
-            cells += ny
-            continue
-        for j in range(ny):
-            cells += 1
-            if grid[i][j] > 1:
-                return Failure("source-overlap", layer,
-                               (xs[i], ys[j], xs[i + 1], ys[j + 1]),
-                               f"piece sources overlap ({grid[i][j]} deep)"), cells
-    return None, cells
+    return _first_outside(
+        layer, [(1, source_rects)], frozenset((0, 1)),
+        lambda count: ("source-overlap", f"piece sources overlap ({count} deep)"))
 
 
 def _validate_structure(cert: LatticeCertificate,

@@ -69,6 +69,15 @@ class CellSet:
         return sorted(self.cells)
 
 
+def _cell_set(dimension: int, cells: frozenset[Cell]) -> CellSet:
+    """A ``CellSet`` of cells made here, each of length ``dimension`` by
+    construction, so not walked again as ``__post_init__`` would."""
+    made = object.__new__(CellSet)
+    object.__setattr__(made, "dimension", dimension)
+    object.__setattr__(made, "cells", cells)
+    return made
+
+
 def _require(d: int, n: int) -> None:
     """Refuse P_d(n) unless d is 2..5, n >= 1 and it has at most
     ``MAX_PYRAMID_CELLS`` cells."""
@@ -94,7 +103,7 @@ def build_pyramid(d: int, n: int) -> CellSet:
     by ``MAX_PYRAMID_CELLS`` before any cell is made.
     """
     _require(d, n)
-    return CellSet(d, _levels_cells(d, 1, n))
+    return _cell_set(d, _levels_cells(d, 1, n))
 
 
 def truncated_pyramid(d: int, n: int, m: int) -> CellSet:
@@ -107,7 +116,7 @@ def truncated_pyramid(d: int, n: int, m: int) -> CellSet:
         raise ValueError(f"m must satisfy 1 <= m <= n, "
                          f"got m={bounded(str(m))} n={bounded(str(n))}")
     _require(d, n)
-    return CellSet(d, _levels_cells(d, m, n))
+    return _cell_set(d, _levels_cells(d, m, n))
 
 
 def _levels(p: CellSet) -> int:
@@ -152,7 +161,7 @@ def main_sections(p: CellSet) -> list[CellSet]:
             raise NotAPyramid(
                 f"level {k} has {len(slice_cells)} cells, expected {k ** (d - 1)}"
             )
-        sections.append(CellSet(d - 1, slice_cells))
+        sections.append(_cell_set(d - 1, slice_cells))
     return sections
 
 
@@ -169,7 +178,7 @@ def secondary_sections(p: CellSet, axis: int) -> list[CellSet]:
         raise AxisOutOfRange(f"axis must be 2..{d}, got {bounded(str(axis))}")
     n = _levels(p)
     by_coordinate = _slices(p, axis - 1)
-    return [CellSet(d - 1, frozenset(by_coordinate.get(m, ())))
+    return [_cell_set(d - 1, frozenset(by_coordinate.get(m, ())))
             for m in range(n)]
 
 

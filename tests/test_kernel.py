@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import ast
 import json
+import tracemalloc
+from itertools import accumulate
+from operator import add
 from pathlib import Path
 from typing import Any
 
@@ -30,6 +33,8 @@ from powersums.dissect import (
     three_pyramids_2d,
 )
 from powersums.dissect import kernel
+from powersums.dissect.checker import _from_objects
+from powersums.dissect.generators import certificate_builders
 
 KERNEL_PATH = Path(kernel.__file__)
 
@@ -185,3 +190,293 @@ def test_integers_past_the_digit_limit_are_refused(tmp_path, capsys):
                     encoding="utf-8")
     assert cli.main(["check", str(path)]) == cli.EXIT_MALFORMED
     assert capsys.readouterr().err.startswith("error: not valid JSON: Exceeds")
+
+
+# -- the grid scans against two references ----------------------------------
+#
+# Both references are test-only and share no code with the kernel's scans.
+# ``_dense_counts`` is the kernel's earlier grid: one dense difference
+# matrix and one full count grid per rect collection.  ``_midpoint_counts``
+# counts, in QuadExt, the rects that contain each compressed cell's
+# midpoint.  ``_reference_cover`` and ``_reference_disjoint`` are the
+# earlier kernel's two scan loops, cell by cell, over either one.
+
+
+def _quad(point: tuple[int, int]) -> exact.QuadExt:
+    return exact.QuadExt(*point)
+
+
+def _axes(rect_groups):
+    xs = sorted({p for group in rect_groups for r in group for p in (r[0], r[2])},
+                key=_quad)
+    ys = sorted({p for group in rect_groups for r in group for p in (r[1], r[3])},
+                key=_quad)
+    return xs, ys
+
+
+def _dense_counts(rect_groups):
+    xs, ys = _axes(rect_groups)
+    x_index = {v: i for i, v in enumerate(xs)}
+    y_index = {v: i for i, v in enumerate(ys)}
+    nx, ny = max(len(xs) - 1, 0), max(len(ys) - 1, 0)
+    counts = []
+    for group in rect_groups:
+        diff = [[0] * (ny + 1) for _ in range(nx + 1)]
+        for x1, y1, x2, y2 in group:
+            i1, i2 = x_index[x1], x_index[x2]
+            j1, j2 = y_index[y1], y_index[y2]
+            diff[i1][j1] += 1
+            diff[i2][j1] -= 1
+            diff[i1][j2] -= 1
+            diff[i2][j2] += 1
+        grid = []
+        row = [0] * ny
+        for i in range(nx):
+            row = list(map(add, row, accumulate(diff[i])))
+            grid.append(row)
+        counts.append(grid)
+    return xs, ys, counts
+
+
+def _midpoint_counts(rect_groups):
+    xs, ys = _axes(rect_groups)
+    # twice each midpoint, against twice each corner: no division needed
+    mid_x = [_quad(a) + _quad(b) for a, b in zip(xs, xs[1:])]
+    mid_y = [_quad(a) + _quad(b) for a, b in zip(ys, ys[1:])]
+    counts = []
+    for group in rect_groups:
+        doubled = [[_quad(p) * 2 for p in r] for r in group]
+        grid = []
+        for mx in mid_x:
+            across = [r for r in doubled if r[0] < mx < r[2]]
+            grid.append([sum(1 for r in across if r[1] < my < r[3])
+                         for my in mid_y])
+        counts.append(grid)
+    return xs, ys, counts
+
+
+def _reference_cover(counts_of, layer, piece_rects, target_rects):
+    xs, ys, (pieces, targets) = counts_of([piece_rects, target_rects])
+    cells = 0
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            cells += 1
+            pc, tc = pieces[i][j], targets[i][j]
+            if pc == tc and tc <= 1:
+                continue
+            cell = xs[i], ys[j], xs[i + 1], ys[j + 1]
+            if tc > 1:
+                return ("malformed", layer, cell,
+                        f"target regions overlap ({tc} deep)"), cells
+            if tc == 0:
+                return ("outside", layer, cell,
+                        f"{pc} piece(s) outside every target"), cells
+            if pc == 0:
+                return ("uncovered", layer, cell,
+                        "target cell covered by no piece"), cells
+            return ("overlap", layer, cell,
+                    f"target cell covered {pc} times"), cells
+    return None, cells
+
+
+def _reference_disjoint(counts_of, layer, source_rects):
+    xs, ys, (grid,) = counts_of([source_rects])
+    cells = 0
+    for i in range(len(xs) - 1):
+        for j in range(len(ys) - 1):
+            cells += 1
+            if grid[i][j] > 1:
+                return ("source-overlap", layer,
+                        (xs[i], ys[j], xs[i + 1], ys[j + 1]),
+                        f"piece sources overlap ({grid[i][j]} deep)"), cells
+    return None, cells
+
+
+_SCANS = {"cover": (kernel._check_layer_cover, _reference_cover),
+          "source": (kernel._check_source_disjoint, _reference_disjoint)}
+
+
+def _assert_scans_agree(scan: str, layer: str, *rect_lists) -> Any:
+    """The kernel's verdict, message, cell and cells scanned on one layer,
+    after checking that both references give the same."""
+    ours, reference = _SCANS[scan]
+    got = ours(layer, *rect_lists)
+    assert got == reference(_dense_counts, layer, *rect_lists)
+    assert got == reference(_midpoint_counts, layer, *rect_lists)
+    return got
+
+
+def _assert_layers_agree(cert) -> list:
+    """Every source and destination layer of ``cert`` through
+    ``_assert_scans_agree``: the kernel's results, layer by layer."""
+    _d, lattice = _from_objects(cert)
+    sources, placed, targets = {}, {}, {}
+    for _id, source_layer, rects, transform, dest in lattice.pieces:
+        sources.setdefault(source_layer, []).extend(rects)
+        placed.setdefault(dest, []).extend(kernel._place(rects, transform))
+    for layer, rects in lattice.targets:
+        targets.setdefault(layer, []).extend(rects)
+    if lattice.leftovers:
+        targets[kernel.LEFTOVER_LAYER] = [r for rects in lattice.leftovers
+                                          for r in rects]
+    results = [_assert_scans_agree("source", layer, rects)
+               for layer, rects in sources.items()]
+    results += [_assert_scans_agree("cover", layer, placed.get(layer, []),
+                                    targets.get(layer, []))
+                for layer in set(placed) | set(targets)]
+    return results
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_scans_match_both_references_on_every_variant(construction):
+    for n in range(1, 4):
+        for build in certificate_builders(construction).values():
+            results = _assert_layers_agree(build(n))
+            assert all(failure is None for failure, _cells in results)
+
+
+def test_scans_match_both_references_on_criterion_07_mutants():
+    kinds = set()
+    for mutant, _description in verify.mutants():
+        kinds.update(failure.kind for failure, _cells in _assert_layers_agree(mutant)
+                     if failure is not None)
+    assert kinds == {"outside", "uncovered", "overlap"}  # they move pieces only
+
+
+# a + b*sqrt(21) as lattice pairs: most cuts are off every integer
+offsets = st.tuples(st.integers(-8, 8), st.integers(-2, 2))
+
+
+@st.composite
+def guillotine_tilings(draw):
+    """(frame, tiles): a guillotine tiling of a frame whose cuts lie at
+    sorted lattice points, split at random until each tile is left."""
+    xs = sorted(draw(st.lists(offsets, min_size=2, max_size=5, unique=True)),
+                key=_quad)
+    ys = sorted(draw(st.lists(offsets, min_size=2, max_size=5, unique=True)),
+                key=_quad)
+    tiles = []
+
+    def split(i1, j1, i2, j2):
+        cuts = [("x", k) for k in range(i1 + 1, i2)]
+        cuts += [("y", k) for k in range(j1 + 1, j2)]
+        if not cuts or not draw(st.integers(0, 3)):
+            tiles.append((xs[i1], ys[j1], xs[i2], ys[j2]))
+            return
+        axis, k = draw(st.sampled_from(cuts))
+        if axis == "x":
+            split(i1, j1, k, j2)
+            split(k, j1, i2, j2)
+        else:
+            split(i1, j1, i2, k)
+            split(i1, k, i2, j2)
+
+    split(0, 0, len(xs) - 1, len(ys) - 1)
+    return (xs[0], ys[0], xs[-1], ys[-1]), tiles
+
+
+def _shifted(r, d):
+    (x1, y1, x2, y2), (da, db) = r, d
+    return tuple((a + da, b + db) for a, b in (x1, y1, x2, y2))
+
+
+@st.composite
+def perturbed(draw, tiling):
+    """(targets, tiles): the tiling as it is, or with one defect: a tile
+    moved, dropped or repeated, or a second target over the frame."""
+    frame, tiles = tiling
+    targets, tiles = [frame], list(tiles)
+    k = draw(st.integers(0, len(tiles) - 1))
+    defect = draw(st.sampled_from(["none", "move", "drop", "repeat", "target"]))
+    if defect == "move":
+        tiles[k] = _shifted(tiles[k], draw(offsets))
+    elif defect == "drop":
+        del tiles[k]
+    elif defect == "repeat":
+        tiles.append(tiles[k])
+    elif defect == "target":
+        targets.append(tiles[k])
+    return targets, tiles
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), guillotine_tilings(), st.integers(0, 3), st.booleans(),
+       offsets, offsets)
+def test_scans_match_both_references_on_moved_tilings(
+        data, tiling, quarter_turns, reflect, dx, dy):
+    targets, tiles = data.draw(perturbed(tiling))
+    motion = (quarter_turns, reflect, dx, dy)
+    _assert_scans_agree("source", "s", tiles)
+    _assert_scans_agree("cover", "t", kernel._place(tiles, motion),
+                        kernel._place(targets, motion))
+
+
+# -- bounded memory and the layer budget -------------------------------------
+
+
+def _diagonal(k: int) -> str:
+    """k disjoint unit squares on a diagonal, each a piece sent onto itself
+    and a target: 2k distinct coordinates per axis, so about 4k**2 cells."""
+    def square(i):
+        return [str(2 * i), str(2 * i), "1", "1"]
+
+    return json.dumps({
+        "construction": "GAUSS_RECT", "n": 1,
+        "placements": [{"piece_id": f"p{i}", "source_layer": "s",
+                        "source": {"label": "square", "rects": [square(i)]},
+                        "transform": {"quarter_turns": 0, "reflect": False,
+                                      "dx": "0", "dy": "0"},
+                        "destination_layer": "t"} for i in range(k)],
+        "targets": [{"layer": "t",
+                     "region": {"label": "square", "rects": [square(i)]}}
+                    for i in range(k)],
+        "leftovers": []})
+
+
+def test_a_wide_layer_is_checked_in_little_memory():
+    cert = read_certificate(_diagonal(1000))
+    tracemalloc.start()
+    try:
+        report = check_certificate(cert)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.cells_checked == 2 * 1999 ** 2
+    assert peak < 8 * 2 ** 20
+
+
+def test_a_layer_over_the_cell_budget_is_refused_unscanned(monkeypatch, tmp_path,
+                                                           capsys):
+    counts = kernel._grid_counts
+
+    def no_rows(groups):
+        xs, ys, _rows = counts(groups)
+
+        def refused():
+            raise AssertionError("a row was counted")
+            yield
+
+        return xs, ys, refused()
+
+    monkeypatch.setattr(kernel, "_grid_counts", no_rows)
+    assert 2199 ** 2 > kernel.MAX_LAYER_CELLS  # 1100 squares, 2200 coordinates
+    report = check_certificate(read_certificate(_diagonal(1100)))
+    message = (f"too large: 2199 x 2199 grid cells, at most "
+               f"{kernel.MAX_LAYER_CELLS} on one layer")
+    assert not report.ok and (report.layers_checked, report.cells_checked) == (1, 0)
+    assert str(report.failure) == f"malformed on layer 's': {message}"
+    path = tmp_path / "cert.json"
+    path.write_text(_diagonal(1100), encoding="utf-8")
+    assert cli.main(["check", str(path)]) == cli.EXIT_MALFORMED
+    assert capsys.readouterr().out == f"GAUSS_RECT n=1: FAIL {report.failure}\n"
+
+
+def test_the_cell_budget_admits_a_layer_of_exactly_its_size(monkeypatch):
+    squares = [((2 * i, 0), (2 * i, 0), (2 * i + 1, 0), (2 * i + 1, 0))
+               for i in range(2)]  # 4 coordinates per axis: 3 x 3 cells
+    monkeypatch.setattr(kernel, "MAX_LAYER_CELLS", 9)
+    assert kernel._check_layer_cover("l", squares, squares) == (None, 9)
+    monkeypatch.setattr(kernel, "MAX_LAYER_CELLS", 8)
+    assert kernel._check_source_disjoint("l", squares) == (kernel.Failure(
+        "malformed", "l", None,
+        "too large: 3 x 3 grid cells, at most 8 on one layer"), 0)

@@ -252,6 +252,25 @@ def test_sections_pass_over_the_cells_a_fixed_number_of_times(d):
     assert [len(counts) for counts in passes.values()] == [1, 1], passes
 
 
+def test_a_supplied_cell_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError,
+                       match=re.escape("cell (1, 0) has dimension 2, expected 3")):
+        CellSet(3, frozenset({(1, 0, 0), (1, 0)}))
+
+
+def test_cell_sets_made_here_are_not_walked_again(monkeypatch):
+    # build_pyramid, truncated_pyramid and the sections make cells of the
+    # right length by construction; only a supplied CellSet is checked
+    def walked(self):
+        raise AssertionError("a cell set made here was checked again")
+
+    monkeypatch.setattr(CellSet, "__post_init__", walked)
+    assert sections_agree(4, 3).holds
+    assert len(truncated_pyramid(5, 4, 2)) == 16 + 81 + 256
+    with pytest.raises(AssertionError, match="checked again"):
+        CellSet(2, frozenset({(1, 0)}))
+
+
 def test_truncated_pyramid_makes_only_its_levels(monkeypatch):
     expected = {(d, n, m): frozenset(c for c in build_pyramid(d, n).cells
                                      if c[0] >= m)
