@@ -44,9 +44,11 @@ class UnsupportedN(ValueError):
 
 
 class StageCheckError(RuntimeError):
-    """A pipeline stage failed verification; carries the stage name."""
+    """A pipeline stage failed verification; carries the stage name and
+    the failing report: a certificate's or interface's ``CheckReport``, or
+    an identity's ``IdentityReport``, which names both sides."""
 
-    def __init__(self, stage: str, report: CheckReport) -> None:
+    def __init__(self, stage: str, report: CheckReport | IdentityReport) -> None:
         super().__init__(f"stage {stage!r} failed: {report}")
         self.stage = stage
         self.report = report
@@ -492,10 +494,8 @@ def step4_overlap(n: int) -> DissectionCertificate:
         for copy in (1, 2):
             pieces.append((f"STEP4_TOP/overlap/deficit{copy}/{k}",
                            f"deficit/{copy}", deficit_x[k], 0))
-        if k < n:
-            holes = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-                     if max(i, j) == k + 1]
-            dests = [(i * n, j * n) for i, j in sorted(holes)]
+        if k < n:  # the holes of copy B: ring k + 1, one slot up and right
+            dests = [((i + 1) * n, (j + 1) * n) for i, j in _ring_slots(k + 1)]
         else:
             empties = sorted({(i, 0) for i in range(n + 1)}
                              | {(0, j) for j in range(n + 1)})
@@ -613,7 +613,7 @@ def full_theorem_report(n: int) -> IdentityReport:
                      "SCISSOR_FACTOR"):
             report = evaluate_identity(name, {"n": n})
             if not report.holds:
-                raise StageCheckError(f"identity {name}", CheckReport(False, None))
+                raise StageCheckError(f"identity {name}", report)
     return evaluate_identity("FINAL_ASSEMBLY", {"n": n})
 
 

@@ -199,8 +199,10 @@ def _check_layer_cover(layer: str, piece_rects: Sequence[LatticeRect],
     once (None if there is none), and the number of cells scanned.
 
     Pieces weigh 1 and targets k, more than all pieces together, so a
-    cell's count c is k * (targets over it) + (pieces over it)."""
-    k = len(piece_rects) + 1
+    cell's count c is k * (targets over it) + (pieces over it).  k is also
+    above 1, else the one allowed count k + 1 of a layer without pieces
+    would read two targets as one target and one piece."""
+    k = len(piece_rects) + 2
 
     def describe(count: int) -> tuple[str, str]:
         tc, pc = divmod(count, k)

@@ -10,9 +10,11 @@ A ``QuadExt`` is stored as integer numerators over one common denominator
 (as FLINT/Antic store ``nf_elem``), so arithmetic, ordering and the text
 codec run on ints and build no ``Fraction``.
 
-Values are immutable and hashable.  Comparisons are exact; floating point
-is consulted nowhere except ``quad_to_float``, which exists for rendering
-only.
+Values are immutable and hashable.  Comparisons are exact.  Nothing is
+coerced: a part or operand is an int (not a bool), a ``Fraction`` or a
+``QuadExt``, and anything else, a float, str or bool, raises ``TypeError``.
+Floating point is consulted nowhere except ``quad_to_float``, the one way
+out to floats, which exists for rendering only.
 """
 
 from __future__ import annotations
@@ -46,19 +48,14 @@ class QuadExt:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, a: RatLike = 0, b: RatLike = 0) -> None:
-        # floats are rejected rather than converted: Fraction(0.1) is the
-        # binary expansion, not 1/10, and nothing here may be approximate
-        if isinstance(a, float) or isinstance(b, float):
-            raise TypeError("QuadExt parts must be exact (int or Fraction)")
         if type(a) is int and type(b) is int:
             _set_a(self, a)
             _set_b(self, b)
             _set_d(self, 1)
             return
-        if not isinstance(a, Fraction):
-            a = Fraction(a)
-        if not isinstance(b, Fraction):
-            b = Fraction(b)
+        for part in (a, b):
+            if type(part) is not int and not isinstance(part, Fraction):
+                raise _inexact(part)
         da, db = a.denominator, b.denominator
         # both parts are reduced, so their lcm leaves gcd(A, B, D) = 1
         d = da // gcd(da, db) * db
@@ -79,7 +76,7 @@ class QuadExt:
             return _new(value, 0, 1)
         if isinstance(value, QuadExt):
             return value
-        return QuadExt(value)
+        return QuadExt(value)  # refuses what is neither int nor Fraction
 
     @property
     def triple(self) -> tuple[int, int, int]:
@@ -178,9 +175,6 @@ class QuadExt:
     def __str__(self) -> str:
         return quad_to_text(self)
 
-    def __float__(self) -> float:
-        return quad_to_float(self)
-
 
 _set_a = QuadExt._a.__set__  # type: ignore[attr-defined]
 _set_b = QuadExt._b.__set__  # type: ignore[attr-defined]
@@ -206,14 +200,20 @@ def _reduced(a: int, b: int, d: int) -> QuadExt:
     return _new(a, b, d)
 
 
+def _inexact(value: object) -> TypeError:
+    # nothing is converted: a float is approximate (Fraction(0.1) is its
+    # binary expansion, not 1/10), and a str or a bool is not a number here
+    return TypeError(f"QuadExt takes an int, Fraction or QuadExt, got "
+                     f"{bounded(repr(value))}")
+
+
 def _parts(value: QuadLike) -> tuple[int, int, int]:
     """The canonical triple of a QuadExt, int or Fraction."""
     if isinstance(value, QuadExt):
         return value._a, value._b, value._d
-    if isinstance(value, (int, Fraction)):
+    if type(value) is int or isinstance(value, Fraction):
         return value.numerator, 0, value.denominator
-    u = QuadExt(value)  # refuses floats
-    return u._a, u._b, u._d
+    raise _inexact(value)
 
 
 def _compare(u: QuadExt, v: QuadLike) -> int:

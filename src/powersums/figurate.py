@@ -15,6 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Callable, Mapping
 
@@ -72,6 +73,13 @@ def sum_powers_bruteforce(p: int, n: int) -> int:
 def truncated_power_sum(p: int, m: int, n: int) -> int:
     """m**p + (m+1)**p + ... + n**p (empty when m > n)."""
     return sum(k**p for k in range(m, n + 1))
+
+
+def lemma_rows(p: int, m: int, n: int) -> list[int]:
+    """The rows of the rows/columns lemma from m: [j**p + ... + n**p for
+    j = m..n], by one running sum from k = n down to m (empty when m > n).
+    Summed, the rows from m = 1 give S_(p+1)(n)."""
+    return list(accumulate(k**p for k in range(n, m - 1, -1)))[::-1]
 
 
 def odd_weighted_squares(n: int) -> int:
@@ -180,27 +188,11 @@ def _fourth_integer_form(n: int) -> _Pair:
     return _Q(sum_powers_bruteforce(4, n)), _Q(rhs)
 
 
-def _rows_cols(p: int, n: int) -> _Pair:
-    lhs = sum_powers_bruteforce(p + 1, n)
-    suffix = 0
-    rhs = 0
-    for k in range(n, 0, -1):  # rhs = sum over m of (m^p + ... + n^p)
-        suffix += k**p
-        rhs += suffix
-    return _Q(lhs), _Q(rhs)
-
-
 def _truncated(p: int, m: int, n: int) -> _Pair:
     # Row layout of the truncated lemma: the full row m^p+...+n^p repeated
     # m-1 times, then the triangular block of suffix sums from m.
-    lhs = truncated_power_sum(p + 1, m, n)
-    suffix = 0
-    triangle = 0
-    for k in range(n, m - 1, -1):
-        suffix += k**p
-        triangle += suffix
-    rhs = (m - 1) * suffix + triangle
-    return _Q(lhs), _Q(rhs)
+    rows = lemma_rows(p, m, n)
+    return _Q(truncated_power_sum(p + 1, m, n)), _Q((m - 1) * rows[0] + sum(rows))
 
 
 def _almost_square(m: int, n: int) -> _Pair:
@@ -266,7 +258,7 @@ REGISTRY: dict[str, tuple[tuple[str, ...], _RegistryFn]] = {
     "CUBES_CLOSED": (("n",), _cubes_closed),
     "FOURTH_FACTORED": (("n",), _fourth_factored),
     "FOURTH_INTEGER_FORM": (("n",), _fourth_integer_form),
-    "ROWS_COLS": (("p", "n"), _rows_cols),
+    "ROWS_COLS": (("p", "n"), lambda p, n: _truncated(p, 1, n)),
     "TRUNCATED": (("p", "m", "n"), _truncated),
     "ALMOST_SQUARE": (("m", "n"), _almost_square),
     "FOURTH_AS_SQ_TIMES_SQ": (("n",), _fourth_as_sq_times_sq),

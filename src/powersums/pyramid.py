@@ -17,7 +17,7 @@ from typing import Callable
 
 from .dissect.kernel import bounded
 from .exact import QuadExt
-from .figurate import IdentityReport
+from .figurate import IdentityReport, lemma_rows
 
 Cell = tuple[int, ...]
 
@@ -192,16 +192,14 @@ def sections_agree(d: int, n: int) -> IdentityReport:
     """
     pyramid = build_pyramid(d, n)
     main_total = sum(len(s) for s in main_sections(pyramid))
-    lemma_rows = [
-        sum(k ** (d - 2) for k in range(m, n + 1)) for m in range(1, n + 1)
-    ]
+    rows = lemma_rows(d - 2, 1, n)
     holds = main_total == len(pyramid)
     secondary_total = 0
     for axis in range(2, d + 1):
         sizes = [len(s) for s in secondary_sections(pyramid, axis)]
         if axis == 2:
             secondary_total = sum(sizes)
-        holds = holds and sizes == lemma_rows
+        holds = holds and sizes == rows
     holds = holds and secondary_total == len(pyramid)
     return IdentityReport(
         identity_name="ROWS_COLS",

@@ -16,6 +16,7 @@ from typing import Callable
 
 from .dissect.generators import (
     UnsupportedN,
+    _stair_rows,
     five_pyramids_layers,
     gauss_rectangle,
     nicomachus_4d_2d,
@@ -160,8 +161,7 @@ def _secondary_sections(scene: _Scene, spec: FigureSpec) -> None:
     n, x0 = spec.n, 0
     pyramid = build_pyramid(3, n)
     for m, _section in enumerate(secondary_sections(pyramid, 2), start=1):
-        for j in range(m, n + 1):
-            scene.add_cells(x0, n - j, j, 1, "stair_a")
+        scene.add_region(_stair_rows(m, n, x0, 0, "stair_a"))
         x0 += n + 2
 
 

@@ -32,6 +32,7 @@ from .figurate import (
     bernoulli_table,
     evaluate_identity,
     faulhaber,
+    lemma_rows,
     sum_powers_bruteforce,
 )
 from .pyramid import build_pyramid, main_sections, secondary_sections
@@ -145,7 +146,7 @@ def _section_failure(d: int, n: int) -> Optional[str]:
     if ([len(s) for s in mains] != [k ** (d - 1) for k in range(1, n + 1)]
             or {(k, *c) for k, s in enumerate(mains, 1) for c in s.cells} != cells):
         return f"P_{d}({n}): main sections"
-    rows = [sum(k ** (d - 2) for k in range(m, n + 1)) for m in range(1, n + 1)]
+    rows = lemma_rows(d - 2, 1, n)
     for axis in range(2, d + 1):
         secs, i = secondary_sections(pyramid, axis), axis - 1
         if ([len(s) for s in secs] != rows

@@ -229,6 +229,37 @@ def test_check_output_is_pinned(name, tmp_path, capsys):
     assert (code, out, err) == EXPECTED[name]
 
 
+def _ghost_targets(data: Any) -> None:
+    """Two identical targets on a layer that no piece is sent to."""
+    square = {"layer": "ghost", "region": {"label": "target",
+                                           "rects": [["0", "0", "1", "1"]]}}
+    data["targets"] += [square, square]
+
+
+def _doubled_leftover(data: Any) -> None:
+    square = {"label": "left_b", "rects": [["5", "5", "1", "1"]]}
+    data["leftovers"] = [square, square]
+
+
+# a layer with targets and no pieces: its targets still may not overlap
+@pytest.mark.parametrize("edit,line", [
+    pytest.param(_ghost_targets,
+                 "GAUSS_RECT n=1: FAIL malformed on layer 'ghost' at [0, 1] x "
+                 "[0, 1]: target regions overlap (2 deep)\n",
+                 id="two identical targets and no piece"),
+    pytest.param(_doubled_leftover,
+                 "GAUSS_RECT n=1: FAIL malformed on layer 'leftover' at [5, 6] "
+                 "x [5, 6]: target regions overlap (2 deep)\n",
+                 id="one leftover declared twice"),
+])
+def test_doubled_targets_without_pieces_are_malformed(edit, line, tmp_path,
+                                                      capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(_edited(edit, GAUSS_TEXT), encoding="utf-8")
+    code = main(["check", str(path)])
+    assert (code, *capsys.readouterr()) == (3, line, "")
+
+
 def _unlabelled_region(data: Any) -> None:
     source = _placement(data)["source"]
     del source["label"]

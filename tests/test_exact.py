@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powersums.dissect import geometry
 from powersums.exact import (
     QuadExt,
     quad_compare,
@@ -158,6 +159,36 @@ def test_floats_are_rejected_not_converted():
         QuadExt(0, 0.5)
     with pytest.raises(TypeError):
         strip_root() + 0.25  # type: ignore[operator]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuadExt(1) + "1/2",
+    lambda: "1/2" + QuadExt(1),
+    lambda: QuadExt("3"),
+    lambda: QuadExt(True),
+    lambda: QuadExt(Fraction(1, 2), True),
+    lambda: QuadExt.of(False),
+    lambda: QuadExt(1) < "5",
+    lambda: QuadExt(1) * True,
+    lambda: geometry.rect(0, 0, "2", 1),
+], ids=["add str", "radd str", "str part", "bool part", "bool root part",
+        "of bool", "compare str", "multiply bool", "rect of str"])
+def test_values_that_are_not_exact_are_refused_not_coerced(make):
+    with pytest.raises(TypeError, match="takes an int, Fraction or QuadExt"):
+        make()
+
+
+def test_refused_values_are_echoed_bounded():
+    with pytest.raises(TypeError) as info:
+        QuadExt("9" * 100_000)
+    assert len(str(info.value)) < 300
+
+
+def test_there_is_no_float_conversion():
+    with pytest.raises(TypeError):
+        float(QuadExt(1))
+    with pytest.raises(TypeError):
+        math.sqrt(strip_root())  # type: ignore[arg-type]
 
 
 # -- differential test against a Fraction-pair reference ---------------------

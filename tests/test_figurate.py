@@ -16,8 +16,10 @@ from powersums.figurate import (
     bernoulli_table,
     evaluate_identity,
     faulhaber,
+    lemma_rows,
     odd_weighted_squares,
     sum_powers_bruteforce,
+    truncated_power_sum,
 )
 from powersums.verify import BERNOULLI, BOAST
 
@@ -114,6 +116,28 @@ def test_truncated_against_direct_double_sum():
                 assert lhs == expected
                 report = evaluate_identity("TRUNCATED", {"p": p, "m": m, "n": n})
                 assert report.holds and report.lhs == QuadExt(lhs)
+
+
+def test_rows_cols_against_its_earlier_suffix_loop():
+    # the loop ROWS_COLS had before it became TRUNCATED at m = 1
+    for p in range(11):
+        for n in range(1, 61):
+            suffix = rhs = 0
+            for k in range(n, 0, -1):  # rhs = sum over m of (m^p + ... + n^p)
+                suffix += k**p
+                rhs += suffix
+            report = evaluate_identity("ROWS_COLS", {"p": p, "n": n})
+            assert report.holds and report.rhs == QuadExt(rhs)
+            assert report.lhs == QuadExt(sum_powers_bruteforce(p + 1, n))
+            assert report.parameters == {"p": p, "n": n}
+
+
+def test_lemma_rows_are_the_truncated_sums():
+    for p in range(5):
+        for n in range(0, 12):
+            for m in range(1, n + 2):
+                assert lemma_rows(p, m, n) == [truncated_power_sum(p, j, n)
+                                               for j in range(m, n + 1)]
 
 
 def test_final_assembly_is_rational_despite_irrational_route():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from powersums import verify
 from powersums.dissect import generators
 from powersums.dissect import (
     LEFTOVER_LAYER,
@@ -263,6 +265,24 @@ def test_interface_failure_names_its_cell(monkeypatch):
     failure = info.value.report.failure
     assert failure.kind == "uncovered" and failure.layer == "layer/1"
     assert failure.cell is not None
+
+
+def test_identity_stage_failure_names_both_sides(monkeypatch):
+    honest = generators.evaluate_identity
+
+    def wrong_at_2(name, params):
+        report = honest(name, params)
+        if name == "R_BALANCE" and params["n"] == 2:
+            return dataclasses.replace(report, rhs=report.rhs + 1, holds=False)
+        return report
+
+    monkeypatch.setattr(generators, "evaluate_identity", wrong_at_2)
+    with pytest.raises(StageCheckError) as info:
+        full_theorem_report(2)
+    message = "stage 'identity R_BALANCE' failed: R_BALANCE n=2: 34 = 35 FAILS"
+    assert info.value.stage == "identity R_BALANCE"
+    assert str(info.value) == message
+    assert verify.CRITERIA[8].run(2) == f"pipeline n=2: {message}"
 
 
 def test_full_theorem_arithmetic_only_beyond_cap():

@@ -4,6 +4,7 @@ a certificate gets the same verdict from its JSON text as from its objects."""
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import tracemalloc
 from itertools import accumulate
@@ -335,12 +336,52 @@ def test_scans_match_both_references_on_every_variant(construction):
             assert all(failure is None for failure, _cells in results)
 
 
+def _source_copied(cert):
+    """``cert`` with the source of its first placement copied onto the next
+    placement from the same source layer, and that layer."""
+    first, *rest = cert.placements
+    k = 1 + next(i for i, p in enumerate(rest)
+                 if p.source_layer == first.source_layer)
+    placements = list(cert.placements)
+    placements[k] = dataclasses.replace(placements[k], source=first.source)
+    return (dataclasses.replace(cert, placements=tuple(placements)),
+            first.source_layer)
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_a_copied_source_fails_the_source_scan(construction):
+    for build in certificate_builders(construction).values():
+        mutant, layer = _source_copied(build(2))
+        report = check_certificate(mutant)
+        assert not report.ok
+        failure = report.failure
+        assert (failure.kind, failure.layer, failure.message) == (
+            "source-overlap", layer, "piece sources overlap (2 deep)")
+        assert check_certificate(read_certificate(dumps_certificate(mutant))) == report
+
+
 def test_scans_match_both_references_on_criterion_07_mutants():
     kinds = set()
     for mutant, _description in verify.mutants():
         kinds.update(failure.kind for failure, _cells in _assert_layers_agree(mutant)
                      if failure is not None)
     assert kinds == {"outside", "uncovered", "overlap"}  # they move pieces only
+
+
+_SQUARE = ((0, 0), (0, 0), (1, 0), (1, 0))
+_WIDE = ((0, 0), (0, 0), (3, 0), (1, 0))
+_ROOT_SQUARE = ((-3, 1), (0, 0), (3, 1), (6, 0))  # 6 wide over D = 1
+
+
+@pytest.mark.parametrize("targets", [
+    [_SQUARE, _SQUARE], [_SQUARE, _SQUARE, _SQUARE], [_WIDE, _SQUARE],
+    [_ROOT_SQUARE, _ROOT_SQUARE], [_SQUARE], [],
+], ids=["square twice", "square three times", "square inside a strip",
+        "irrational square twice", "square once", "nothing"])
+def test_scans_match_both_references_on_a_layer_without_pieces(targets):
+    failure, _cells = _assert_scans_agree("cover", "ghost", [], targets)
+    if len(targets) > 1:
+        assert failure.kind == "malformed"
 
 
 # a + b*sqrt(21) as lattice pairs: most cuts are off every integer
@@ -383,12 +424,16 @@ def _shifted(r, d):
 @st.composite
 def perturbed(draw, tiling):
     """(targets, tiles): the tiling as it is, or with one defect: a tile
-    moved, dropped or repeated, or a second target over the frame."""
+    moved, dropped or repeated, a second target over the frame, or no
+    tiles at all under a tile's square declared twice as a target."""
     frame, tiles = tiling
     targets, tiles = [frame], list(tiles)
     k = draw(st.integers(0, len(tiles) - 1))
-    defect = draw(st.sampled_from(["none", "move", "drop", "repeat", "target"]))
-    if defect == "move":
+    defect = draw(st.sampled_from(["none", "move", "drop", "repeat", "target",
+                                   "bare"]))
+    if defect == "bare":
+        targets, tiles = [tiles[k], tiles[k]], []
+    elif defect == "move":
         tiles[k] = _shifted(tiles[k], draw(offsets))
     elif defect == "drop":
         del tiles[k]

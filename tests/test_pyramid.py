@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from powersums import pyramid
 from powersums.cli import main
-from powersums.figurate import sum_powers_bruteforce, truncated_power_sum
+from powersums.figurate import (lemma_rows, sum_powers_bruteforce,
+                                 truncated_power_sum)
 from powersums.pyramid import (
     MAX_PYRAMID_CELLS,
     AxisOutOfRange,
@@ -117,6 +118,16 @@ def test_sections_agree_reports():
     assert r.holds and r.lhs == 36
     r = sections_agree(5, 2)
     assert r.holds and r.lhs == 17  # 1 + 16
+
+
+def test_secondary_section_sizes_are_the_lemma_rows():
+    # the row comprehension sections_agree had before it read lemma_rows
+    for d in (3, 4, 5):
+        for n in range(1, 13):
+            rows = [sum(k ** (d - 2) for k in range(m, n + 1))
+                    for m in range(1, n + 1)]
+            assert lemma_rows(d - 2, 1, n) == rows
+            assert sections_agree(d, n).holds
 
 
 def test_truncated_pyramid_reproduces_lemma_rows():
