@@ -7,10 +7,10 @@ exact-cover checker.  Layout conventions:
 * Staircase pieces ("rows m..n") occupy row j at [0, j] x [n-j, n-j+1],
   so the longest row sits at the bottom.
 * The almost-square assembly with parameters (m, n) fills the
-  (n+1) x (n+1) frame with an m x m square at the top left, a row
-  staircase at the bottom left and a column staircase hanging from height
-  n on the right, leaving a 1 x (n+1-m) gap at the right end of the top
-  row.
+  (n+1) x (n+1) frame with an m x m square at the top left (``_square``),
+  a row staircase at the bottom left and a column staircase hanging from
+  height n on the right (``_stairs``), leaving a 1 x (n+1-m) gap at the
+  right end of the top row.
 * Grid layouts address sub-puzzles row-major with row 0 at the top.
 
 Cell-level generation is capped at the n that ``geometry.CONSTRUCTIONS``
@@ -85,6 +85,24 @@ def _stair_cols(m: int, n: int, ox: QuadLike, oy: QuadLike, label: str) -> Regio
     return Region(label, cols)
 
 
+def _stairs(prefix: str, layer: str, m: int, n: int, ox: int,
+            oy: int) -> list[Placement]:
+    """The two staircases of the almost-square (m, n) at frame origin
+    (ox, oy), in place: rows m..n, then columns m..n."""
+    return [_identity(f"{prefix}/stair_a", layer,
+                      _stair_rows(m, n, ox, oy, "stair_a")),
+            _identity(f"{prefix}/stair_b", layer,
+                      _stair_cols(m, n, ox, oy, "stair_b"))]
+
+
+def _square(prefix: str, layer: str, label: str, m: int, n: int, ox: int,
+            oy: int) -> Placement:
+    """The m x m square of the almost-square (m, n) at frame origin
+    (ox, oy), in place."""
+    return _identity(f"{prefix}/square", layer,
+                     Region(label, (rect(ox, oy + (n + 1 - m), m, m),)))
+
+
 # -- triangular numbers: two staircases make a rectangle ------------------
 
 
@@ -114,29 +132,6 @@ def gauss_rectangle(n: int) -> DissectionCertificate:
 # -- three pyramids in 2D: almost-squares plus the half-row swap ----------
 
 
-def _almost_square_pieces(m: int, n: int, ox: QuadLike, oy: QuadLike,
-                          square_label: str, id_prefix: str,
-                          split_square: bool) -> list[tuple[str, Region]]:
-    """Pieces of the almost-square (m, n) at frame origin (ox, oy).
-
-    With ``split_square`` the m x m square is cut at height n + 1/2 into
-    its body and the top half-row (returned last, id suffix "halfrow")."""
-    pieces = [
-        (f"{id_prefix}/stair_a", _stair_rows(m, n, ox, oy, "stair_a")),
-        (f"{id_prefix}/stair_b", _stair_cols(m, n, ox, oy, "stair_b")),
-    ]
-    if split_square:
-        body = Region(square_label,
-                      (rect(ox, oy + (n + 1 - m), m, QuadExt(m) - HALF),))
-        half = Region(square_label, (rect(ox, oy + n + HALF, m, HALF),))
-        pieces.append((f"{id_prefix}/square", body))
-        pieces.append((f"{id_prefix}/halfrow", half))
-    else:
-        square = Region(square_label, (rect(ox, oy + (n + 1 - m), m, m),))
-        pieces.append((f"{id_prefix}/square", square))
-    return pieces
-
-
 def three_pyramids_2d(n: int) -> DissectionCertificate:
     """n almost-square layers levelled into (n+1) x (n+1/2) rectangles.
 
@@ -147,22 +142,20 @@ def three_pyramids_2d(n: int) -> DissectionCertificate:
     _require("THREE_PYR_2D", n)
     placements: list[Placement] = []
     targets: list[tuple[str, Region]] = []
-    zero = QuadExt(0)
     for m in range(1, n + 1):
         layer = f"layer/{m}"
         prefix = f"THREE_PYR_2D/{layer}"
-        pieces = _almost_square_pieces(m, n, zero, zero, "main_square",
-                                       prefix, split_square=True)
-        for piece_id, region in pieces[:-1]:
-            placements.append(_identity(piece_id, layer, region))
-        half_id, half_region = pieces[-1]
+        placements += _stairs(prefix, layer, m, n, 0, 0)
+        # the square, cut at height n + 1/2: its body stays, and its top
+        # half-row moves into the partner layer's gap band, x in
+        # [partner, n+1] and y in [n, n+1/2]
+        placements.append(_identity(f"{prefix}/square", layer, Region(
+            "main_square", (rect(0, n + 1 - m, m, QuadExt(m) - HALF),))))
         partner = n + 1 - m
-        # gap band of the partner layer: x in [partner, n+1], y in [n, n+1/2]
-        placements.append(Placement(
-            half_id, layer, half_region,
-            RigidTransform.translation(QuadExt(partner), -HALF),
-            f"layer/{partner}",
-        ))
+        placements.append(_translated(
+            f"{prefix}/halfrow", layer,
+            Region("main_square", (rect(0, QuadExt(n) + HALF, m, HALF),)),
+            partner, -HALF, f"layer/{partner}"))
         targets.append((layer, Region("target",
                                       (rect(0, 0, n + 1, QuadExt(n) + HALF),))))
     return DissectionCertificate("THREE_PYR_2D", n, tuple(placements),
@@ -218,10 +211,10 @@ def nicomachus_4d_2d(n: int) -> DissectionCertificate:
             ox, oy = _grid_origin(r, s, n)
             m = max(r, s)
             prefix = f"NICOMACHUS_4D_2D/{layer}/{r},{s}"
-            for piece_id, region in _almost_square_pieces(
-                    m, n, ox, oy, _subpuzzle_square_label(r, s), prefix,
-                    split_square=False):
-                placements.append(_identity(piece_id, layer, region))
+            placements += _stairs(prefix, layer, m, n, ox, oy)
+            placements.append(_square(prefix, layer,
+                                      _subpuzzle_square_label(r, s), m, n,
+                                      ox, oy))
             targets.append((layer, Region("target", (rect(ox, oy, n + 1, n + 1),))))
     placements.extend(_green_sweep_placements("NICOMACHUS_4D_2D", layer, n, 1))
     return DissectionCertificate("NICOMACHUS_4D_2D", n, tuple(placements),
@@ -263,19 +256,13 @@ def five_pyramids_layers(n: int) -> DissectionCertificate:
                 ox, oy = _grid_origin(r, s, n)
                 m = max(r, s)
                 prefix = f"FIVE_PYR_LAYERS/{layer}/{r},{s}"
+                # below t the square is a hole, filled by a fifth-pyramid
+                # block, and the stairs start at row t
                 if m >= t:
-                    rows_from = m
-                    square = Region(_subpuzzle_square_label(r, s),
-                                    (rect(ox, oy + (n + 1 - m), m, m),))
-                    placements.append(_identity(f"{prefix}/square", layer, square))
-                else:
-                    rows_from = t  # square hole; filled by a fifth-pyramid block
-                placements.append(_identity(
-                    f"{prefix}/stair_a", layer,
-                    _stair_rows(rows_from, n, ox, oy, "stair_a")))
-                placements.append(_identity(
-                    f"{prefix}/stair_b", layer,
-                    _stair_cols(rows_from, n, ox, oy, "stair_b")))
+                    placements.append(_square(prefix, layer,
+                                              _subpuzzle_square_label(r, s),
+                                              m, n, ox, oy))
+                placements += _stairs(prefix, layer, max(m, t), n, ox, oy)
                 targets.append((layer,
                                 Region("target", (rect(ox, oy, n + 1, n + 1),))))
         placements.extend(

@@ -93,22 +93,16 @@ class RigidTransform:
     dx: QuadExt = QuadExt(0)
     dy: QuadExt = QuadExt(0)
 
-    def apply_point(self, x: QuadExt, y: QuadExt) -> tuple[QuadExt, QuadExt]:
-        if self.reflect:
-            x = -x
-        for _ in range(self.quarter_turns % 4):
-            x, y = -y, x
-        return x + self.dx, y + self.dy
-
     def apply_rect(self, r: Rect) -> Rect:
-        x1, y1 = self.apply_point(r.x, r.y)
-        x2, y2 = self.apply_point(r.x2, r.y2)
-        lo_x, hi_x = (x1, x2) if x1 < x2 else (x2, x1)
-        lo_y, hi_y = (y1, y2) if y1 < y2 else (y2, y1)
-        return Rect(lo_x, lo_y, hi_x - lo_x, hi_y - lo_y)
-
-    def apply_region(self, region: Region) -> Region:
-        return Region(region.label, tuple(self.apply_rect(r) for r in region.rects))
+        """``r`` moved by the kernel's ``_place`` rule: a reflection sends x
+        to -(x + w), a quarter turn (x, y, w, h) to (-(y + h), x, h, w), so
+        no coordinate is compared."""
+        x, y, w, h = r
+        if self.reflect:
+            x = -(x + w)
+        for _ in range(self.quarter_turns % 4):
+            x, y, w, h = -(y + h), x, h, w
+        return Rect(x + self.dx, y + self.dy, w, h)
 
     @staticmethod
     def translation(dx: QuadLike, dy: QuadLike) -> RigidTransform:
@@ -127,7 +121,8 @@ class Placement:
     destination_layer: str
 
     def placed(self) -> Region:
-        return self.transform.apply_region(self.source)
+        move = self.transform.apply_rect
+        return Region(self.source.label, tuple(map(move, self.source.rects)))
 
 
 @dataclass(frozen=True)

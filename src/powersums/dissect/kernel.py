@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate, islice
 from math import isqrt
 from operator import itemgetter
-from typing import (Callable, Collection, Iterable, Iterator, NamedTuple,
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Optional, Sequence)
 
 #: Reserved destination layer id: pieces sent here must tile the declared
@@ -228,16 +228,22 @@ def _check_source_disjoint(layer: str, source_rects: Sequence[LatticeRect],
 
 
 def _validate_structure(cert: LatticeCertificate,
-                        constructions: Collection[str]) -> Optional[Failure]:
+                        constructions: Mapping[str, int]) -> Optional[Failure]:
     """The first structural defect, if any: an unknown construction, n below
-    1, a target on the leftover layer, a repeated piece id, a quarter turn
-    outside 0..3, or an empty or degenerate source."""
+    1 or above the construction's cap in ``constructions``, a target on the
+    leftover layer, a repeated piece id, a quarter turn outside 0..3, or an
+    empty or degenerate source."""
     if cert.construction not in constructions:
         return Failure("malformed", None, None,
                        f"unknown construction {bounded(repr(cert.construction))}")
     if cert.n < 1:
         return Failure("malformed", None, None,
                        f"n must be >= 1, got {bounded(str(cert.n))}")
+    cap = constructions[cert.construction]
+    if cert.n > cap:
+        return Failure("malformed", None, None,
+                       f"n must be <= {cap} for {cert.construction}, "
+                       f"got {bounded(str(cert.n))}")
     for layer, _rects in cert.targets:
         if layer == LEFTOVER_LAYER:
             return Failure("malformed", layer, None,

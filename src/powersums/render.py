@@ -28,7 +28,6 @@ from .dissect.generators import (
 from .dissect.geometry import LEFTOVER_LAYER, DissectionCertificate, Region
 from .dissect.kernel import bounded
 from .exact import QuadLike, quad_to_float, strip_root
-from .pyramid import build_pyramid, main_sections, secondary_sections
 
 #: Fill colours per piece label (total over everything the generators and
 #: figure builders emit).
@@ -150,19 +149,18 @@ def _gauss(scene: _Scene, spec: FigureSpec) -> None:
 
 
 def _main_sections(scene: _Scene, spec: FigureSpec) -> None:
+    """Main section k of P_3(n) is the k x k square, k = 1..n."""
     x0 = 0
-    for section in main_sections(build_pyramid(3, spec.n)):
-        k = max(c[0] for c in section.cells) + 1
+    for k in range(1, spec.n + 1):
         scene.add_cells(x0, 0, k, k, "square_orange")
         x0 += k + 1
 
 
 def _secondary_sections(scene: _Scene, spec: FigureSpec) -> None:
-    n, x0 = spec.n, 0
-    pyramid = build_pyramid(3, n)
-    for m, _section in enumerate(secondary_sections(pyramid, 2), start=1):
-        scene.add_region(_stair_rows(m, n, x0, 0, "stair_a"))
-        x0 += n + 2
+    """Secondary section m of P_3(n) is the staircase of rows m..n."""
+    n = spec.n
+    for m in range(1, n + 1):
+        scene.add_region(_stair_rows(m, n, (m - 1) * (n + 2), 0, "stair_a"))
 
 
 def _puzzle_3d(scene: _Scene, spec: FigureSpec) -> None:

@@ -260,6 +260,16 @@ def test_doubled_targets_without_pieces_are_malformed(edit, line, tmp_path,
     assert (code, *capsys.readouterr()) == (3, line, "")
 
 
+def test_n_above_the_cap_is_malformed(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(_edited(_set(lambda d: d, "n", 101), GAUSS_TEXT),
+                    encoding="utf-8")
+    code = main(["check", str(path)])
+    assert (code, *capsys.readouterr()) == (
+        3, "GAUSS_RECT n=101: FAIL malformed: n must be <= 100 for GAUSS_RECT, "
+           "got 101\n", "")
+
+
 def _unlabelled_region(data: Any) -> None:
     source = _placement(data)["source"]
     del source["label"]
@@ -308,6 +318,8 @@ def _gauss(edit: Callable[[Any], None]) -> str:
                  id="4000-digit cell corner"),
     pytest.param(_gauss(_set(lambda d: d, "n", -int(DIGITS))), 3, "out",
                  id="negative 4000-digit n"),
+    pytest.param(_gauss(_set(lambda d: d, "n", int(DIGITS))), 3, "out",
+                 id="4000-digit n"),
 ])
 def test_oversized_values_are_not_echoed_whole(text, expected_code, stream,
                                                tmp_path, capsys):

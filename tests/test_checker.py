@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powersums.dissect import (
@@ -36,6 +36,7 @@ from powersums.dissect.checker import (
     _from_objects,
     _lattice_points,
 )
+from powersums.dissect.geometry import Rect
 from powersums.dissect.kernel import _sorted_points, lattice_sign as _sign
 from powersums.dissect.mutants import MUTATION_KINDS
 from powersums.exact import QuadExt, quad_to_text, strip_root
@@ -225,14 +226,28 @@ def test_lattice_order_matches_quadext_order(points, ties):
     assert _sign(459, -100) == 1
 
 
+sixths = st.integers(-120, 120).map(lambda k: Fraction(k, 6))
+sqrt21_values = st.builds(QuadExt, sixths, sixths.map(lambda v: v / 6))
+# a + c*x with a, c >= 0 and x = strip_root() > 0: positive, and irrational
+# whenever c is not 0
+sqrt21_sides = st.builds(
+    lambda a, c: QuadExt(Fraction(a, 6)) + strip_root() * Fraction(c, 6),
+    st.integers(1, 60), st.integers(0, 18))
+sqrt21_rects = st.builds(Rect, sqrt21_values, sqrt21_values, sqrt21_sides,
+                         sqrt21_sides)
+
+
 @pytest.mark.parametrize("reflect", [False, True])
 @pytest.mark.parametrize("quarter_turns", [0, 1, 2, 3])
-def test_lattice_transform_matches_placed(reflect, quarter_turns):
+@given(st.lists(sqrt21_rects, max_size=4), sqrt21_values, sqrt21_values)
+@example([], QuadExt(Fraction(5, 2)) - strip_root(), QuadExt(1, Fraction(-1, 3)))
+@settings(max_examples=40)
+def test_lattice_transform_matches_placed(reflect, quarter_turns, rects, dx,
+                                          dy):
     x = strip_root()
     r = rect(x + Fraction(1, 3), QuadExt(-2) - x, QuadExt(3) + x, x)
-    t = RigidTransform(quarter_turns, reflect, QuadExt(Fraction(5, 2)) - x,
-                       QuadExt(1, Fraction(-1, 3)))
-    piece = Placement("p", "a", Region("piece", (r,)), t, "b")
+    t = RigidTransform(quarter_turns, reflect, dx, dy)
+    piece = Placement("p", "a", Region("piece", (r, *rects)), t, "b")
     cert = DissectionCertificate("GAUSS_RECT", 1, (piece,),
                                  (("b", piece.placed()),), ())
     _d, lattice = _from_objects(cert)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from powersums import pyramid
 from powersums.cli import main
 from powersums.dissect import (
     UnsupportedN,
@@ -71,6 +72,21 @@ def test_matches_golden_file(name, n, fmt, ext):
     document = emit_figure(FigureSpec(name, n, format=fmt))
     golden = (GOLDEN_DIR / f"{name}_n{n}.{ext}").read_text(encoding="utf-8")
     assert document == golden
+
+
+def test_section_figures_build_no_pyramid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a section figure built a pyramid")
+
+    monkeypatch.setattr(pyramid, "build_pyramid", refuse)
+    # every pyramid builder makes its cells here, so a builder imported by
+    # name is refused too
+    monkeypatch.setattr(pyramid, "_levels_cells", refuse)
+    for name in ("MAIN_SECTIONS", "SECONDARY_SECTIONS"):
+        for fmt in ("svg", "tikz"):
+            emit_figure(FigureSpec(name, 4, format=fmt))
+    golden = (GOLDEN_DIR / "MAIN_SECTIONS_n4.svg").read_text(encoding="utf-8")
+    assert emit_figure(FigureSpec("MAIN_SECTIONS", 4)) == golden
 
 
 def test_cell_counts_match_certificates():
