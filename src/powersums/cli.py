@@ -35,10 +35,6 @@ EXIT_IDENTITY = 1
 EXIT_COVER = 2
 EXIT_MALFORMED = 3
 
-#: Largest ``figure --unit-px``: no drawing needs more, and far larger
-#: values overflow the float pixel sizes.
-MAX_UNIT_PX = 1000
-
 #: What a handler raises to refuse its input.  Every domain refusal is a
 #: ValueError; a file that cannot be read or written is an OSError.
 _REFUSALS = (ValueError, OSError, figurate.IdentityError)
@@ -112,8 +108,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    if not 1 <= args.unit_px <= MAX_UNIT_PX:
-        raise ValueError(f"--unit-px must be 1..{MAX_UNIT_PX}")
     spec = render.FigureSpec(figure_name=args.name, n=args.n,
                              format=args.format, unit_px=args.unit_px,
                              section=args.section)

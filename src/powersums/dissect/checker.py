@@ -40,7 +40,6 @@ from .kernel import (
     Point,
     _check_layer_cover,
     _scan,
-    _validate_structure,
     bounded,
 )
 # unused here: perfbench's traced run rebinds these per-layer scans through
@@ -206,10 +205,7 @@ def check_certificate(cert: Union[DissectionCertificate, WireCertificate],
             d, lattice = _from_wire(cert)
         else:
             d, lattice = _from_objects(cert)
-        failure = _validate_structure(lattice, CONSTRUCTIONS)
-        if failure is not None:
-            return _report(failure, 0, 0, d)
-        return _report(*_scan(lattice), d)
+        return _report(*_scan(lattice, CONSTRUCTIONS), d)
     except Exception as exc:  # malformed input must never crash the checker
         return CheckReport(False, CheckFailure(
             "malformed", None, None, f"{type(exc).__name__}: {exc}"))

@@ -55,6 +55,9 @@ class StageCheckError(RuntimeError):
 
 
 def _require(construction: str, n: int) -> None:
+    if type(n) is not int:  # never coerce: a bool or 2.0 is not an n
+        raise TypeError(f"{construction}: n must be an int, "
+                        f"got {bounded(repr(n))}")
     cap = CONSTRUCTIONS[construction]
     if n < 1:
         raise UnsupportedN(f"{construction}: n must be >= 1, got {bounded(str(n))}")
@@ -422,15 +425,17 @@ def _dual_slot_targets(n: int, rings: range) -> list[tuple[int, int, list[Rect]]
     return out
 
 
-def _corner_square_bijection(n: int, rings: range,
+def _corner_square_bijection(n: int, lowest: int,
                              construction_tag: str) -> DissectionCertificate:
-    """Cell-level bijection from corner-of-squares to square-of-corners.
+    """Cell-level bijection from corner-of-squares to square-of-corners, on
+    rings k = lowest..n.
 
     The square with ring index sigma and local cell (a, b) maps to the
     gnomon cell sigma inside dual slot (a, b): swapping "which entry" with
     "which cell" is the commutativity of the two figurate roles.
     """
     _require("STEP4_TOP", n)
+    rings = range(lowest, n + 1)
     pitch = n + 1
     placements: list[Placement] = []
     targets: list[tuple[str, Region]] = []
@@ -505,12 +510,12 @@ def step4_overlap(n: int) -> DissectionCertificate:
 
 def step4_bijection(n: int) -> DissectionCertificate:
     """The corner/square bijection in layered form: rings k = 1..n."""
-    return _corner_square_bijection(n, range(1, n + 1), "STEP4_TOP/layered")
+    return _corner_square_bijection(n, 1, "STEP4_TOP/layered")
 
 
 def step4_bijection_full(n: int) -> DissectionCertificate:
     """The corner/square bijection at full scale: ring n alone."""
-    return _corner_square_bijection(n, range(n, n + 1), "STEP4_TOP/full")
+    return _corner_square_bijection(n, n, "STEP4_TOP/full")
 
 
 @dataclass(frozen=True)
@@ -569,6 +574,9 @@ def full_theorem_report(n: int) -> IdentityReport:
     Raises ``StageCheckError`` naming the failing stage on any checker or
     interface failure.
     """
+    if type(n) is not int:
+        raise TypeError(f"full_theorem_report: n must be an int, "
+                        f"got {bounded(repr(n))}")
     if n < 1:
         raise UnsupportedN(
             f"full_theorem_report: n must be >= 1, got {bounded(str(n))}")
@@ -585,8 +593,9 @@ def full_theorem_report(n: int) -> IdentityReport:
                            ("step4_overlap", step4.overlap)):
             _checked(name, cert)
         # stage interfaces: each stage's sources must retile the previous
-        # stage's targets, and the excess layer must reappear as the
-        # corner copy of the top-layer certificates.
+        # stage's targets, the excess layer must reappear as the corner
+        # copy of both layered top-layer certificates, and the bijection's
+        # square-of-corners must be the overlap's copy B.
         for t in range(1, n + 1):
             layer = f"layer/{t}"
             _interface(f"interface five->step2 {layer}", layer,
@@ -596,6 +605,12 @@ def full_theorem_report(n: int) -> IdentityReport:
         _interface("interface excess->step4", "excess",
                    _layer_sources(step4.overlap, "corner"),
                    _layer_targets(five, "excess"))
+        _interface("interface excess->step4 bijection", "excess",
+                   _layer_sources(step4.bijection, "corner"),
+                   _layer_targets(five, "excess"))
+        _interface("interface step4 bijection->overlap", "dual",
+                   _layer_sources(step4.overlap, "dual"),
+                   _layer_targets(step4.bijection, "dual"))
         for name in ("R_BALANCE", "TOP_LAYER_DOUBLE", "ARCHIMEDES_GEN",
                      "SCISSOR_FACTOR"):
             report = evaluate_identity(name, {"n": n})
@@ -606,15 +621,14 @@ def full_theorem_report(n: int) -> IdentityReport:
 
 # -- by name ------------------------------------------------------------------
 
-#: construction name -> its generator, for every entry of ``CONSTRUCTIONS``
-_GENERATORS: dict[str, Callable[[int], DissectionCertificate | TopLayerResult]] = {
+#: construction name -> its generator; STEP4_TOP's are ``_STEP4_VARIANTS``
+_GENERATORS: dict[str, Callable[[int], DissectionCertificate]] = {
     "GAUSS_RECT": gauss_rectangle,
     "THREE_PYR_2D": three_pyramids_2d,
     "NICOMACHUS_4D_2D": nicomachus_4d_2d,
     "FIVE_PYR_LAYERS": five_pyramids_layers,
     "STEP2_RESHAPE": step2_reshape,
     "STEP3_SCISSOR": step3_scissor,
-    "STEP4_TOP": step4_top_layer,
 }
 
 #: STEP4_TOP's variants, the default first -> the builder of that one

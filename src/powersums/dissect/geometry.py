@@ -48,14 +48,6 @@ class Rect(NamedTuple):
     h: QuadExt
 
     @property
-    def x2(self) -> QuadExt:
-        return self.x + self.w
-
-    @property
-    def y2(self) -> QuadExt:
-        return self.y + self.h
-
-    @property
     def area(self) -> QuadExt:
         return self.w * self.h
 

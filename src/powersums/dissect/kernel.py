@@ -56,12 +56,12 @@ class Failure(NamedTuple):
     message: str
 
 
-def bounded(text: str, limit: int = 200) -> str:
-    """``text``, cut after ``limit`` characters: messages echo outside
-    values through it, so their size does not grow with the input."""
-    if len(text) <= limit:
+def bounded(text: str) -> str:
+    """``text``, cut after 200 characters: messages echo outside values
+    through it, so their size does not grow with the input."""
+    if len(text) <= 200:
         return text
-    return f"{text[:limit]}... ({len(text)} characters)"
+    return f"{text[:200]}... ({len(text)} characters)"
 
 
 def lattice_sign(a: int, b: int) -> int:
@@ -229,13 +229,16 @@ def _check_source_disjoint(layer: str, source_rects: Sequence[LatticeRect],
 
 def _validate_structure(cert: LatticeCertificate,
                         constructions: Mapping[str, int]) -> Optional[Failure]:
-    """The first structural defect, if any: an unknown construction, n below
-    1 or above the construction's cap in ``constructions``, a target on the
-    leftover layer, a repeated piece id, a quarter turn outside 0..3, or an
-    empty or degenerate source."""
+    """The first structural defect, if any: an unknown construction, n not
+    an int or below 1 or above the construction's cap in ``constructions``,
+    a target on the leftover layer, a repeated piece id, a quarter turn
+    not an int in 0..3, or an empty or degenerate source."""
     if cert.construction not in constructions:
         return Failure("malformed", None, None,
                        f"unknown construction {bounded(repr(cert.construction))}")
+    if type(cert.n) is not int:  # the wire walk refuses one too
+        return Failure("malformed", None, None,
+                       f"n must be an int, got {bounded(repr(cert.n))}")
     if cert.n < 1:
         return Failure("malformed", None, None,
                        f"n must be >= 1, got {bounded(str(cert.n))}")
@@ -255,7 +258,7 @@ def _validate_structure(cert: LatticeCertificate,
             return Failure("malformed", None, None,
                            f"duplicate piece id {bounded(repr(piece_id))}")
         seen_ids.add(piece_id)
-        if not 0 <= quarter_turns <= 3:
+        if type(quarter_turns) is not int or not 0 <= quarter_turns <= 3:
             return Failure("malformed", None, None,
                            f"piece {bounded(repr(piece_id))}: quarter_turns "
                            f"must be 0..3, got {bounded(str(quarter_turns))}")
@@ -272,12 +275,14 @@ def _validate_structure(cert: LatticeCertificate,
     return None
 
 
-def _scan(cert: LatticeCertificate) -> tuple[Optional[Failure], int, int]:
-    """Source disjointness on every source layer, then exact cover on every
-    destination layer, each in sorted layer order.  Returns the first
-    failure (None if the certificate passes) with the layers and cells
-    scanned up to and including it.  Expects a certificate that passed
-    ``_validate_structure``."""
+def _scan(cert: LatticeCertificate, constructions: Mapping[str, int],
+          ) -> tuple[Optional[Failure], int, int]:
+    """The verdict: structure, then source disjointness per source layer,
+    then exact cover per destination layer, in sorted layer order.  The
+    first failure (or None), with the layers and cells scanned to it."""
+    failure = _validate_structure(cert, constructions)
+    if failure is not None:
+        return failure, 0, 0
     by_source: dict[str, list[LatticeRect]] = {}
     by_dest: dict[str, list[LatticeRect]] = {}
     for _id, source_layer, rects, transform, dest in cert.pieces:

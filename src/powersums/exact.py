@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import total_ordering
 from math import gcd, isqrt
 from typing import Union
 
@@ -38,6 +39,7 @@ _TEXT_RE = re.compile(
 )
 
 
+@total_ordering
 class QuadExt:
     """Element a + b*sqrt(21) of Q(sqrt(21)) with exact rational parts.
 
@@ -150,15 +152,6 @@ class QuadExt:
 
     def __lt__(self, other: QuadLike) -> bool:
         return _compare(self, other) < 0
-
-    def __le__(self, other: QuadLike) -> bool:
-        return _compare(self, other) <= 0
-
-    def __gt__(self, other: QuadLike) -> bool:
-        return _compare(self, other) > 0
-
-    def __ge__(self, other: QuadLike) -> bool:
-        return _compare(self, other) >= 0
 
     def __hash__(self) -> int:
         if self._b == 0:

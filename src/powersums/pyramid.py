@@ -79,10 +79,12 @@ def _cell_set(dimension: int, cells: frozenset[Cell]) -> CellSet:
 
 
 def _require(d: int, n: int) -> None:
-    """Refuse P_d(n) unless d is 2..5, n >= 1 and it has at most
-    ``MAX_PYRAMID_CELLS`` cells."""
-    if d not in _CELLS:
+    """Refuse P_d(n) unless d is an int in 2..5, n an int >= 1, and it has
+    at most ``MAX_PYRAMID_CELLS`` cells."""
+    if type(d) is not int or d not in _CELLS:
         raise DimensionOutOfRange(f"dimension must be 2..5, got {bounded(str(d))}")
+    if type(n) is not int:  # never coerce: a bool or 2.0 is not an n
+        raise TypeError(f"n must be an int, got {bounded(repr(n))}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {bounded(str(n))}")
     if _CELLS[d](n) > MAX_PYRAMID_CELLS:
@@ -112,6 +114,8 @@ def truncated_pyramid(d: int, n: int, m: int) -> CellSet:
     Only those levels are made, but P_d(n) itself must be within
     ``MAX_PYRAMID_CELLS``, as for ``build_pyramid``.
     """
+    if type(m) is not int:
+        raise TypeError(f"m must be an int, got {bounded(repr(m))}")
     if not 1 <= m <= n:
         raise ValueError(f"m must satisfy 1 <= m <= n, "
                          f"got m={bounded(str(m))} n={bounded(str(n))}")
@@ -174,7 +178,7 @@ def secondary_sections(p: CellSet, axis: int) -> list[CellSet]:
     its slice; a cell whose coordinate axis is outside 0..n-1 is in none.
     """
     d = p.dimension
-    if not 2 <= axis <= d:
+    if type(axis) is not int or not 2 <= axis <= d:
         raise AxisOutOfRange(f"axis must be 2..{d}, got {bounded(str(axis))}")
     n = _levels(p)
     by_coordinate = _slices(p, axis - 1)

@@ -16,6 +16,7 @@ from typing import Callable
 
 from .dissect.generators import (
     UnsupportedN,
+    _layer_targets,
     _stair_rows,
     five_pyramids_layers,
     gauss_rectangle,
@@ -56,6 +57,10 @@ PALETTE: dict[str, str] = {
 }
 
 _STROKE = "#303030"
+
+#: Largest ``unit_px``: no drawing needs more, and far larger values
+#: overflow the float pixel sizes.
+MAX_UNIT_PX = 1000
 
 
 @dataclass(frozen=True)
@@ -104,22 +109,20 @@ class _Scene:
         self.frames.append(_float_box(x, y, w, h))
 
 
-def _placed_scene(cert: DissectionCertificate, layers: set[str] | None,
-                  scene: _Scene, dx: int = 0) -> None:
-    """Draw the destination state of a certificate (selected layers)."""
+def _placed_scene(cert: DissectionCertificate, layer: str, scene: _Scene,
+                  dx: int = 0) -> None:
+    """Draw one layer of a certificate as placed: its pieces and targets."""
     for p in cert.placements:
-        if layers is None or p.destination_layer in layers:
+        if p.destination_layer == layer:
             scene.add_region(p.placed(), dx)
-    for layer, region in cert.targets:
-        if layers is None or layer in layers:
-            for r in region.rects:
-                scene.add_frame(r.x + dx, r.y, r.w, r.h)
+    for r in _layer_targets(cert, layer):
+        scene.add_frame(r.x + dx, r.y, r.w, r.h)
 
 
-def _source_scene(cert: DissectionCertificate, layers: set[str],
-                  scene: _Scene, dx: int = 0) -> None:
+def _source_scene(cert: DissectionCertificate, layer: str, scene: _Scene,
+                  dx: int = 0) -> None:
     for p in cert.placements:
-        if p.source_layer in layers:
+        if p.source_layer == layer:
             scene.add_region(p.source, dx)
 
 
@@ -145,7 +148,7 @@ def _odd_numbers(scene: _Scene, spec: FigureSpec) -> None:
 
 
 def _gauss(scene: _Scene, spec: FigureSpec) -> None:
-    _placed_scene(gauss_rectangle(spec.n), None, scene)
+    _placed_scene(gauss_rectangle(spec.n), "plane", scene)
 
 
 def _main_sections(scene: _Scene, spec: FigureSpec) -> None:
@@ -168,7 +171,7 @@ def _puzzle_3d(scene: _Scene, spec: FigureSpec) -> None:
     cert = three_pyramids_2d(n)
     for m in range(1, n + 1):
         dx = (m - 1) * (n + 3)
-        _source_scene(cert, {f"layer/{m}"}, scene, dx)
+        _source_scene(cert, f"layer/{m}", scene, dx)
         scene.add_frame(dx, 0, n + 1, n + 1)
 
 
@@ -176,15 +179,15 @@ def _puzzle_3d_diy(scene: _Scene, spec: FigureSpec) -> None:
     n = spec.n
     cert = three_pyramids_2d(n)
     for m in range(1, n + 1):
-        _placed_scene(cert, {f"layer/{m}"}, scene, (m - 1) * (n + 3))
+        _placed_scene(cert, f"layer/{m}", scene, (m - 1) * (n + 3))
 
 
 def _nicomachus_grid(scene: _Scene, spec: FigureSpec) -> None:
-    _source_scene(nicomachus_4d_2d(spec.n), {"grid"}, scene)
+    _source_scene(nicomachus_4d_2d(spec.n), "grid", scene)
 
 
 def _nicomachus_grid_diy(scene: _Scene, spec: FigureSpec) -> None:
-    _placed_scene(nicomachus_4d_2d(spec.n), {"grid"}, scene)
+    _placed_scene(nicomachus_4d_2d(spec.n), "grid", scene)
 
 
 def _five_pyr_section(scene: _Scene, spec: FigureSpec) -> None:
@@ -192,18 +195,18 @@ def _five_pyr_section(scene: _Scene, spec: FigureSpec) -> None:
     if not 1 <= t <= n:
         raise UnsupportedN(f"FIVE_PYR_SECTION: section must be 1..{n}, "
                            f"got {bounded(str(t))}")
-    _placed_scene(five_pyramids_layers(n), {f"layer/{t}"}, scene)
+    _placed_scene(five_pyramids_layers(n), f"layer/{t}", scene)
 
 
 def _convolution_excess(scene: _Scene, spec: FigureSpec) -> None:
-    _placed_scene(five_pyramids_layers(spec.n), {"excess"}, scene)
+    _placed_scene(five_pyramids_layers(spec.n), "excess", scene)
 
 
 def _step2(scene: _Scene, spec: FigureSpec) -> None:
     n = spec.n
     cert = step2_reshape(n)
-    _source_scene(cert, {"layer/1"}, scene)
-    _placed_scene(cert, {"layer/1"}, scene, n * (n + 1) + 2)
+    _source_scene(cert, "layer/1", scene)
+    _placed_scene(cert, "layer/1", scene, n * (n + 1) + 2)
 
 
 def _step3_scissor(scene: _Scene, spec: FigureSpec) -> None:
@@ -231,7 +234,7 @@ def _top_dual(scene: _Scene, spec: FigureSpec) -> None:
 
 
 def _two_copies(scene: _Scene, spec: FigureSpec) -> None:
-    _placed_scene(step4_overlap(spec.n), {"doubled"}, scene)
+    _placed_scene(step4_overlap(spec.n), "doubled", scene)
 
 
 #: Every figure by name: its builder and the largest n it draws.  None
@@ -262,6 +265,11 @@ def _build_scene(spec: FigureSpec) -> _Scene:
     build, max_n = _FIGURES[spec.figure_name]
     if spec.section is not None and build is not _five_pyr_section:
         raise ValueError(f"{spec.figure_name} takes no section")
+    if type(spec.n) is not int:  # never coerce: a bool or 2.0 is not an n
+        raise TypeError(f"n must be an int, got {bounded(repr(spec.n))}")
+    if spec.section is not None and type(spec.section) is not int:
+        raise TypeError(f"section must be an int, "
+                        f"got {bounded(repr(spec.section))}")
     if spec.n < 1:
         raise UnsupportedN(f"n must be >= 1, got {bounded(str(spec.n))}")
     if max_n is not None and spec.n > max_n:
@@ -345,6 +353,11 @@ def emit_figure(spec: FigureSpec) -> str:
         raise ValueError(f"unknown figure: {spec.figure_name!r}")
     if spec.format not in ("svg", "tikz"):
         raise ValueError(f"format must be svg or tikz, got {spec.format!r}")
+    if type(spec.unit_px) is not int:
+        raise TypeError(f"unit_px must be an int, "
+                        f"got {bounded(repr(spec.unit_px))}")
+    if not 1 <= spec.unit_px <= MAX_UNIT_PX:
+        raise ValueError(f"--unit-px must be 1..{MAX_UNIT_PX}")
     scene = _build_scene(spec)
     if spec.format == "svg":
         return _emit_svg(scene, spec.unit_px)

@@ -114,6 +114,12 @@ def test_malformed_certificates_never_crash():
         replace(ok, placements=(replace(
             ok.placements[0], source=Region("empty", ())),) + ok.placements[1:]),
         replace(ok, targets=((LEFTOVER_LAYER, ok.targets[0][1]),)),
+        # built in process, so no JSON walk refused these first
+        replace(ok, n=True),
+        replace(ok, n=2.0),
+        replace(ok, placements=(replace(
+            ok.placements[0],
+            transform=RigidTransform(quarter_turns=True)),) + ok.placements[1:]),
     ]
     for bad in cases:
         report = check_certificate(bad)

@@ -88,8 +88,7 @@ def _entry_points(monkeypatch, seen):
     cert = five_pyramids_layers(1)
     monkeypatch.setattr(generators, "five_pyramids_layers",
                         probe(generators.five_pyramids_layers))
-    monkeypatch.setattr(checker, "_validate_structure",
-                        probe(checker._validate_structure))
+    monkeypatch.setattr(checker, "_scan", probe(checker._scan))
     monkeypatch.setattr(cli, "_build_parser", probe(cli._build_parser))
     return [
         lambda: full_theorem_report(1),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ import pytest
 from powersums import verify
 from powersums.dissect import generators
 from powersums.dissect import (
+    CONSTRUCTIONS,
     LEFTOVER_LAYER,
+    Rect,
     StageCheckError,
     UnsupportedN,
     check_certificate,
@@ -283,6 +286,66 @@ def test_identity_stage_failure_names_both_sides(monkeypatch):
     assert info.value.stage == "identity R_BALANCE"
     assert str(info.value) == message
     assert verify.CRITERIA[8].run(2) == f"pipeline n=2: {message}"
+
+
+def _shifted(rects, dx=0, dy=0):
+    return tuple(Rect(r.x + dx, r.y + dy, r.w, r.h) for r in rects)
+
+
+def _sources_moved_right(cert):
+    """Every source 1,000 units right and every dx 1,000 less: the same
+    placed pieces, from corners that are no longer the excess layer's."""
+    return dataclasses.replace(cert, placements=tuple(dataclasses.replace(
+        p, source=dataclasses.replace(p.source,
+                                      rects=_shifted(p.source.rects, dx=1000)),
+        transform=dataclasses.replace(p.transform, dx=p.transform.dx - 1000))
+        for p in cert.placements))
+
+
+def _targets_moved_up(cert):
+    """Every target and every dy 1,000 up: a square-of-corners that is no
+    longer the overlap certificate's copy B."""
+    return dataclasses.replace(
+        cert,
+        placements=tuple(dataclasses.replace(p, transform=dataclasses.replace(
+            p.transform, dy=p.transform.dy + 1000)) for p in cert.placements),
+        targets=tuple((layer, dataclasses.replace(
+            region, rects=_shifted(region.rects, dy=1000)))
+            for layer, region in cert.targets))
+
+
+@pytest.mark.parametrize("move,stage,kind,layer", [
+    (_sources_moved_right, "interface excess->step4 bijection", "uncovered",
+     "excess"),
+    (_targets_moved_up, "interface step4 bijection->overlap", "outside",
+     "dual"),
+])
+def test_a_moved_bijection_breaks_its_pipeline_link(monkeypatch, move, stage,
+                                                     kind, layer):
+    honest = generators.step4_bijection
+    assert check_certificate(move(honest(3))).ok  # it passes on its own
+    monkeypatch.setattr(generators, "step4_bijection",
+                        lambda n: move(honest(n)))
+    with pytest.raises(StageCheckError) as info:
+        full_theorem_report(3)
+    assert info.value.stage == stage
+    failure = info.value.report.failure
+    assert (failure.kind, failure.layer) == (kind, layer)
+
+
+#: every certificate builder, one rectangle's scissor cut, and the pipeline
+_N_TAKERS = [*(build for name in CONSTRUCTIONS
+               for build in generators.certificate_builders(name).values()),
+             step4_top_layer, full_theorem_report,
+             lambda n: generators.scissor_rectangle(n, 1, 0, 0)]
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5], ids=repr)
+@pytest.mark.parametrize("build", _N_TAKERS)
+def test_an_n_that_is_not_an_int_is_refused(build, value):
+    with pytest.raises(TypeError,
+                       match=f"n must be an int, got {re.escape(repr(value))}"):
+        build(value)
 
 
 def test_full_theorem_arithmetic_only_beyond_cap():

@@ -42,8 +42,23 @@ def test_build_pyramid_rejects_bad_dimension():
         build_pyramid(1, 3)
     with pytest.raises(DimensionOutOfRange):
         build_pyramid(6, 3)
+    for d in (True, 3.0):
+        with pytest.raises(DimensionOutOfRange):
+            build_pyramid(d, 2)
     with pytest.raises(ValueError):
         build_pyramid(3, 0)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5], ids=repr)
+def test_values_that_are_not_ints_are_refused(value):
+    with pytest.raises(TypeError, match="n must be an int"):
+        build_pyramid(3, value)
+    with pytest.raises(TypeError, match="n must be an int"):
+        sections_agree(3, value)
+    with pytest.raises(TypeError, match="n must be an int"):
+        truncated_pyramid(3, value, 1)
+    with pytest.raises(TypeError, match="m must be an int"):
+        truncated_pyramid(3, 3, value)
 
 
 def test_main_section_sizes():
@@ -68,6 +83,9 @@ def test_axis_out_of_range():
         secondary_sections(p, 1)
     with pytest.raises(AxisOutOfRange):
         secondary_sections(p, 4)
+    for axis in (True, 2.0):
+        with pytest.raises(AxisOutOfRange):
+            secondary_sections(p, axis)
 
 
 def test_main_sections_reject_non_pyramid():

@@ -146,11 +146,26 @@ def test_unsupported_inputs():
         emit_figure(FigureSpec("NICOMACHUS_GRID", 21))
     with pytest.raises(UnsupportedN):
         emit_figure(FigureSpec("FIVE_PYR_SECTION", 3, section=4))
+    for section in (True, 2.0, 2.5):
+        with pytest.raises(TypeError, match="section must be an int"):
+            emit_figure(FigureSpec("FIVE_PYR_SECTION", 3, section=section))
+    for unit_px in (0, 1001):
+        with pytest.raises(ValueError, match="--unit-px must be 1..1000"):
+            emit_figure(FigureSpec("GAUSS", 1, unit_px=unit_px))
+    with pytest.raises(TypeError, match="unit_px must be an int"):
+        emit_figure(FigureSpec("GAUSS", 1, unit_px=True))
     # the figures that draw from no generator state their own cap
     for name, cap in [("ODD_NUMBERS", 100), ("MAIN_SECTIONS", 50),
                       ("SECONDARY_SECTIONS", 50), ("TOP_DUAL", 20)]:
         with pytest.raises(UnsupportedN, match=f"n <= {cap}, got {cap + 1}"):
             emit_figure(FigureSpec(name, cap + 1))
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 2.5], ids=repr)
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_an_n_that_is_not_an_int_is_refused(name, value):
+    with pytest.raises(TypeError, match="n must be an int"):
+        emit_figure(FigureSpec(name, value))
 
 
 def test_figure_name_list_is_complete():
