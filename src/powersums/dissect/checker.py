@@ -1,9 +1,11 @@
 """Exact-cover verification of dissection certificates.
 
 The ground truth for every generator.  The verdict itself comes from
-``kernel``, which sees only int lattice points; this module is its two
-front ends and turns the kernel's answer into a ``CheckReport``:
+``kernel``, which sees only int lattice points; this module hands it one of
+three inputs and turns its answer into a ``CheckReport``:
 
+* a ``LatticeCertificate``, the kernel's own data (the generators' form),
+  as it is;
 * from a ``DissectionCertificate``, one pass reads every coordinate's
   ``QuadExt.triple``;
 * from a ``WireCertificate`` (a document that passed the strict JSON walk
@@ -11,9 +13,8 @@ front ends and turns the kernel's answer into a ``CheckReport``:
   parsed once into its triple, and no ``QuadExt``, ``Rect`` or ``Region``
   is built.
 
-Either way, with D the lcm of every coordinate's denominator, a + b*sqrt(21)
-becomes the int pair (a*D, b*D), and ``QuadExt`` is rebuilt only for a
-reported cell.
+The last two become int pairs (a*D, b*D) for a + b*sqrt(21), with D the lcm
+of every denominator.  Only a reported cell is rebuilt as ``QuadExt``.
 
 Malformed input produces a report-carrying failure, never an exception.
 """
@@ -27,28 +28,12 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence
 
 from .._nogc import nogc
 from ..exact import QuadExt, quad_to_text
-from .geometry import (
-    CONSTRUCTIONS,
-    DissectionCertificate,
-    Rect,
-    WireCertificate,
-)
-from .kernel import (
-    Failure,
-    LatticeCertificate,
-    LatticeRect,
-    Point,
-    _check_layer_cover,
-    _scan,
-    bounded,
-)
+from .geometry import CONSTRUCTIONS, DissectionCertificate, Rect, WireCertificate
+from .kernel import (MAX_DENOMINATOR_BITS, Failure, LatticeCertificate, LatticeRect,
+                     Point, _check_layer_cover, _scan, bounded)
 # unused here: perfbench's traced run rebinds these per-layer scans through
 # checker, by name
 from .kernel import _check_source_disjoint, _grid_counts  # noqa: F401
-
-#: Largest common denominator D the checker accepts, in bits.  Generated
-#: certificates need a D dividing 6.
-MAX_DENOMINATOR_BITS = 256
 
 Triple = tuple[int, int, int]
 
@@ -156,7 +141,7 @@ def _certificate_values(cert: DissectionCertificate) -> Iterator[QuadExt]:
             yield from r
 
 
-def _from_objects(cert: DissectionCertificate) -> tuple[int, LatticeCertificate]:
+def _from_objects(cert: DissectionCertificate) -> LatticeCertificate:
     triples = [v.triple for v in _certificate_values(cert)]
     d, at = _lattice_points(triples)
     take = map(at.__getitem__, triples).__next__
@@ -169,11 +154,11 @@ def _from_objects(cert: DissectionCertificate) -> tuple[int, LatticeCertificate]
                        p.destination_layer))
     targets = [(layer, _rects(take, region.rects)) for layer, region in cert.targets]
     leftovers = [_rects(take, region.rects) for region in cert.leftovers]
-    return d, LatticeCertificate(cert.construction, cert.n, pieces, targets,
-                                 leftovers)
+    return LatticeCertificate(cert.construction, cert.n, pieces, targets,
+                              leftovers, d)
 
 
-def _from_wire(cert: WireCertificate) -> tuple[int, LatticeCertificate]:
+def _from_wire(cert: WireCertificate) -> LatticeCertificate:
     d, points = _lattice_points(cert.values.values())
     at = {text: points[t] for text, t in cert.values.items()}
 
@@ -185,13 +170,14 @@ def _from_wire(cert: WireCertificate) -> tuple[int, LatticeCertificate]:
                p.destination_layer) for p in cert.placements]
     targets = [(layer, rects(region[1])) for layer, region in cert.targets]
     leftovers = [rects(region[1]) for region in cert.leftovers]
-    return d, LatticeCertificate(cert.construction, cert.n, pieces, targets,
-                                 leftovers)
+    return LatticeCertificate(cert.construction, cert.n, pieces, targets,
+                              leftovers, d)
 
 
 @nogc
-def check_certificate(cert: Union[DissectionCertificate, WireCertificate],
-                      ) -> CheckReport:
+def check_certificate(
+        cert: Union[LatticeCertificate, DissectionCertificate, WireCertificate],
+) -> CheckReport:
     """Verify a certificate; returns a report, never raises.
 
     Checks, in order: structural well-formedness, source disjointness per
@@ -201,28 +187,32 @@ def check_certificate(cert: Union[DissectionCertificate, WireCertificate],
     including it.
     """
     try:
-        if isinstance(cert, WireCertificate):
-            d, lattice = _from_wire(cert)
+        if isinstance(cert, LatticeCertificate):
+            lattice = cert
+        elif isinstance(cert, WireCertificate):
+            lattice = _from_wire(cert)
         else:
-            d, lattice = _from_objects(cert)
-        return _report(*_scan(lattice, CONSTRUCTIONS), d)
+            lattice = _from_objects(cert)
+        return _report(*_scan(lattice, CONSTRUCTIONS), lattice.denominator)
     except Exception as exc:  # malformed input must never crash the checker
         return CheckReport(False, CheckFailure(
             "malformed", None, None, f"{type(exc).__name__}: {exc}"))
 
 
-def cover_failure(layer: str, piece_rects: Sequence[Rect],
-                  target_rects: Sequence[Rect]) -> Optional[CheckReport]:
-    """None if ``piece_rects`` tile ``target_rects`` exactly once, else the
-    failing report, naming ``layer`` and the first offending grid cell."""
-    triples = [v.triple for r in (*piece_rects, *target_rects) for v in r]
-    d, at = _lattice_points(triples)
-    take = map(at.__getitem__, triples).__next__
-    pieces = _rects(take, piece_rects)
-    failure, _ = _check_layer_cover(layer, pieces, _rects(take, target_rects))
+def cover_failure(layer: str, piece_rects: Sequence[LatticeRect],
+                  target_rects: Sequence[LatticeRect],
+                  d: int) -> Optional[CheckReport]:
+    """None if lattice rects ``piece_rects`` tile ``target_rects`` exactly
+    once, else the report naming ``layer`` and the first bad cell (over d)."""
+    failure, _ = _check_layer_cover(layer, piece_rects, target_rects)
     return None if failure is None else _report(failure, 0, 0, d)
 
 
 def covers_exactly(piece_rects: Iterable[Rect], target_rects: Iterable[Rect]) -> bool:
     """True iff the first rect collection tiles the second exactly once."""
-    return cover_failure("-", list(piece_rects), list(target_rects)) is None
+    pieces, targets = list(piece_rects), list(target_rects)
+    triples = [v.triple for r in (*pieces, *targets) for v in r]
+    d, at = _lattice_points(triples)
+    take = map(at.__getitem__, triples).__next__
+    return cover_failure("-", _rects(take, pieces), _rects(take, targets),
+                         d) is None

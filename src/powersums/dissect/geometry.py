@@ -6,13 +6,15 @@ through the canonical Q(sqrt(21)) text representation, so files round-trip
 bit-exactly.  Every document is read by one strict walk, which yields a
 ``WireCertificate`` of coordinate texts and their parsed triples: the
 checker takes it as it is, and ``loads_certificate`` builds objects from it.
+Generated certificates are views over lattice data (``LatticeView``).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
+from math import gcd
+from typing import Any, Iterable, NamedTuple, Sequence
 
 from ..exact import (
     ZERO,
@@ -22,7 +24,8 @@ from ..exact import (
     quad_to_text,
     triple_from_text,
 )
-from .kernel import LEFTOVER_LAYER, bounded, lattice_sign
+from .kernel import (LEFTOVER_LAYER, LatticeCertificate, LatticeRect, Point,
+                     bounded, lattice_sign)
 
 #: Every construction a certificate may name, in the paper's order, with
 #: the largest n its generator builds cell by cell (cell counts grow as n^5).
@@ -96,10 +99,6 @@ class RigidTransform:
             x, y, w, h = -(y + h), x, h, w
         return Rect(x + self.dx, y + self.dy, w, h)
 
-    @staticmethod
-    def translation(dx: QuadLike, dy: QuadLike) -> RigidTransform:
-        return RigidTransform(0, False, QuadExt.of(dx), QuadExt.of(dy))
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -138,6 +137,50 @@ class DissectionCertificate:
     @property
     def leftover_area(self) -> QuadExt:
         return _total_area(self.leftovers)
+
+
+# -- objects as views over lattice data ---------------------------------------
+
+
+class LabelledLattice(NamedTuple):
+    """A certificate's kernel data, and the region labels that the kernel
+    never reads: each piece's and each leftover's ("target" for targets)."""
+
+    cert: LatticeCertificate
+    labels: Sequence[str]
+    leftover_labels: Sequence[str]
+
+
+class LatticeView(dict[Point, QuadExt]):
+    """The ``QuadExt`` of each lattice point over d, made once per point."""
+
+    def __init__(self, d: int) -> None:
+        self.d = d
+
+    def __missing__(self, point: Point) -> QuadExt:
+        g = gcd(*point, self.d)
+        q = self[point] = quad_from_triple((point[0] // g, point[1] // g, self.d // g))
+        return q
+
+    def region(self, label: str, rects: Iterable[LatticeRect]) -> Region:
+        """w and h are the corners' differences."""
+        return Region(label, tuple(
+            Rect(self[x1], self[y1], self[x2[0] - x1[0], x2[1] - x1[1]],
+                 self[y2[0] - y1[0], y2[1] - y1[1]]) for x1, y1, x2, y2 in rects))
+
+
+def certificate_from_lattice(data: LabelledLattice) -> DissectionCertificate:
+    """The certificate object whose kernel data is ``data.cert``."""
+    cert, view = data.cert, LatticeView(data.cert.denominator)
+    placements = tuple(
+        Placement(piece_id, layer, view.region(label, rects),
+                  RigidTransform(turns, reflect, view[dx], view[dy]), dest)
+        for (piece_id, layer, rects, (turns, reflect, dx, dy), dest), label
+        in zip(cert.pieces, data.labels))
+    return DissectionCertificate(
+        cert.construction, cert.n, placements,
+        tuple((layer, view.region("target", rects)) for layer, rects in cert.targets),
+        tuple(map(view.region, data.leftover_labels, cert.leftovers)))
 
 
 # -- JSON wire format ----------------------------------------------------

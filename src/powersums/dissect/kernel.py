@@ -14,7 +14,7 @@ the target frame of the reserved ``leftover`` layer.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from math import isqrt
 from operator import itemgetter
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
@@ -45,6 +45,8 @@ class LatticeCertificate(NamedTuple):
     targets: Sequence[tuple[str, Sequence[LatticeRect]]]
     #: the rects of each declared leftover region
     leftovers: Sequence[Sequence[LatticeRect]]
+    #: D, which no scan reads: a verdict does not depend on the scale
+    denominator: int
 
 
 class Failure(NamedTuple):
@@ -121,6 +123,9 @@ def _place(rects: Sequence[LatticeRect], t: Transform) -> list[LatticeRect]:
 
 
 _X1, _Y1, _X2, _Y2 = (itemgetter(k) for k in range(4))
+
+#: Largest common denominator D, in bits; generated certificates have D = 6.
+MAX_DENOMINATOR_BITS = 256
 
 #: Most grid cells one layer may have, checked before any cell is counted.
 #: The largest generated layer, NICOMACHUS_4D_2D at n = 20, has 112,980.
@@ -227,52 +232,81 @@ def _check_source_disjoint(layer: str, source_rects: Sequence[LatticeRect],
         lambda count: ("source-overlap", f"piece sources overlap ({count} deep)"))
 
 
-def _validate_structure(cert: LatticeCertificate,
-                        constructions: Mapping[str, int]) -> Optional[Failure]:
-    """The first structural defect, if any: an unknown construction, n not
-    an int or below 1 or above the construction's cap in ``constructions``,
-    a target on the leftover layer, a repeated piece id, a quarter turn
-    not an int in 0..3, or an empty or degenerate source."""
-    if cert.construction not in constructions:
-        return Failure("malformed", None, None,
-                       f"unknown construction {bounded(repr(cert.construction))}")
-    if type(cert.n) is not int:  # the wire walk refuses one too
-        return Failure("malformed", None, None,
-                       f"n must be an int, got {bounded(repr(cert.n))}")
-    if cert.n < 1:
-        return Failure("malformed", None, None,
-                       f"n must be >= 1, got {bounded(str(cert.n))}")
-    cap = constructions[cert.construction]
-    if cert.n > cap:
-        return Failure("malformed", None, None,
-                       f"n must be <= {cap} for {cert.construction}, "
-                       f"got {bounded(str(cert.n))}")
-    for layer, _rects in cert.targets:
-        if layer == LEFTOVER_LAYER:
-            return Failure("malformed", layer, None,
-                           f"{LEFTOVER_LAYER!r} is reserved for declared leftovers")
-    seen_ids: set[str] = set()
-    for piece_id, source_layer, rects, transform, _dest in cert.pieces:
-        quarter_turns = transform[0]
-        if piece_id in seen_ids:
-            return Failure("malformed", None, None,
-                           f"duplicate piece id {bounded(repr(piece_id))}")
-        seen_ids.add(piece_id)
-        if type(quarter_turns) is not int or not 0 <= quarter_turns <= 3:
-            return Failure("malformed", None, None,
-                           f"piece {bounded(repr(piece_id))}: quarter_turns "
-                           f"must be 0..3, got {bounded(str(quarter_turns))}")
+def _malformed(message: str, layer: Optional[str] = None) -> Failure:
+    return Failure("malformed", layer, None, message)
+
+
+def _typed(what: str, values: Sequence[object], kind: type,
+           size: Optional[int] = None) -> Iterator[Failure]:
+    """A failure naming the first of ``values`` not exactly a ``kind`` (of
+    length ``size``, if given), if any; passing costs C-level loops only."""
+    if not set(map(type, values)) <= {kind} or (
+            size is not None and not set(map(len, values)) <= {size}):
+        bad = next(v for v in values
+                   if type(v) is not kind or size is not None and len(v) != size)
+        shape = f"{'an' if kind is int else 'a'} {kind.__name__}" + (
+            "" if size is None else f" of {size}")
+        yield _malformed(f"{what} must be {shape}, got {bounded(repr(bad))}")
+
+
+def _defects(cert: LatticeCertificate,
+             constructions: Mapping[str, int]) -> Iterator[Failure]:
+    """Structural defects in check order; the caller stops at the first, so
+    each check relies on those before it.  Fields have exact types (pieces,
+    targets, transforms, rects and points are tuples of 5, 2, 4, 4 and 2),
+    n, D and quarter turns are in range, no target is on the leftover layer,
+    no piece id repeats and no source is empty or degenerate."""
+    name, n, d = cert.construction, cert.n, cert.denominator
+    yield from _typed("the construction", [name], str)
+    if name not in constructions:
+        yield _malformed(f"unknown construction {bounded(repr(name))}")
+    yield from _typed("n", [n], int)  # the wire walk refuses one too
+    if n < 1:
+        yield _malformed(f"n must be >= 1, got {bounded(str(n))}")
+    if n > constructions[name]:
+        yield _malformed(f"n must be <= {constructions[name]} for {name}, "
+                         f"got {bounded(str(n))}")
+    yield from _typed("the denominator", [d], int)
+    if d < 1 or d.bit_length() > MAX_DENOMINATOR_BITS:
+        yield _malformed(f"the denominator must be in 1..2**"
+                         f"{MAX_DENOMINATOR_BITS} - 1, got {bounded(str(d))}")
+    yield from _typed("a piece", cert.pieces, tuple, 5)
+    yield from _typed("a target", cert.targets, tuple, 2)
+    ids, sources, rect_lists, transforms, dests = list(zip(*cert.pieces)) or [()] * 5
+    layers, target_rects = list(zip(*cert.targets)) or [(), ()]
+    yield from _typed("a piece id", ids, str)
+    yield from _typed("a layer id", sources + dests + layers, str)
+    yield from _typed("a transform", transforms, tuple, 4)
+    turns, reflects, dxs, dys = list(zip(*transforms)) or [()] * 4
+    yield from _typed("quarter_turns", turns, int)
+    yield from _typed("reflect", reflects, bool)
+    rects = list(chain.from_iterable((*rect_lists, *target_rects, *cert.leftovers)))
+    yield from _typed("a rect", rects, tuple, 4)
+    points = [*chain.from_iterable(rects), *dxs, *dys]
+    yield from _typed("a point", points, tuple, 2)
+    yield from _typed("a coordinate", list(chain.from_iterable(points)), int)
+    if LEFTOVER_LAYER in layers:
+        yield _malformed(f"{LEFTOVER_LAYER!r} is reserved for declared "
+                         "leftovers", LEFTOVER_LAYER)
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        dup = next(i for i in ids if i in seen or seen.add(i))
+        yield _malformed(f"duplicate piece id {bounded(repr(dup))}")
+    if not set(turns) <= {0, 1, 2, 3}:
+        piece_id, turn = next(pt for pt in zip(ids, turns) if pt[1] not in range(4))
+        yield _malformed(f"piece {bounded(repr(piece_id))}: quarter_turns "
+                         f"must be 0..3, got {bounded(str(turn))}")
+    for piece_id, source_layer, rects in zip(ids, sources, rect_lists):
         if not rects:
-            return Failure("malformed", source_layer, None,
-                           f"piece {bounded(repr(piece_id))} has an empty "
-                           "source region")
+            yield _malformed(f"piece {bounded(repr(piece_id))} has an empty "
+                             "source region", source_layer)
         for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
-            if (lattice_sign(x2a - x1a, x2b - x1b) <= 0
-                    or lattice_sign(y2a - y1a, y2b - y1b) <= 0):
-                return Failure("malformed", source_layer, None,
-                               f"piece {bounded(repr(piece_id))} has a "
-                               "degenerate rectangle")
-    return None
+            if not ((x2a > x1a if x1b == x2b  # no sqrt(21) part: no sign call
+                     else lattice_sign(x2a - x1a, x2b - x1b) > 0)
+                    and (y2a > y1a if y1b == y2b
+                         else lattice_sign(y2a - y1a, y2b - y1b) > 0)):
+                yield _malformed(f"piece {bounded(repr(piece_id))} has a "
+                                 "degenerate rectangle", source_layer)
 
 
 def _scan(cert: LatticeCertificate, constructions: Mapping[str, int],
@@ -280,7 +314,7 @@ def _scan(cert: LatticeCertificate, constructions: Mapping[str, int],
     """The verdict: structure, then source disjointness per source layer,
     then exact cover per destination layer, in sorted layer order.  The
     first failure (or None), with the layers and cells scanned to it."""
-    failure = _validate_structure(cert, constructions)
+    failure = next(_defects(cert, constructions), None)
     if failure is not None:
         return failure, 0, 0
     by_source: dict[str, list[LatticeRect]] = {}

@@ -14,19 +14,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
-from .dissect.generators import (
-    UnsupportedN,
-    _layer_targets,
-    _stair_rows,
-    five_pyramids_layers,
-    gauss_rectangle,
-    nicomachus_4d_2d,
-    scissor_rectangle,
-    step2_reshape,
-    step4_overlap,
-    three_pyramids_2d,
-)
-from .dissect.geometry import LEFTOVER_LAYER, DissectionCertificate, Region
+from .dissect.generators import (D, UnsupportedN, _stair_rows, five_pyramids_layers,
+                                  gauss_rectangle, nicomachus_4d_2d, scissor_rectangle,
+                                  step2_reshape, step4_overlap, three_pyramids_2d)
+from .dissect.geometry import (LEFTOVER_LAYER, DissectionCertificate, Region,
+                               LatticeView, certificate_from_lattice)
 from .dissect.kernel import bounded
 from .exact import QuadLike, quad_to_float, strip_root
 
@@ -115,8 +107,9 @@ def _placed_scene(cert: DissectionCertificate, layer: str, scene: _Scene,
     for p in cert.placements:
         if p.destination_layer == layer:
             scene.add_region(p.placed(), dx)
-    for r in _layer_targets(cert, layer):
-        scene.add_frame(r.x + dx, r.y, r.w, r.h)
+    for lid, region in cert.targets:
+        for r in region.rects if lid == layer else ():
+            scene.add_frame(r.x + dx, r.y, r.w, r.h)
 
 
 def _source_scene(cert: DissectionCertificate, layer: str, scene: _Scene,
@@ -163,7 +156,8 @@ def _secondary_sections(scene: _Scene, spec: FigureSpec) -> None:
     """Secondary section m of P_3(n) is the staircase of rows m..n."""
     n = spec.n
     for m in range(1, n + 1):
-        scene.add_region(_stair_rows(m, n, (m - 1) * (n + 2), 0, "stair_a"))
+        scene.add_region(LatticeView(D).region(
+            "stair_a", _stair_rows(m, n, (m - 1) * (n + 2), 0)))
 
 
 def _puzzle_3d(scene: _Scene, spec: FigureSpec) -> None:
@@ -211,7 +205,7 @@ def _step2(scene: _Scene, spec: FigureSpec) -> None:
 
 def _step3_scissor(scene: _Scene, spec: FigureSpec) -> None:
     n = spec.n
-    pieces, _leftovers, _target = scissor_rectangle(n, 1, 0, 0)
+    pieces = certificate_from_lattice(scissor_rectangle(n, 1, 0, 0)).placements
     for p in pieces:  # before: the cut rectangle
         scene.add_region(p.source)
     after_dx = n + 4

@@ -256,7 +256,7 @@ def test_lattice_transform_matches_placed(reflect, quarter_turns, rects, dx,
     piece = Placement("p", "a", Region("piece", (r, *rects)), t, "b")
     cert = DissectionCertificate("GAUSS_RECT", 1, (piece,),
                                  (("b", piece.placed()),), ())
-    _d, lattice = _from_objects(cert)
+    lattice = _from_objects(cert)
     [(_id, _source_layer, source, transform, _layer)] = lattice.pieces
     assert kernel._place(source, transform) == lattice.targets[0][1]
 

@@ -13,7 +13,6 @@ from powersums.dissect import generators
 from powersums.dissect import (
     CONSTRUCTIONS,
     LEFTOVER_LAYER,
-    Rect,
     StageCheckError,
     UnsupportedN,
     check_certificate,
@@ -289,29 +288,44 @@ def test_identity_stage_failure_names_both_sides(monkeypatch):
 
 
 def _shifted(rects, dx=0, dy=0):
-    return tuple(Rect(r.x + dx, r.y + dy, r.w, r.h) for r in rects)
+    """Lattice rects moved by (dx, dy) in whole units."""
+    dx, dy = dx * generators.D, dy * generators.D
+    return [((x1[0] + dx, x1[1]), (y1[0] + dy, y1[1]), (x2[0] + dx, x2[1]),
+             (y2[0] + dy, y2[1])) for x1, y1, x2, y2 in rects]
 
 
-def _sources_moved_right(cert):
+def _moved_pieces(data, source_dx=0, dx=0, dy=0):
+    """The lattice certificate with every source shifted by source_dx and
+    every transform's shift by (dx, dy)."""
+    dx, dy = dx * generators.D, dy * generators.D
+    pieces = [(piece_id, source_layer, _shifted(rects, dx=source_dx),
+               (turns, reflect, (sx[0] + dx, sx[1]), (sy[0] + dy, sy[1])), dest)
+              for piece_id, source_layer, rects, (turns, reflect, sx, sy), dest
+              in data.cert.pieces]
+    return data._replace(cert=data.cert._replace(pieces=pieces))
+
+
+def _sources_moved_right(data):
     """Every source 1,000 units right and every dx 1,000 less: the same
     placed pieces, from corners that are no longer the excess layer's."""
-    return dataclasses.replace(cert, placements=tuple(dataclasses.replace(
-        p, source=dataclasses.replace(p.source,
-                                      rects=_shifted(p.source.rects, dx=1000)),
-        transform=dataclasses.replace(p.transform, dx=p.transform.dx - 1000))
-        for p in cert.placements))
+    return _moved_pieces(data, source_dx=1000, dx=-1000)
 
 
-def _targets_moved_up(cert):
+def _targets_moved_up(data):
     """Every target and every dy 1,000 up: a square-of-corners that is no
     longer the overlap certificate's copy B."""
-    return dataclasses.replace(
-        cert,
-        placements=tuple(dataclasses.replace(p, transform=dataclasses.replace(
-            p.transform, dy=p.transform.dy + 1000)) for p in cert.placements),
-        targets=tuple((layer, dataclasses.replace(
-            region, rects=_shifted(region.rects, dy=1000)))
-            for layer, region in cert.targets))
+    moved = _moved_pieces(data, dy=1000)
+    return moved._replace(cert=moved.cert._replace(targets=[
+        (layer, _shifted(rects, dy=1000)) for layer, rects in data.cert.targets]))
+
+
+#: the text each moved bijection's pipeline failure had at the object pipeline
+_MOVED_MESSAGES = {
+    "interface excess->step4 bijection": "FAIL uncovered on layer 'excess' at "
+    "[0, 1] x [0, 1]: target cell covered by no piece",
+    "interface step4 bijection->overlap": "FAIL outside on layer 'dual' at "
+    "[0, 1] x [0, 1]: 1 piece(s) outside every target",
+}
 
 
 @pytest.mark.parametrize("move,stage,kind,layer", [
@@ -322,15 +336,18 @@ def _targets_moved_up(cert):
 ])
 def test_a_moved_bijection_breaks_its_pipeline_link(monkeypatch, move, stage,
                                                      kind, layer):
-    honest = generators.step4_bijection
-    assert check_certificate(move(honest(3))).ok  # it passes on its own
-    monkeypatch.setattr(generators, "step4_bijection",
+    honest = generators._step4_bijection
+    moved = move(honest(3))
+    assert check_certificate(moved.cert).ok  # it passes on its own
+    assert check_certificate(generators.certificate_from_lattice(moved)).ok
+    monkeypatch.setattr(generators, "_step4_bijection",
                         lambda n: move(honest(n)))
     with pytest.raises(StageCheckError) as info:
         full_theorem_report(3)
     assert info.value.stage == stage
     failure = info.value.report.failure
     assert (failure.kind, failure.layer) == (kind, layer)
+    assert str(info.value) == f"stage {stage!r} failed: {_MOVED_MESSAGES[stage]}"
 
 
 #: every certificate builder, one rectangle's scissor cut, and the pipeline

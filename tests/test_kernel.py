@@ -310,7 +310,7 @@ def _assert_scans_agree(scan: str, layer: str, *rect_lists) -> Any:
 def _assert_layers_agree(cert) -> list:
     """Every source and destination layer of ``cert`` through
     ``_assert_scans_agree``: the kernel's results, layer by layer."""
-    _d, lattice = _from_objects(cert)
+    lattice = _from_objects(cert)
     sources, placed, targets = {}, {}, {}
     for _id, source_layer, rects, transform, dest in lattice.pieces:
         sources.setdefault(source_layer, []).extend(rects)

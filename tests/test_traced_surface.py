@@ -2,8 +2,10 @@
 
 ``perfbench/tracing.py`` spans package functions by name, so renaming or
 deleting one of them breaks the traced benchmark run.  This test installs
-that instrumentation on the imported package, runs the pipeline under it,
-and checks that ``uninstall`` restores every wrapped function.
+that instrumentation on the imported package, runs the pipeline and the
+spanned functions it no longer calls (it checks lattice data, with no
+certificate object) under it, and checks that ``uninstall`` restores every
+wrapped function.
 """
 
 from __future__ import annotations
@@ -41,11 +43,16 @@ def test_instrumentation_wraps_the_pipeline_and_uninstalls():
     try:
         assert all(a is not b for a, b in zip(_surface(mods), before))
         assert mods.dissect.full_theorem_report(2).holds
+        pipeline = dict(inst.tracer.self_s), inst.snapshot()
+        rects = mods.dissect.step4_top_layer(2).overlap.placements[0].source.rects
+        assert mods.dissect.covers_exactly(rects, rects)
     finally:
         inst.uninstall()
     assert _surface(mods) == before
-    spans = inst.tracer.self_s
-    for name in ("generators.full_theorem_report", "generators.step4_top_layer",
-                 "checker.check_certificate", "checker.covers_exactly"):
+    spans, counts = pipeline
+    for name in ("generators.full_theorem_report", "checker.check_certificate"):
         assert spans[name] > 0, name
+    assert counts["checker.calls"] > 0
+    for name in ("generators.step4_top_layer", "checker.covers_exactly"):
+        assert inst.tracer.self_s[name] > 0, name
     assert inst.snapshot()["generators.placements"] > 0
