@@ -131,12 +131,8 @@ def _certificate_values(cert: DissectionCertificate) -> Iterator[QuadExt]:
     for p in cert.placements:
         for r in p.source.rects:
             yield from r
-        yield p.transform.dx
-        yield p.transform.dy
-    for _layer, region in cert.targets:
-        for r in region.rects:
-            yield from r
-    for region in cert.leftovers:
+        yield from (p.transform.dx, p.transform.dy)
+    for region in (*(region for _layer, region in cert.targets), *cert.leftovers):
         for r in region.rects:
             yield from r
 
@@ -175,9 +171,8 @@ def _from_wire(cert: WireCertificate) -> LatticeCertificate:
 
 
 @nogc
-def check_certificate(
-        cert: Union[LatticeCertificate, DissectionCertificate, WireCertificate],
-) -> CheckReport:
+def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
+                                  WireCertificate]) -> CheckReport:
     """Verify a certificate; returns a report, never raises.
 
     Checks, in order: structural well-formedness, source disjointness per
@@ -187,13 +182,11 @@ def check_certificate(
     including it.
     """
     try:
-        if isinstance(cert, LatticeCertificate):
-            lattice = cert
-        elif isinstance(cert, WireCertificate):
-            lattice = _from_wire(cert)
-        else:
-            lattice = _from_objects(cert)
-        return _report(*_scan(lattice, CONSTRUCTIONS), lattice.denominator)
+        lattice = (cert if isinstance(cert, LatticeCertificate)
+                   else _from_wire(cert) if isinstance(cert, WireCertificate)
+                   else _from_objects(cert))
+        shaped = lattice is not cert  # a front end built its rects of int pairs
+        return _report(*_scan(lattice, CONSTRUCTIONS, shaped), lattice.denominator)
     except Exception as exc:  # malformed input must never crash the checker
         return CheckReport(False, CheckFailure(
             "malformed", None, None, f"{type(exc).__name__}: {exc}"))

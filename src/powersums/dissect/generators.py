@@ -82,7 +82,6 @@ def _shift(dx: int, dy: int, quarter_turns: int = 0) -> Transform:
 
 
 def _new(construction: str, n: int) -> LabelledLattice:
-    """An empty certificate of ``construction`` at n, within its cap."""
     _require(construction, n)
     return LabelledLattice(LatticeCertificate(construction, n, [], [], [], D),
                            [], [])
@@ -554,10 +553,9 @@ def full_theorem_report(n: int) -> IdentityReport:
     """Run the pipeline, check every certificate and stage interface, and
     confirm 5*S_4(n) = n(n+1) * (n-x)(n+1+x) * (n+1/2) exactly.
 
-    Every stage and link is checked on the builders' lattice data, so no
-    certificate object is made.  For n above the cell-level cap only the
-    arithmetic form is evaluated.  Raises ``StageCheckError`` naming the
-    failing stage on any checker or interface failure.
+    Stages and links are checked on lattice data: no certificate object is
+    made.  Above the cell-level cap only the arithmetic form is evaluated.
+    Raises ``StageCheckError`` naming the failing stage or link.
     """
     if type(n) is not int:
         raise TypeError(f"full_theorem_report: n must be an int, "

@@ -143,8 +143,7 @@ class DissectionCertificate:
 
 
 class LabelledLattice(NamedTuple):
-    """A certificate's kernel data, and the region labels that the kernel
-    never reads: each piece's and each leftover's ("target" for targets)."""
+    """Kernel data, and the labels the kernel never reads ("target" on targets)."""
 
     cert: LatticeCertificate
     labels: Sequence[str]
@@ -152,7 +151,8 @@ class LabelledLattice(NamedTuple):
 
 
 class LatticeView(dict[Point, QuadExt]):
-    """The ``QuadExt`` of each lattice point over d, made once per point."""
+    """The ``QuadExt`` of each lattice point over d, made once per point;
+    ``region`` takes a rect's w and h as its corners' differences."""
 
     def __init__(self, d: int) -> None:
         self.d = d
@@ -163,7 +163,6 @@ class LatticeView(dict[Point, QuadExt]):
         return q
 
     def region(self, label: str, rects: Iterable[LatticeRect]) -> Region:
-        """w and h are the corners' differences."""
         return Region(label, tuple(
             Rect(self[x1], self[y1], self[x2[0] - x1[0], x2[1] - x1[1]],
                  self[y2[0] - y1[0], y2[1] - y1[1]]) for x1, y1, x2, y2 in rects))
@@ -250,8 +249,9 @@ def _walk(data: Any) -> WireCertificate:
             if not isinstance(r, list) or len(r) != 4:
                 raise CertificateFormatError(
                     f"rect must be a 4-list, got {bounded(repr(r))}")
-            for text in r:
-                coordinate(text)
+            for text in r:  # coordinate(text), inline: rects hold most texts
+                if type(text) is not str or text not in values:
+                    values[text] = triple_from_text(text)
             w, h = r[2], r[3]
             if w not in positive or h not in positive:
                 for side in (w, h):

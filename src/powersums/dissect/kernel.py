@@ -110,6 +110,10 @@ def _place(rects: Sequence[LatticeRect], t: Transform) -> list[LatticeRect]:
     are known from (reflect, quarter_turns) alone: no coordinate is compared.
     """
     quarter_turns, reflect, (dxa, dxb), (dya, dyb) = t
+    if not (reflect or quarter_turns):  # a translation, the common case
+        return [((x1a + dxa, x1b + dxb), (y1a + dya, y1b + dyb),
+                 (x2a + dxa, x2b + dxb), (y2a + dya, y2b + dyb))
+                for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects]
     placed = []
     for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
         if reflect:
@@ -238,8 +242,8 @@ def _malformed(message: str, layer: Optional[str] = None) -> Failure:
 
 def _typed(what: str, values: Sequence[object], kind: type,
            size: Optional[int] = None) -> Iterator[Failure]:
-    """A failure naming the first of ``values`` not exactly a ``kind`` (of
-    length ``size``, if given), if any; passing costs C-level loops only."""
+    """A failure for the first of ``values`` not exactly a ``kind`` (of length
+    ``size``), if any; the passing case costs only C-level loops."""
     if not set(map(type, values)) <= {kind} or (
             size is not None and not set(map(len, values)) <= {size}):
         bad = next(v for v in values
@@ -249,13 +253,13 @@ def _typed(what: str, values: Sequence[object], kind: type,
         yield _malformed(f"{what} must be {shape}, got {bounded(repr(bad))}")
 
 
-def _defects(cert: LatticeCertificate,
-             constructions: Mapping[str, int]) -> Iterator[Failure]:
+def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
+             shaped: bool) -> Iterator[Failure]:
     """Structural defects in check order; the caller stops at the first, so
     each check relies on those before it.  Fields have exact types (pieces,
-    targets, transforms, rects and points are tuples of 5, 2, 4, 4 and 2),
-    n, D and quarter turns are in range, no target is on the leftover layer,
-    no piece id repeats and no source is empty or degenerate."""
+    targets, transforms, rects and points are tuples of 5, 2, 4, 4 and 2), n,
+    D and quarter turns are in range, no target is on the leftover layer, no
+    piece id repeats and no source is empty or degenerate."""
     name, n, d = cert.construction, cert.n, cert.denominator
     yield from _typed("the construction", [name], str)
     if name not in constructions:
@@ -280,11 +284,15 @@ def _defects(cert: LatticeCertificate,
     turns, reflects, dxs, dys = list(zip(*transforms)) or [()] * 4
     yield from _typed("quarter_turns", turns, int)
     yield from _typed("reflect", reflects, bool)
-    rects = list(chain.from_iterable((*rect_lists, *target_rects, *cert.leftovers)))
-    yield from _typed("a rect", rects, tuple, 4)
-    points = [*chain.from_iterable(rects), *dxs, *dys]
-    yield from _typed("a point", points, tuple, 2)
-    yield from _typed("a coordinate", list(chain.from_iterable(points)), int)
+    if not shaped:
+        rects = list(chain.from_iterable((*rect_lists, *target_rects, *cert.leftovers)))
+        yield from _typed("a rect", rects, tuple, 4)
+        points = [*chain.from_iterable(rects), *dxs, *dys]
+        yield from _typed("a point", points, tuple)
+        coordinates = list(chain.from_iterable(points))
+        if len(coordinates) != 2 * len(points):  # else the scans unpack pairs
+            yield from _typed("a point", points, tuple, 2)
+        yield from _typed("a coordinate", coordinates, int)
     if LEFTOVER_LAYER in layers:
         yield _malformed(f"{LEFTOVER_LAYER!r} is reserved for declared "
                          "leftovers", LEFTOVER_LAYER)
@@ -310,11 +318,12 @@ def _defects(cert: LatticeCertificate,
 
 
 def _scan(cert: LatticeCertificate, constructions: Mapping[str, int],
-          ) -> tuple[Optional[Failure], int, int]:
+          shaped: bool = False) -> tuple[Optional[Failure], int, int]:
     """The verdict: structure, then source disjointness per source layer,
-    then exact cover per destination layer, in sorted layer order.  The
-    first failure (or None), with the layers and cells scanned to it."""
-    failure = next(_defects(cert, constructions), None)
+    then exact cover per destination layer, in sorted layer order: the first
+    failure (or None), with the layers and cells scanned to it.  ``shaped``
+    skips the type checks of rects and shifts a caller built of int pairs."""
+    failure = next(_defects(cert, constructions, shaped), None)
     if failure is not None:
         return failure, 0, 0
     by_source: dict[str, list[LatticeRect]] = {}
