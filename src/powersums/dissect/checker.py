@@ -4,8 +4,7 @@ The ground truth for every generator.  The verdict itself comes from
 ``kernel``, which sees only int lattice points; this module hands it one of
 three inputs and turns its answer into a ``CheckReport``:
 
-* a ``LatticeCertificate``, the kernel's own data (the generators' form),
-  as it is;
+* a ``LatticeCertificate``, the kernel's own data, as it is;
 * from a ``DissectionCertificate``, one pass reads every coordinate's
   ``QuadExt.triple``;
 * from a ``WireCertificate`` (a document that passed the strict JSON walk
@@ -185,8 +184,8 @@ def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
         lattice = (cert if isinstance(cert, LatticeCertificate)
                    else _from_wire(cert) if isinstance(cert, WireCertificate)
                    else _from_objects(cert))
-        shaped = lattice is not cert  # a front end built its rects of int pairs
-        return _report(*_scan(lattice, CONSTRUCTIONS, shaped), lattice.denominator)
+        typed = isinstance(cert, WireCertificate)  # the walk typed each field
+        return _report(*_scan(lattice, CONSTRUCTIONS, typed), lattice.denominator)
     except Exception as exc:  # malformed input must never crash the checker
         return CheckReport(False, CheckFailure(
             "malformed", None, None, f"{type(exc).__name__}: {exc}"))

@@ -1,9 +1,8 @@
 """Generators for every cut-and-paste construction.
 
-Each construction has one builder, ``_<name>(n)``, of the kernel's own data:
-pieces, rigid motions, targets and leftovers as int pairs over D = 6, with
-the region labels beside them.  The pipeline checks that data as it is; the
-public builder ``<name>(n)`` returns its view as a ``DissectionCertificate``.
+Each construction has one builder, ``_<name>(n)``, of the kernel's own data
+(int pairs over D = 6, region labels beside them), which the pipeline checks
+as it is; the public ``<name>(n)`` returns its ``DissectionCertificate`` view.
 Layout conventions:
 
 * Staircase pieces ("rows m..n") occupy row j at [0, j] x [n-j, n-j+1],

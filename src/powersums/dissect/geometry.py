@@ -249,9 +249,8 @@ def _walk(data: Any) -> WireCertificate:
             if not isinstance(r, list) or len(r) != 4:
                 raise CertificateFormatError(
                     f"rect must be a 4-list, got {bounded(repr(r))}")
-            for text in r:  # coordinate(text), inline: rects hold most texts
-                if type(text) is not str or text not in values:
-                    values[text] = triple_from_text(text)
+            for text in r:
+                coordinate(text)
             w, h = r[2], r[3]
             if w not in positive or h not in positive:
                 for side in (w, h):

@@ -253,27 +253,13 @@ def _typed(what: str, values: Sequence[object], kind: type,
         yield _malformed(f"{what} must be {shape}, got {bounded(repr(bad))}")
 
 
-def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
-             shaped: bool) -> Iterator[Failure]:
-    """Structural defects in check order; the caller stops at the first, so
-    each check relies on those before it.  Fields have exact types (pieces,
-    targets, transforms, rects and points are tuples of 5, 2, 4, 4 and 2), n,
-    D and quarter turns are in range, no target is on the leftover layer, no
-    piece id repeats and no source is empty or degenerate."""
-    name, n, d = cert.construction, cert.n, cert.denominator
-    yield from _typed("the construction", [name], str)
-    if name not in constructions:
-        yield _malformed(f"unknown construction {bounded(repr(name))}")
-    yield from _typed("n", [n], int)  # the wire walk refuses one too
-    if n < 1:
-        yield _malformed(f"n must be >= 1, got {bounded(str(n))}")
-    if n > constructions[name]:
-        yield _malformed(f"n must be <= {constructions[name]} for {name}, "
-                         f"got {bounded(str(n))}")
-    yield from _typed("the denominator", [d], int)
-    if d < 1 or d.bit_length() > MAX_DENOMINATOR_BITS:
-        yield _malformed(f"the denominator must be in 1..2**"
-                         f"{MAX_DENOMINATOR_BITS} - 1, got {bounded(str(d))}")
+def _type_defects(cert: LatticeCertificate) -> Iterator[Failure]:
+    """Fields of the wrong type, the first first (each check relies on those
+    before it): strs, ints, a bool and tuples of 5, 2, 4, 4 and 2 for pieces,
+    targets, transforms, rects and points."""
+    yield from _typed("the construction", [cert.construction], str)
+    yield from _typed("n", [cert.n], int)  # the wire walk refuses one too
+    yield from _typed("the denominator", [cert.denominator], int)
     yield from _typed("a piece", cert.pieces, tuple, 5)
     yield from _typed("a target", cert.targets, tuple, 2)
     ids, sources, rect_lists, transforms, dests = list(zip(*cert.pieces)) or [()] * 5
@@ -284,22 +270,40 @@ def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
     turns, reflects, dxs, dys = list(zip(*transforms)) or [()] * 4
     yield from _typed("quarter_turns", turns, int)
     yield from _typed("reflect", reflects, bool)
-    if not shaped:
-        rects = list(chain.from_iterable((*rect_lists, *target_rects, *cert.leftovers)))
-        yield from _typed("a rect", rects, tuple, 4)
-        points = [*chain.from_iterable(rects), *dxs, *dys]
-        yield from _typed("a point", points, tuple)
-        coordinates = list(chain.from_iterable(points))
-        if len(coordinates) != 2 * len(points):  # else the scans unpack pairs
-            yield from _typed("a point", points, tuple, 2)
-        yield from _typed("a coordinate", coordinates, int)
-    if LEFTOVER_LAYER in layers:
+    rects = list(chain.from_iterable((*rect_lists, *target_rects, *cert.leftovers)))
+    yield from _typed("a rect", rects, tuple, 4)
+    points = [*chain.from_iterable(rects), *dxs, *dys]
+    yield from _typed("a point", points, tuple, 2)
+    yield from _typed("a coordinate", list(chain.from_iterable(points)), int)
+
+
+def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
+             typed: bool) -> Iterator[Failure]:
+    """Structural defects, the first first: the types unless ``typed``, then
+    n, D or a quarter turn out of range, a target on the leftover layer, a
+    repeated piece id, and an empty or degenerate source."""
+    if not typed:
+        yield from _type_defects(cert)
+    name, n, d = cert.construction, cert.n, cert.denominator
+    if name not in constructions:
+        yield _malformed(f"unknown construction {bounded(repr(name))}")
+    if n < 1:
+        yield _malformed(f"n must be >= 1, got {bounded(str(n))}")
+    if n > constructions[name]:
+        yield _malformed(f"n must be <= {constructions[name]} for {name}, "
+                         f"got {bounded(str(n))}")
+    if d < 1 or d.bit_length() > MAX_DENOMINATOR_BITS:
+        yield _malformed(f"the denominator must be in 1..2**"
+                         f"{MAX_DENOMINATOR_BITS} - 1, got {bounded(str(d))}")
+    ids, sources, rect_lists, transforms, _dests = list(zip(*cert.pieces)) or [()] * 5
+    if any(layer == LEFTOVER_LAYER for layer, _rects in cert.targets):
         yield _malformed(f"{LEFTOVER_LAYER!r} is reserved for declared "
                          "leftovers", LEFTOVER_LAYER)
     if len(set(ids)) < len(ids):
         seen: set[str] = set()
         dup = next(i for i in ids if i in seen or seen.add(i))
         yield _malformed(f"duplicate piece id {bounded(repr(dup))}")
+    turns = [t[0] for t in transforms]
     if not set(turns) <= {0, 1, 2, 3}:
         piece_id, turn = next(pt for pt in zip(ids, turns) if pt[1] not in range(4))
         yield _malformed(f"piece {bounded(repr(piece_id))}: quarter_turns "
@@ -318,12 +322,12 @@ def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
 
 
 def _scan(cert: LatticeCertificate, constructions: Mapping[str, int],
-          shaped: bool = False) -> tuple[Optional[Failure], int, int]:
+          typed: bool = False) -> tuple[Optional[Failure], int, int]:
     """The verdict: structure, then source disjointness per source layer,
     then exact cover per destination layer, in sorted layer order: the first
-    failure (or None), with the layers and cells scanned to it.  ``shaped``
-    skips the type checks of rects and shifts a caller built of int pairs."""
-    failure = next(_defects(cert, constructions, shaped), None)
+    failure (or None), with the layers and cells scanned to it.  ``typed``
+    skips the type checks, for input whose every field's type was checked."""
+    failure = next(_defects(cert, constructions, typed), None)
     if failure is not None:
         return failure, 0, 0
     by_source: dict[str, list[LatticeRect]] = {}
