@@ -103,7 +103,7 @@ def main() -> None:
     sys.path.insert(0, str(args.src.resolve()))
     from powersums import dissect
 
-    row = {"label": args.label, "src": str(args.src), "repeats": args.repeats,
+    row = {"label": args.label, "repeats": args.repeats,
            "python": platform.python_version(), "machine": platform.machine(),
            "cpus": os.cpu_count(), **measure(dissect, args.repeats)}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
