@@ -108,8 +108,9 @@ def _placed_scene(cert: DissectionCertificate, layer: str, scene: _Scene,
         if p.destination_layer == layer:
             scene.add_region(p.placed(), dx)
     for lid, region in cert.targets:
-        for r in region.rects if lid == layer else ():
-            scene.add_frame(r.x + dx, r.y, r.w, r.h)
+        if lid == layer:
+            for r in region.rects:
+                scene.add_frame(r.x + dx, r.y, r.w, r.h)
 
 
 def _source_scene(cert: DissectionCertificate, layer: str, scene: _Scene,
