@@ -4,8 +4,8 @@ the result as one row of ``BENCH_<pr>.json``.
 Standard library only, and only the public API of ``powersums.dissect``,
 so the same script measures any checkout's ``src``:
 
-    python3 scripts/bench.py --pr 16 --label change
-    python3 scripts/bench.py --pr 16 --label parent --src ../parent/src
+    python3 scripts/bench.py --pr PR --label change
+    python3 scripts/bench.py --pr PR --label parent --src ../parent/src
 
 A row records, per n = 1..10, the median wall seconds of
 ``full_theorem_report(n)``; and per construction at its cap, the median
