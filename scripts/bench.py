@@ -30,11 +30,14 @@ from typing import Any, Callable
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: calls behind each median
+REPEATS = 5
 
-def _median_s(fn: Callable[[], Any], repeats: int) -> tuple[float, Any]:
-    """The median wall seconds of ``repeats`` calls, and the last result."""
+
+def _median_s(fn: Callable[[], Any]) -> tuple[float, Any]:
+    """The median wall seconds of ``REPEATS`` calls, and the last result."""
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         gc.collect()
         start = time.perf_counter()
         result = fn()
@@ -59,11 +62,10 @@ def _work(certs: list[Any], reports: list[Any]) -> dict[str, int]:
     }
 
 
-def measure(dissect: Any, repeats: int) -> dict[str, Any]:
+def measure(dissect: Any) -> dict[str, Any]:
     theorem = {}
     for n in range(1, 11):
-        seconds, report = _median_s(lambda n=n: dissect.full_theorem_report(n),
-                                    repeats)
+        seconds, report = _median_s(lambda n=n: dissect.full_theorem_report(n))
         assert report.holds, report
         theorem[str(n)] = seconds
     builders = {
@@ -78,10 +80,10 @@ def measure(dissect: Any, repeats: int) -> dict[str, Any]:
     constructions = {}
     for name, build in builders.items():
         n = dissect.CONSTRUCTIONS[name]
-        build_s, built = _median_s(lambda: build(n), repeats)
+        build_s, built = _median_s(lambda: build(n))
         certs = list(built) if isinstance(built, tuple) else [built]
         check_s, reports = _median_s(
-            lambda: [dissect.check_certificate(c) for c in certs], repeats)
+            lambda: [dissect.check_certificate(c) for c in certs])
         assert all(r.ok for r in reports), reports
         constructions[name] = {"n": n, "build_s": build_s, "check_s": check_s,
                                **_work(certs, reports)}
@@ -96,16 +98,15 @@ def main() -> None:
     parser.add_argument("--label", required=True)
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the package source to measure (default: ./src)")
-    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path,
                         help="default: BENCH_<pr>.json at the repository root")
     args = parser.parse_args()
     sys.path.insert(0, str(args.src.resolve()))
     from powersums import dissect
 
-    row = {"label": args.label, "repeats": args.repeats,
+    row = {"label": args.label, "repeats": REPEATS,
            "python": platform.python_version(), "machine": platform.machine(),
-           "cpus": os.cpu_count(), **measure(dissect, args.repeats)}
+           "cpus": os.cpu_count(), **measure(dissect)}
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     doc = json.loads(out.read_text()) if out.exists() else {"pr": args.pr,
                                                             "rows": []}

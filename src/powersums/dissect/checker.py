@@ -184,8 +184,8 @@ def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
         lattice = (cert if isinstance(cert, LatticeCertificate)
                    else _from_wire(cert) if isinstance(cert, WireCertificate)
                    else _from_objects(cert))
-        typed = isinstance(cert, WireCertificate)  # the walk typed each field
-        return _report(*_scan(lattice, CONSTRUCTIONS, typed), lattice.denominator)
+        built = lattice is not cert  # a front end made its tuples
+        return _report(*_scan(lattice, CONSTRUCTIONS, built), lattice.denominator)
     except Exception as exc:  # malformed input must never crash the checker
         return CheckReport(False, CheckFailure(
             "malformed", None, None, f"{type(exc).__name__}: {exc}"))

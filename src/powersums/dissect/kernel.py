@@ -253,62 +253,62 @@ def _typed(what: str, values: Sequence[object], kind: type,
         yield _malformed(f"{what} must be {shape}, got {bounded(repr(bad))}")
 
 
-def _type_defects(cert: LatticeCertificate) -> Iterator[Failure]:
-    """Fields of the wrong type, the first first (each check relies on those
-    before it): strs, ints, a bool and tuples of 5, 2, 4, 4 and 2 for pieces,
-    targets, transforms, rects and points."""
-    yield from _typed("the construction", [cert.construction], str)
-    yield from _typed("n", [cert.n], int)  # the wire walk refuses one too
-    yield from _typed("the denominator", [cert.denominator], int)
+def _shape_defects(cert: LatticeCertificate) -> Iterator[Failure]:
+    """Tuples of the wrong shape, the first first: pieces, targets,
+    transforms, rects and points are tuples of 5, 2, 4, 4 and 2, and every
+    coordinate an int."""
     yield from _typed("a piece", cert.pieces, tuple, 5)
     yield from _typed("a target", cert.targets, tuple, 2)
-    ids, sources, rect_lists, transforms, dests = list(zip(*cert.pieces)) or [()] * 5
-    layers, target_rects = list(zip(*cert.targets)) or [(), ()]
-    yield from _typed("a piece id", ids, str)
-    yield from _typed("a layer id", sources + dests + layers, str)
+    _ids, _sources, rect_lists, transforms, _dests = list(zip(*cert.pieces)) or [()] * 5
     yield from _typed("a transform", transforms, tuple, 4)
-    turns, reflects, dxs, dys = list(zip(*transforms)) or [()] * 4
-    yield from _typed("quarter_turns", turns, int)
-    yield from _typed("reflect", reflects, bool)
-    rects = list(chain.from_iterable((*rect_lists, *target_rects, *cert.leftovers)))
+    rects = list(chain.from_iterable((*rect_lists, *(rs for _l, rs in cert.targets),
+                                      *cert.leftovers)))
     yield from _typed("a rect", rects, tuple, 4)
+    _turns, _reflects, dxs, dys = list(zip(*transforms)) or [()] * 4
     points = [*chain.from_iterable(rects), *dxs, *dys]
     yield from _typed("a point", points, tuple, 2)
     yield from _typed("a coordinate", list(chain.from_iterable(points)), int)
 
 
 def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
-             typed: bool) -> Iterator[Failure]:
-    """Structural defects, the first first: the types unless ``typed``, then
-    n, D or a quarter turn out of range, a target on the leftover layer, a
-    repeated piece id, and an empty or degenerate source."""
-    if not typed:
-        yield from _type_defects(cert)
+             built: bool) -> Iterator[Failure]:
+    """Structural defects, the first first (each check relies on those
+    before it): the construction, n, D, the shapes unless ``built``, the ids,
+    layer ids and ``reflect``, a target on the leftover layer, then piece by
+    piece a repeated id, a bad quarter turn, an empty or degenerate source."""
     name, n, d = cert.construction, cert.n, cert.denominator
+    yield from _typed("the construction", [name], str)
     if name not in constructions:
         yield _malformed(f"unknown construction {bounded(repr(name))}")
+    yield from _typed("n", [n], int)  # the wire walk refuses one too
     if n < 1:
         yield _malformed(f"n must be >= 1, got {bounded(str(n))}")
     if n > constructions[name]:
         yield _malformed(f"n must be <= {constructions[name]} for {name}, "
                          f"got {bounded(str(n))}")
+    yield from _typed("the denominator", [d], int)
     if d < 1 or d.bit_length() > MAX_DENOMINATOR_BITS:
         yield _malformed(f"the denominator must be in 1..2**"
                          f"{MAX_DENOMINATOR_BITS} - 1, got {bounded(str(d))}")
-    ids, sources, rect_lists, transforms, _dests = list(zip(*cert.pieces)) or [()] * 5
-    if any(layer == LEFTOVER_LAYER for layer, _rects in cert.targets):
+    if not built:
+        yield from _shape_defects(cert)
+    ids, sources, _rects, transforms, dests = list(zip(*cert.pieces)) or [()] * 5
+    layers = [layer for layer, _rects in cert.targets]
+    yield from _typed("a piece id", ids, str)
+    yield from _typed("a layer id", sources + dests + tuple(layers), str)
+    yield from _typed("reflect", [t[1] for t in transforms], bool)
+    if LEFTOVER_LAYER in layers:
         yield _malformed(f"{LEFTOVER_LAYER!r} is reserved for declared "
                          "leftovers", LEFTOVER_LAYER)
-    if len(set(ids)) < len(ids):
-        seen: set[str] = set()
-        dup = next(i for i in ids if i in seen or seen.add(i))
-        yield _malformed(f"duplicate piece id {bounded(repr(dup))}")
-    turns = [t[0] for t in transforms]
-    if not set(turns) <= {0, 1, 2, 3}:
-        piece_id, turn = next(pt for pt in zip(ids, turns) if pt[1] not in range(4))
-        yield _malformed(f"piece {bounded(repr(piece_id))}: quarter_turns "
-                         f"must be 0..3, got {bounded(str(turn))}")
-    for piece_id, source_layer, rects in zip(ids, sources, rect_lists):
+    seen: set[str] = set()
+    for piece_id, source_layer, rects, transform, _dest in cert.pieces:
+        if piece_id in seen:
+            yield _malformed(f"duplicate piece id {bounded(repr(piece_id))}")
+        seen.add(piece_id)
+        turns = transform[0]
+        if type(turns) is not int or not 0 <= turns <= 3:
+            yield _malformed(f"piece {bounded(repr(piece_id))}: quarter_turns "
+                             f"must be 0..3, got {bounded(str(turns))}")
         if not rects:
             yield _malformed(f"piece {bounded(repr(piece_id))} has an empty "
                              "source region", source_layer)
@@ -322,12 +322,12 @@ def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
 
 
 def _scan(cert: LatticeCertificate, constructions: Mapping[str, int],
-          typed: bool = False) -> tuple[Optional[Failure], int, int]:
+          built: bool = False) -> tuple[Optional[Failure], int, int]:
     """The verdict: structure, then source disjointness per source layer,
     then exact cover per destination layer, in sorted layer order: the first
-    failure (or None), with the layers and cells scanned to it.  ``typed``
-    skips the type checks, for input whose every field's type was checked."""
-    failure = next(_defects(cert, constructions, typed), None)
+    failure (or None), with the layers and cells scanned to it.  ``built``
+    skips the shape checks, for input whose tuples a front end built."""
+    failure = next(_defects(cert, constructions, built), None)
     if failure is not None:
         return failure, 0, 0
     by_source: dict[str, list[LatticeRect]] = {}

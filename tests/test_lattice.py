@@ -219,3 +219,42 @@ def test_the_view_shares_one_value_per_point():
     corners = [v for p in view.placements for r in p.source.rects for v in r]
     assert len({id(v) for v in corners}) == len(set(corners))
     assert all(type(v) is QuadExt for v in corners)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda w: w._replace(n=True), "n must be an int, got True"),
+    (lambda w: w._replace(placements=[w.placements[0]._replace(quarter_turns=True),
+                                      *w.placements[1:]]),
+     "piece 'GAUSS_RECT/plane/a': quarter_turns must be 0..3, got True"),
+], ids=["n", "quarter_turns"])
+def test_an_edited_wire_certificate_is_typed_again(edit, message):
+    wire = read_certificate(dumps_certificate(gauss_rectangle(2)))
+    report = check_certificate(edit(wire))
+    assert (report.failure.kind, report.failure.message) == ("malformed", message)
+
+
+def _edit_pieces(cert, edits):
+    pieces = [list(p) for p in cert.pieces]
+    for (i, field), value in edits.items():
+        pieces[i][field] = value
+    return cert._replace(pieces=[tuple(p) for p in pieces])
+
+
+def test_the_first_of_two_defects_is_the_first_piece_s():
+    """Piece by piece, as the checks ran before the type checks came in: a
+    defect of piece 0 is reported before one of a later piece."""
+    cert = generators._three_pyramids_2d(2).cert
+    first_id = cert.pieces[0][0]
+    x1, y1, _x2, y2 = cert.pieces[0][2][0]
+    _turns, reflect, dx, dy = cert.pieces[3][3]
+    turned_seven = {(3, 3): (7, reflect, dx, dy)}
+    cases = {
+        "has a degenerate rectangle": {(0, 2): [(x1, y1, x1, y2)], (5, 0): first_id},
+        "has an empty source region": {(0, 2): [], **turned_seven},
+        "duplicate piece id": {(1, 0): first_id, **turned_seven},
+    }
+    for message, edits in cases.items():
+        failure = check_certificate(_edit_pieces(cert, edits)).failure
+        assert failure.kind == "malformed" and message in failure.message
+    named = check_certificate(cert._replace(construction="NOPE", n=0)).failure
+    assert named.message == "unknown construction 'NOPE'"
