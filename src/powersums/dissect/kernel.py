@@ -264,8 +264,7 @@ def _shape_defects(cert: LatticeCertificate) -> Iterator[Failure]:
     rects = list(chain.from_iterable((*rect_lists, *(rs for _l, rs in cert.targets),
                                       *cert.leftovers)))
     yield from _typed("a rect", rects, tuple, 4)
-    _turns, _reflects, dxs, dys = list(zip(*transforms)) or [()] * 4
-    points = [*chain.from_iterable(rects), *dxs, *dys]
+    points = list(chain.from_iterable((*rects, *(t[2:] for t in transforms))))
     yield from _typed("a point", points, tuple, 2)
     yield from _typed("a coordinate", list(chain.from_iterable(points)), int)
 
@@ -273,9 +272,10 @@ def _shape_defects(cert: LatticeCertificate) -> Iterator[Failure]:
 def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
              built: bool) -> Iterator[Failure]:
     """Structural defects, the first first (each check relies on those
-    before it): the construction, n, D, the shapes unless ``built``, the ids,
-    layer ids and ``reflect``, a target on the leftover layer, then piece by
-    piece a repeated id, a bad quarter turn, an empty or degenerate source."""
+    before it): the construction, n, D, the shapes unless ``built``, the
+    target layer ids, a target on the leftover layer, then piece by piece
+    the types of the ids and ``reflect``, a repeated id, a bad quarter turn,
+    and an empty or degenerate source."""
     name, n, d = cert.construction, cert.n, cert.denominator
     yield from _typed("the construction", [name], str)
     if name not in constructions:
@@ -292,20 +292,21 @@ def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
                          f"{MAX_DENOMINATOR_BITS} - 1, got {bounded(str(d))}")
     if not built:
         yield from _shape_defects(cert)
-    ids, sources, _rects, transforms, dests = list(zip(*cert.pieces)) or [()] * 5
     layers = [layer for layer, _rects in cert.targets]
-    yield from _typed("a piece id", ids, str)
-    yield from _typed("a layer id", sources + dests + tuple(layers), str)
-    yield from _typed("reflect", [t[1] for t in transforms], bool)
+    yield from _typed("a layer id", layers, str)
     if LEFTOVER_LAYER in layers:
         yield _malformed(f"{LEFTOVER_LAYER!r} is reserved for declared "
                          "leftovers", LEFTOVER_LAYER)
     seen: set[str] = set()
-    for piece_id, source_layer, rects, transform, _dest in cert.pieces:
+    for piece_id, source_layer, rects, (turns, reflect, _dx, _dy), dest in cert.pieces:
+        if not (type(piece_id) is type(source_layer) is type(dest) is str
+                and type(reflect) is bool):  # _typed for the message
+            yield from _typed("a piece id", [piece_id], str)
+            yield from _typed("a layer id", [source_layer, dest], str)
+            yield from _typed("reflect", [reflect], bool)
         if piece_id in seen:
             yield _malformed(f"duplicate piece id {bounded(repr(piece_id))}")
         seen.add(piece_id)
-        turns = transform[0]
         if type(turns) is not int or not 0 <= turns <= 3:
             yield _malformed(f"piece {bounded(repr(piece_id))}: quarter_turns "
                              f"must be 0..3, got {bounded(str(turns))}")

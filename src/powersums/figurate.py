@@ -246,9 +246,7 @@ def _final_assembly(n: int) -> _Pair:
     return lhs, rhs
 
 
-_RegistryFn = Callable[..., _Pair]
-
-REGISTRY: dict[str, tuple[tuple[str, ...], _RegistryFn]] = {
+REGISTRY: dict[str, tuple[tuple[str, ...], Callable[..., _Pair]]] = {
     "ODD_SUM_SQUARE": (("n",), _odd_sum_square),
     "TRIANGULAR": (("n",), _triangular),
     "SUM_SQUARES": (("n",), _sum_squares),

@@ -385,6 +385,32 @@ def test_python_dash_m_help_exits_zero():
     assert done.stdout.startswith("usage: powersums")
 
 
+_REIMPORT = """
+import gc, sys, weakref
+def load():
+    for name in [n for n in sys.modules if n.split(".")[0] == "powersums"]:
+        del sys.modules[name]
+    import powersums.cli, powersums.dissect
+    return weakref.ref(sys.modules["powersums.exact"].QuadExt)
+old = load()
+load()
+gc.collect()
+sys.exit(old() is not None)
+"""
+
+
+def test_a_fresh_import_lets_the_old_package_go():
+    """Nothing outside the package, such as ``typing``'s cache of
+    subscripted types, keeps a class of an earlier import alive, so
+    repeated fresh imports do not grow the heap."""
+    src = str(Path(powersums.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _REIMPORT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_verify_all_compares_figures_with_the_golden_bytes(monkeypatch):
     golden = verify.CRITERIA[9]
     assert golden.check == "render/golden" and golden.run(2) is None
