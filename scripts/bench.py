@@ -7,12 +7,14 @@ so the same script measures any checkout's ``src``:
     python3 scripts/bench.py --pr PR --label change
     python3 scripts/bench.py --pr PR --label parent --src ../parent/src
 
-A row records, per n = 1..10, the median wall seconds of
-``full_theorem_report(n)``; and per construction at its cap, the median
-seconds of its builder and of ``check_certificate`` on what it built, with
-the work behind them: pieces, source rects, distinct coordinates, and the
-layers and grid cells of the ``CheckReport``.  Rows of other labels in the
-file are kept, so parent and change rows from one session sit side by side.
+A row records, per n = 1..10, the wall seconds of ``full_theorem_report(n)``;
+and per construction at its cap, the seconds of its builders (every variant
+of ``certificate_builders``, in one call) and of ``check_certificate`` on
+what they built, with the work behind them: pieces, source rects, distinct
+coordinates, and the layers and grid cells of the ``CheckReport``.  Each time
+is the median of ``REPEATS`` calls, with their p25 and p75 beside it, so a
+row shows its own spread.  Rows of other labels in the file are kept, so
+parent and change rows from one session sit side by side.
 """
 
 from __future__ import annotations
@@ -34,15 +36,17 @@ ROOT = Path(__file__).resolve().parents[1]
 REPEATS = 5
 
 
-def _median_s(fn: Callable[[], Any]) -> tuple[float, Any]:
-    """The median wall seconds of ``REPEATS`` calls, and the last result."""
+def _timed(fn: Callable[[], Any]) -> tuple[dict[str, float], Any]:
+    """The median, p25 and p75 wall seconds of ``REPEATS`` calls, and the
+    last result."""
     times = []
     for _ in range(REPEATS):
         gc.collect()
         start = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - start)
-    return statistics.median(times), result
+    p25, median, p75 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": median, "p25_s": p25, "p75_s": p75}, result
 
 
 def _work(certs: list[Any], reports: list[Any]) -> dict[str, int]:
@@ -65,30 +69,20 @@ def _work(certs: list[Any], reports: list[Any]) -> dict[str, int]:
 def measure(dissect: Any) -> dict[str, Any]:
     theorem = {}
     for n in range(1, 11):
-        seconds, report = _median_s(lambda n=n: dissect.full_theorem_report(n))
+        seconds, report = _timed(lambda n=n: dissect.full_theorem_report(n))
         assert report.holds, report
         theorem[str(n)] = seconds
-    builders = {
-        "GAUSS_RECT": dissect.gauss_rectangle,
-        "THREE_PYR_2D": dissect.three_pyramids_2d,
-        "NICOMACHUS_4D_2D": dissect.nicomachus_4d_2d,
-        "FIVE_PYR_LAYERS": dissect.five_pyramids_layers,
-        "STEP2_RESHAPE": dissect.step2_reshape,
-        "STEP3_SCISSOR": dissect.step3_scissor,
-        "STEP4_TOP": lambda n: dissect.step4_top_layer(n).certificates(),
-    }
     constructions = {}
-    for name, build in builders.items():
-        n = dissect.CONSTRUCTIONS[name]
-        build_s, built = _median_s(lambda: build(n))
-        certs = list(built) if isinstance(built, tuple) else [built]
-        check_s, reports = _median_s(
+    for name, n in dissect.CONSTRUCTIONS.items():
+        builders = dissect.generators.certificate_builders(name).values()
+        build, certs = _timed(lambda: [b(n) for b in builders])
+        check, reports = _timed(
             lambda: [dissect.check_certificate(c) for c in certs])
         assert all(r.ok for r in reports), reports
-        constructions[name] = {"n": n, "build_s": build_s, "check_s": check_s,
+        constructions[name] = {"n": n, "build": build, "check": check,
                                **_work(certs, reports)}
-    return {"theorem_median_s": theorem,
-            "theorem_block_s": sum(theorem.values()),
+    return {"theorem": theorem,
+            "theorem_block_s": sum(t["median_s"] for t in theorem.values()),
             "constructions": constructions}
 
 

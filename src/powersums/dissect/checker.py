@@ -58,7 +58,7 @@ class CheckFailure:
     message: str
 
     def __str__(self) -> str:
-        where = f" on layer {bounded(repr(self.layer))}" if self.layer else ""
+        where = "" if self.layer is None else f" on layer {bounded(repr(self.layer))}"
         at = f" at {self.cell}" if self.cell else ""
         return f"{self.kind}{where}{at}: {self.message}"
 

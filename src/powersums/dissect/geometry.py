@@ -151,8 +151,7 @@ class LabelledLattice(NamedTuple):
 
 
 class LatticeView(dict[Point, QuadExt]):
-    """The ``QuadExt`` of each lattice point over d, made once per point;
-    ``region`` takes a rect's w and h as its corners' differences."""
+    """The ``QuadExt`` of each lattice point over d, made once per point."""
 
     def __init__(self, d: int) -> None:
         self.d = d
@@ -162,24 +161,25 @@ class LatticeView(dict[Point, QuadExt]):
         q = self[point] = quad_from_triple((point[0] // g, point[1] // g, self.d // g))
         return q
 
-    def region(self, label: str, rects: Iterable[LatticeRect]) -> Region:
-        return Region(label, tuple(
-            Rect(self[x1], self[y1], self[x2[0] - x1[0], x2[1] - x1[1]],
-                 self[y2[0] - y1[0], y2[1] - y1[1]]) for x1, y1, x2, y2 in rects))
-
 
 def certificate_from_lattice(data: LabelledLattice) -> DissectionCertificate:
     """The certificate object whose kernel data is ``data.cert``."""
     cert, view = data.cert, LatticeView(data.cert.denominator)
+
+    def region(label: str, rects: Iterable[LatticeRect]) -> Region:
+        return Region(label, tuple(
+            Rect(view[x1], view[y1], view[x2[0] - x1[0], x2[1] - x1[1]],
+                 view[y2[0] - y1[0], y2[1] - y1[1]]) for x1, y1, x2, y2 in rects))
+
     placements = tuple(
-        Placement(piece_id, layer, view.region(label, rects),
+        Placement(piece_id, layer, region(label, rects),
                   RigidTransform(turns, reflect, view[dx], view[dy]), dest)
         for (piece_id, layer, rects, (turns, reflect, dx, dy), dest), label
         in zip(cert.pieces, data.labels))
     return DissectionCertificate(
         cert.construction, cert.n, placements,
-        tuple((layer, view.region("target", rects)) for layer, rects in cert.targets),
-        tuple(map(view.region, data.leftover_labels, cert.leftovers)))
+        tuple((layer, region("target", rects)) for layer, rects in cert.targets),
+        tuple(map(region, data.leftover_labels, cert.leftovers)))
 
 
 # -- JSON wire format ----------------------------------------------------

@@ -5,14 +5,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from typing import Callable
 
-from ..exact import QuadExt
-from .geometry import DissectionCertificate, Placement
+from .geometry import DissectionCertificate, RigidTransform
 
-MUTATION_KINDS = (
-    "translate+x", "translate-x", "translate+y", "translate-y",
-    "quarter-turn", "reflect",
-)
+#: each mutation kind -> its edit of a placement's transform
+_EDITS: dict[str, Callable[[RigidTransform], RigidTransform]] = {
+    "translate+x": lambda t: replace(t, dx=t.dx + 1),
+    "translate-x": lambda t: replace(t, dx=t.dx - 1),
+    "translate+y": lambda t: replace(t, dy=t.dy + 1),
+    "translate-y": lambda t: replace(t, dy=t.dy - 1),
+    "quarter-turn": lambda t: replace(t, quarter_turns=(t.quarter_turns + 1) % 4),
+    "reflect": lambda t: replace(t, reflect=not t.reflect),
+}
+
+MUTATION_KINDS = tuple(_EDITS)
 
 
 def mutate_placement(cert: DissectionCertificate, rng: random.Random,
@@ -22,24 +29,6 @@ def mutate_placement(cert: DissectionCertificate, rng: random.Random,
     idx = rng.randrange(len(cert.placements))
     kind = MUTATION_KINDS[rng.randrange(len(MUTATION_KINDS))]
     p = cert.placements[idx]
-    t = p.transform
-    one = QuadExt(1)
-    if kind == "translate+x":
-        t = replace(t, dx=t.dx + one)
-    elif kind == "translate-x":
-        t = replace(t, dx=t.dx - one)
-    elif kind == "translate+y":
-        t = replace(t, dy=t.dy + one)
-    elif kind == "translate-y":
-        t = replace(t, dy=t.dy - one)
-    elif kind == "quarter-turn":
-        t = replace(t, quarter_turns=(t.quarter_turns + 1) % 4)
-    else:
-        t = replace(t, reflect=not t.reflect)
     placements = list(cert.placements)
-    placements[idx] = Placement(p.piece_id, p.source_layer, p.source, t,
-                                p.destination_layer)
-    mutant = DissectionCertificate(
-        cert.construction, cert.n, tuple(placements), cert.targets, cert.leftovers
-    )
-    return mutant, f"{kind} on {p.piece_id}"
+    placements[idx] = replace(p, transform=_EDITS[kind](p.transform))
+    return replace(cert, placements=tuple(placements)), f"{kind} on {p.piece_id}"

@@ -1,26 +1,27 @@
 """Deterministic figure reconstruction as SVG or TikZ.
 
-Geometry comes from the exact generators, and the exact model decides every
-split and adjacency: a rect is drawn as unit cells exactly when its corners
-and sides are integers, and those cells are computed on ints.  Each drawn
-rect is converted to float once, into the box the emitters print, so
-rounding can never open gaps or create overlaps in the drawing's structure.
-Identical FigureSpec inputs produce byte-identical documents.
+Figures draw the generators' kernel data, lattice rects over D moved by the
+kernel's ``_place``.  A rect is drawn as unit cells exactly when its corners
+are integers, and those cells are computed on ints.  Every other rect and
+frame becomes the float box the emitters print, each lattice point converted
+once, so rounding can never open gaps or create overlaps in the drawing's
+structure.  Identical FigureSpec inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
-from .dissect.generators import (D, UnsupportedN, _stair_rows, five_pyramids_layers,
-                                  gauss_rectangle, nicomachus_4d_2d, scissor_rectangle,
-                                  step2_reshape, step4_overlap, three_pyramids_2d)
-from .dissect.geometry import (LEFTOVER_LAYER, DissectionCertificate, Region,
-                               LatticeView, certificate_from_lattice)
-from .dissect.kernel import bounded
-from .exact import QuadLike, quad_to_float, strip_root
+from .dissect.generators import (D, X, UnsupportedN, _box, _five_pyramids_layers,
+                                  _gauss_rectangle, _nicomachus_4d_2d, _stair_rows,
+                                  _step2_reshape, _step4_overlap,
+                                  _three_pyramids_2d, scissor_rectangle)
+from .dissect.geometry import LEFTOVER_LAYER, LabelledLattice
+from .dissect.kernel import LatticeRect, Point, _place, bounded
+from .exact import QuadExt, quad_to_float
 
 #: Fill colours per piece label (total over everything the generators and
 #: figure builders emit).
@@ -68,9 +69,17 @@ class FigureSpec:
 _Box = tuple[float, float, float, float, float, float]
 
 
-def _float_box(x: QuadLike, y: QuadLike, w: QuadLike, h: QuadLike) -> _Box:
-    return (quad_to_float(x), quad_to_float(y), quad_to_float(x + w),
-            quad_to_float(y + h), quad_to_float(w), quad_to_float(h))
+@lru_cache(maxsize=4096)  # lattice points repeat across a figure
+def _float(point: Point) -> float:
+    return quad_to_float(QuadExt(Fraction(point[0], D), Fraction(point[1], D)))
+
+
+def _float_box(rect: LatticeRect, dx: int, dy: int) -> _Box:
+    (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) = rect
+    sx, sy = dx * D, dy * D
+    return (_float((x1a + sx, x1b)), _float((y1a + sy, y1b)),
+            _float((x2a + sx, x2b)), _float((y2a + sy, y2b)),
+            _float((x2a - x1a, x2b - x1b)), _float((y2a - y1a, y2b - y1b)))
 
 
 @dataclass
@@ -84,40 +93,39 @@ class _Scene:
         self.fills += [((i, j, i + 1, j + 1, 1, 1), label)
                        for i in range(x, x + w) for j in range(y, y + h)]
 
-    def add_region(self, region: Region, dx: int = 0, dy: int = 0) -> None:
-        """Each rect of ``region``, shifted: as unit cells if its corners
-        and sides are integers, else whole."""
-        for r in region.rects:
-            (xa, xb, xd), (ya, yb, yd), (wa, wb, wd), (ha, hb, hd) = (
-                v.triple for v in r)
-            if xb == yb == wb == hb == 0 and xd == yd == wd == hd == 1:
-                self.add_cells(xa + dx, ya + dy, wa, ha, region.label)
+    def add_rects(self, label: str, rects: Sequence[LatticeRect], dx: int = 0,
+                  dy: int = 0) -> None:
+        """Each rect, shifted by (dx, dy): as unit cells if its corners are
+        integers, else whole."""
+        for rect in rects:
+            if any(b or a % D for a, b in rect):
+                self.fills.append((_float_box(rect, dx, dy), label))
             else:
-                self.fills.append((_float_box(r.x + dx, r.y + dy, r.w, r.h),
-                                   region.label))
+                (x1, _), (y1, _), (x2, _), (y2, _) = rect
+                self.add_cells(x1 // D + dx, y1 // D + dy, (x2 - x1) // D,
+                               (y2 - y1) // D, label)
 
-    def add_frame(self, x: QuadLike, y: QuadLike, w: QuadLike,
-                  h: QuadLike) -> None:
-        self.frames.append(_float_box(x, y, w, h))
+    def add_frame(self, rect: LatticeRect, dx: int = 0) -> None:
+        self.frames.append(_float_box(rect, dx, 0))
 
 
-def _placed_scene(cert: DissectionCertificate, layer: str, scene: _Scene,
+def _placed_scene(data: LabelledLattice, layer: str, scene: _Scene,
                   dx: int = 0) -> None:
-    """Draw one layer of a certificate as placed: its pieces and targets."""
-    for p in cert.placements:
-        if p.destination_layer == layer:
-            scene.add_region(p.placed(), dx)
-    for lid, region in cert.targets:
+    """Draw one layer of a builder's data as placed: its pieces and targets."""
+    for (_id, _source, rects, t, dest), label in zip(data.cert.pieces, data.labels):
+        if dest == layer:
+            scene.add_rects(label, _place(rects, t), dx)
+    for lid, rects in data.cert.targets:
         if lid == layer:
-            for r in region.rects:
-                scene.add_frame(r.x + dx, r.y, r.w, r.h)
+            for r in rects:
+                scene.add_frame(r, dx)
 
 
-def _source_scene(cert: DissectionCertificate, layer: str, scene: _Scene,
+def _source_scene(data: LabelledLattice, layer: str, scene: _Scene,
                   dx: int = 0) -> None:
-    for p in cert.placements:
-        if p.source_layer == layer:
-            scene.add_region(p.source, dx)
+    for (_id, source, rects, _t, _dest), label in zip(data.cert.pieces, data.labels):
+        if source == layer:
+            scene.add_rects(label, rects, dx)
 
 
 def _gnomon(scene: _Scene, k: int, x0: int, y0: int) -> None:
@@ -138,11 +146,7 @@ def _odd_numbers(scene: _Scene, spec: FigureSpec) -> None:
         x0 += k + 1
     for k in range(1, n + 1):  # the assembled square, ring by ring
         _gnomon(scene, k, x0, 0)
-    scene.add_frame(x0, 0, n, n)
-
-
-def _gauss(scene: _Scene, spec: FigureSpec) -> None:
-    _placed_scene(gauss_rectangle(spec.n), "plane", scene)
+    scene.add_frame(_box(x0, 0, n, n))
 
 
 def _main_sections(scene: _Scene, spec: FigureSpec) -> None:
@@ -157,32 +161,23 @@ def _secondary_sections(scene: _Scene, spec: FigureSpec) -> None:
     """Secondary section m of P_3(n) is the staircase of rows m..n."""
     n = spec.n
     for m in range(1, n + 1):
-        scene.add_region(LatticeView(D).region(
-            "stair_a", _stair_rows(m, n, (m - 1) * (n + 2), 0)))
+        scene.add_rects("stair_a", _stair_rows(m, n, (m - 1) * (n + 2), 0))
 
 
 def _puzzle_3d(scene: _Scene, spec: FigureSpec) -> None:
     n = spec.n
-    cert = three_pyramids_2d(n)
+    data = _three_pyramids_2d(n)
     for m in range(1, n + 1):
         dx = (m - 1) * (n + 3)
-        _source_scene(cert, f"layer/{m}", scene, dx)
-        scene.add_frame(dx, 0, n + 1, n + 1)
+        _source_scene(data, f"layer/{m}", scene, dx)
+        scene.add_frame(_box(dx, 0, n + 1, n + 1))
 
 
 def _puzzle_3d_diy(scene: _Scene, spec: FigureSpec) -> None:
     n = spec.n
-    cert = three_pyramids_2d(n)
+    data = _three_pyramids_2d(n)
     for m in range(1, n + 1):
-        _placed_scene(cert, f"layer/{m}", scene, (m - 1) * (n + 3))
-
-
-def _nicomachus_grid(scene: _Scene, spec: FigureSpec) -> None:
-    _source_scene(nicomachus_4d_2d(spec.n), "grid", scene)
-
-
-def _nicomachus_grid_diy(scene: _Scene, spec: FigureSpec) -> None:
-    _placed_scene(nicomachus_4d_2d(spec.n), "grid", scene)
+        _placed_scene(data, f"layer/{m}", scene, (m - 1) * (n + 3))
 
 
 def _five_pyr_section(scene: _Scene, spec: FigureSpec) -> None:
@@ -190,33 +185,25 @@ def _five_pyr_section(scene: _Scene, spec: FigureSpec) -> None:
     if not 1 <= t <= n:
         raise UnsupportedN(f"FIVE_PYR_SECTION: section must be 1..{n}, "
                            f"got {bounded(str(t))}")
-    _placed_scene(five_pyramids_layers(n), f"layer/{t}", scene)
-
-
-def _convolution_excess(scene: _Scene, spec: FigureSpec) -> None:
-    _placed_scene(five_pyramids_layers(spec.n), "excess", scene)
+    _placed_scene(_five_pyramids_layers(n), f"layer/{t}", scene)
 
 
 def _step2(scene: _Scene, spec: FigureSpec) -> None:
     n = spec.n
-    cert = step2_reshape(n)
-    _source_scene(cert, "layer/1", scene)
-    _placed_scene(cert, "layer/1", scene, n * (n + 1) + 2)
+    data = _step2_reshape(n)
+    _source_scene(data, "layer/1", scene)
+    _placed_scene(data, "layer/1", scene, n * (n + 1) + 2)
 
 
 def _step3_scissor(scene: _Scene, spec: FigureSpec) -> None:
     n = spec.n
-    pieces = certificate_from_lattice(scissor_rectangle(n, 1, 0, 0)).placements
-    for p in pieces:  # before: the cut rectangle
-        scene.add_region(p.source)
-    after_dx = n + 4
-    for p in pieces:  # after: reshaped rectangle plus the leftovers
-        if p.destination_layer == LEFTOVER_LAYER:
-            scene.add_region(p.placed(), after_dx + n + 3, n)
-        else:
-            scene.add_region(p.placed(), after_dx)
-    x = quad_to_float(strip_root())
-    scene.notes.append((0, n + 1, f"x ~ {x:.4f}"))
+    data = scissor_rectangle(n, 1, 0, 0)
+    _source_scene(data, "layer/1", scene)  # before: the cut rectangle
+    # after: the reshaped rectangle, and the leftovers beside it
+    for (_id, _source, rects, t, dest), label in zip(data.cert.pieces, data.labels):
+        dx, dy = (2 * n + 7, n) if dest == LEFTOVER_LAYER else (n + 4, 0)
+        scene.add_rects(label, _place(rects, t), dx, dy)
+    scene.notes.append((0, n + 1, f"x ~ {_float(X):.4f}"))
 
 
 def _top_dual(scene: _Scene, spec: FigureSpec) -> None:
@@ -225,11 +212,16 @@ def _top_dual(scene: _Scene, spec: FigureSpec) -> None:
         for j in range(n):
             for k in range(max(i, j) + 1, n + 1):
                 _gnomon(scene, k, i * n, j * n)
-            scene.add_frame(i * n, j * n, n, n)
+            scene.add_frame(_box(i * n, j * n, n, n))
 
 
-def _two_copies(scene: _Scene, spec: FigureSpec) -> None:
-    _placed_scene(step4_overlap(spec.n), "doubled", scene)
+def _one_layer(draw: Callable[[LabelledLattice, str, _Scene], None],
+               build: Callable[[int], LabelledLattice],
+               layer: str) -> Callable[[_Scene, FigureSpec], None]:
+    """The figure that draws ``layer`` of ``build(n)`` with ``draw``."""
+    def figure(scene: _Scene, spec: FigureSpec) -> None:
+        draw(build(spec.n), layer, scene)
+    return figure
 
 
 #: Every figure by name: its builder and the largest n it draws.  None
@@ -238,19 +230,21 @@ def _two_copies(scene: _Scene, spec: FigureSpec) -> None:
 #: theirs here, since their cell counts grow as n^2 to n^4.
 _FIGURES: dict[str, tuple[Callable[[_Scene, FigureSpec], None], int | None]] = {
     "ODD_NUMBERS": (_odd_numbers, 100),
-    "GAUSS": (_gauss, None),
+    "GAUSS": (_one_layer(_placed_scene, _gauss_rectangle, "plane"), None),
     "MAIN_SECTIONS": (_main_sections, 50),
     "SECONDARY_SECTIONS": (_secondary_sections, 50),
     "PUZZLE_3D": (_puzzle_3d, None),
     "PUZZLE_3D_DIY": (_puzzle_3d_diy, None),
-    "NICOMACHUS_GRID": (_nicomachus_grid, None),
-    "NICOMACHUS_GRID_DIY": (_nicomachus_grid_diy, None),
+    "NICOMACHUS_GRID": (_one_layer(_source_scene, _nicomachus_4d_2d, "grid"), None),
+    "NICOMACHUS_GRID_DIY": (_one_layer(_placed_scene, _nicomachus_4d_2d, "grid"),
+                            None),
     "FIVE_PYR_SECTION": (_five_pyr_section, None),
-    "CONVOLUTION_EXCESS": (_convolution_excess, None),
+    "CONVOLUTION_EXCESS": (_one_layer(_placed_scene, _five_pyramids_layers,
+                                      "excess"), None),
     "STEP2": (_step2, None),
     "STEP3_SCISSOR": (_step3_scissor, None),
     "TOP_DUAL": (_top_dual, 20),
-    "TWO_COPIES": (_two_copies, None),
+    "TWO_COPIES": (_one_layer(_placed_scene, _step4_overlap, "doubled"), None),
 }
 
 FIGURE_NAMES = tuple(_FIGURES)

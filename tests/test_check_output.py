@@ -333,3 +333,21 @@ def test_oversized_values_are_not_echoed_whole(text, expected_code, stream,
     if stream == "err":
         assert err.startswith("error: ")
     assert written.count("\n") == 1 and len(written.encode()) < 1024
+
+
+def _unnamed_layers(data: Any) -> None:
+    for p in data["placements"]:
+        p["source_layer"] = p["destination_layer"] = ""
+    for t in data["targets"]:
+        t["layer"] = ""
+    _translated(data)
+
+
+def test_a_failure_names_a_layer_whose_id_is_empty(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(_edited(_unnamed_layers, dumps_certificate(gauss_rectangle(2))),
+                    encoding="utf-8")
+    code = main(["check", str(path)])
+    assert (code, *capsys.readouterr()) == (
+        2, "GAUSS_RECT n=2: FAIL outside on layer '' at [1, 2] x [0, 1]: "
+           "1 piece(s) outside every target\n", "")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from powersums.dissect import (
     UnsupportedN,
     five_pyramids_layers,
     gauss_rectangle,
+    generators,
+    geometry,
     nicomachus_4d_2d,
     step4_top_layer,
 )
@@ -87,6 +90,41 @@ def test_section_figures_build_no_pyramid(monkeypatch):
             emit_figure(FigureSpec(name, 4, format=fmt))
     golden = (GOLDEN_DIR / "MAIN_SECTIONS_n4.svg").read_text(encoding="utf-8")
     assert emit_figure(FigureSpec("MAIN_SECTIONS", 4)) == golden
+
+
+#: every public builder of certificate objects
+_VIEW_BUILDERS = ("gauss_rectangle", "three_pyramids_2d", "nicomachus_4d_2d",
+                  "five_pyramids_layers", "step2_reshape", "step3_scissor",
+                  "step4_overlap", "step4_bijection", "step4_bijection_full",
+                  "step4_top_layer")
+
+
+def test_figures_draw_kernel_data_and_build_no_view(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a figure built a certificate object or moved one")
+
+    refused = [geometry.certificate_from_lattice,
+               *(getattr(generators, name) for name in _VIEW_BUILDERS)]
+    # wherever a package module or a module-level table holds them
+    for key, module in list(sys.modules.items()):
+        if key == "powersums" or key.startswith("powersums."):
+            for namespace in (vars(module), *(v for v in vars(module).values()
+                                              if type(v) is dict)):
+                for name, value in list(namespace.items()):
+                    if any(value is f for f in refused):
+                        monkeypatch.setitem(namespace, name, refuse)
+    monkeypatch.setattr(geometry.Placement, "placed", refuse)
+    monkeypatch.setattr(geometry.RigidTransform, "apply_rect", refuse)
+    monkeypatch.setattr(geometry.LatticeView, "__missing__", refuse)
+    for name in FIGURE_NAMES:
+        for n in range(1, 4):
+            sections = range(1, n + 1) if name == "FIVE_PYR_SECTION" else [None]
+            for section in sections:
+                for fmt in ("svg", "tikz"):
+                    emit_figure(FigureSpec(name, n, format=fmt, section=section))
+    for (name, n, fmt), digest in GOLDEN_FIGURES.items():
+        document = emit_figure(FigureSpec(name, n, format=fmt))
+        assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
 def test_cell_counts_match_certificates():
