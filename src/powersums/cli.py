@@ -57,16 +57,12 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
-    if args.upto < 0:
-        raise ValueError("--upto must be >= 0")
     for m, value in enumerate(figurate.bernoulli_table(args.upto)):
         print(f"B_{m} = {rat_to_text(value)}")
     return EXIT_OK
 
 
 def _cmd_faulhaber(args: argparse.Namespace) -> int:
-    if args.p < 0 or args.n < 0:
-        raise ValueError("p and n must be >= 0")
     print(rat_to_text(figurate.faulhaber(args.p, args.n)))
     return EXIT_OK
 

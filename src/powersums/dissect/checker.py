@@ -2,18 +2,17 @@
 
 The ground truth for every generator.  The verdict itself comes from
 ``kernel``, which sees only int lattice points; this module hands it one of
-three inputs and turns its answer into a ``CheckReport``:
+two inputs and turns its answer into a ``CheckReport``:
 
 * a ``LatticeCertificate``, the kernel's own data, as it is;
-* from a ``DissectionCertificate``, one pass reads every coordinate's
-  ``QuadExt.triple``;
-* from a ``WireCertificate`` (a document that passed the strict JSON walk
-  of ``geometry.read_certificate``), each distinct coordinate text was
-  parsed once into its triple, and no ``QuadExt``, ``Rect`` or ``Region``
-  is built.
+* a ``WireCertificate`` (a document that passed the strict JSON walk of
+  ``geometry.read_certificate``): each distinct coordinate text, parsed
+  once into a triple, becomes the int pair (a*D, b*D) for a + b*sqrt(21),
+  with D the lcm of every denominator, and no ``QuadExt`` is built.
 
-The last two become int pairs (a*D, b*D) for a + b*sqrt(21), with D the lcm
-of every denominator.  Only a reported cell is rebuilt as ``QuadExt``.
+A ``DissectionCertificate`` is walked as ``certificate_to_json`` gives it,
+with no JSON text, so an object gets exactly the verdict of its file.  Only
+a reported cell is rebuilt as ``QuadExt``.
 
 Malformed input produces a report-carrying failure, never an exception.
 """
@@ -23,11 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .._nogc import nogc
 from ..exact import QuadExt, quad_to_text
-from .geometry import CONSTRUCTIONS, DissectionCertificate, Rect, WireCertificate
+from .geometry import (CONSTRUCTIONS, DissectionCertificate, Rect, WireCertificate,
+                       _walk, certificate_to_json)
 from .kernel import (MAX_DENOMINATOR_BITS, Failure, LatticeCertificate, LatticeRect,
                      Point, _check_layer_cover, _scan, bounded)
 # unused here: perfbench's traced run rebinds these per-layer scans through
@@ -92,27 +92,21 @@ def _report(failure: Optional[Failure], layers: int, cells: int,
 # -- front ends -------------------------------------------------------------
 
 
-def _denominator(dens: AbstractSet[int]) -> int:
-    """lcm of ``dens``.
+def _lattice_points(triples: Iterable[Triple]) -> tuple[int, dict[Triple, Point]]:
+    """D, the lcm of every denominator, and each distinct triple (A, B, den)
+    as the lattice point (A*D/den, B*D/den).
 
     Raises ValueError beyond ``MAX_DENOMINATOR_BITS``: every coordinate is
-    scaled by it, so input with many unrelated denominators would otherwise
+    scaled by D, so input with many unrelated denominators would otherwise
     cost memory in proportion to their product.
     """
+    distinct = set(triples)
     d = 1
-    for den in dens:
+    for den in {den for _a, _b, den in distinct}:
         d = lcm(d, den)
         if d.bit_length() > MAX_DENOMINATOR_BITS:
             raise ValueError(f"common denominator exceeds "
                              f"{MAX_DENOMINATOR_BITS} bits")
-    return d
-
-
-def _lattice_points(triples: Iterable[Triple]) -> tuple[int, dict[Triple, Point]]:
-    """D, and each distinct triple (A, B, den) as the lattice point
-    (A*D/den, B*D/den)."""
-    distinct = set(triples)
-    d = _denominator({den for _a, _b, den in distinct})
     return d, {t: (t[0] * (d // t[2]), t[1] * (d // t[2])) for t in distinct}
 
 
@@ -123,34 +117,6 @@ def _corners(x: Point, y: Point, w: Point, h: Point) -> LatticeRect:
 def _rects(take: Callable[[], Point], rects: Sequence[object]) -> list[LatticeRect]:
     """One lattice rect per entry of ``rects``, from the next four points."""
     return [_corners(take(), take(), take(), take()) for _ in rects]
-
-
-def _certificate_values(cert: DissectionCertificate) -> Iterator[QuadExt]:
-    """Every coordinate of ``cert``, in the order ``_from_objects`` reads them."""
-    for p in cert.placements:
-        for r in p.source.rects:
-            yield from r
-        yield from (p.transform.dx, p.transform.dy)
-    for region in (*(region for _layer, region in cert.targets), *cert.leftovers):
-        for r in region.rects:
-            yield from r
-
-
-def _from_objects(cert: DissectionCertificate) -> LatticeCertificate:
-    triples = [v.triple for v in _certificate_values(cert)]
-    d, at = _lattice_points(triples)
-    take = map(at.__getitem__, triples).__next__
-    pieces = []
-    for p in cert.placements:
-        source = _rects(take, p.source.rects)
-        t = p.transform
-        pieces.append((p.piece_id, p.source_layer, source,
-                       (t.quarter_turns, t.reflect, take(), take()),
-                       p.destination_layer))
-    targets = [(layer, _rects(take, region.rects)) for layer, region in cert.targets]
-    leftovers = [_rects(take, region.rects) for region in cert.leftovers]
-    return LatticeCertificate(cert.construction, cert.n, pieces, targets,
-                              leftovers, d)
 
 
 def _from_wire(cert: WireCertificate) -> LatticeCertificate:
@@ -172,7 +138,8 @@ def _from_wire(cert: WireCertificate) -> LatticeCertificate:
 @nogc
 def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
                                   WireCertificate]) -> CheckReport:
-    """Verify a certificate; returns a report, never raises.
+    """Verify a certificate; returns a report, never raises.  An object is
+    walked as its document, so its report is its file's.
 
     Checks, in order: structural well-formedness, source disjointness per
     source layer, and exact cover of every destination layer's targets
@@ -182,8 +149,8 @@ def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
     """
     try:
         lattice = (cert if isinstance(cert, LatticeCertificate)
-                   else _from_wire(cert) if isinstance(cert, WireCertificate)
-                   else _from_objects(cert))
+                   else _from_wire(cert if isinstance(cert, WireCertificate)
+                                   else _walk(certificate_to_json(cert))))
         built = lattice is not cert  # a front end made its tuples
         return _report(*_scan(lattice, CONSTRUCTIONS, built), lattice.denominator)
     except Exception as exc:  # malformed input must never crash the checker

@@ -95,11 +95,12 @@ def _piece(out: LabelledLattice, piece_id: str, layer: str, label: str,
 
 def _viewed(core: Callable[[int], LabelledLattice],
             ) -> Callable[[int], DissectionCertificate]:
-    """The public builder of ``core``'s certificate, as objects."""
+    """The public builder of ``core``'s certificate, as objects, and its ``core``."""
     def build(n: int) -> DissectionCertificate:
         return certificate_from_lattice(core(n))
     build.__name__ = build.__qualname__ = core.__name__.lstrip("_")
     build.__doc__ = core.__doc__
+    build.core = core  # type: ignore[attr-defined]
     return build
 
 

@@ -253,10 +253,22 @@ def _typed(what: str, values: Sequence[object], kind: type,
         yield _malformed(f"{what} must be {shape}, got {bounded(repr(bad))}")
 
 
+def _degenerate(rects: Iterable[LatticeRect]) -> bool:
+    """True iff one of ``rects`` has a width or height <= 0."""
+    for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
+        if not ((x2a > x1a if x1b == x2b  # no sqrt(21) part: no sign call
+                 else lattice_sign(x2a - x1a, x2b - x1b) > 0)
+                and (y2a > y1a if y1b == y2b
+                     else lattice_sign(y2a - y1a, y2b - y1b) > 0)):
+            return True
+    return False
+
+
 def _shape_defects(cert: LatticeCertificate) -> Iterator[Failure]:
     """Tuples of the wrong shape, the first first: pieces, targets,
     transforms, rects and points are tuples of 5, 2, 4, 4 and 2, and every
-    coordinate an int."""
+    coordinate an int; then a target or leftover rect with a side <= 0,
+    which the walk refuses in a document (a source's is checked per piece)."""
     yield from _typed("a piece", cert.pieces, tuple, 5)
     yield from _typed("a target", cert.targets, tuple, 2)
     _ids, _sources, rect_lists, transforms, _dests = list(zip(*cert.pieces)) or [()] * 5
@@ -267,6 +279,10 @@ def _shape_defects(cert: LatticeCertificate) -> Iterator[Failure]:
     points = list(chain.from_iterable((*rects, *(t[2:] for t in transforms))))
     yield from _typed("a point", points, tuple, 2)
     yield from _typed("a coordinate", list(chain.from_iterable(points)), int)
+    frames = (*cert.targets, *((LEFTOVER_LAYER, rs) for rs in cert.leftovers))
+    for layer, rects in frames:
+        if _degenerate(rects):
+            yield _malformed("a target or leftover has a degenerate rectangle", layer)
 
 
 def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
@@ -313,13 +329,9 @@ def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
         if not rects:
             yield _malformed(f"piece {bounded(repr(piece_id))} has an empty "
                              "source region", source_layer)
-        for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
-            if not ((x2a > x1a if x1b == x2b  # no sqrt(21) part: no sign call
-                     else lattice_sign(x2a - x1a, x2b - x1b) > 0)
-                    and (y2a > y1a if y1b == y2b
-                         else lattice_sign(y2a - y1a, y2b - y1b) > 0)):
-                yield _malformed(f"piece {bounded(repr(piece_id))} has a "
-                                 "degenerate rectangle", source_layer)
+        if _degenerate(rects):
+            yield _malformed(f"piece {bounded(repr(piece_id))} has a "
+                             "degenerate rectangle", source_layer)
 
 
 def _scan(cert: LatticeCertificate, constructions: Mapping[str, int],

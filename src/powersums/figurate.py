@@ -63,10 +63,21 @@ def _report(name: str, params: Mapping[str, int],
 # -- sums and Bernoulli numbers -----------------------------------------
 
 
+def _naturals(where: str, **values: object) -> None:
+    """Refuse a value that is not an int >= 0, naming ``where``: a bool or
+    2.0 is never coerced, as ``evaluate_identity`` refuses them."""
+    for key, value in values.items():
+        if type(value) is not int:
+            raise TypeError(f"{where}: {key} must be an int, "
+                            f"got {bounded(repr(value))}")
+        if value < 0:
+            raise ValueError(f"{where}: {key} must be >= 0, "
+                             f"got {bounded(str(value))}")
+
+
 def sum_powers_bruteforce(p: int, n: int) -> int:
     """S_p(n) = 1**p + 2**p + ... + n**p by literal summation."""
-    if p < 0 or n < 0:
-        raise ValueError("p and n must be non-negative")
+    _naturals("sum_powers_bruteforce", p=p, n=n)
     return sum(k**p for k in range(1, n + 1))
 
 
@@ -98,8 +109,7 @@ _BERNOULLI_LOCK = threading.Lock()
 
 def bernoulli(m: int) -> Rat:
     """B_m under the sum_{i<=m} C(m+1, i) B_i = m+1 recursion (B_1 = +1/2)."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    _naturals("bernoulli", m=m)
     if m > MAX_BERNOULLI:
         raise ValueError(f"too large: Bernoulli numbers are computed up to "
                          f"B_{MAX_BERNOULLI}")
@@ -115,6 +125,7 @@ def bernoulli(m: int) -> Rat:
 
 def bernoulli_table(upto: int) -> list[Rat]:
     """B_0 .. B_upto as a list."""
+    _naturals("bernoulli_table", upto=upto)
     bernoulli(upto)
     return _BERNOULLI[: upto + 1]
 
@@ -129,8 +140,7 @@ MAX_FAULHABER_BITS = 14_000
 
 def faulhaber(p: int, n: int) -> Rat:
     """S_p(n) via the closed formula (1/(p+1)) sum C(p+1,j) B_j n^(p+1-j)."""
-    if p < 0 or n < 0:
-        raise ValueError("p and n must be non-negative")
+    _naturals("faulhaber", p=p, n=n)
     # a p over MAX_BERNOULLI is refused by bernoulli_table, with its own message
     if p <= MAX_BERNOULLI and (p + 1) * n.bit_length() > MAX_FAULHABER_BITS:
         raise ValueError(f"too large: S_p(n) is evaluated for "

@@ -26,6 +26,8 @@ from .dissect import (
     mutate_placement,
 )
 from .dissect.generators import certificate_builders
+from .dissect.geometry import LabelledLattice, certificate_from_lattice
+from .dissect.kernel import LatticeCertificate
 from .exact import QuadExt, rat_to_text, strip_root
 from .figurate import (
     REGISTRY,
@@ -80,13 +82,24 @@ def _upto(bound: int, max_n: Optional[int]) -> range:
     return range(1, (bound if max_n is None else min(bound, max_n)) + 1)
 
 
-def _certificates(name: str,
-                  n: int) -> Iterator[tuple[str, DissectionCertificate]]:
-    """Each of ``name``'s certificates at ``n``, built one at a time, under
-    a label naming it; the first is the one ``powersums certificate``
-    writes by default."""
+def _certificates(name: str, n: int) -> Iterator[tuple[str, LabelledLattice]]:
+    """Each of ``name``'s certificates at ``n`` as its builder's kernel data,
+    built one at a time, under a label naming it; the first is the one
+    ``powersums certificate`` writes by default."""
     for variant, build in certificate_builders(name).items():
-        yield f"{name} n={n}" + ("" if variant is None else f" {variant}"), build(n)
+        yield f"{name} n={n}" + (f" {variant}" if variant else ""), build.core(n)
+
+
+def _area(cert: LatticeCertificate, side: str) -> QuadExt:
+    """The exact area of ``cert``'s piece sources or targets, as ``side`` says."""
+    a = b = 0
+    for rects in ([piece[2] for piece in cert.pieces] if side == "source_area"
+                  else [rects for _layer, rects in cert.targets]):
+        for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
+            a += (x2a - x1a) * (y2a - y1a) + 21 * (x2b - x1b) * (y2b - y1b)
+            b += (x2a - x1a) * (y2b - y1b) + (x2b - x1b) * (y2a - y1a)
+    d2 = cert.denominator ** 2
+    return QuadExt(Fraction(a, d2), Fraction(b, d2))
 
 
 def mutants() -> Iterator[tuple[DissectionCertificate, str]]:
@@ -94,7 +107,7 @@ def mutants() -> Iterator[tuple[DissectionCertificate, str]]:
     at n = 2, in table order, from one seeded generator."""
     rng = random.Random(21)
     for name in CONSTRUCTIONS:
-        _label, cert = next(_certificates(name, 2))
+        cert = certificate_from_lattice(next(_certificates(name, 2))[1])
         for _ in range(100):
             mutant, description = mutate_placement(cert, rng)
             yield mutant, f"{name} n=2 {description}"
@@ -168,13 +181,13 @@ def _sections(max_n: Optional[int]) -> Optional[str]:
 def _certificate_suite(max_n: Optional[int]) -> Optional[str]:
     for name, cap in CONSTRUCTIONS.items():
         for n in _upto(cap, max_n):
-            for where, cert in _certificates(name, n):
-                report = check_certificate(cert)
+            for where, data in _certificates(name, n):
+                report = check_certificate(data.cert)
                 if not report.ok:
                     return f"{where}: {report}"
                 if name in AREAS:
                     side, area = AREAS[name]
-                    got = getattr(cert, side)
+                    got = _area(data.cert, side)
                     if got != area(n):
                         return f"{where}: {side} {got}, not {area(n)}"
     return None

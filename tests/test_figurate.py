@@ -181,6 +181,25 @@ def test_a_parameter_that_is_not_an_int_is_refused(value, shown):
         evaluate_identity("ALMOST_SQUARE", {"n": 5, "m": value})
 
 
+@pytest.mark.parametrize("call, shown", [
+    (lambda: faulhaber(True, 3), "faulhaber: p must be an int, got True"),
+    (lambda: faulhaber(2, True), "faulhaber: n must be an int, got True"),
+    (lambda: faulhaber(2, 3.0), "faulhaber: n must be an int, got 3.0"),
+    (lambda: bernoulli(True), "bernoulli: m must be an int, got True"),
+    (lambda: bernoulli_table(2.0), "bernoulli_table: upto must be an int, got 2.0"),
+    (lambda: sum_powers_bruteforce(2.0, 3),
+     "sum_powers_bruteforce: p must be an int, got 2.0"),
+    (lambda: sum_powers_bruteforce(2, "9" * 4000),
+     "sum_powers_bruteforce: n must be an int, got '" + "9" * 199
+     + "... (4002 characters)"),
+], ids=["faulhaber-p", "faulhaber-n", "faulhaber-float-n", "bernoulli",
+        "bernoulli_table", "bruteforce-p", "bruteforce-long-str"])
+def test_sums_never_coerce_a_value_that_is_not_an_int(call, shown):
+    with pytest.raises(TypeError) as refused:
+        call()
+    assert str(refused.value) == shown
+
+
 def test_report_string_form():
     text = str(evaluate_identity("NICOMACHUS", {"n": 6}))
     assert "441 = 441" in text and "HOLDS" in text

@@ -1,5 +1,6 @@
 """The trusted kernel and its two front ends: the kernel stands alone, and
-a certificate gets the same verdict from its JSON text as from its objects."""
+a certificate object gets the same verdict as its JSON text, because it is
+walked as its document."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from pathlib import Path
 from typing import Any
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from powersums import cli, exact, verify
@@ -34,7 +35,7 @@ from powersums.dissect import (
     three_pyramids_2d,
 )
 from powersums.dissect import kernel
-from powersums.dissect.checker import _from_objects
+from powersums.dissect.checker import _from_wire
 from powersums.dissect.generators import certificate_builders
 
 KERNEL_PATH = Path(kernel.__file__)
@@ -156,6 +157,63 @@ def test_front_ends_agree_on_a_hostile_leaf(path, value):
     node[path[-1]] = value
     code, _line, _layers, _cells = _assert_front_ends_agree(json.dumps(data))
     assert code in (cli.EXIT_OK, cli.EXIT_COVER, cli.EXIT_MALFORMED)
+
+
+# -- an object is judged as its document ---------------------------------------
+
+SMALL_OBJECT = step3_scissor(1)
+
+
+def _fields(node: Any) -> list[tuple[Any, Any]]:
+    """(field name or index, value) of each part of a certificate object;
+    none for a leaf."""
+    if dataclasses.is_dataclass(node):
+        return [(f.name, getattr(node, f.name)) for f in dataclasses.fields(node)]
+    if isinstance(node, tuple):
+        return list(zip(getattr(node, "_fields", range(len(node))), node))
+    return []
+
+
+def _object_paths(node: Any, path: tuple = ()) -> list[tuple]:
+    """The path to every part of ``node`` below it, leaves and all."""
+    return [p for key, child in _fields(node)
+            for p in ((*path, key), *_object_paths(child, (*path, key)))]
+
+
+def _object_put(node: Any, path: tuple, value: Any) -> Any:
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(key, int):
+        items = list(node)
+        items[key] = _object_put(items[key], rest, value)
+        return tuple(items)
+    changed = {key: _object_put(getattr(node, key), rest, value)}
+    return (node._replace(**changed) if hasattr(node, "_replace")
+            else dataclasses.replace(node, **changed))
+
+
+OBJECT_PATHS = _object_paths(SMALL_OBJECT)
+object_values = st.sampled_from([
+    None, True, False, 1.5, "x", "", "leftover", 0, -1, 3, 2 ** 4000,
+    exact.QuadExt(0), exact.QuadExt(-1), exact.QuadExt(2 ** 4000)])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(OBJECT_PATHS), object_values)
+def test_an_object_gets_the_verdict_of_its_file(tmp_path, capsys, path, value):
+    cert = _object_put(SMALL_OBJECT, path, value)
+    report = check_certificate(cert)  # never raises
+    assert report.ok == (report.failure is None)
+    try:
+        text = dumps_certificate(cert)
+    except (AttributeError, TypeError, ValueError):
+        return  # the value has no JSON form: there is no file to check
+    file = tmp_path / "cert.json"
+    file.write_text(text, encoding="utf-8")
+    assert cli.main(["check", str(file)]) == _exit_code(report)
+    capsys.readouterr()
 
 
 # -- the JSON front end builds no exact objects -------------------------------
@@ -310,7 +368,7 @@ def _assert_scans_agree(scan: str, layer: str, *rect_lists) -> Any:
 def _assert_layers_agree(cert) -> list:
     """Every source and destination layer of ``cert`` through
     ``_assert_scans_agree``: the kernel's results, layer by layer."""
-    lattice = _from_objects(cert)
+    lattice = _from_wire(geometry._walk(geometry.certificate_to_json(cert)))
     sources, placed, targets = {}, {}, {}
     for _id, source_layer, rects, transform, dest in lattice.pieces:
         sources.setdefault(source_layer, []).extend(rects)

@@ -11,6 +11,7 @@ verdict.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import replace
 
 import pytest
@@ -27,10 +28,11 @@ from powersums.dissect import (
     gauss_rectangle,
     read_certificate,
 )
-from powersums.dissect import checker, generators, geometry
-from powersums.dissect.checker import _from_objects
+from powersums.dissect import generators, geometry
+from powersums.dissect.checker import _from_wire
 from powersums.dissect.generators import certificate_builders
-from powersums.dissect.geometry import certificate_from_lattice
+from powersums.dissect.geometry import (Rect, Region, _walk, certificate_from_lattice,
+                                       certificate_to_json)
 from powersums.exact import QuadExt, strip_root
 
 
@@ -39,7 +41,7 @@ def _cores():
     n <= 3, and FIVE_PYR_LAYERS at n = 10."""
     for name in CONSTRUCTIONS:
         for variant, build in certificate_builders(name).items():
-            core = getattr(generators, f"_{build.__name__}")
+            core = build.core
             for n in (1, 2, 3):
                 yield f"{name} {variant} n={n}", core, n
     yield "FIVE_PYR_LAYERS n=10", generators._five_pyramids_layers, 10
@@ -82,8 +84,8 @@ def test_the_view_reads_back_as_its_lattice(label, core, n):
     view = certificate_from_lattice(data)
     assert [p.source.label for p in view.placements] == list(data.labels)
     assert {region.label for _layer, region in view.targets} <= {"target"}
-    assert _scaled(_from_objects(view), generators.D) == _scaled(data.cert,
-                                                                 generators.D)
+    walked = _from_wire(_walk(certificate_to_json(view)))
+    assert _scaled(walked, generators.D) == _scaled(data.cert, generators.D)
 
 
 @pytest.mark.parametrize("label,core,n", [c for c in CORES if c[2] <= 3],
@@ -106,14 +108,37 @@ def test_criterion_07_mutant_reports_are_unchanged():
         "7cae379646dd9badeb79662cba62b667e4a9b9ecaea28871f1c9e77b886bf564")
 
 
-def test_the_pipeline_builds_no_certificate_object(monkeypatch):
+def _refuse_objects(monkeypatch):
+    """Make every binding, in any module of the package, of the functions
+    that build or read a certificate object raise."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the pipeline built or read a certificate object")
+        raise AssertionError("a certificate object was built or read")
 
-    monkeypatch.setattr(checker, "_from_objects", refuse)
+    originals = (geometry.certificate_from_lattice, geometry.certificate_to_json)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "powersums":
+            for key, value in list(vars(module).items()):
+                if any(value is original for original in originals):
+                    monkeypatch.setattr(module, key, refuse)
     monkeypatch.setattr(geometry.RigidTransform, "apply_rect", refuse)
-    monkeypatch.setattr(generators, "certificate_from_lattice", refuse)
+
+
+def test_the_pipeline_builds_no_certificate_object(monkeypatch):
+    _refuse_objects(monkeypatch)
     assert full_theorem_report(3).holds
+
+
+def test_criterion_06_builds_no_certificate_object(monkeypatch):
+    _refuse_objects(monkeypatch)
+    assert verify._certificate_suite(3) is None
+
+
+def test_criterion_06_reads_each_area_from_the_lattice():
+    for name, (side, area) in verify.AREAS.items():
+        for n in (1, 2, 3):
+            (_label, data), = verify._certificates(name, n)
+            view = certificate_from_lattice(data)
+            assert verify._area(data.cert, side) == getattr(view, side) == area(n)
 
 
 def test_excess_corner_layout_refuses_an_n_that_is_not_an_int():
@@ -130,20 +155,63 @@ def _first_placement(cert, **changes):
     return replace(cert, placements=(replace(p, **changes), *cert.placements[1:]))
 
 
+def _first_transform(cert, reflect):
+    turns, _reflect, dx, dy = cert.pieces[0][3]
+    return _edit_pieces(cert, {(0, 3): (turns, reflect, dx, dy)})
+
+
 @pytest.mark.parametrize("edit,message", [
-    (lambda c: _first_placement(c, piece_id=7), "a piece id must be a str, got 7"),
-    (lambda c: _first_placement(c, destination_layer=("plane",)),
+    (lambda c: _edit_pieces(c, {(0, 0): 7}), "a piece id must be a str, got 7"),
+    (lambda c: _edit_pieces(c, {(0, 4): ("plane",)}),
      "a layer id must be a str, got ('plane',)"),
-    (lambda c: _first_placement(c, transform=replace(
-        c.placements[0].transform, reflect="no")),
-     "reflect must be a bool, got 'no'"),
-    (lambda c: replace(c, construction=["GAUSS_RECT"]),
+    (lambda c: _first_transform(c, "no"), "reflect must be a bool, got 'no'"),
+    (lambda c: c._replace(construction=["GAUSS_RECT"]),
      "the construction must be a str, got ['GAUSS_RECT']"),
 ])
 def test_a_field_of_the_wrong_type_is_malformed(edit, message):
-    report = check_certificate(edit(gauss_rectangle(2)))
+    report = check_certificate(edit(generators._gauss_rectangle(2).cert))
     assert not report.ok
     assert (report.failure.kind, report.failure.message) == ("malformed", message)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda c: _first_placement(c, piece_id=7), "piece_id must be a JSON str, got 7"),
+    (lambda c: _first_placement(c, destination_layer=("plane",)),
+     "destination_layer must be a JSON str, got ('plane',)"),
+    (lambda c: _first_placement(c, transform=replace(
+        c.placements[0].transform, reflect="no")),
+     "reflect must be a JSON bool, got 'no'"),
+    (lambda c: replace(c, construction=["GAUSS_RECT"]),
+     "construction must be a JSON str, got ['GAUSS_RECT']"),
+    (lambda c: replace(c, targets=(*c.targets, ("plane", Region("target", (
+        Rect(QuadExt(0), QuadExt(0), QuadExt(0), QuadExt(2)),))))),
+     "bad certificate structure: rectangle sides must be positive: w=0 h=2"),
+])
+def test_an_object_is_judged_as_its_document(edit, message):
+    """An edited object gets the strict walk's refusal, as its file would."""
+    report = check_certificate(edit(gauss_rectangle(2)))
+    assert str(report) == f"FAIL malformed: CertificateFormatError: {message}"
+
+
+def test_every_target_and_leftover_rect_has_positive_sides():
+    """On lattice data, which no walk has read, a target or leftover rect
+    with a side <= 0 is malformed on its layer: a zero-width rect beside
+    the target, or the target's x-inverted copy that cancels a second copy
+    of it, passed the cover scan."""
+    cert = generators._gauss_rectangle(2).cert
+    layer, (frame,) = cert.targets[0]
+    x1, y1, x2, y2 = frame
+    cases = [
+        (cert._replace(targets=[(layer, [frame, (x2, y1, x2, y2)])]), layer),
+        (cert._replace(targets=[(layer, [frame]), ("extra", [(x2, y1, x1, y2)])]),
+         "extra"),
+        (cert._replace(leftovers=[[(x1, y2, x2, y1)]]), "leftover"),
+        (cert._replace(targets=[(layer, [frame, (x2, y1, x1, y2), frame])]), layer),
+    ]
+    for bad, where in cases:
+        failure = check_certificate(bad).failure
+        assert (failure.kind, failure.layer, failure.message) == (
+            "malformed", where, "a target or leftover has a degenerate rectangle")
 
 
 def test_a_lattice_certificate_of_the_wrong_shape_is_malformed():
