@@ -16,9 +16,11 @@ of ``certificate_builders``, in one call) and of the route ``powersums
 check`` runs on what they built (``read_certificate`` and
 ``check_certificate`` of each certificate's ``dumps_certificate`` text),
 with the work behind them: pieces, source rects, distinct coordinates, and
-the layers and grid cells of the ``CheckReport``.  Each time is the median
+the layers and grid cells of the ``CheckReport``; and per module of the
+package, the seconds to ``compile()`` its source, which an import from
+source pays before it runs a line.  Each time is the median
 of ``REPEATS`` calls, with their p25 and p75 beside it, so a row shows its
-own spread.
+own spread (compiles take ``COMPILE_REPEATS`` calls).
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: calls behind each median, on each tree
 REPEATS = 5
+#: calls behind each compile median: a compile takes milliseconds, and five
+#: calls left quartiles 30% apart on one module
+COMPILE_REPEATS = 25
 
 
 def _work(certs: list[Any], reports: list[Any]) -> dict[str, int]:
@@ -61,9 +66,9 @@ def _work(certs: list[Any], reports: list[Any]) -> dict[str, int]:
 def _child(src: str, conn: Any) -> None:
     """Import the package from ``src``, send its construction caps, then
     time each task received, one call each, until None: ("theorem", n),
-    ("build", name), and ("check", name) after that name's build.  Answer
-    each with (seconds, work), the work counters with a name's first check
-    and None otherwise."""
+    ("build", name), ("check", name) after that name's build, and
+    ("compile", module), a path under ``src``.  Answer each with (seconds,
+    work), the work counters with a name's first check and None otherwise."""
     sys.path.insert(0, src)
     from powersums import dissect
 
@@ -72,9 +77,13 @@ def _child(src: str, conn: Any) -> None:
     texts: dict[str, list[str]] = {}
     conn.send(caps)
     for kind, key in iter(conn.recv, None):
+        if kind == "compile":
+            source = (Path(src) / key).read_text()
         gc.collect()
         start = time.perf_counter()
-        if kind == "theorem":
+        if kind == "compile":
+            result = compile(source, key, "exec", dont_inherit=True)
+        elif kind == "theorem":
             result = dissect.full_theorem_report(key)
         elif kind == "build":
             result = [build(caps[key]) for build
@@ -89,7 +98,7 @@ def _child(src: str, conn: Any) -> None:
         elif kind == "build":
             built[key] = result
             texts[key] = [dissect.dumps_certificate(cert) for cert in result]
-        else:
+        elif kind == "check":
             assert all(report.ok for report in result), result
             if key in built:
                 work = _work(built.pop(key), result)
@@ -102,7 +111,8 @@ def _stats(times: list[float]) -> dict[str, float]:
 
 
 def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
-    """One row per (label, src) of ``sources``, timed in turns."""
+    """One row per (label, src) of ``sources``, timed in turns.  Modules are
+    compiled only on the trees that have them."""
     context = multiprocessing.get_context("spawn")
     sides = {}
     for label, src in sources.items():
@@ -115,11 +125,17 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
         assert all(c == caps[0] for c in caps), caps
         tasks = [("theorem", n) for n in range(1, 11)]
         tasks += [(kind, name) for name in caps[0] for kind in ("build", "check")]
+        modules = {label: {str(path.relative_to(src))
+                           for path in (src / "powersums").rglob("*.py")}
+                   for label, src in sources.items()}
+        tasks += [("compile", module) for module in sorted(set().union(*modules.values()))]
         times: dict[tuple[str, Any], dict[str, list[float]]] = {}
         work: dict[tuple[str, str], dict[str, int]] = {}
         for task in tasks:
-            for i in range(REPEATS):
+            for i in range(COMPILE_REPEATS if task[0] == "compile" else REPEATS):
                 for label in list(sides)[::1 if i % 2 == 0 else -1]:
+                    if task[0] == "compile" and task[1] not in modules[label]:
+                        continue
                     conn = sides[label][1]
                     conn.send(task)
                     seconds, counted = conn.recv()
@@ -138,8 +154,10 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
     rows = []
     for label in sides:
         theorem = {str(n): _stats(times["theorem", n][label]) for n in range(1, 11)}
+        compiled = {module: _stats(times["compile", module][label])
+                    for module in sorted(modules[label])}
         rows.append({
-            "label": label, "repeats": REPEATS,
+            "label": label, "repeats": REPEATS, "compile_repeats": COMPILE_REPEATS,
             "python": platform.python_version(), "machine": platform.machine(),
             "cpus": os.cpu_count(), "theorem": theorem,
             "theorem_block_s": sum(t["median_s"] for t in theorem.values()),
@@ -147,7 +165,9 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                 name: {"n": n, "build": _stats(times["build", name][label]),
                        "check": _stats(times["check", name][label]),
                        **work[label, name]}
-                for name, n in caps[0].items()}})
+                for name, n in caps[0].items()},
+            "compile": compiled,
+            "compile_s": sum(c["median_s"] for c in compiled.values())})
     return rows
 
 
@@ -164,7 +184,9 @@ def main() -> None:
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({"pr": args.pr, "rows": rows}, indent=1) + "\n")
     blocks = " -> ".join(f"{r['theorem_block_s']:.3f}" for r in rows)
-    print(f"theorem block {blocks} s (parent -> change) -> {out}")
+    compiled = " -> ".join(f"{r['compile_s'] * 1e3:.1f}" for r in rows)
+    print(f"theorem block {blocks} s, compile {compiled} ms "
+          f"(parent -> change) -> {out}")
 
 
 if __name__ == "__main__":

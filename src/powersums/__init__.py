@@ -12,8 +12,6 @@ factor (3n^2 + 3n - 1).
 # rest of dissect needs exact complete
 from . import dissect  # noqa: F401
 from .exact import (
-    HALF,
-    ONE,
     ZERO,
     QuadExt,
     Rat,
@@ -60,13 +58,11 @@ __all__ = [
     "DimensionOutOfRange",
     "FIGURE_NAMES",
     "FigureSpec",
-    "HALF",
     "IDENTITY_NAMES",
     "IdentityError",
     "IdentityReport",
     "MissingParameter",
     "NotAPyramid",
-    "ONE",
     "PALETTE",
     "QuadExt",
     "Rat",

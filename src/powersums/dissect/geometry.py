@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from ..exact import (
@@ -157,8 +156,7 @@ class LatticeView(dict[Point, QuadExt]):
         self.d = d
 
     def __missing__(self, point: Point) -> QuadExt:
-        g = gcd(*point, self.d)
-        q = self[point] = quad_from_triple((point[0] // g, point[1] // g, self.d // g))
+        q = self[point] = quad_from_triple((*point, self.d))
         return q
 
 

@@ -240,16 +240,18 @@ def _malformed(message: str, layer: Optional[str] = None) -> Failure:
     return Failure("malformed", layer, None, message)
 
 
-def _typed(what: str, values: Sequence[object], kind: type,
+def _typed(what: str, values: Sequence[object], kind: type | tuple[type, ...],
            size: Optional[int] = None) -> Iterator[Failure]:
-    """A failure for the first of ``values`` not exactly a ``kind`` (of length
-    ``size``), if any; the passing case costs only C-level loops."""
-    if not set(map(type, values)) <= {kind} or (
+    """A failure for the first of ``values`` not exactly a ``kind`` (or one
+    of several kinds), of length ``size``, if any; the passing case costs
+    only C-level loops."""
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not set(map(type, values)) <= set(kinds) or (
             size is not None and not set(map(len, values)) <= {size}):
         bad = next(v for v in values
-                   if type(v) is not kind or size is not None and len(v) != size)
-        shape = f"{'an' if kind is int else 'a'} {kind.__name__}" + (
-            "" if size is None else f" of {size}")
+                   if type(v) not in kinds or size is not None and len(v) != size)
+        shape = f"{'an' if kind is int else 'a'} " + " or ".join(
+            k.__name__ for k in kinds) + ("" if size is None else f" of {size}")
         yield _malformed(f"{what} must be {shape}, got {bounded(repr(bad))}")
 
 
@@ -265,33 +267,34 @@ def _degenerate(rects: Iterable[LatticeRect]) -> bool:
 
 
 def _shape_defects(cert: LatticeCertificate) -> Iterator[Failure]:
-    """Tuples of the wrong shape, the first first: pieces, targets,
-    transforms, rects and points are tuples of 5, 2, 4, 4 and 2, and every
-    coordinate an int; then a target or leftover rect with a side <= 0,
-    which the walk refuses in a document (a source's is checked per piece)."""
+    """Containers and tuples of the wrong shape, the first first: the
+    pieces, targets and leftovers are lists or tuples, and so are the rects
+    of each region (a one-shot iterator is not: the first pass would use it
+    up and leave the scans nothing); pieces, targets, transforms, rects and
+    points are tuples of 5, 2, 4, 4 and 2; and every coordinate is an int."""
+    for field in ("pieces", "targets", "leftovers"):
+        yield from _typed(field, [getattr(cert, field)], (list, tuple))
     yield from _typed("a piece", cert.pieces, tuple, 5)
     yield from _typed("a target", cert.targets, tuple, 2)
     _ids, _sources, rect_lists, transforms, _dests = list(zip(*cert.pieces)) or [()] * 5
     yield from _typed("a transform", transforms, tuple, 4)
-    rects = list(chain.from_iterable((*rect_lists, *(rs for _l, rs in cert.targets),
-                                      *cert.leftovers)))
+    regions = [*rect_lists, *(rs for _l, rs in cert.targets), *cert.leftovers]
+    yield from _typed("the rects of a region", regions, (list, tuple))
+    rects = list(chain.from_iterable(regions))
     yield from _typed("a rect", rects, tuple, 4)
     points = list(chain.from_iterable((*rects, *(t[2:] for t in transforms))))
     yield from _typed("a point", points, tuple, 2)
     yield from _typed("a coordinate", list(chain.from_iterable(points)), int)
-    frames = (*cert.targets, *((LEFTOVER_LAYER, rs) for rs in cert.leftovers))
-    for layer, rects in frames:
-        if _degenerate(rects):
-            yield _malformed("a target or leftover has a degenerate rectangle", layer)
 
 
 def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
              built: bool) -> Iterator[Failure]:
     """Structural defects, the first first (each check relies on those
-    before it): the construction, n, D, the shapes unless ``built``, the
-    target layer ids, a target on the leftover layer, then piece by piece
-    the types of the ids and ``reflect``, a repeated id, a bad quarter turn,
-    and an empty or degenerate source."""
+    before it): the construction, n, D, the shapes unless ``built``, a target
+    or leftover rect with a side <= 0 on every input kind, the target layer
+    ids, a target on the leftover layer, then piece by piece the types of
+    the ids and ``reflect``, a repeated id, a bad quarter turn, and an empty
+    or degenerate source."""
     name, n, d = cert.construction, cert.n, cert.denominator
     yield from _typed("the construction", [name], str)
     if name not in constructions:
@@ -308,6 +311,12 @@ def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
                          f"{MAX_DENOMINATOR_BITS} - 1, got {bounded(str(d))}")
     if not built:
         yield from _shape_defects(cert)
+    # the walk refuses a side <= 0 in a document, but not in a
+    # WireCertificate edited after it; a source's is checked per piece
+    frames = (*cert.targets, *((LEFTOVER_LAYER, rs) for rs in cert.leftovers))
+    for layer, rects in frames:
+        if _degenerate(rects):
+            yield _malformed("a target or leftover has a degenerate rectangle", layer)
     layers = [layer for layer, _rects in cert.targets]
     yield from _typed("a layer id", layers, str)
     if LEFTOVER_LAYER in layers:

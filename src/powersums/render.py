@@ -11,7 +11,6 @@ structure.  Identical FigureSpec inputs produce byte-identical documents.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -21,7 +20,7 @@ from .dissect.generators import (D, X, UnsupportedN, _box, _five_pyramids_layers
                                   _three_pyramids_2d, scissor_rectangle)
 from .dissect.geometry import LEFTOVER_LAYER, LabelledLattice
 from .dissect.kernel import LatticeRect, Point, _place, bounded
-from .exact import QuadExt, quad_to_float
+from .exact import quad_from_triple, quad_to_float
 
 #: Fill colours per piece label (total over everything the generators and
 #: figure builders emit).
@@ -71,7 +70,7 @@ _Box = tuple[float, float, float, float, float, float]
 
 @lru_cache(maxsize=4096)  # lattice points repeat across a figure
 def _float(point: Point) -> float:
-    return quad_to_float(QuadExt(Fraction(point[0], D), Fraction(point[1], D)))
+    return quad_to_float(quad_from_triple((*point, D)))
 
 
 def _float_box(rect: LatticeRect, dx: int, dy: int) -> _Box:

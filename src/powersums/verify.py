@@ -28,7 +28,7 @@ from .dissect import (
 from .dissect.generators import certificate_builders
 from .dissect.geometry import LabelledLattice, certificate_from_lattice
 from .dissect.kernel import LatticeCertificate
-from .exact import QuadExt, rat_to_text, strip_root
+from .exact import QuadExt, quad_from_triple, rat_to_text, strip_root
 from .figurate import (
     REGISTRY,
     bernoulli_table,
@@ -98,8 +98,7 @@ def _area(cert: LatticeCertificate, side: str) -> QuadExt:
         for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
             a += (x2a - x1a) * (y2a - y1a) + 21 * (x2b - x1b) * (y2b - y1b)
             b += (x2a - x1a) * (y2b - y1b) + (x2b - x1b) * (y2a - y1a)
-    d2 = cert.denominator ** 2
-    return QuadExt(Fraction(a, d2), Fraction(b, d2))
+    return quad_from_triple((a, b, cert.denominator ** 2))
 
 
 def mutants() -> Iterator[tuple[DissectionCertificate, str]]:

@@ -15,6 +15,7 @@ from powersums.exact import (
     QuadExt,
     quad_compare,
     quad_from_text,
+    quad_from_triple,
     quad_to_float,
     quad_to_text,
     strip_root,
@@ -238,9 +239,17 @@ operand_refs = st.one_of(
     rationals.map(lambda q: (q, (q, Fraction(0)))),
     st.integers(-10**6, 10**6).map(lambda k: (k, (Fraction(k), Fraction(0)))),
 )
+# quads over D | 6, as the lattice points over D = 6 are: two of them often
+# share a denominator; and int-valued quads, with D = 1
+lattice_parts = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 6]))
+lattice_refs = st.tuples(lattice_parts, lattice_parts).map(lambda p: (QuadExt(*p), p))
+int_refs = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)).map(
+    lambda p: (QuadExt(*p), (Fraction(p[0]), Fraction(p[1]))))
+u_refs = st.one_of(quad_refs, lattice_refs, int_refs)
+v_refs = st.one_of(operand_refs, lattice_refs, int_refs)
 
 
-@given(quad_refs, operand_refs)
+@given(u_refs, v_refs)
 @settings(max_examples=200)
 def test_arithmetic_matches_fraction_pairs(u_ref, v_ref):
     (u, ru), (v, rv) = u_ref, v_ref
@@ -256,7 +265,7 @@ def test_arithmetic_matches_fraction_pairs(u_ref, v_ref):
         assert (got.a, got.b) == want
 
 
-@given(quad_refs, operand_refs)
+@given(u_refs, v_refs)
 @settings(max_examples=200)
 def test_sign_and_order_match_fraction_pairs(u_ref, v_ref):
     (u, ru), (v, rv) = u_ref, v_ref
@@ -296,6 +305,22 @@ def test_storage_is_canonical():
     assert strip_root().triple == (-3, 1, 6)
     assert (strip_root() + QuadExt(Fraction(-1, 2), Fraction(-1, 6))).triple == (
         -1, 0, 1)
+
+
+@pytest.mark.parametrize("triple,canonical", [
+    ((2, 4, 6), (1, 2, 3)),
+    ((-9, 3, 6), (-3, 1, 2)),
+    ((-4, 0, 6), (-2, 0, 3)),
+    ((0, 0, 6), (0, 0, 1)),
+    ((5, -7, 1), (5, -7, 1)),
+    ((-3, 1, 6), (-3, 1, 6)),
+])
+def test_a_point_over_d_reduces_to_its_canonical_triple(triple, canonical):
+    a, b, d = triple
+    u = quad_from_triple(triple)
+    assert u.triple == canonical
+    _assert_canonical(u)
+    assert u == QuadExt(Fraction(a, d), Fraction(b, d))
 
 
 def test_parser_refuses_a_trailing_newline():

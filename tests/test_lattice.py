@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersums import verify
+from powersums import exact, verify
 from powersums.dissect import (
     CONSTRUCTIONS,
     check_certificate,
@@ -128,6 +128,32 @@ def test_the_pipeline_builds_no_certificate_object(monkeypatch):
     assert full_theorem_report(3).holds
 
 
+def test_the_pipeline_builds_no_quadext_per_piece(monkeypatch):
+    """``QuadExt`` serves the edges: in ``full_theorem_report`` only the
+    identity rows make one, so the count does not grow with n."""
+    def counts(n):
+        made = {"__init__": 0, "_new": 0}
+        init, new = exact.QuadExt.__init__, exact._new
+
+        def counted_init(self, a=0, b=0):
+            made["__init__"] += 1
+            init(self, a, b)
+
+        def counted_new(*triple):
+            made["_new"] += 1
+            return new(*triple)
+
+        with monkeypatch.context() as m:
+            m.setattr(exact.QuadExt, "__init__", counted_init)
+            m.setattr(exact, "_new", counted_new)
+            assert full_theorem_report(n).holds
+        return made
+
+    small = counts(2)
+    assert small["__init__"] > 0
+    assert counts(8) == small
+
+
 def test_criterion_06_builds_no_certificate_object(monkeypatch):
     _refuse_objects(monkeypatch)
     assert verify._certificate_suite(3) is None
@@ -214,6 +240,28 @@ def test_every_target_and_leftover_rect_has_positive_sides():
             "malformed", where, "a target or leftover has a degenerate rectangle")
 
 
+def test_a_one_shot_container_is_malformed():
+    """The shape pass would use up a one-shot iterator and leave the scans
+    nothing: pieces given as a generator passed with no targets at all, and
+    a third piece sent outside every target, with its rects given as a
+    generator, passed too."""
+    cert = generators._gauss_rectangle(2).cert
+    _id, _layer, rects, _t, dest = cert.pieces[0]
+    stray = ("stray", "extra", (r for r in rects), (0, False, (600, 0), (0, 0)), dest)
+    layer, frame = cert.targets[0]
+    cases = [
+        ("pieces", cert._replace(targets=[], pieces=(p for p in cert.pieces))),
+        ("the rects of a region", cert._replace(pieces=[*cert.pieces, stray])),
+        ("targets", cert._replace(targets=iter(cert.targets))),
+        ("leftovers", cert._replace(leftovers=iter([frame]))),
+        ("the rects of a region", cert._replace(targets=[(layer, iter(frame))])),
+    ]
+    for what, bad in cases:
+        report = check_certificate(bad)
+        assert report.failure.kind == "malformed"
+        assert report.failure.message.startswith(f"{what} must be a list or tuple, got <")
+
+
 def test_a_lattice_certificate_of_the_wrong_shape_is_malformed():
     cert = generators._gauss_rectangle(2).cert
     ((x1, y1, x2, y2),) = cert.targets[0][1]
@@ -294,7 +342,12 @@ def test_the_view_shares_one_value_per_point():
     (lambda w: w._replace(placements=[w.placements[0]._replace(quarter_turns=True),
                                       *w.placements[1:]]),
      "piece 'GAUSS_RECT/plane/a': quarter_turns must be 0..3, got True"),
-], ids=["n", "quarter_turns"])
+    # the walk checked every side of the document, not these added after it
+    (lambda w: w._replace(targets=[*w.targets, ("plane", ("target", [["0", "0", "0", "2"]]))]),
+     "a target or leftover has a degenerate rectangle"),
+    (lambda w: w._replace(leftovers=[*w.leftovers, ("left_b", [["0", "0", "0", "2"]])]),
+     "a target or leftover has a degenerate rectangle"),
+], ids=["n", "quarter_turns", "zero_width_target", "zero_width_leftover"])
 def test_an_edited_wire_certificate_is_typed_again(edit, message):
     wire = read_certificate(dumps_certificate(gauss_rectangle(2)))
     report = check_certificate(edit(wire))
