@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .._nogc import nogc
 from ..exact import QuadExt, quad_to_text
@@ -92,14 +92,20 @@ def _report(failure: Optional[Failure], layers: int, cells: int,
 # -- front ends -------------------------------------------------------------
 
 
-def _lattice_points(triples: Iterable[Triple]) -> tuple[int, dict[Triple, Point]]:
+def _lattice_points(triples: Collection[Triple]) -> tuple[int, dict[Triple, Point]]:
     """D, the lcm of every denominator, and each distinct triple (A, B, den)
     as the lattice point (A*D/den, B*D/den).
 
-    Raises ValueError beyond ``MAX_DENOMINATOR_BITS``: every coordinate is
-    scaled by D, so input with many unrelated denominators would otherwise
-    cost memory in proportion to their product.
+    Raises ValueError on a triple that is not three ints with den >= 1, and
+    beyond ``MAX_DENOMINATOR_BITS``: every coordinate is scaled by D, so
+    input with many unrelated denominators would otherwise cost memory in
+    proportion to their product.
     """
+    for t in triples:  # each, as a bool or 1.0 equals an int in a set
+        if not (type(t) is tuple and len(t) == 3 and type(t[0]) is int
+                and type(t[1]) is int and type(t[2]) is int and t[2] >= 1):
+            raise ValueError(f"a value must be three ints (A, B, den) with "
+                             f"den >= 1, got {bounded(repr(t))}")
     distinct = set(triples)
     d = 1
     for den in {den for _a, _b, den in distinct}:

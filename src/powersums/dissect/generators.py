@@ -26,7 +26,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .._nogc import nogc
-from ..figurate import IdentityReport, evaluate_identity
+from ..figurate import IdentityReport, _naturals, evaluate_identity
 from .checker import CheckReport, check_certificate, cover_failure
 from .geometry import (CONSTRUCTIONS, LEFTOVER_LAYER, DissectionCertificate,
                        LabelledLattice, certificate_from_lattice)
@@ -54,12 +54,8 @@ class StageCheckError(RuntimeError):
 
 
 def _require(construction: str, n: int) -> None:
-    if type(n) is not int:  # never coerce: a bool or 2.0 is not an n
-        raise TypeError(f"{construction}: n must be an int, "
-                        f"got {bounded(repr(n))}")
+    _naturals(f"{construction}: ", 1, UnsupportedN, n=n)
     cap = CONSTRUCTIONS[construction]
-    if n < 1:
-        raise UnsupportedN(f"{construction}: n must be >= 1, got {bounded(str(n))}")
     if n > cap:
         raise UnsupportedN(f"{construction}: cell-level generation supports "
                            f"n <= {cap}, got {bounded(str(n))}")
@@ -355,8 +351,11 @@ def _scissor_cut(out: LabelledLattice, n: int, t: int, row: int, col: int) -> No
 def scissor_rectangle(n: int, t: int, row: int, col: int) -> LabelledLattice:
     """Cut the strip of width x off rectangle (row, col) of layer t: its
     pieces (body, A, B, C), the leftovers B and C are set aside on, and its
-    (n+1+x) x (n-x) target.  UnsupportedN beyond STEP3_SCISSOR's cap."""
+    (n+1+x) x (n-x) target.  UnsupportedN beyond STEP3_SCISSOR's cap, or
+    for t < 1 or a row or col < 0."""
     out = _new("STEP3_SCISSOR", n)
+    _naturals("scissor_rectangle: ", 1, UnsupportedN, t=t)
+    _naturals("scissor_rectangle: ", 0, UnsupportedN, row=row, col=col)
     _scissor_cut(out, n, t, row, col)
     return out
 
@@ -557,12 +556,7 @@ def full_theorem_report(n: int) -> IdentityReport:
     made.  Above the cell-level cap only the arithmetic form is evaluated.
     Raises ``StageCheckError`` naming the failing stage or link.
     """
-    if type(n) is not int:
-        raise TypeError(f"full_theorem_report: n must be an int, "
-                        f"got {bounded(repr(n))}")
-    if n < 1:
-        raise UnsupportedN(
-            f"full_theorem_report: n must be >= 1, got {bounded(str(n))}")
+    _naturals("full_theorem_report: ", 1, UnsupportedN, n=n)
     if n <= CONSTRUCTIONS["FIVE_PYR_LAYERS"]:
         five = _checked("five_pyramids_layers", _five_pyramids_layers, n)
         step2 = _checked("step2_reshape", _step2_reshape, n)

@@ -110,10 +110,6 @@ def _place(rects: Sequence[LatticeRect], t: Transform) -> list[LatticeRect]:
     are known from (reflect, quarter_turns) alone: no coordinate is compared.
     """
     quarter_turns, reflect, (dxa, dxb), (dya, dyb) = t
-    if not (reflect or quarter_turns):  # a translation, the common case
-        return [((x1a + dxa, x1b + dxb), (y1a + dya, y1b + dyb),
-                 (x2a + dxa, x2b + dxb), (y2a + dya, y2b + dyb))
-                for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects]
     placed = []
     for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
         if reflect:

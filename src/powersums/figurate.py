@@ -5,6 +5,10 @@ and a registry of every named identity the dissections realise.  Every
 closed form here can be checked against a literal-summation oracle; the
 registry reports both sides exactly.
 
+``_naturals`` is the one guard of a count (an int, never a bool or float,
+and at least its floor) for the sums here, ``pyramid``, the generators,
+``render`` and ``verify``; ``evaluate_identity`` refuses in its own class.
+
 Note on convention: the recursion sum_{i<=m} C(m+1, i) B_i = m + 1 forces
 B_1 = +1/2, unlike the B_1 = -1/2 ("first kind") convention common in
 reference tables.  Even-index values agree between the two.
@@ -63,26 +67,29 @@ def _report(name: str, params: Mapping[str, int],
 # -- sums and Bernoulli numbers -----------------------------------------
 
 
-def _naturals(where: str, **values: object) -> None:
-    """Refuse a value that is not an int >= 0, naming ``where``: a bool or
-    2.0 is never coerced, as ``evaluate_identity`` refuses them."""
+def _naturals(where: str, floor: int | None = 0,
+              below: type[ValueError] = ValueError, /, **values: object) -> None:
+    """The one guard of a count: refuse each of ``values`` that is not an
+    int (a bool or 2.0 is never coerced) with ``TypeError``, or is under
+    ``floor`` (None: any int) with ``below``.  Each message starts with
+    ``where`` (a prefix such as ``"faulhaber: "``, or empty), names the
+    value and echoes it through ``bounded``, and is made only on refusal."""
     for key, value in values.items():
         if type(value) is not int:
-            raise TypeError(f"{where}: {key} must be an int, "
-                            f"got {bounded(repr(value))}")
-        if value < 0:
-            raise ValueError(f"{where}: {key} must be >= 0, "
-                             f"got {bounded(str(value))}")
+            raise TypeError(f"{where}{key} must be an int, got {bounded(repr(value))}")
+        if floor is not None and value < floor:
+            raise below(f"{where}{key} must be >= {floor}, got {bounded(str(value))}")
 
 
 def sum_powers_bruteforce(p: int, n: int) -> int:
     """S_p(n) = 1**p + 2**p + ... + n**p by literal summation."""
-    _naturals("sum_powers_bruteforce", p=p, n=n)
+    _naturals("sum_powers_bruteforce: ", p=p, n=n)
     return sum(k**p for k in range(1, n + 1))
 
 
 def truncated_power_sum(p: int, m: int, n: int) -> int:
     """m**p + (m+1)**p + ... + n**p (empty when m > n)."""
+    _naturals("truncated_power_sum: ", p=p, m=m, n=n)
     return sum(k**p for k in range(m, n + 1))
 
 
@@ -90,11 +97,13 @@ def lemma_rows(p: int, m: int, n: int) -> list[int]:
     """The rows of the rows/columns lemma from m: [j**p + ... + n**p for
     j = m..n], by one running sum from k = n down to m (empty when m > n).
     Summed, the rows from m = 1 give S_(p+1)(n)."""
+    _naturals("lemma_rows: ", p=p, m=m, n=n)
     return list(accumulate(k**p for k in range(n, m - 1, -1)))[::-1]
 
 
 def odd_weighted_squares(n: int) -> int:
     """1*1**2 + 3*2**2 + ... + (2n-1)*n**2, the excess-layer cell count."""
+    _naturals("odd_weighted_squares: ", n=n)
     return sum((2 * k - 1) * k * k for k in range(1, n + 1))
 
 
@@ -109,7 +118,7 @@ _BERNOULLI_LOCK = threading.Lock()
 
 def bernoulli(m: int) -> Rat:
     """B_m under the sum_{i<=m} C(m+1, i) B_i = m+1 recursion (B_1 = +1/2)."""
-    _naturals("bernoulli", m=m)
+    _naturals("bernoulli: ", m=m)
     if m > MAX_BERNOULLI:
         raise ValueError(f"too large: Bernoulli numbers are computed up to "
                          f"B_{MAX_BERNOULLI}")
@@ -125,7 +134,7 @@ def bernoulli(m: int) -> Rat:
 
 def bernoulli_table(upto: int) -> list[Rat]:
     """B_0 .. B_upto as a list."""
-    _naturals("bernoulli_table", upto=upto)
+    _naturals("bernoulli_table: ", upto=upto)
     bernoulli(upto)
     return _BERNOULLI[: upto + 1]
 
@@ -140,7 +149,7 @@ MAX_FAULHABER_BITS = 14_000
 
 def faulhaber(p: int, n: int) -> Rat:
     """S_p(n) via the closed formula (1/(p+1)) sum C(p+1,j) B_j n^(p+1-j)."""
-    _naturals("faulhaber", p=p, n=n)
+    _naturals("faulhaber: ", p=p, n=n)
     # a p over MAX_BERNOULLI is refused by bernoulli_table, with its own message
     if p <= MAX_BERNOULLI and (p + 1) * n.bit_length() > MAX_FAULHABER_BITS:
         raise ValueError(f"too large: S_p(n) is evaluated for "

@@ -17,7 +17,7 @@ from typing import Callable
 
 from .dissect.kernel import bounded
 from .exact import QuadExt
-from .figurate import IdentityReport, lemma_rows
+from .figurate import IdentityReport, _naturals, lemma_rows
 
 Cell = tuple[int, ...]
 
@@ -83,10 +83,7 @@ def _require(d: int, n: int) -> None:
     at most ``MAX_PYRAMID_CELLS`` cells."""
     if type(d) is not int or d not in _CELLS:
         raise DimensionOutOfRange(f"dimension must be 2..5, got {bounded(str(d))}")
-    if type(n) is not int:  # never coerce: a bool or 2.0 is not an n
-        raise TypeError(f"n must be an int, got {bounded(repr(n))}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {bounded(str(n))}")
+    _naturals("", 1, n=n)
     if _CELLS[d](n) > MAX_PYRAMID_CELLS:
         raise ValueError(f"too large: P_{d}(n) is built for at most "
                          f"{MAX_PYRAMID_CELLS} cells")
@@ -114,8 +111,7 @@ def truncated_pyramid(d: int, n: int, m: int) -> CellSet:
     Only those levels are made, but P_d(n) itself must be within
     ``MAX_PYRAMID_CELLS``, as for ``build_pyramid``.
     """
-    if type(m) is not int:
-        raise TypeError(f"m must be an int, got {bounded(repr(m))}")
+    _naturals("", None, m=m, n=n)
     if not 1 <= m <= n:
         raise ValueError(f"m must satisfy 1 <= m <= n, "
                          f"got m={bounded(str(m))} n={bounded(str(n))}")

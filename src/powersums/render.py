@@ -21,6 +21,7 @@ from .dissect.generators import (D, X, UnsupportedN, _box, _five_pyramids_layers
 from .dissect.geometry import LEFTOVER_LAYER, LabelledLattice
 from .dissect.kernel import LatticeRect, Point, _place, bounded
 from .exact import quad_from_triple, quad_to_float
+from .figurate import _naturals
 
 #: Fill colours per piece label (total over everything the generators and
 #: figure builders emit).
@@ -253,13 +254,9 @@ def _build_scene(spec: FigureSpec) -> _Scene:
     build, max_n = _FIGURES[spec.figure_name]
     if spec.section is not None and build is not _five_pyr_section:
         raise ValueError(f"{spec.figure_name} takes no section")
-    if type(spec.n) is not int:  # never coerce: a bool or 2.0 is not an n
-        raise TypeError(f"n must be an int, got {bounded(repr(spec.n))}")
-    if spec.section is not None and type(spec.section) is not int:
-        raise TypeError(f"section must be an int, "
-                        f"got {bounded(repr(spec.section))}")
-    if spec.n < 1:
-        raise UnsupportedN(f"n must be >= 1, got {bounded(str(spec.n))}")
+    _naturals("", 1, UnsupportedN, n=spec.n)
+    if spec.section is not None:
+        _naturals("", None, section=spec.section)
     if max_n is not None and spec.n > max_n:
         raise UnsupportedN(f"{spec.figure_name}: figure supports n <= {max_n}, "
                            f"got {bounded(str(spec.n))}")
@@ -341,9 +338,7 @@ def emit_figure(spec: FigureSpec) -> str:
         raise ValueError(f"unknown figure: {spec.figure_name!r}")
     if spec.format not in ("svg", "tikz"):
         raise ValueError(f"format must be svg or tikz, got {spec.format!r}")
-    if type(spec.unit_px) is not int:
-        raise TypeError(f"unit_px must be an int, "
-                        f"got {bounded(repr(spec.unit_px))}")
+    _naturals("", None, unit_px=spec.unit_px)
     if not 1 <= spec.unit_px <= MAX_UNIT_PX:
         raise ValueError(f"--unit-px must be 1..{MAX_UNIT_PX}")
     scene = _build_scene(spec)

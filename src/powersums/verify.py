@@ -31,6 +31,7 @@ from .dissect.kernel import LatticeCertificate
 from .exact import QuadExt, quad_from_triple, rat_to_text, strip_root
 from .figurate import (
     REGISTRY,
+    _naturals,
     bernoulli_table,
     evaluate_identity,
     faulhaber,
@@ -78,7 +79,9 @@ GOLDEN_FIGURES = {
 
 
 def _upto(bound: int, max_n: Optional[int]) -> range:
-    """1..bound, cut at ``max_n``."""
+    """1..bound, cut at ``max_n``: None, or an int >= 1."""
+    if max_n is not None:
+        _naturals("", 1, max_n=max_n)
     return range(1, (bound if max_n is None else min(bound, max_n)) + 1)
 
 
@@ -127,7 +130,7 @@ def _boast(max_n: Optional[int]) -> Optional[str]:
 
 
 def _faulhaber_oracle(max_n: Optional[int]) -> Optional[str]:
-    top = 200 if max_n is None else min(200, 10 * max_n)
+    top = 10 * _upto(20, max_n)[-1]  # 200, cut at 10 * max_n
     for p in range(9):
         running = 0  # S_p(n), summed term by term
         for n in range(top + 1):

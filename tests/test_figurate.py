@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -192,12 +193,40 @@ def test_a_parameter_that_is_not_an_int_is_refused(value, shown):
     (lambda: sum_powers_bruteforce(2, "9" * 4000),
      "sum_powers_bruteforce: n must be an int, got '" + "9" * 199
      + "... (4002 characters)"),
+    (lambda: truncated_power_sum(2, True, 3),
+     "truncated_power_sum: m must be an int, got True"),
+    (lambda: lemma_rows(True, 1, 3), "lemma_rows: p must be an int, got True"),
+    (lambda: odd_weighted_squares(True),
+     "odd_weighted_squares: n must be an int, got True"),
 ], ids=["faulhaber-p", "faulhaber-n", "faulhaber-float-n", "bernoulli",
-        "bernoulli_table", "bruteforce-p", "bruteforce-long-str"])
+        "bernoulli_table", "bruteforce-p", "bruteforce-long-str",
+        "truncated_power_sum", "lemma_rows", "odd_weighted_squares"])
 def test_sums_never_coerce_a_value_that_is_not_an_int(call, shown):
     with pytest.raises(TypeError) as refused:
         call()
     assert str(refused.value) == shown
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: faulhaber(-1, 3), "faulhaber: p must be >= 0, got -1"),
+    (lambda: odd_weighted_squares(-2), "odd_weighted_squares: n must be >= 0, got -2"),
+    (lambda: lemma_rows(2, 1, -1), "lemma_rows: n must be >= 0, got -1"),
+], ids=["faulhaber-p", "odd_weighted_squares", "lemma_rows"])
+def test_sums_refuse_a_negative_value(call, shown):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == shown
+
+
+def test_the_count_guard_is_written_once():
+    """Every count parameter is refused by ``figurate._naturals``; the only
+    other text of the rule is ``evaluate_identity``'s, whose class differs."""
+    src = Path(__file__).parents[1] / "src"
+    found = {path.relative_to(src).as_posix():
+             path.read_text(encoding="utf-8").count("must be an int")
+             for path in src.rglob("*.py")}
+    assert {path: k for path, k in found.items() if k} == {
+        "powersums/figurate.py": 2}
 
 
 def test_report_string_form():

@@ -365,6 +365,22 @@ def test_an_n_that_is_not_an_int_is_refused(build, value):
         build(value)
 
 
+@pytest.mark.parametrize("args, error, shown", [
+    ((2.5, 0, 0), TypeError, "t must be an int, got 2.5"),
+    ((True, 0, 0), TypeError, "t must be an int, got True"),
+    ((1, 0.0, 0), TypeError, "row must be an int, got 0.0"),
+    ((1, 0, True), TypeError, "col must be an int, got True"),
+    ((0, 0, 0), UnsupportedN, "t must be >= 1, got 0"),
+    ((1, -1, 0), UnsupportedN, "row must be >= 0, got -1"),
+    ((1, 0, -1), UnsupportedN, "col must be >= 0, got -1"),
+], ids=["float-t", "bool-t", "float-row", "bool-col", "t-0", "row-neg", "col-neg"])
+def test_a_scissor_cut_refuses_a_layer_row_or_col_that_is_no_count(args, error,
+                                                                    shown):
+    with pytest.raises(error) as refused:
+        generators.scissor_rectangle(2, *args)
+    assert str(refused.value) == f"scissor_rectangle: {shown}"
+
+
 def test_full_theorem_arithmetic_only_beyond_cap():
     r = full_theorem_report(500)
     assert r.holds

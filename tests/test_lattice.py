@@ -347,7 +347,13 @@ def test_the_view_shares_one_value_per_point():
      "a target or leftover has a degenerate rectangle"),
     (lambda w: w._replace(leftovers=[*w.leftovers, ("left_b", [["0", "0", "0", "2"]])]),
      "a target or leftover has a degenerate rectangle"),
-], ids=["n", "quarter_turns", "zero_width_target", "zero_width_leftover"])
+    # the walk made each value's triple; an edit after it may not be three ints
+    *((lambda w, t=triple: w._replace(values={**w.values, "1": t}),
+       f"ValueError: a value must be three ints (A, B, den) with den >= 1, "
+       f"got {triple!r}")
+      for triple in [(0, 0, 0), (1, 0, True), (1.5, 0, 1)]),
+], ids=["n", "quarter_turns", "zero_width_target", "zero_width_leftover",
+        "zero_denominator", "bool_denominator", "float_value"])
 def test_an_edited_wire_certificate_is_typed_again(edit, message):
     wire = read_certificate(dumps_certificate(gauss_rectangle(2)))
     report = check_certificate(edit(wire))

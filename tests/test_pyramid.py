@@ -49,7 +49,7 @@ def test_build_pyramid_rejects_bad_dimension():
         build_pyramid(3, 0)
 
 
-@pytest.mark.parametrize("value", [True, 2.0, 2.5], ids=repr)
+@pytest.mark.parametrize("value", [True, 2.0, 2.5, "x"], ids=repr)
 def test_values_that_are_not_ints_are_refused(value):
     with pytest.raises(TypeError, match="n must be an int"):
         build_pyramid(3, value)
