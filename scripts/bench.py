@@ -16,8 +16,10 @@ of ``certificate_builders``, in one call) and of the route ``powersums
 check`` runs on what they built (``read_certificate`` and
 ``check_certificate`` of each certificate's ``dumps_certificate`` text),
 with the work behind them: pieces, source rects, distinct coordinates, and
-the layers and grid cells of the ``CheckReport``; and per module of the
-package, the seconds to ``compile()`` its source, which an import from
+the layers and grid cells of the ``CheckReport``; per construction and
+variant at its cap, the seconds of ``powersums certificate`` writing its
+file (``cli.main`` in process, stdout captured), with the bytes written;
+and per module of the package, the seconds to ``compile()`` its source, which an import from
 source pays before it runs a line.  Each time is the median
 of ``REPEATS`` calls, with their p25 and p75 beside it, so a row shows its
 own spread (compiles take ``COMPILE_REPEATS`` calls).
@@ -26,13 +28,16 @@ own spread (compiles take ``COMPILE_REPEATS`` calls).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
+import io
 import json
 import multiprocessing
 import os
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Any
@@ -64,45 +69,59 @@ def _work(certs: list[Any], reports: list[Any]) -> dict[str, int]:
 
 
 def _child(src: str, conn: Any) -> None:
-    """Import the package from ``src``, send its construction caps, then
-    time each task received, one call each, until None: ("theorem", n),
-    ("build", name), ("check", name) after that name's build, and
-    ("compile", module), a path under ``src``.  Answer each with (seconds,
-    work), the work counters with a name's first check and None otherwise."""
+    """Import the package from ``src``, send its construction caps and each
+    construction's variants, then time each task received, one call each,
+    until None: ("theorem", n), ("build", name), ("check", name) after that
+    name's build, ("write", (name, variant)) and ("compile", module), a path
+    under ``src``.  Answer each with (seconds, work), the work counters with
+    a name's first check, the bytes with a write, and None otherwise."""
     sys.path.insert(0, src)
-    from powersums import dissect
+    from powersums import cli, dissect
 
     caps = dict(dissect.CONSTRUCTIONS)
     built: dict[str, list[Any]] = {}
     texts: dict[str, list[str]] = {}
-    conn.send(caps)
-    for kind, key in iter(conn.recv, None):
-        if kind == "compile":
-            source = (Path(src) / key).read_text()
-        gc.collect()
-        start = time.perf_counter()
-        if kind == "compile":
-            result = compile(source, key, "exec", dont_inherit=True)
-        elif kind == "theorem":
-            result = dissect.full_theorem_report(key)
-        elif kind == "build":
-            result = [build(caps[key]) for build
-                      in dissect.generators.certificate_builders(key).values()]
-        else:
-            result = [dissect.check_certificate(dissect.read_certificate(text))
-                      for text in texts[key]]
-        seconds = time.perf_counter() - start
-        work = None
-        if kind == "theorem":
-            assert result.holds, result
-        elif kind == "build":
-            built[key] = result
-            texts[key] = [dissect.dumps_certificate(cert) for cert in result]
-        elif kind == "check":
-            assert all(report.ok for report in result), result
-            if key in built:
-                work = _work(built.pop(key), result)
-        conn.send((seconds, work))
+    conn.send((caps, {name: list(dissect.generators.certificate_builders(name))
+                      for name in caps}))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "certificate.json"
+        for kind, key in iter(conn.recv, None):
+            if kind == "compile":
+                source = (Path(src) / key).read_text()
+            elif kind == "write":
+                name, variant = key
+                argv = ["certificate", name, "--n", str(caps[name]), "--out", str(out),
+                        *(() if variant is None else ("--variant", variant))]
+            gc.collect()
+            start = time.perf_counter()
+            if kind == "compile":
+                result = compile(source, key, "exec", dont_inherit=True)
+            elif kind == "write":
+                with contextlib.redirect_stdout(io.StringIO()):
+                    result = cli.main(argv)
+            elif kind == "theorem":
+                result = dissect.full_theorem_report(key)
+            elif kind == "build":
+                result = [build(caps[key]) for build
+                          in dissect.generators.certificate_builders(key).values()]
+            else:
+                result = [dissect.check_certificate(dissect.read_certificate(text))
+                          for text in texts[key]]
+            seconds = time.perf_counter() - start
+            work = None
+            if kind == "theorem":
+                assert result.holds, result
+            elif kind == "build":
+                built[key] = result
+                texts[key] = [dissect.dumps_certificate(cert) for cert in result]
+            elif kind == "check":
+                assert all(report.ok for report in result), result
+                if key in built:
+                    work = _work(built.pop(key), result)
+            elif kind == "write":
+                assert result == 0, (key, result)
+                work = {"bytes": out.stat().st_size}
+            conn.send((seconds, work))
 
 
 def _stats(times: list[float]) -> dict[str, float]:
@@ -121,16 +140,20 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
         process.start()
         sides[label] = (process, conn)
     try:
-        caps = [conn.recv() for _process, conn in sides.values()]
+        caps, variants = zip(*(conn.recv() for _process, conn in sides.values()))
         assert all(c == caps[0] for c in caps), caps
+        assert all(v == variants[0] for v in variants), variants
+        writes = [(name, variant) for name, names in variants[0].items()
+                  for variant in names]
         tasks = [("theorem", n) for n in range(1, 11)]
         tasks += [(kind, name) for name in caps[0] for kind in ("build", "check")]
+        tasks += [("write", key) for key in writes]
         modules = {label: {str(path.relative_to(src))
                            for path in (src / "powersums").rglob("*.py")}
                    for label, src in sources.items()}
         tasks += [("compile", module) for module in sorted(set().union(*modules.values()))]
         times: dict[tuple[str, Any], dict[str, list[float]]] = {}
-        work: dict[tuple[str, str], dict[str, int]] = {}
+        work: dict[tuple[str, Any], dict[str, int]] = {}
         for task in tasks:
             for i in range(COMPILE_REPEATS if task[0] == "compile" else REPEATS):
                 for label in list(sides)[::1 if i % 2 == 0 else -1]:
@@ -156,6 +179,10 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
         theorem = {str(n): _stats(times["theorem", n][label]) for n in range(1, 11)}
         compiled = {module: _stats(times["compile", module][label])
                     for module in sorted(modules[label])}
+        written = {" ".join(filter(None, key)): {
+                       "n": caps[0][key[0]], **_stats(times["write", key][label]),
+                       **work[label, key]}
+                   for key in writes}
         rows.append({
             "label": label, "repeats": REPEATS, "compile_repeats": COMPILE_REPEATS,
             "python": platform.python_version(), "machine": platform.machine(),
@@ -166,6 +193,8 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                        "check": _stats(times["check", name][label]),
                        **work[label, name]}
                 for name, n in caps[0].items()},
+            "write": written,
+            "write_s": sum(w["median_s"] for w in written.values()),
             "compile": compiled,
             "compile_s": sum(c["median_s"] for c in compiled.values())})
     return rows
@@ -185,7 +214,8 @@ def main() -> None:
     out.write_text(json.dumps({"pr": args.pr, "rows": rows}, indent=1) + "\n")
     blocks = " -> ".join(f"{r['theorem_block_s']:.3f}" for r in rows)
     compiled = " -> ".join(f"{r['compile_s'] * 1e3:.1f}" for r in rows)
-    print(f"theorem block {blocks} s, compile {compiled} ms "
+    written = " -> ".join(f"{r['write_s']:.3f}" for r in rows)
+    print(f"theorem block {blocks} s, write {written} s, compile {compiled} ms "
           f"(parent -> change) -> {out}")
 
 

@@ -27,6 +27,7 @@ from .dissect.generators import (  # noqa: F401
     _STEP4_VARIANTS,
     certificate_builders,
 )
+from .dissect.geometry import dumps_lattice, lattice_area
 from .dissect.kernel import bounded
 from .exact import quad_to_text, rat_to_text
 
@@ -85,10 +86,11 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
     variant = next(iter(builders)) if args.variant is None else args.variant
     if variant not in builders:
         raise ValueError(f"{args.construction} takes no variant")
-    cert = builders[variant](args.n)
-    args.out.write_text(dissect.dumps_certificate(cert), encoding="utf-8")
-    print(f"{cert.construction} n={cert.n}: {len(cert.placements)} placements, "
-          f"area {quad_to_text(cert.source_area)} -> {args.out}")
+    data = builders[variant].core(args.n)
+    args.out.write_text(dumps_lattice(data), encoding="utf-8")
+    cert = data.cert
+    print(f"{cert.construction} n={cert.n}: {len(cert.pieces)} placements, "
+          f"area {quad_to_text(lattice_area(cert, 'source_area'))} -> {args.out}")
     return EXIT_OK
 
 

@@ -352,10 +352,15 @@ def scissor_rectangle(n: int, t: int, row: int, col: int) -> LabelledLattice:
     """Cut the strip of width x off rectangle (row, col) of layer t: its
     pieces (body, A, B, C), the leftovers B and C are set aside on, and its
     (n+1+x) x (n-x) target.  UnsupportedN beyond STEP3_SCISSOR's cap, or
-    for t < 1 or a row or col < 0."""
+    for a cut STEP3_SCISSOR at n does not make: t outside 1..n, row outside
+    0..n or col outside 0..n-1."""
     out = _new("STEP3_SCISSOR", n)
     _naturals("scissor_rectangle: ", 1, UnsupportedN, t=t)
     _naturals("scissor_rectangle: ", 0, UnsupportedN, row=row, col=col)
+    for key, value, top in (("t", t, n), ("row", row, n), ("col", col, n - 1)):
+        if value > top:
+            raise UnsupportedN(f"scissor_rectangle: {key} must be <= {top}, "
+                               f"got {bounded(str(value))}")
     _scissor_cut(out, n, t, row, col)
     return out
 

@@ -6,13 +6,16 @@ through the canonical Q(sqrt(21)) text representation, so files round-trip
 bit-exactly.  Every document is read by one strict walk, which yields a
 ``WireCertificate`` of coordinate texts and their parsed triples: the
 checker takes it as it is, and ``loads_certificate`` builds objects from it.
-Generated certificates are views over lattice data (``LatticeView``).
+Generated certificates are views over lattice data (``LatticeView``), and
+``dumps_lattice`` writes that data as the document ``dumps_certificate``
+writes for its view, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from ..exact import (
@@ -22,6 +25,7 @@ from ..exact import (
     quad_from_triple,
     quad_to_text,
     triple_from_text,
+    triple_to_text,
 )
 from .kernel import (LEFTOVER_LAYER, LatticeCertificate, LatticeRect, Point,
                      bounded, lattice_sign)
@@ -158,6 +162,19 @@ class LatticeView(dict[Point, QuadExt]):
     def __missing__(self, point: Point) -> QuadExt:
         q = self[point] = quad_from_triple((*point, self.d))
         return q
+
+
+def lattice_area(cert: LatticeCertificate, side: str) -> QuadExt:
+    """The exact area of ``cert``'s piece sources (``side`` "source_area")
+    or targets ("target_area"), summed on lattice ints: the value of that
+    property of its certificate object."""
+    a = b = 0
+    for rects in ([piece[2] for piece in cert.pieces] if side == "source_area"
+                  else [rects for _layer, rects in cert.targets]):
+        for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
+            a += (x2a - x1a) * (y2a - y1a) + 21 * (x2b - x1b) * (y2b - y1b)
+            b += (x2a - x1a) * (y2b - y1b) + (x2b - x1b) * (y2a - y1a)
+    return quad_from_triple((a, b, cert.denominator ** 2))
 
 
 def certificate_from_lattice(data: LabelledLattice) -> DissectionCertificate:
@@ -357,6 +374,64 @@ def certificate_from_json(data: Any) -> DissectionCertificate:
 
 def dumps_certificate(cert: DissectionCertificate) -> str:
     return json.dumps(certificate_to_json(cert), indent=1)
+
+
+class _QuotedTexts(dict[Point, str]):
+    """The JSON string of each lattice point's text over d, made once per point."""
+
+    def __init__(self, d: int) -> None:
+        self.d = d
+
+    def __missing__(self, point: Point) -> str:
+        quoted = self[point] = f'"{triple_to_text((*point, self.d))}"'
+        return quoted
+
+
+def dumps_lattice(data: LabelledLattice) -> str:
+    """``dumps_certificate(certificate_from_lattice(data))``, byte for byte,
+    for data of the kernel's types, written with no object and no
+    ``QuadExt``: each distinct point is formatted once, strings are escaped
+    by ``json``'s own encoder, and the ``indent=1`` document is joined from
+    strings."""
+    cert = data.cert
+    quoted, q = _QuotedTexts(cert.denominator), encode_basestring_ascii
+
+    def region(label: str, rects: Sequence[LatticeRect], k: int) -> str:
+        """A region whose keys sit ``k`` spaces in."""
+        pad, inner = "\n" + " " * k, "\n" + " " * (k + 1)
+        head = f"{{{pad}\"label\": {q(label)},{pad}\"rects\": ["
+        if not rects:
+            return f"{head}]\n{' ' * (k - 1)}}}"
+        sep = inner + " "
+        body = ",".join(
+            f"{inner}[{sep}{quoted[x1]},{sep}{quoted[y1]},{sep}"
+            f"{quoted[x2[0] - x1[0], x2[1] - x1[1]]},{sep}"
+            f"{quoted[y2[0] - y1[0], y2[1] - y1[1]]}{inner}]"
+            for x1, y1, x2, y2 in rects)
+        return f"{head}{body}{pad}]\n{' ' * (k - 1)}}}"
+
+    def items(chunks: list[str]) -> str:
+        """The list value of a top-level key, whose ``chunks`` each start
+        with their own newline."""
+        return f"[{','.join(chunks)}\n ]" if chunks else "[]"
+
+    placements = items([
+        f'\n  {{\n   "piece_id": {q(piece_id)},\n   "source_layer": {q(layer)},'
+        f'\n   "source": {region(label, rects, 4)},\n   "transform": {{'
+        f'\n    "quarter_turns": {turns},'
+        f'\n    "reflect": {"true" if reflect else "false"},'
+        f'\n    "dx": {quoted[dx]},\n    "dy": {quoted[dy]}\n   }},'
+        f'\n   "destination_layer": {q(dest)}\n  }}'
+        for (piece_id, layer, rects, (turns, reflect, dx, dy), dest), label
+        in zip(cert.pieces, data.labels)])
+    targets = items([
+        f'\n  {{\n   "layer": {q(layer)},\n   "region": '
+        f'{region("target", rects, 4)}\n  }}' for layer, rects in cert.targets])
+    leftovers = items([f"\n  {region(label, rects, 3)}" for label, rects
+                       in zip(data.leftover_labels, cert.leftovers)])
+    return (f'{{\n "construction": {q(cert.construction)},\n "n": {cert.n},'
+            f'\n "placements": {placements},\n "targets": {targets},'
+            f'\n "leftovers": {leftovers}\n}}')
 
 
 def loads_certificate(text: str) -> DissectionCertificate:

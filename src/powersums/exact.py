@@ -11,10 +11,11 @@ so a ``QuadExt`` serves the edges only: the certificate object views, the
 identity registry and failure reports.  ``quad_from_triple`` is the one way
 from a lattice point (A, B) over D to a ``QuadExt``, but for the failure
 reports' ``QuadExt(Fraction, Fraction)``, which perfbench's traced ``check``
-counts as ``QuadExt.__init__`` calls.  A ``QuadExt`` is stored as integer
-numerators over one common denominator (as FLINT/Antic store ``nf_elem``),
-so arithmetic, ordering and the text codec run on ints and build no
-``Fraction``.
+counts as ``QuadExt.__init__`` calls.  ``triple_to_text`` is the one
+formatter of a value: ``quad_to_text`` and the lattice writer call it.  A
+``QuadExt`` is stored as integer numerators over one common denominator (as
+FLINT/Antic store ``nf_elem``), so arithmetic, ordering and the text codec
+run on ints and build no ``Fraction``.
 
 Values are immutable and hashable.  Comparisons are exact.  Nothing is
 coerced: a part or operand is an int (not a bool), a ``Fraction`` or a
@@ -271,7 +272,14 @@ def quad_to_text(u: QuadLike) -> str:
     Signs live in the numerators; "/1" is omitted.  ``quad_from_text``
     round-trips this bit-exactly.
     """
-    a, b, d = _parts(u)
+    return triple_to_text(_parts(u))
+
+
+def triple_to_text(triple: tuple[int, int, int]) -> str:
+    """The canonical text of (A + B*sqrt(21))/D for ints A, B and D > 0,
+    reduced or not: the inverse of ``triple_from_text``, and the one
+    formatter of a value."""
+    a, b, d = triple
     if b == 0:
         return _ratio_text(a, d)
     return f"{_ratio_text(a, d)}+{_ratio_text(b, d)}*sqrt21"

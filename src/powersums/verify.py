@@ -4,8 +4,9 @@ Each criterion is a function of a bound ``max_n``.  ``None`` runs the
 acceptance ranges; an int cuts every range of n at ``max_n`` (criterion 03
 at ``10 * max_n``), never beyond the acceptance range or a construction's
 cap.  Criteria 01, 02, 07, 08 and 10 and the arithmetic form of 09 have no
-range of n to cut.  A criterion returns ``None`` when it holds, else one
-line naming the first failing case.
+range of n to cut, but every criterion refuses a bound that is not None or
+an int >= 1 (``Criterion.run``).  A criterion returns ``None`` when it
+holds, else one line naming the first failing case.
 
 ``powersums verify-all`` runs ``CRITERIA`` in order, and the acceptance
 tests run each entry at ``max_n=None`` within its time budget.
@@ -26,9 +27,9 @@ from .dissect import (
     mutate_placement,
 )
 from .dissect.generators import certificate_builders
-from .dissect.geometry import LabelledLattice, certificate_from_lattice
-from .dissect.kernel import LatticeCertificate
-from .exact import QuadExt, quad_from_triple, rat_to_text, strip_root
+from .dissect.geometry import (LabelledLattice, certificate_from_lattice,
+                               lattice_area as _area)
+from .exact import QuadExt, rat_to_text, strip_root
 from .figurate import (
     REGISTRY,
     _naturals,
@@ -79,9 +80,8 @@ GOLDEN_FIGURES = {
 
 
 def _upto(bound: int, max_n: Optional[int]) -> range:
-    """1..bound, cut at ``max_n``: None, or an int >= 1."""
-    if max_n is not None:
-        _naturals("", 1, max_n=max_n)
+    """1..bound, cut at ``max_n``: None, or an int >= 1 (``Criterion.run``
+    refuses any other bound)."""
     return range(1, (bound if max_n is None else min(bound, max_n)) + 1)
 
 
@@ -91,17 +91,6 @@ def _certificates(name: str, n: int) -> Iterator[tuple[str, LabelledLattice]]:
     ``powersums certificate`` writes by default."""
     for variant, build in certificate_builders(name).items():
         yield f"{name} n={n}" + (f" {variant}" if variant else ""), build.core(n)
-
-
-def _area(cert: LatticeCertificate, side: str) -> QuadExt:
-    """The exact area of ``cert``'s piece sources or targets, as ``side`` says."""
-    a = b = 0
-    for rects in ([piece[2] for piece in cert.pieces] if side == "source_area"
-                  else [rects for _layer, rects in cert.targets]):
-        for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
-            a += (x2a - x1a) * (y2a - y1a) + 21 * (x2b - x1b) * (y2b - y1b)
-            b += (x2a - x1a) * (y2b - y1b) + (x2b - x1b) * (y2a - y1a)
-    return quad_from_triple((a, b, cert.denominator ** 2))
 
 
 def mutants() -> Iterator[tuple[DissectionCertificate, str]]:
@@ -258,7 +247,15 @@ class Criterion(NamedTuple):
     check: str  # its name in ``verify-all``
     label: str  # what its ACCEPT line says
     kind: str  # "cover" (exit code 2) or "identity" (exit code 1)
-    run: Callable[[Optional[int]], Optional[str]]
+    sweep: Callable[[Optional[int]], Optional[str]]  # called by ``run``
+
+    def run(self, max_n: Optional[int]) -> Optional[str]:
+        """The criterion's verdict up to ``max_n``: a bound that is not None
+        or an int >= 1 is refused before anything is checked, so no
+        criterion passes having checked less than n = 1."""
+        if max_n is not None:
+            _naturals("", 1, max_n=max_n)
+        return self.sweep(max_n)
 
 
 CRITERIA = (

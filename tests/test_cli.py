@@ -89,6 +89,32 @@ def test_certificate_roundtrip_and_check(tmp_path, capsys):
     assert code == 0 and "PASS" in out
 
 
+#: (construction, variant) -> its (placements, area) at n = 1, 2, 3
+_CERTIFICATE_LINES = {
+    ("GAUSS_RECT", None): ((2, "2"), (2, "6"), (2, "12")),
+    ("THREE_PYR_2D", None): ((4, "3"), (8, "15"), (12, "42")),
+    ("NICOMACHUS_4D_2D", None): ((4, "4"), (17, "36"), (41, "144")),
+    ("FIVE_PYR_LAYERS", None): ((5, "5"), (37, "85"), (126, "490")),
+    ("STEP2_RESHAPE", None): ((2, "4"), (16, "72"), (54, "432")),
+    ("STEP3_SCISSOR", None): ((8, "4"), (48, "72"), (144, "432")),
+    ("STEP4_TOP", "overlap"): ((4, "4"), (12, "36"), (24, "144")),
+    ("STEP4_TOP", "bijection"): ((1, "1"), (13, "13"), (58, "58")),
+    ("STEP4_TOP", "bijection-full"): ((1, "1"), (12, "12"), (45, "45")),
+}
+
+
+@pytest.mark.parametrize("name,variant", _CERTIFICATE_LINES)
+def test_the_certificate_line_is_pinned(name, variant, tmp_path, capsys):
+    flags = () if variant is None else ("--variant", variant)
+    path = tmp_path / "x.json"
+    for n, (placements, area) in enumerate(_CERTIFICATE_LINES[name, variant], 1):
+        code, out, _ = run(capsys, "certificate", name, "--n", str(n),
+                           "--out", str(path), *flags)
+        assert code == 0
+        assert out == (f"{name} n={n}: {placements} placements, "
+                       f"area {area} -> {path}\n")
+
+
 def test_check_detects_mutation_with_exit_2(tmp_path, capsys):
     cert = gauss_rectangle(4)
     data = json.loads(dumps_certificate(cert))
@@ -193,13 +219,13 @@ def builds(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", [None, *_STEP4_BUILDERS])
-def test_a_step4_certificate_builds_only_its_variant(variant, builds, tmp_path,
-                                                     capsys):
+def test_a_step4_certificate_builds_only_its_variant(variant, core_builds,
+                                                     tmp_path, capsys):
     flags = () if variant is None else ("--variant", variant)
     code, _, _ = run(capsys, "certificate", "STEP4_TOP", "--n", "3",
                      "--out", str(tmp_path / "x.json"), *flags)
     assert code == 0
-    assert builds == Counter({_STEP4_BUILDERS[variant or "overlap"]: 1})
+    assert core_builds == Counter({f"_{_STEP4_BUILDERS[variant or 'overlap']}": 1})
 
 
 @pytest.fixture

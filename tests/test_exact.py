@@ -19,6 +19,8 @@ from powersums.exact import (
     quad_to_float,
     quad_to_text,
     strip_root,
+    triple_from_text,
+    triple_to_text,
 )
 
 rationals = st.fractions(
@@ -112,6 +114,16 @@ def test_parser_accepts_only_canonical_ascii_text(text):
 @given(quads)
 def test_serialization_round_trip(u):
     assert quad_from_text(quad_to_text(u)) == u
+
+
+@given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9),
+       st.integers(1, 10**4))
+def test_a_triple_formats_as_its_value(a, b, d):
+    """``triple_to_text`` reduces any (A, B, D) with D > 0, as the value's
+    own text, and ``triple_from_text`` reads back its canonical triple."""
+    value = quad_from_triple((a, b, d))
+    assert triple_to_text((a, b, d)) == quad_to_text(value)
+    assert triple_from_text(triple_to_text((a, b, d))) == value.triple
 
 
 @given(quads, quads, quads)

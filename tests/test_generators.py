@@ -373,12 +373,28 @@ def test_an_n_that_is_not_an_int_is_refused(build, value):
     ((0, 0, 0), UnsupportedN, "t must be >= 1, got 0"),
     ((1, -1, 0), UnsupportedN, "row must be >= 0, got -1"),
     ((1, 0, -1), UnsupportedN, "col must be >= 0, got -1"),
-], ids=["float-t", "bool-t", "float-row", "bool-col", "t-0", "row-neg", "col-neg"])
+    ((3, 0, 0), UnsupportedN, "t must be <= 2, got 3"),
+    ((1, 3, 0), UnsupportedN, "row must be <= 2, got 3"),
+    ((1, 0, 2), UnsupportedN, "col must be <= 1, got 2"),
+], ids=["float-t", "bool-t", "float-row", "bool-col", "t-0", "row-neg", "col-neg",
+        "t-above-n", "row-above-n", "col-at-n"])
 def test_a_scissor_cut_refuses_a_layer_row_or_col_that_is_no_count(args, error,
                                                                     shown):
     with pytest.raises(error) as refused:
         generators.scissor_rectangle(2, *args)
     assert str(refused.value) == f"scissor_rectangle: {shown}"
+
+
+def test_the_scissor_cuts_in_range_are_step3_s_cuts():
+    """Every (t, row, col) that ``scissor_rectangle`` accepts at n is one
+    rectangle's cut in STEP3_SCISSOR at n, in the same order."""
+    n = 2
+    whole = generators._step3_scissor(n)
+    cuts = [generators.scissor_rectangle(n, t, row, col)
+            for t in range(1, n + 1) for row in range(n + 1) for col in range(n)]
+    assert [p for c in cuts for p in c.cert.pieces] == whole.cert.pieces
+    assert [t for c in cuts for t in c.cert.targets] == whole.cert.targets
+    assert [r for c in cuts for r in c.cert.leftovers] == whole.cert.leftovers
 
 
 def test_full_theorem_arithmetic_only_beyond_cap():

@@ -31,8 +31,10 @@ from powersums.dissect import (
 from powersums.dissect import generators, geometry
 from powersums.dissect.checker import _from_wire
 from powersums.dissect.generators import certificate_builders
-from powersums.dissect.geometry import (Rect, Region, _walk, certificate_from_lattice,
-                                       certificate_to_json)
+from powersums.dissect.geometry import (LabelledLattice, Rect, Region, _walk,
+                                       certificate_from_lattice,
+                                       certificate_to_json, dumps_lattice)
+from powersums.dissect.kernel import LatticeCertificate
 from powersums.exact import QuadExt, strip_root
 
 
@@ -385,3 +387,46 @@ def test_the_first_of_two_defects_is_the_first_piece_s():
         assert failure.kind == "malformed" and message in failure.message
     named = check_certificate(cert._replace(construction="NOPE", n=0)).failure
     assert named.message == "unknown construction 'NOPE'"
+
+
+# -- the lattice writer ------------------------------------------------------
+
+
+#: every construction and variant at n = 1, 2, 3 and min(cap, 10)
+WRITTEN = [(f"{name} {variant} n={n}", build.core, n)
+           for name, cap in CONSTRUCTIONS.items()
+           for variant, build in certificate_builders(name).items()
+           for n in sorted({1, 2, 3, min(cap, 10)})]
+
+
+@pytest.mark.parametrize("label,core,n", WRITTEN, ids=[w[0] for w in WRITTEN])
+def test_the_lattice_writer_writes_the_object_path_s_bytes(label, core, n):
+    data = core(n)
+    assert dumps_lattice(data) == dumps_certificate(certificate_from_lattice(data))
+
+
+#: text that JSON must escape, or that no builder writes
+_texts = st.one_of(
+    st.sampled_from(["", '"', "\\", '\\"', "\n\t\x00\x1f\x7f", "é", "λ·√21",
+                     "\U0001f600", "\ud800", "layer/1", "target"]),
+    st.text(max_size=12))
+_points = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+_rects = st.lists(st.tuples(_points, _points, _points, _points), max_size=3)
+_pieces = st.lists(st.tuples(
+    _texts, _texts, _rects,
+    st.tuples(st.integers(-8, 8), st.booleans(), _points, _points), _texts),
+    max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_texts, st.integers(-10**30, 10**30), _pieces,
+       st.lists(st.tuples(_texts, _rects), max_size=3),
+       st.lists(_rects, max_size=3), st.integers(1, 10**6), st.data())
+def test_the_lattice_writer_escapes_and_nests_as_json_does(
+        construction, n, pieces, targets, leftovers, d, draw):
+    data = LabelledLattice(
+        LatticeCertificate(construction, n, pieces, targets, leftovers, d),
+        draw.draw(st.lists(_texts, min_size=len(pieces), max_size=len(pieces))),
+        draw.draw(st.lists(_texts, min_size=len(leftovers),
+                           max_size=len(leftovers))))
+    assert dumps_lattice(data) == dumps_certificate(certificate_from_lattice(data))
