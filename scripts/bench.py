@@ -2,7 +2,8 @@
 tree and on this one, and write both rows to ``BENCH_<pr>.json``.
 
 Standard library only, and only the public API of ``powersums.dissect``,
-so the same script measures any checkout's ``src``:
+``powersums.pyramid`` and ``powersums.verify``, so the same script
+measures any checkout's ``src``:
 
     python3 scripts/bench.py --pr PR --parent ../parent/src
 
@@ -19,7 +20,11 @@ with the work behind them: pieces, source rects, distinct coordinates, and
 the layers and grid cells of the ``CheckReport``; per construction and
 variant at its cap, the seconds of ``powersums certificate`` writing its
 file (``cli.main`` in process, stdout captured), with the bytes written;
-and per module of the package, the seconds to ``compile()`` its source, which an import from
+per d = 3, 4, 5, the seconds of ``pyramid.sections_agree(d, 12)``, with
+|P_d(12)|, and as their control the seconds of criterion 05
+(``verify.CRITERIA[4].run(12)``), which cuts the same pyramids into cell
+sets and checks each partition cell for cell; and per module of the
+package, the seconds to ``compile()`` its source, which an import from
 source pays before it runs a line.  Each time is the median
 of ``REPEATS`` calls, with their p25 and p75 beside it, so a row shows its
 own spread (compiles take ``COMPILE_REPEATS`` calls).
@@ -46,6 +51,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: calls behind each median, on each tree
 REPEATS = 5
+#: the pyramids of the sections row: P_d(SECTIONS_N) for d in SECTIONS_D
+SECTIONS_D, SECTIONS_N = (3, 4, 5), 12
 #: calls behind each compile median: a compile takes milliseconds, and five
 #: calls left quartiles 30% apart on one module
 COMPILE_REPEATS = 25
@@ -72,11 +79,12 @@ def _child(src: str, conn: Any) -> None:
     """Import the package from ``src``, send its construction caps and each
     construction's variants, then time each task received, one call each,
     until None: ("theorem", n), ("build", name), ("check", name) after that
-    name's build, ("write", (name, variant)) and ("compile", module), a path
-    under ``src``.  Answer each with (seconds, work), the work counters with
-    a name's first check, the bytes with a write, and None otherwise."""
+    name's build, ("write", (name, variant)), ("sections", d), ("criterion",
+    5) and ("compile", module), a path under ``src``.  Answer each with
+    (seconds, work), the work counters with a name's first check, the bytes
+    with a write, the cells of P_d(12) with sections, and None otherwise."""
     sys.path.insert(0, src)
-    from powersums import cli, dissect
+    from powersums import cli, dissect, pyramid, verify
 
     caps = dict(dissect.CONSTRUCTIONS)
     built: dict[str, list[Any]] = {}
@@ -101,6 +109,10 @@ def _child(src: str, conn: Any) -> None:
                     result = cli.main(argv)
             elif kind == "theorem":
                 result = dissect.full_theorem_report(key)
+            elif kind == "sections":
+                result = pyramid.sections_agree(key, SECTIONS_N)
+            elif kind == "criterion":
+                result = verify.CRITERIA[key - 1].run(SECTIONS_N)
             elif kind == "build":
                 result = [build(caps[key]) for build
                           in dissect.generators.certificate_builders(key).values()]
@@ -121,6 +133,11 @@ def _child(src: str, conn: Any) -> None:
             elif kind == "write":
                 assert result == 0, (key, result)
                 work = {"bytes": out.stat().st_size}
+            elif kind == "sections":
+                assert result.holds, result
+                work = {"cells": len(pyramid.build_pyramid(key, SECTIONS_N))}
+            elif kind == "criterion":
+                assert result is None, result
             conn.send((seconds, work))
 
 
@@ -148,6 +165,7 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
         tasks = [("theorem", n) for n in range(1, 11)]
         tasks += [(kind, name) for name in caps[0] for kind in ("build", "check")]
         tasks += [("write", key) for key in writes]
+        tasks += [("sections", d) for d in SECTIONS_D] + [("criterion", 5)]
         modules = {label: {str(path.relative_to(src))
                            for path in (src / "powersums").rglob("*.py")}
                    for label, src in sources.items()}
@@ -183,6 +201,8 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                        "n": caps[0][key[0]], **_stats(times["write", key][label]),
                        **work[label, key]}
                    for key in writes}
+        sections = {str(d): {"n": SECTIONS_N, **_stats(times["sections", d][label]),
+                             **work[label, d]} for d in SECTIONS_D}
         rows.append({
             "label": label, "repeats": REPEATS, "compile_repeats": COMPILE_REPEATS,
             "python": platform.python_version(), "machine": platform.machine(),
@@ -195,6 +215,10 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                 for name, n in caps[0].items()},
             "write": written,
             "write_s": sum(w["median_s"] for w in written.values()),
+            "sections": sections,
+            "sections_s": sum(s["median_s"] for s in sections.values()),
+            "criterion_05": {"max_n": SECTIONS_N,
+                             **_stats(times["criterion", 5][label])},
             "compile": compiled,
             "compile_s": sum(c["median_s"] for c in compiled.values())})
     return rows
@@ -215,7 +239,10 @@ def main() -> None:
     blocks = " -> ".join(f"{r['theorem_block_s']:.3f}" for r in rows)
     compiled = " -> ".join(f"{r['compile_s'] * 1e3:.1f}" for r in rows)
     written = " -> ".join(f"{r['write_s']:.3f}" for r in rows)
-    print(f"theorem block {blocks} s, write {written} s, compile {compiled} ms "
+    sections = " -> ".join(f"{r['sections_s']:.3f}" for r in rows)
+    control = " -> ".join(f"{r['criterion_05']['median_s']:.3f}" for r in rows)
+    print(f"theorem block {blocks} s, write {written} s, sections {sections} s "
+          f"(criterion 05 {control} s), compile {compiled} ms "
           f"(parent -> change) -> {out}")
 
 

@@ -70,14 +70,14 @@ def _cmd_faulhaber(args: argparse.Namespace) -> int:
 
 def _cmd_sections(args: argparse.Namespace) -> int:
     p = pyramid.build_pyramid(args.dim, args.n)
+    if args.emit == "sizes":
+        print("sizes: " + " ".join(map(str, pyramid.section_sizes(p, args.secondary))))
+        return EXIT_OK
     sections = (pyramid.main_sections(p) if args.secondary is None
                 else pyramid.secondary_sections(p, args.secondary))
-    if args.emit == "sizes":
-        print("sizes: " + " ".join(str(len(s)) for s in sections))
-    else:
-        for index, section in enumerate(sections, start=1):
-            for cell in section.sorted_cells():
-                print(f"{index} " + ",".join(str(c) for c in cell))
+    for index, section in enumerate(sections, start=1):
+        for cell in section.sorted_cells():
+            print(f"{index} " + ",".join(str(c) for c in cell))
     return EXIT_OK
 
 

@@ -153,6 +153,15 @@ class LabelledLattice(NamedTuple):
     leftover_labels: Sequence[str]
 
 
+def _labelled(items: Sequence[Any], labels: Sequence[str], what: str) -> zip:
+    """Each of ``items`` with its label; unequal counts would drop items
+    without a word, so they are refused."""
+    if len(items) != len(labels):
+        raise ValueError(f"{what} and their labels differ in count: "
+                         f"{len(items)} and {len(labels)}")
+    return zip(items, labels, strict=True)
+
+
 class LatticeView(dict[Point, QuadExt]):
     """The ``QuadExt`` of each lattice point over d, made once per point."""
 
@@ -190,11 +199,13 @@ def certificate_from_lattice(data: LabelledLattice) -> DissectionCertificate:
         Placement(piece_id, layer, region(label, rects),
                   RigidTransform(turns, reflect, view[dx], view[dy]), dest)
         for (piece_id, layer, rects, (turns, reflect, dx, dy), dest), label
-        in zip(cert.pieces, data.labels))
+        in _labelled(cert.pieces, data.labels, "pieces"))
+    leftovers = tuple(region(label, rects) for rects, label
+                      in _labelled(cert.leftovers, data.leftover_labels, "leftovers"))
     return DissectionCertificate(
         cert.construction, cert.n, placements,
         tuple((layer, region("target", rects)) for layer, rects in cert.targets),
-        tuple(map(region, data.leftover_labels, cert.leftovers)))
+        leftovers)
 
 
 # -- JSON wire format ----------------------------------------------------
@@ -423,12 +434,12 @@ def dumps_lattice(data: LabelledLattice) -> str:
         f'\n    "dx": {quoted[dx]},\n    "dy": {quoted[dy]}\n   }},'
         f'\n   "destination_layer": {q(dest)}\n  }}'
         for (piece_id, layer, rects, (turns, reflect, dx, dy), dest), label
-        in zip(cert.pieces, data.labels)])
+        in _labelled(cert.pieces, data.labels, "pieces")])
     targets = items([
         f'\n  {{\n   "layer": {q(layer)},\n   "region": '
         f'{region("target", rects, 4)}\n  }}' for layer, rects in cert.targets])
-    leftovers = items([f"\n  {region(label, rects, 3)}" for label, rects
-                       in zip(data.leftover_labels, cert.leftovers)])
+    leftovers = items([f"\n  {region(label, rects, 3)}" for rects, label
+                       in _labelled(cert.leftovers, data.leftover_labels, "leftovers")])
     return (f'{{\n "construction": {q(cert.construction)},\n "n": {cert.n},'
             f'\n "placements": {placements},\n "targets": {targets},'
             f'\n "leftovers": {leftovers}\n}}')

@@ -430,3 +430,29 @@ def test_the_lattice_writer_escapes_and_nests_as_json_does(
         draw.draw(st.lists(_texts, min_size=len(leftovers),
                            max_size=len(leftovers))))
     assert dumps_lattice(data) == dumps_certificate(certificate_from_lattice(data))
+
+
+@pytest.mark.parametrize("keep", [1, 3])
+@pytest.mark.parametrize("write", [certificate_from_lattice, dumps_lattice],
+                         ids=["view", "writer"])
+def test_a_piece_without_its_label_is_refused(write, keep):
+    # paired through zip, an unlabelled piece was dropped without a word:
+    # the data passed in process while the written document failed check
+    data = generators._gauss_rectangle(2)
+    labels = (*data.labels, "extra")[:keep]
+    with pytest.raises(ValueError) as exc:
+        write(data._replace(labels=labels))
+    assert str(exc.value) == f"pieces and their labels differ in count: 2 and {keep}"
+
+
+@pytest.mark.parametrize("keep", [23, 25])
+@pytest.mark.parametrize("write", [certificate_from_lattice, dumps_lattice],
+                         ids=["view", "writer"])
+def test_a_leftover_without_its_label_is_refused(write, keep):
+    data = generators._step3_scissor(2)
+    assert len(data.cert.leftovers) == len(data.leftover_labels) == 24
+    labels = (*data.leftover_labels, "extra")[:keep]
+    with pytest.raises(ValueError) as exc:
+        write(data._replace(leftover_labels=labels))
+    assert str(exc.value) == (
+        f"leftovers and their labels differ in count: 24 and {keep}")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from powersums import pyramid
 from powersums.cli import main
+from powersums.exact import QuadExt
 from powersums.figurate import (lemma_rows, sum_powers_bruteforce,
                                  truncated_power_sum)
 from powersums.pyramid import (
@@ -22,6 +23,7 @@ from powersums.pyramid import (
     build_pyramid,
     main_sections,
     secondary_sections,
+    section_sizes,
     sections_agree,
     truncated_pyramid,
 )
@@ -339,3 +341,91 @@ def test_sections_cli_bytes_are_pinned(capsys):
                     digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == (
         "9c1ae3da71be8f1f6d0fdbabb2f56305da43979ba04bd210fe94fbc85eca1aa9")
+
+
+# -- sections_agree counts the slices instead of making them ---------------------
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_the_counts_are_the_slices_sizes(d):
+    for n in range(1, 7 if d == 5 else 9):
+        p = build_pyramid(d, n)
+        assert section_sizes(p) == [len(s) for s in main_sections(p)]
+        for axis in range(2, d + 1):
+            assert (section_sizes(p, axis)
+                    == [len(s) for s in secondary_sections(p, axis)])
+
+
+#: d -> |P_d(n)| for n = 1..12, the lhs and rhs of sections_agree(d, n) as
+#: recorded when it still measured every slice's CellSet
+RECORDED_TOTALS = {
+    2: [1, 3, 6, 10, 15, 21, 28, 36, 45, 55, 66, 78],
+    3: [1, 5, 14, 30, 55, 91, 140, 204, 285, 385, 506, 650],
+    4: [1, 9, 36, 100, 225, 441, 784, 1296, 2025, 3025, 4356, 6084],
+    5: [1, 17, 98, 354, 979, 2275, 4676, 8772, 15333, 25333, 39974, 60710],
+}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_sections_agree_reports_are_unchanged(d):
+    for n, total in enumerate(RECORDED_TOTALS[d], start=1):
+        r = sections_agree(d, n)
+        assert (r.identity_name, r.holds, r.lhs, r.rhs, r.parameters) == (
+            "ROWS_COLS", True, QuadExt(total), QuadExt(total),
+            {"p": d - 2, "n": n, "d": d})
+
+
+def test_sections_agree_makes_no_slice(monkeypatch, capsys):
+    built = []
+    build = pyramid.build_pyramid
+
+    def counted(d, n):
+        built.append((d, n))
+        return build(d, n)
+
+    def sliced(*_args):
+        raise AssertionError("a slice was made")
+
+    # perfbench traces pyramid.cells through the module global build_pyramid
+    monkeypatch.setattr(pyramid, "build_pyramid", counted)
+    for name in ("main_sections", "secondary_sections", "_slices"):
+        monkeypatch.setattr(pyramid, name, sliced)
+    assert sections_agree(5, 4).holds
+    assert built == [(5, 4)]
+    for axis in ([], ["--secondary", "3"]):
+        assert main(["sections", "--dim", "5", "--n", "4", "--emit", "sizes",
+                     *axis]) == 0
+    assert capsys.readouterr().out == "sizes: 1 16 81 256\nsizes: 100 99 91 64\n"
+
+
+_levels_cells = pyramid._levels_cells
+
+
+def _dropped_at_n(d, m, n):
+    return _levels_cells(d, m, n) - {(n, *[n - 1] * (d - 1))}
+
+
+def _stray_at_n_plus_1(d, m, n):
+    return _levels_cells(d, m, n) | {(n + 1, *[0] * (d - 1))}
+
+
+@pytest.mark.parametrize("plant,d,n,message", [
+    (_dropped_at_n, 2, 1, "empty cell set"),
+    (_dropped_at_n, 2, 3, "level 3 has 2 cells, expected 3"),
+    (_dropped_at_n, 3, 4, "level 4 has 15 cells, expected 16"),
+    (_dropped_at_n, 5, 4, "level 4 has 255 cells, expected 256"),
+    (_stray_at_n_plus_1, 2, 1, "level 2 has 1 cells, expected 2"),
+    (_stray_at_n_plus_1, 2, 3, "level 4 has 1 cells, expected 4"),
+    (_stray_at_n_plus_1, 3, 4, "level 5 has 1 cells, expected 25"),
+    (_stray_at_n_plus_1, 5, 4, "level 5 has 1 cells, expected 625"),
+])
+def test_sections_agree_refuses_what_main_sections_refused(
+        monkeypatch, plant, d, n, message):
+    # the texts main_sections raised when sections_agree still called it
+    monkeypatch.setattr(pyramid, "_levels_cells", plant)
+    with pytest.raises(NotAPyramid) as exc:
+        sections_agree(d, n)
+    assert str(exc.value) == message
+    with pytest.raises(NotAPyramid) as exc:
+        main_sections(build_pyramid(d, n))
+    assert str(exc.value) == message
