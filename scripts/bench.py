@@ -21,11 +21,12 @@ the layers and grid cells of the ``CheckReport``; per construction and
 variant at its cap, the seconds of ``powersums certificate`` writing its
 file (``cli.main`` in process, stdout captured), with the bytes written;
 per d = 3, 4, 5, the seconds of ``pyramid.sections_agree(d, 12)``, with
-|P_d(12)|, and as their control the seconds of criterion 05
-(``verify.CRITERIA[4].run(12)``), which cuts the same pyramids into cell
-sets and checks each partition cell for cell; and per module of the
-package, the seconds to ``compile()`` its source, which an import from
-source pays before it runs a line.  Each time is the median
+|P_d(12)| and the ``tracemalloc`` peak in KiB of one more, untimed call (a
+count that copies the cells shows there), and as their control the seconds
+of criterion 05 (``verify.CRITERIA[4].run(12)``), which cuts the same
+pyramids into cell sets and checks each partition cell for cell; and per
+module of the package, the seconds to ``compile()`` its source, which an
+import from source pays before it runs a line.  Each time is the median
 of ``REPEATS`` calls, with their p25 and p75 beside it, so a row shows its
 own spread (compiles take ``COMPILE_REPEATS`` calls).
 """
@@ -44,6 +45,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Any
 
@@ -82,12 +84,14 @@ def _child(src: str, conn: Any) -> None:
     name's build, ("write", (name, variant)), ("sections", d), ("criterion",
     5) and ("compile", module), a path under ``src``.  Answer each with
     (seconds, work), the work counters with a name's first check, the bytes
-    with a write, the cells of P_d(12) with sections, and None otherwise."""
+    with a write, the cells of P_d(12) and the traced peak of one untimed
+    call with sections, and None otherwise."""
     sys.path.insert(0, src)
     from powersums import cli, dissect, pyramid, verify
 
     caps = dict(dissect.CONSTRUCTIONS)
     built: dict[str, list[Any]] = {}
+    peaks: dict[int, float] = {}
     texts: dict[str, list[str]] = {}
     conn.send((caps, {name: list(dissect.generators.certificate_builders(name))
                       for name in caps}))
@@ -135,7 +139,13 @@ def _child(src: str, conn: Any) -> None:
                 work = {"bytes": out.stat().st_size}
             elif kind == "sections":
                 assert result.holds, result
-                work = {"cells": len(pyramid.build_pyramid(key, SECTIONS_N))}
+                if key not in peaks:
+                    tracemalloc.start()
+                    pyramid.sections_agree(key, SECTIONS_N)
+                    peaks[key] = round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+                    tracemalloc.stop()
+                work = {"cells": len(pyramid.build_pyramid(key, SECTIONS_N)),
+                        "peak_kib": peaks[key]}
             elif kind == "criterion":
                 assert result is None, result
             conn.send((seconds, work))
@@ -240,9 +250,11 @@ def main() -> None:
     compiled = " -> ".join(f"{r['compile_s'] * 1e3:.1f}" for r in rows)
     written = " -> ".join(f"{r['write_s']:.3f}" for r in rows)
     sections = " -> ".join(f"{r['sections_s']:.3f}" for r in rows)
+    peaks = " -> ".join(str(max(s["peak_kib"] for s in r["sections"].values()))
+                        for r in rows)
     control = " -> ".join(f"{r['criterion_05']['median_s']:.3f}" for r in rows)
     print(f"theorem block {blocks} s, write {written} s, sections {sections} s "
-          f"(criterion 05 {control} s), compile {compiled} ms "
+          f"(peak {peaks} KiB, criterion 05 {control} s), compile {compiled} ms "
           f"(parent -> change) -> {out}")
 
 

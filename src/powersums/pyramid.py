@@ -4,7 +4,8 @@ The d-pyramid of height n stacks (d-1)-cubes of side 1..n along coordinate
 0.  Main sections (k**(d-1) cells) cut across the stack, secondary sections
 (truncated pyramids) along a cube-spanning axis; both partition the pyramid,
 the geometric rows/columns lemma.  ``sections_agree`` counts their sizes with
-no slice made; criterion 05 (``verify``) checks each partition cell for cell.
+no slice made, in one pass over P_d(n) per coordinate; criterion 05
+(``verify``) checks each partition cell for cell.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from .figurate import IdentityReport, _naturals, lemma_rows
 
 Cell = tuple[int, ...]
 
-#: Most cells of a built pyramid: P_3(66), 98,021 cells, builds in 12 ms; its
-#: main sections take 24 ms more, one axis of secondary sections 29 ms, and
-#: ``sections_agree`` 44 ms, at 28 MiB peak RSS for the process (2-core x86,
-#: Python 3.11).  The criteria and figures use at most P_5(12), 60,710 cells.
+#: Most cells of a built pyramid: P_3(66), 98,021 cells, builds in 20 ms; its
+#: main sections take 28 ms more, one axis of secondary sections 37 ms, and
+#: ``sections_agree`` 56 ms, build included, at 30 MiB peak RSS for the
+#: process (2-core x86, Python 3.11, best of 15).  The criteria and figures
+#: use at most P_5(12), 60,710 cells.
 MAX_PYRAMID_CELLS = 100_000
 
 #: d -> |P_d(n)| = S_(d-1)(n) in closed form, for each supported dimension
@@ -56,6 +58,9 @@ class CellSet:
     cells: frozenset[Cell]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cells, frozenset):
+            raise TypeError(
+                f"cells must be a frozenset, got {type(self.cells).__name__}")
         for cell in self.cells:
             if len(cell) != self.dimension:
                 raise ValueError(
@@ -163,15 +168,22 @@ def _secondary(p: CellSet, axis: int) -> tuple[int, int]:
     return axis - 1, _levels(map(itemgetter(0), p.cells))
 
 
+def _slice_sizes(cells: frozenset[Cell], idx: int, n: int) -> list[int]:
+    """How many cells have coordinate idx = 0..n-1, in one C-level pass:
+    dropping a coordinate is injective on cells sharing it, so each count
+    is the size of that slice."""
+    counts = Counter(map(itemgetter(idx), cells))
+    return [counts[m] for m in range(n)]
+
+
 def section_sizes(p: CellSet, axis: int | None = None) -> list[int]:
     """The sizes of p's main sections (axis None, refused as by
-    ``main_sections``) or secondary sections along axis, counted in one
-    C-level pass: dropping a coordinate is injective on cells sharing it."""
+    ``main_sections``; one pass over p) or secondary sections along axis
+    (two passes: n is the top level of p, which may be any cell set)."""
     if axis is None:
         return _level_sizes(p.dimension - 1, Counter(map(itemgetter(0), p.cells)))
     idx, n = _secondary(p, axis)
-    counts = Counter(map(itemgetter(idx), p.cells))
-    return [counts[m] for m in range(n)]
+    return _slice_sizes(p.cells, idx, n)
 
 
 def main_sections(p: CellSet) -> list[CellSet]:
@@ -201,13 +213,16 @@ def secondary_sections(p: CellSet, axis: int) -> list[CellSet]:
 
 
 def sections_agree(d: int, n: int) -> IdentityReport:
-    """Check that P_d(n)'s main and secondary section sizes, counted by
-    ``section_sizes`` on one build, both total |P_d(n)|, and that the
+    """Check that P_d(n)'s main and secondary section sizes, counted on one
+    build in d passes, one per coordinate, both total |P_d(n)|, and that the
     secondary sizes are sum_{k=m..n} k**(d-2) on every axis: the rows/columns
-    lemma with p = d-2.  Criterion 05 checks each family cell for cell."""
+    lemma with p = d-2.  The secondary counts are read for m = 1..n, n from
+    the main counts, which ``section_sizes`` has refused unless they are
+    levels 1..n.  Criterion 05 checks each family cell for cell."""
     pyramid = build_pyramid(d, n)
-    main_total = sum(section_sizes(pyramid))
-    secondaries = [section_sizes(pyramid, axis) for axis in range(2, d + 1)]
+    main = section_sizes(pyramid)
+    main_total = sum(main)
+    secondaries = [_slice_sizes(pyramid.cells, idx, len(main)) for idx in range(1, d)]
     secondary_total = sum(secondaries[0])
     holds = (main_total == secondary_total == len(pyramid)
              and secondaries == [lemma_rows(d - 2, 1, n)] * (d - 1))

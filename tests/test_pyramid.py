@@ -429,3 +429,47 @@ def test_sections_agree_refuses_what_main_sections_refused(
     with pytest.raises(NotAPyramid) as exc:
         main_sections(build_pyramid(d, n))
     assert str(exc.value) == message
+
+
+def _moved_past_n(d, m, n):
+    # level n keeps its n**(d-1) cells, but one of them leaves the slices
+    return (_levels_cells(d, m, n) - {(n, *[n - 1] * (d - 1))}
+            | {(n, n + 5, *[n - 1] * (d - 2))})
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_a_cell_past_the_secondary_slices_fails_sections_agree(monkeypatch, d):
+    monkeypatch.setattr(pyramid, "_levels_cells", _moved_past_n)
+    for n, total in enumerate(RECORDED_TOTALS[d][:4], start=1):
+        r = sections_agree(d, n)
+        assert (r.holds, r.lhs, r.rhs) == (False, QuadExt(total), QuadExt(total - 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_sections_agree_passes_over_the_cells_once_per_coordinate(monkeypatch, d):
+    # the main count, then one count per secondary axis, n taken from the main
+    build = pyramid.build_pyramid
+    made = []
+
+    def counting(d, n):
+        cells = CountingCells(build(d, n).cells)
+        made.append(cells)
+        return pyramid._cell_set(d, cells)
+
+    monkeypatch.setattr(pyramid, "build_pyramid", counting)
+    for n in range(1, 13):
+        assert sections_agree(d, n).holds
+    assert [cells.iterations for cells in made] == [d] * 12
+
+
+@pytest.mark.parametrize("cells", [[(1, 0), (1, 0)], {(1, 0)}, ((1, 0),), "ab"],
+                         ids=lambda c: type(c).__name__)
+def test_cells_that_are_not_a_frozenset_are_refused(cells):
+    # a list with a repeated cell had len 2 and one secondary section of 2
+    with pytest.raises(TypeError, match=re.escape(
+            f"cells must be a frozenset, got {type(cells).__name__}")):
+        CellSet(2, cells)
+    # refused before the dimension walk, which would name the cell instead
+    with pytest.raises(TypeError, match="cells must be a frozenset"):
+        CellSet(3, cells)
+    assert len(CellSet(2, CountingCells({(1, 0)}))) == 1
