@@ -26,9 +26,10 @@ count that copies the cells shows there), and as their control the seconds
 of criterion 05 (``verify.CRITERIA[4].run(12)``), which cuts the same
 pyramids into cell sets and checks each partition cell for cell; and per
 module of the package, the seconds to ``compile()`` its source, which an
-import from source pays before it runs a line.  Each time is the median
-of ``REPEATS`` calls, with their p25 and p75 beside it, so a row shows its
-own spread (compiles take ``COMPILE_REPEATS`` calls).
+import from source pays before it runs a line, with its count of non-blank
+lines.  Each time is the median of ``REPEATS`` calls, with their p25 and
+p75 beside it, so a row shows its own spread (compiles take
+``COMPILE_REPEATS`` calls).
 """
 
 from __future__ import annotations
@@ -151,6 +152,11 @@ def _child(src: str, conn: Any) -> None:
             conn.send((seconds, work))
 
 
+def _lines(path: Path) -> int:
+    """The non-blank lines of the file at ``path``."""
+    return sum(1 for line in path.read_text().splitlines() if line.strip())
+
+
 def _stats(times: list[float]) -> dict[str, float]:
     p25, median, p75 = statistics.quantiles(times, n=4, method="inclusive")
     return {"median_s": median, "p25_s": p25, "p75_s": p75}
@@ -205,7 +211,8 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
     rows = []
     for label in sides:
         theorem = {str(n): _stats(times["theorem", n][label]) for n in range(1, 11)}
-        compiled = {module: _stats(times["compile", module][label])
+        compiled = {module: {**_stats(times["compile", module][label]),
+                             "lines": _lines(sources[label] / module)}
                     for module in sorted(modules[label])}
         written = {" ".join(filter(None, key)): {
                        "n": caps[0][key[0]], **_stats(times["write", key][label]),
@@ -230,7 +237,8 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
             "criterion_05": {"max_n": SECTIONS_N,
                              **_stats(times["criterion", 5][label])},
             "compile": compiled,
-            "compile_s": sum(c["median_s"] for c in compiled.values())})
+            "compile_s": sum(c["median_s"] for c in compiled.values()),
+            "compile_lines": sum(c["lines"] for c in compiled.values())})
     return rows
 
 
@@ -248,6 +256,7 @@ def main() -> None:
     out.write_text(json.dumps({"pr": args.pr, "rows": rows}, indent=1) + "\n")
     blocks = " -> ".join(f"{r['theorem_block_s']:.3f}" for r in rows)
     compiled = " -> ".join(f"{r['compile_s'] * 1e3:.1f}" for r in rows)
+    lines = " -> ".join(str(r["compile_lines"]) for r in rows)
     written = " -> ".join(f"{r['write_s']:.3f}" for r in rows)
     sections = " -> ".join(f"{r['sections_s']:.3f}" for r in rows)
     peaks = " -> ".join(str(max(s["peak_kib"] for s in r["sections"].values()))
@@ -255,7 +264,7 @@ def main() -> None:
     control = " -> ".join(f"{r['criterion_05']['median_s']:.3f}" for r in rows)
     print(f"theorem block {blocks} s, write {written} s, sections {sections} s "
           f"(peak {peaks} KiB, criterion 05 {control} s), compile {compiled} ms "
-          f"(parent -> change) -> {out}")
+          f"over {lines} lines (parent -> change) -> {out}")
 
 
 if __name__ == "__main__":

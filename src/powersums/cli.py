@@ -195,7 +195,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("svg", "tikz"), default="svg")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--unit-px", type=int, default=24)
+    p.add_argument("--unit-px", type=int,
+                   help="pixels per unit, svg only (default 24)")
     p.add_argument("--section", type=int,
                    help="layer index for FIVE_PYR_SECTION (default 1)")
 

@@ -19,9 +19,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, NamedTuple, Sequence
 
 from ..exact import (
-    ZERO,
     QuadExt,
-    QuadLike,
     quad_from_triple,
     quad_to_text,
     triple_from_text,
@@ -53,17 +51,6 @@ class Rect(NamedTuple):
     w: QuadExt
     h: QuadExt
 
-    @property
-    def area(self) -> QuadExt:
-        return self.w * self.h
-
-
-def rect(x: QuadLike, y: QuadLike, w: QuadLike, h: QuadLike) -> Rect:
-    r = Rect(QuadExt.of(x), QuadExt.of(y), QuadExt.of(w), QuadExt.of(h))
-    if r.w.sign() <= 0 or r.h.sign() <= 0:
-        raise ValueError(f"rectangle sides must be positive: w={r.w} h={r.h}")
-    return r
-
 
 @dataclass(frozen=True)
 class Region:
@@ -71,14 +58,6 @@ class Region:
 
     label: str
     rects: tuple[Rect, ...]
-
-    @property
-    def area(self) -> QuadExt:
-        return _total_area((self,))
-
-
-def _total_area(regions: Iterable[Region]) -> QuadExt:
-    return sum((r.area for region in regions for r in region.rects), ZERO)
 
 
 @dataclass(frozen=True)
@@ -129,18 +108,6 @@ class DissectionCertificate:
     targets: tuple[tuple[str, Region], ...]
     leftovers: tuple[Region, ...]
 
-    @property
-    def source_area(self) -> QuadExt:
-        return _total_area(p.source for p in self.placements)
-
-    @property
-    def target_area(self) -> QuadExt:
-        return _total_area(region for _, region in self.targets)
-
-    @property
-    def leftover_area(self) -> QuadExt:
-        return _total_area(self.leftovers)
-
 
 # -- objects as views over lattice data ---------------------------------------
 
@@ -175,8 +142,11 @@ class LatticeView(dict[Point, QuadExt]):
 
 def lattice_area(cert: LatticeCertificate, side: str) -> QuadExt:
     """The exact area of ``cert``'s piece sources (``side`` "source_area")
-    or targets ("target_area"), summed on lattice ints: the value of that
-    property of its certificate object."""
+    or targets ("target_area"), summed on lattice ints: the one statement
+    of a certificate's area.  Any other side is a ``ValueError``."""
+    if side not in ("source_area", "target_area"):
+        raise ValueError("side must be 'source_area' or 'target_area', got "
+                         f"{bounded(repr(side))}")
     a = b = 0
     for rects in ([piece[2] for piece in cert.pieces] if side == "source_area"
                   else [rects for _layer, rects in cert.targets]):

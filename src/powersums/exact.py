@@ -98,12 +98,6 @@ class QuadExt:
 
     # -- predicates ------------------------------------------------------
 
-    def is_rational(self) -> bool:
-        return self._b == 0
-
-    def is_integer(self) -> bool:
-        return self._b == 0 and self._d == 1
-
     def sign(self) -> int:
         """Sign of the real number a + b*sqrt(21), computed exactly."""
         return lattice_sign(self._a, self._b)

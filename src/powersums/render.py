@@ -61,7 +61,7 @@ class FigureSpec:
     figure_name: str
     n: int
     format: str = "svg"  # "svg" or "tikz"
-    unit_px: int = 24
+    unit_px: int | None = None  # svg only: pixels per unit, default 24
     section: int | None = None  # FIVE_PYR_SECTION only: layer t, default 1
 
 
@@ -338,12 +338,15 @@ def emit_figure(spec: FigureSpec) -> str:
         raise ValueError(f"unknown figure: {spec.figure_name!r}")
     if spec.format not in ("svg", "tikz"):
         raise ValueError(f"format must be svg or tikz, got {spec.format!r}")
-    _naturals("", None, unit_px=spec.unit_px)
-    if not 1 <= spec.unit_px <= MAX_UNIT_PX:
-        raise ValueError(f"--unit-px must be 1..{MAX_UNIT_PX}")
+    if spec.unit_px is not None:
+        if spec.format == "tikz":
+            raise ValueError("tikz takes no --unit-px")
+        _naturals("", None, unit_px=spec.unit_px)
+        if not 1 <= spec.unit_px <= MAX_UNIT_PX:
+            raise ValueError(f"--unit-px must be 1..{MAX_UNIT_PX}")
     scene = _build_scene(spec)
     if spec.format == "svg":
-        return _emit_svg(scene, spec.unit_px)
+        return _emit_svg(scene, spec.unit_px or 24)
     return _emit_tikz(scene)
 
 

@@ -24,7 +24,6 @@ from powersums.dissect import (
     gauss_rectangle,
     mutate_placement,
     nicomachus_4d_2d,
-    rect,
     step2_reshape,
     step3_scissor,
     step4_top_layer,
@@ -36,6 +35,10 @@ from powersums.dissect.geometry import Rect, _walk, certificate_to_json
 from powersums.dissect.kernel import _sorted_points, lattice_sign as _sign
 from powersums.dissect.mutants import MUTATION_KINDS
 from powersums.exact import QuadExt, quad_to_text, strip_root
+
+
+def _rect(x, y, w, h) -> Rect:
+    return Rect(*map(QuadExt.of, (x, y, w, h)))
 
 
 def _shift_placement(cert: DissectionCertificate, index: int,
@@ -63,9 +66,9 @@ def test_translated_piece_breaks_cover():
 def test_enlarged_target_reports_uncovered():
     cert = gauss_rectangle(4)
     layer, region = cert.targets[0]
-    widened = Region(region.label, (rect(region.rects[0].x, 0,
-                                         region.rects[0].w + 1,
-                                         region.rects[0].h),))
+    widened = Region(region.label, (_rect(region.rects[0].x, 0,
+                                          region.rects[0].w + 1,
+                                          region.rects[0].h),))
     bad = replace(cert, targets=((layer, widened),))
     report = check_certificate(bad)
     assert not report.ok and report.failure.kind == "uncovered"
@@ -144,11 +147,11 @@ def test_failure_reports_offending_cell_exactly():
 
 
 def test_covers_exactly_helper():
-    assert covers_exactly([rect(0, 0, 1, 2), rect(1, 0, 1, 2)],
-                          [rect(0, 0, 2, 2)])
-    assert not covers_exactly([rect(0, 0, 1, 2)], [rect(0, 0, 2, 2)])
-    assert not covers_exactly([rect(0, 0, 2, 2), rect(1, 0, 1, 2)],
-                              [rect(0, 0, 2, 2)])
+    assert covers_exactly([_rect(0, 0, 1, 2), _rect(1, 0, 1, 2)],
+                          [_rect(0, 0, 2, 2)])
+    assert not covers_exactly([_rect(0, 0, 1, 2)], [_rect(0, 0, 2, 2)])
+    assert not covers_exactly([_rect(0, 0, 2, 2), _rect(1, 0, 1, 2)],
+                              [_rect(0, 0, 2, 2)])
 
 
 @pytest.mark.parametrize("make", [
@@ -247,7 +250,7 @@ sqrt21_rects = st.builds(Rect, sqrt21_values, sqrt21_values, sqrt21_sides,
 def test_lattice_transform_matches_placed(reflect, quarter_turns, rects, dx,
                                           dy):
     x = strip_root()
-    r = rect(x + Fraction(1, 3), QuadExt(-2) - x, QuadExt(3) + x, x)
+    r = Rect(x + Fraction(1, 3), QuadExt(-2) - x, QuadExt(3) + x, x)
     t = RigidTransform(quarter_turns, reflect, dx, dy)
     piece = Placement("p", "a", Region("piece", (r, *rects)), t, "b")
     cert = DissectionCertificate("GAUSS_RECT", 1, (piece,),

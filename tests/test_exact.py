@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersums.dissect import geometry
 from powersums.exact import (
     QuadExt,
     quad_compare,
@@ -183,9 +182,9 @@ def test_floats_are_rejected_not_converted():
     lambda: QuadExt.of(False),
     lambda: QuadExt(1) < "5",
     lambda: QuadExt(1) * True,
-    lambda: geometry.rect(0, 0, "2", 1),
+    lambda: QuadExt.of("2"),
 ], ids=["add str", "radd str", "str part", "bool part", "bool root part",
-        "of bool", "compare str", "multiply bool", "rect of str"])
+        "of bool", "compare str", "multiply bool", "of str"])
 def test_values_that_are_not_exact_are_refused_not_coerced(make):
     with pytest.raises(TypeError, match="takes an int, Fraction or QuadExt"):
         make()
@@ -303,7 +302,7 @@ def test_rationals_hash_and_compare_like_their_values(q):
     u = QuadExt(q)
     assert hash(u) == hash(q)
     assert u == q and q == u
-    assert u.is_rational() and u.is_integer() == (Fraction(q).denominator == 1)
+    assert u.triple == (Fraction(q).numerator, 0, Fraction(q).denominator)
     assert len({u, q}) == 1
 
 

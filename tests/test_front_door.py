@@ -60,7 +60,9 @@ def test_any_other_exception_propagates(monkeypatch):
      "GAUSS_RECT takes no variant"),
     (("figure", "GAUSS", "--n", "2", "--section", "7"),
      "GAUSS takes no section"),
-], ids=["certificate", "figure"])
+    (("figure", "GAUSS", "--n", "2", "--format", "tikz", "--unit-px", "999"),
+     "tikz takes no --unit-px"),
+], ids=["certificate", "figure", "figure-tikz-unit-px"])
 def test_an_unread_flag_is_refused(argv, message, tmp_path, capsys):
     out = tmp_path / "x.out"
     code, stdout, err = run(capsys, *argv, "--out", str(out))

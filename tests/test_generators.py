@@ -10,6 +10,7 @@ import pytest
 
 from powersums import verify
 from powersums.dissect import generators
+from powersums.dissect.geometry import lattice_area
 from powersums.dissect import (
     CONSTRUCTIONS,
     LEFTOVER_LAYER,
@@ -35,13 +36,27 @@ from powersums.figurate import (
 from powersums.verify import AREAS
 
 
-def _area_conserved(cert) -> bool:
-    return cert.source_area == cert.target_area + cert.leftover_area
+def _area(build, n: int, side: str = "source_area") -> QuadExt:
+    """The area of ``build``'s piece sources or targets at n, summed on its
+    lattice data."""
+    return lattice_area(build.core(n).cert, side)
 
 
-def _has_theorem_area(cert) -> bool:
-    side, area = AREAS[cert.construction]
-    return getattr(cert, side) == area(cert.n)
+def _leftover_area(cert) -> QuadExt:
+    """The area of lattice data's leftover regions, summed as targets."""
+    return lattice_area(cert._replace(targets=[
+        (LEFTOVER_LAYER, rects) for rects in cert.leftovers]), "target_area")
+
+
+def _area_conserved(data) -> bool:
+    cert = data.cert
+    return (lattice_area(cert, "source_area")
+            == lattice_area(cert, "target_area") + _leftover_area(cert))
+
+
+def _has_theorem_area(data) -> bool:
+    side, area = AREAS[data.cert.construction]
+    return lattice_area(data.cert, side) == area(data.cert.n)
 
 
 def test_gauss_examples():
@@ -52,11 +67,11 @@ def test_gauss_examples():
     assert (target.rects[0].w, target.rects[0].h) == (QuadExt(2), QuadExt(1))
 
     cert = gauss_rectangle(4)
-    assert cert.target_area == QuadExt(20)
+    assert _area(gauss_rectangle, 4, "target_area") == QuadExt(20)
     assert check_certificate(cert).ok
 
     cert = gauss_rectangle(50)
-    assert cert.target_area == QuadExt(2550)
+    assert _area(gauss_rectangle, 50, "target_area") == QuadExt(2550)
     assert check_certificate(cert).ok
 
 
@@ -65,49 +80,52 @@ def test_three_pyramids_examples():
     _, target = cert.targets[0]
     assert target.rects[0].w == QuadExt(2)
     assert target.rects[0].h == QuadExt(Fraction(3, 2))
-    assert cert.target_area == QuadExt(3)
+    assert _area(three_pyramids_2d, 1, "target_area") == QuadExt(3)
 
     cert = three_pyramids_2d(4)
     assert len(cert.targets) == 4
-    assert all(r.rects[0].area == QuadExt(Fraction(45, 2))
+    assert all(r.rects[0].w * r.rects[0].h == QuadExt(Fraction(45, 2))
                for _, r in cert.targets)
-    assert cert.source_area == QuadExt(90)  # 3 * (1 + 4 + 9 + 16)
+    assert _area(three_pyramids_2d, 4) == QuadExt(90)  # 3 * (1 + 4 + 9 + 16)
     assert check_certificate(cert).ok
 
     cert = three_pyramids_2d(7)  # odd: the middle layer swaps with itself
-    assert cert.source_area == QuadExt(420)
+    assert _area(three_pyramids_2d, 7) == QuadExt(420)
     assert check_certificate(cert).ok
 
 
 def test_three_pyramids_totals_match_oracle():
     for n in range(1, 13):
-        cert = three_pyramids_2d(n)
-        assert _has_theorem_area(cert)
-        assert _area_conserved(cert)
+        data = three_pyramids_2d.core(n)
+        assert _has_theorem_area(data)
+        assert _area_conserved(data)
 
 
 def test_nicomachus_examples():
     cert = nicomachus_4d_2d(1)
     assert len(cert.targets) == 1
-    assert cert.target_area == QuadExt(4)
+    assert _area(nicomachus_4d_2d, 1, "target_area") == QuadExt(4)
 
     cert = nicomachus_4d_2d(2)
     assert len(cert.targets) == 4
-    assert all(region.area == QuadExt(9) for _, region in cert.targets)
-    assert cert.source_area == QuadExt(36)
+    assert all(len(region.rects) == 1
+               and region.rects[0].w * region.rects[0].h == QuadExt(9)
+               for _, region in cert.targets)
+    assert _area(nicomachus_4d_2d, 2) == QuadExt(36)
     assert check_certificate(cert).ok
 
     cert = nicomachus_4d_2d(4)
     assert len(cert.targets) == 16
-    assert cert.source_area == QuadExt(400)
+    assert _area(nicomachus_4d_2d, 4) == QuadExt(400)
     assert check_certificate(cert).ok
 
 
 def test_nicomachus_totals_match_oracle():
     for n in range(1, 9):
-        cert = nicomachus_4d_2d(n)
-        assert _has_theorem_area(cert)
-        assert cert.source_area == QuadExt(4 * sum_powers_bruteforce(3, n))
+        data = nicomachus_4d_2d.core(n)
+        assert _has_theorem_area(data)
+        assert (lattice_area(data.cert, "source_area")
+                == QuadExt(4 * sum_powers_bruteforce(3, n)))
 
 
 def test_five_pyramids_examples():
@@ -115,17 +133,18 @@ def test_five_pyramids_examples():
     layer_targets = [t for t in cert.targets if t[0] == "layer/1"]
     excess_targets = [t for t in cert.targets if t[0] == "excess"]
     assert len(layer_targets) == 1 and len(excess_targets) == 1
-    assert cert.source_area == QuadExt(5)  # 5 = 4 + 1
+    assert _area(five_pyramids_layers, 1) == QuadExt(5)  # 5 = 4 + 1
 
     cert = five_pyramids_layers(2)
-    assert cert.source_area == QuadExt(85)  # Archimedes generalisation at n=2
-    excess_area = sum((r.area for t, region in cert.targets if t == "excess"
+    # Archimedes generalisation at n=2
+    assert _area(five_pyramids_layers, 2) == QuadExt(85)
+    excess_area = sum((r.w * r.h for t, region in cert.targets if t == "excess"
                        for r in region.rects), QuadExt(0))
     assert excess_area == QuadExt(13)
     assert check_certificate(cert).ok
 
     cert = five_pyramids_layers(4)
-    assert cert.source_area == QuadExt(1770)  # 5 * S_4(4)
+    assert _area(five_pyramids_layers, 4) == QuadExt(1770)  # 5 * S_4(4)
     assert check_certificate(cert).ok
 
 
@@ -142,29 +161,29 @@ def test_five_pyramids_excess_is_corner_of_squares():
 
 def test_five_pyramids_totals_match_oracle():
     for n in range(1, 7):
-        cert = five_pyramids_layers(n)
-        assert _has_theorem_area(cert)
-        assert _area_conserved(cert)
+        data = five_pyramids_layers.core(n)
+        assert _has_theorem_area(data)
+        assert _area_conserved(data)
 
 
 def test_step2_examples():
     cert = step2_reshape(1)
     assert len([t for t in cert.targets if t[0] == "layer/1"]) == 2
-    assert cert.source_area == QuadExt(4)
+    assert _area(step2_reshape, 1) == QuadExt(4)
 
     cert = step2_reshape(2)
     per_layer = [r for t, region in cert.targets if t == "layer/1"
                  for r in region.rects]
     assert len(per_layer) == 6
     assert all(r.w == QuadExt(3) and r.h == QuadExt(2) for r in per_layer)
-    assert cert.source_area == QuadExt(72)
+    assert _area(step2_reshape, 2) == QuadExt(72)
     assert check_certificate(cert).ok
 
     cert = step2_reshape(3)
     per_layer = [r for t, region in cert.targets if t == "layer/2"
                  for r in region.rects]
     assert len(per_layer) == 12
-    assert cert.source_area == QuadExt(3 * 144)
+    assert _area(step2_reshape, 3) == QuadExt(3 * 144)
     assert check_certificate(cert).ok
 
 
@@ -173,13 +192,14 @@ def test_step3_examples():
     cert = step3_scissor(1)
     targets = [r for t, region in cert.targets if t == "layer/1"
                for r in region.rects]
-    assert all(r.area == QuadExt(2) - QuadExt(Fraction(1, 3)) for r in targets)
+    assert all(r.w * r.h == QuadExt(2) - QuadExt(Fraction(1, 3))
+               for r in targets)
     assert all(r.w == QuadExt(2) + x and r.h == QuadExt(1) - x for r in targets)
 
     cert = step3_scissor(2)
     targets = [r for t, region in cert.targets if t == "layer/1"
                for r in region.rects]
-    assert all(r.area == QuadExt(Fraction(17, 3)) for r in targets)
+    assert all(r.w * r.h == QuadExt(Fraction(17, 3)) for r in targets)
     assert check_certificate(cert).ok
 
 
@@ -191,12 +211,13 @@ def test_step3_leftovers_are_one_third_per_rectangle():
         cert = step3_scissor(n)
         pairs = len(cert.leftovers) // 2
         assert pairs == n * n * (n + 1)
-        assert cert.leftover_area == third * pairs
+        assert _leftover_area(step3_scissor.core(n).cert) == third * pairs
         for region in cert.leftovers:
+            [r] = region.rects
             if region.label == "left_b":
-                assert region.area == x
+                assert r.w * r.h == x
             else:
-                assert region.area == x * x
+                assert r.w * r.h == x * x
         leftover_pieces = [p for p in cert.placements
                            if p.destination_layer == LEFTOVER_LAYER]
         assert len(leftover_pieces) == 2 * pairs
@@ -210,33 +231,33 @@ def test_step3_target_sides_multiply_to_scissor_factor():
             r = region.rects[0]
             assert r.w * r.h == expected
         # assembled area per layer is rational: the sqrt(21) part cancels
-        assert cert.target_area.is_rational()
+        assert _area(step3_scissor, n, "target_area").b == 0
 
 
 def test_step4_certificates_and_counts():
     res = step4_top_layer(3)
-    assert res.bijection.source_area == QuadExt(58)  # layered: sum (2k-1)k^2
-    assert res.bijection_full_scale.source_area == QuadExt(45)  # 9 * 5
-    assert res.overlap.source_area == QuadExt(144)  # 3^2 * 4^2
+    # layered: sum (2k-1)k^2
+    assert _area(generators.step4_bijection, 3) == QuadExt(58)
+    assert _area(generators.step4_bijection_full, 3) == QuadExt(45)  # 9 * 5
+    assert _area(generators.step4_overlap, 3) == QuadExt(144)  # 3^2 * 4^2
     for cert in res.certificates():
         assert check_certificate(cert).ok
     assert evaluate_identity("R_BALANCE", {"n": 3}).holds
     assert evaluate_identity("TOP_LAYER_DOUBLE", {"n": 3}).holds
 
-    res = step4_top_layer(2)
     # 2 * 13 + 2 * 5 = 36 = 2^2 * 3^2
-    assert res.overlap.source_area == QuadExt(36)
+    assert _area(generators.step4_overlap, 2) == QuadExt(36)
     assert evaluate_identity("TOP_LAYER_DOUBLE", {"n": 2}).lhs == QuadExt(26)
 
-    res = step4_top_layer(1)
-    assert res.overlap.source_area == QuadExt(4)
+    assert _area(generators.step4_overlap, 1) == QuadExt(4)
 
 
 def test_step4_bijection_is_cell_level():
     for n in (1, 2, 4):
         res = step4_top_layer(n)
         assert len(res.bijection.placements) == odd_weighted_squares(n)
-        assert all(p.source.area == QuadExt(1)
+        assert all(len(p.source.rects) == 1
+                   and p.source.rects[0].w * p.source.rects[0].h == QuadExt(1)
                    for p in res.bijection.placements)
         assert len(res.bijection_full_scale.placements) == n * n * (2 * n - 1)
 
@@ -294,11 +315,10 @@ def _shifted(rects, dx=0, dy=0):
              (y2[0] + dy, y2[1])) for x1, y1, x2, y2 in rects]
 
 
-def _moved_pieces(data, source_dx=0, dx=0, dy=0):
-    """The lattice certificate with every source shifted by source_dx and
-    every transform's shift by (dx, dy)."""
+def _moved_pieces(data, dx=0, dy=0):
+    """The lattice certificate with every transform's shift moved by (dx, dy)."""
     dx, dy = dx * generators.D, dy * generators.D
-    pieces = [(piece_id, source_layer, _shifted(rects, dx=source_dx),
+    pieces = [(piece_id, source_layer, rects,
                (turns, reflect, (sx[0] + dx, sx[1]), (sy[0] + dy, sy[1])), dest)
               for piece_id, source_layer, rects, (turns, reflect, sx, sy), dest
               in data.cert.pieces]
@@ -306,9 +326,18 @@ def _moved_pieces(data, source_dx=0, dx=0, dy=0):
 
 
 def _sources_moved_right(data):
-    """Every source 1,000 units right and every dx 1,000 less: the same
-    placed pieces, from corners that are no longer the excess layer's."""
-    return _moved_pieces(data, source_dx=1000, dx=-1000)
+    """Every source 1,000 units right, and every transform's shift moved back
+    by that step's image under the piece's motion: the same placed pieces,
+    from sources that are no longer where the previous stage left them."""
+    pieces = []
+    for piece_id, layer, rects, (turns, reflect, sx, sy), dest in data.cert.pieces:
+        vx, vy = -1000 if reflect else 1000, 0
+        for _ in range(turns % 4):
+            vx, vy = -vy, vx
+        pieces.append((piece_id, layer, _shifted(rects, dx=1000),
+                       (turns, reflect, (sx[0] - vx * generators.D, sx[1]),
+                        (sy[0] - vy * generators.D, sy[1])), dest))
+    return data._replace(cert=data.cert._replace(pieces=pieces))
 
 
 def _targets_moved_up(data):
@@ -348,6 +377,40 @@ def test_a_moved_bijection_breaks_its_pipeline_link(monkeypatch, move, stage,
     failure = info.value.report.failure
     assert (failure.kind, failure.layer) == (kind, layer)
     assert str(info.value) == f"stage {stage!r} failed: {_MOVED_MESSAGES[stage]}"
+
+
+@pytest.mark.parametrize("build,stage,layer", [
+    ("_step3_scissor", "interface step2->step3 layer/1", "layer/1"),
+    ("_step4_overlap", "interface excess->step4", "excess"),
+])
+def test_moved_sources_break_their_pipeline_link(monkeypatch, build, stage,
+                                                  layer):
+    """A stage whose sources sit 1,000 units right, with every dx 1,000 less,
+    passes on its own, but no longer retiles the previous stage's targets."""
+    honest = getattr(generators, build)
+    assert check_certificate(_sources_moved_right(honest(2)).cert).ok
+    monkeypatch.setattr(generators, build, lambda n: _sources_moved_right(honest(n)))
+    with pytest.raises(StageCheckError) as info:
+        full_theorem_report(2)
+    assert info.value.stage == stage
+    failure = info.value.report.failure
+    assert (failure.kind, failure.layer) == ("uncovered", layer)
+    assert failure.cell is not None
+
+
+@pytest.mark.parametrize("n", range(1, CONSTRUCTIONS["STEP4_TOP"] + 1))
+def test_the_full_scale_bijection_is_ring_n_of_the_layered_one(n):
+    """Why the full-scale bijection is linked to no stage: its pieces are
+    the layered bijection's ring-n pieces, in order, but for the id prefix."""
+    def unprefixed(data, prefix):
+        return [(piece_id.removeprefix(prefix), *rest)
+                for piece_id, *rest in data.cert.pieces
+                if piece_id.startswith(prefix)]
+
+    full = unprefixed(generators._step4_bijection_full(n), "STEP4_TOP/full/")
+    ring_n = unprefixed(generators._step4_bijection(n), "STEP4_TOP/layered/")
+    assert len(full) == n * n * (2 * n - 1)
+    assert full == [piece for piece in ring_n if piece[0].startswith(f"{n}/")]
 
 
 #: every certificate builder, one rectangle's scissor cut, and the pipeline
@@ -427,15 +490,14 @@ def test_piece_ids_are_unique_and_deterministic():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: gauss_rectangle(3),
-    lambda: three_pyramids_2d(3),
-    lambda: nicomachus_4d_2d(3),
-    lambda: five_pyramids_layers(3),
-    lambda: step2_reshape(3),
-    lambda: step3_scissor(3),
-    lambda: step4_top_layer(3).overlap,
-    lambda: step4_top_layer(3).bijection,
+    lambda: gauss_rectangle.core(3),
+    lambda: three_pyramids_2d.core(3),
+    lambda: nicomachus_4d_2d.core(3),
+    lambda: five_pyramids_layers.core(3),
+    lambda: step2_reshape.core(3),
+    lambda: step3_scissor.core(3),
+    lambda: generators._step4_overlap(3),
+    lambda: generators._step4_bijection(3),
 ])
 def test_area_conservation_everywhere(make):
-    cert = make()
-    assert cert.source_area == cert.target_area + cert.leftover_area
+    assert _area_conserved(make())

@@ -161,12 +161,27 @@ def test_criterion_06_builds_no_certificate_object(monkeypatch):
     assert verify._certificate_suite(3) is None
 
 
+def _view_area(view, side: str) -> QuadExt:
+    """The area of the object view's piece sources or targets, rect by rect."""
+    regions = ([p.source for p in view.placements] if side == "source_area"
+               else [region for _layer, region in view.targets])
+    return sum((r.w * r.h for region in regions for r in region.rects), QuadExt(0))
+
+
 def test_criterion_06_reads_each_area_from_the_lattice():
     for name, (side, area) in verify.AREAS.items():
         for n in (1, 2, 3):
             (_label, data), = verify._certificates(name, n)
             view = certificate_from_lattice(data)
-            assert verify._area(data.cert, side) == getattr(view, side) == area(n)
+            assert verify._area(data.cert, side) == _view_area(view, side) == area(n)
+
+
+@pytest.mark.parametrize("side", ["leftover_area", None])
+def test_lattice_area_refuses_a_side_it_does_not_sum(side):
+    cert = generators._step3_scissor(1).cert
+    with pytest.raises(ValueError, match="side must be 'source_area' or "
+                       f"'target_area', got {side!r}"):
+        geometry.lattice_area(cert, side)
 
 
 def test_excess_corner_layout_refuses_an_n_that_is_not_an_int():

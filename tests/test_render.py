@@ -127,21 +127,28 @@ def test_figures_draw_kernel_data_and_build_no_view(monkeypatch):
         assert hashlib.sha256(document.encode()).hexdigest() == digest
 
 
+def _source_area(cert) -> int:
+    """The source area of lattice data whose sources are whole cells."""
+    area = geometry.lattice_area(cert, "source_area")
+    assert area.b == 0 and area.a.denominator == 1
+    return int(area.a)
+
+
 def test_cell_counts_match_certificates():
     assert figure_cell_count(FigureSpec("GAUSS", 4)) == 20
     assert (figure_cell_count(FigureSpec("GAUSS", 6))
-            == int(gauss_rectangle(6).source_area.a))
+            == _source_area(gauss_rectangle.core(6).cert))
     assert (figure_cell_count(FigureSpec("NICOMACHUS_GRID_DIY", 3))
-            == int(nicomachus_4d_2d(3).source_area.a))
+            == _source_area(nicomachus_4d_2d.core(3).cert))
     # every layer of the five-pyramid assembly fills the same block
     assert figure_cell_count(FigureSpec("FIVE_PYR_SECTION", 3, section=1)) == 144
     assert figure_cell_count(FigureSpec("FIVE_PYR_SECTION", 3, section=3)) == 144
     excess = five_pyramids_layers(3)
-    excess_area = sum(int(region.area.a) for layer, region in excess.targets
-                      if layer == "excess")
+    excess_area = sum(int((r.w * r.h).a) for layer, region in excess.targets
+                      if layer == "excess" for r in region.rects)
     assert figure_cell_count(FigureSpec("CONVOLUTION_EXCESS", 3)) == excess_area
     assert (figure_cell_count(FigureSpec("TWO_COPIES", 3))
-            == int(step4_top_layer(3).overlap.source_area.a))
+            == _source_area(generators._step4_overlap(3).cert))
 
 
 def test_gauss_figure_shape():
@@ -171,6 +178,13 @@ def test_palette_covers_all_generator_labels():
     labels |= {p.source.label for cert in more for p in cert.placements}
     missing = labels - set(PALETTE)
     assert not missing, f"palette misses: {missing}"
+
+
+@pytest.mark.parametrize("unit_px", [24, 999])
+def test_tikz_refuses_a_unit_px(unit_px):
+    """TikZ output has no pixel size, so a ``unit_px`` is refused, not ignored."""
+    with pytest.raises(ValueError, match="^tikz takes no --unit-px$"):
+        emit_figure(FigureSpec("GAUSS", 2, format="tikz", unit_px=unit_px))
 
 
 def test_unsupported_inputs():
