@@ -12,7 +12,6 @@ factor (3n^2 + 3n - 1).
 # rest of dissect needs exact complete
 from . import dissect  # noqa: F401
 from .exact import (
-    ZERO,
     QuadExt,
     Rat,
     quad_compare,
@@ -66,7 +65,6 @@ __all__ = [
     "PALETTE",
     "QuadExt",
     "Rat",
-    "ZERO",
     "bernoulli",
     "bernoulli_table",
     "build_pyramid",

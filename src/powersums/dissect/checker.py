@@ -26,8 +26,8 @@ from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 from .._nogc import nogc
 from ..exact import QuadExt, quad_to_text
-from .geometry import (CONSTRUCTIONS, DissectionCertificate, Rect, WireCertificate,
-                       _walk, certificate_to_json)
+from .geometry import (DissectionCertificate, Rect, WireCertificate, _walk,
+                       certificate_to_json)
 from .kernel import (MAX_DENOMINATOR_BITS, Failure, LatticeCertificate, LatticeRect,
                      Point, _check_layer_cover, _scan, bounded)
 # unused here: perfbench's traced run rebinds these per-layer scans through
@@ -158,7 +158,7 @@ def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
                    else _from_wire(cert if isinstance(cert, WireCertificate)
                                    else _walk(certificate_to_json(cert))))
         built = lattice is not cert  # a front end made its tuples
-        return _report(*_scan(lattice, CONSTRUCTIONS, built), lattice.denominator)
+        return _report(*_scan(lattice, built), lattice.denominator)
     except Exception as exc:  # malformed input must never crash the checker
         return CheckReport(False, CheckFailure(
             "malformed", None, None, f"{type(exc).__name__}: {exc}"))

@@ -14,7 +14,7 @@ Layout conventions:
   right end of the top row.
 * Grid layouts address sub-puzzles row-major with row 0 at the top.
 
-Cell-level generation is capped at the n that ``geometry.CONSTRUCTIONS``
+Cell-level generation is capped at the n that ``kernel.CONSTRUCTIONS``
 gives for each construction; beyond the caps only the arithmetic
 identities run.
 """
@@ -28,9 +28,10 @@ from typing import Callable, Sequence
 from .._nogc import nogc
 from ..figurate import IdentityReport, _naturals, evaluate_identity
 from .checker import CheckReport, check_certificate, cover_failure
-from .geometry import (CONSTRUCTIONS, LEFTOVER_LAYER, DissectionCertificate,
-                       LabelledLattice, certificate_from_lattice)
-from .kernel import LatticeCertificate, LatticeRect, Point, Transform, bounded
+from .geometry import (LEFTOVER_LAYER, DissectionCertificate, LabelledLattice,
+                       certificate_from_lattice)
+from .kernel import (CONSTRUCTIONS, LatticeCertificate, LatticeRect, Point,
+                     Transform, bounded)
 
 #: The common denominator of every generated coordinate: k + s*x or a half.
 D = 6
@@ -348,20 +349,13 @@ def _scissor_cut(out: LabelledLattice, n: int, t: int, row: int, col: int) -> No
         (layer, [(_at(dest_x), _at(sy), _at(dest_x + n + 1, 1), cut)]))
 
 
-def scissor_rectangle(n: int, t: int, row: int, col: int) -> LabelledLattice:
-    """Cut the strip of width x off rectangle (row, col) of layer t: its
+def scissor_rectangle(n: int) -> LabelledLattice:
+    """The first cut of ``_step3_scissor(n)``, the one the STEP3_SCISSOR
+    figure draws: the strip of width x off rectangle (0, 0) of layer 1, its
     pieces (body, A, B, C), the leftovers B and C are set aside on, and its
-    (n+1+x) x (n-x) target.  UnsupportedN beyond STEP3_SCISSOR's cap, or
-    for a cut STEP3_SCISSOR at n does not make: t outside 1..n, row outside
-    0..n or col outside 0..n-1."""
+    (n+1+x) x (n-x) target.  UnsupportedN beyond STEP3_SCISSOR's cap."""
     out = _new("STEP3_SCISSOR", n)
-    _naturals("scissor_rectangle: ", 1, UnsupportedN, t=t)
-    _naturals("scissor_rectangle: ", 0, UnsupportedN, row=row, col=col)
-    for key, value, top in (("t", t, n), ("row", row, n), ("col", col, n - 1)):
-        if value > top:
-            raise UnsupportedN(f"scissor_rectangle: {key} must be <= {top}, "
-                               f"got {bounded(str(value))}")
-    _scissor_cut(out, n, t, row, col)
+    _scissor_cut(out, n, 1, 0, 0)
     return out
 
 

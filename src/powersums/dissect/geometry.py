@@ -6,9 +6,9 @@ through the canonical Q(sqrt(21)) text representation, so files round-trip
 bit-exactly.  Every document is read by one strict walk, which yields a
 ``WireCertificate`` of coordinate texts and their parsed triples: the
 checker takes it as it is, and ``loads_certificate`` builds objects from it.
-Generated certificates are views over lattice data (``LatticeView``), and
-``dumps_lattice`` writes that data as the document ``dumps_certificate``
-writes for its view, byte for byte.
+Generated certificates are views over lattice data
+(``certificate_from_lattice``), and ``dumps_lattice`` writes that data as
+the document ``dumps_certificate`` writes for its view, byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from ..exact import (
     QuadExt,
@@ -27,19 +27,6 @@ from ..exact import (
 )
 from .kernel import (LEFTOVER_LAYER, LatticeCertificate, LatticeRect, Point,
                      bounded, lattice_sign)
-
-#: Every construction a certificate may name, in the paper's order, with
-#: the largest n its generator builds cell by cell (cell counts grow as n^5).
-CONSTRUCTIONS: dict[str, int] = {
-    "GAUSS_RECT": 100,
-    "THREE_PYR_2D": 50,
-    "NICOMACHUS_4D_2D": 20,
-    "FIVE_PYR_LAYERS": 10,
-    "STEP2_RESHAPE": 10,
-    "STEP3_SCISSOR": 10,
-    "STEP4_TOP": 12,
-}
-
 
 class CertificateFormatError(ValueError):
     """Raised when certificate JSON cannot be decoded."""
@@ -129,15 +116,16 @@ def _labelled(items: Sequence[Any], labels: Sequence[str], what: str) -> zip:
     return zip(items, labels, strict=True)
 
 
-class LatticeView(dict[Point, QuadExt]):
-    """The ``QuadExt`` of each lattice point over d, made once per point."""
+class PointTable(dict[Point, Any]):
+    """``convert((*point, d))`` of each lattice point over d, made once per point."""
 
-    def __init__(self, d: int) -> None:
+    def __init__(self, d: int, convert: Callable[[tuple[int, int, int]], Any]) -> None:
         self.d = d
+        self.convert = convert
 
-    def __missing__(self, point: Point) -> QuadExt:
-        q = self[point] = quad_from_triple((*point, self.d))
-        return q
+    def __missing__(self, point: Point) -> Any:
+        value = self[point] = self.convert((*point, self.d))
+        return value
 
 
 def lattice_area(cert: LatticeCertificate, side: str) -> QuadExt:
@@ -158,7 +146,7 @@ def lattice_area(cert: LatticeCertificate, side: str) -> QuadExt:
 
 def certificate_from_lattice(data: LabelledLattice) -> DissectionCertificate:
     """The certificate object whose kernel data is ``data.cert``."""
-    cert, view = data.cert, LatticeView(data.cert.denominator)
+    cert, view = data.cert, PointTable(data.cert.denominator, quad_from_triple)
 
     def region(label: str, rects: Iterable[LatticeRect]) -> Region:
         return Region(label, tuple(
@@ -357,17 +345,6 @@ def dumps_certificate(cert: DissectionCertificate) -> str:
     return json.dumps(certificate_to_json(cert), indent=1)
 
 
-class _QuotedTexts(dict[Point, str]):
-    """The JSON string of each lattice point's text over d, made once per point."""
-
-    def __init__(self, d: int) -> None:
-        self.d = d
-
-    def __missing__(self, point: Point) -> str:
-        quoted = self[point] = f'"{triple_to_text((*point, self.d))}"'
-        return quoted
-
-
 def dumps_lattice(data: LabelledLattice) -> str:
     """``dumps_certificate(certificate_from_lattice(data))``, byte for byte,
     for data of the kernel's types, written with no object and no
@@ -375,7 +352,8 @@ def dumps_lattice(data: LabelledLattice) -> str:
     by ``json``'s own encoder, and the ``indent=1`` document is joined from
     strings."""
     cert = data.cert
-    quoted, q = _QuotedTexts(cert.denominator), encode_basestring_ascii
+    quoted = PointTable(cert.denominator, lambda t: f'"{triple_to_text(t)}"')
+    q = encode_basestring_ascii
 
     def region(label: str, rects: Sequence[LatticeRect], k: int) -> str:
         """A region whose keys sit ``k`` spaces in."""

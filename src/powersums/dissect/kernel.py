@@ -5,7 +5,8 @@ that produces certificates and from ``QuadExt``.
 
 Input is plain data: a + b*sqrt(21) is the int pair (a*D, b*D) over one
 common denominator D of the whole certificate, and a rect is its corners
-(x1, y1, x2, y2).  A certificate passes iff its structure is sound, piece
+(x1, y1, x2, y2).  A certificate passes iff its construction is one of
+``CONSTRUCTIONS`` with n at most its cap, its structure is sound, piece
 sources are pairwise disjoint on every source layer, and on every
 destination layer the placed pieces cover each grid cell inside the declared
 targets exactly once and no cell outside them.  Declared leftovers act as
@@ -17,12 +18,23 @@ from __future__ import annotations
 from itertools import accumulate, chain, islice
 from math import isqrt
 from operator import itemgetter
-from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
-                    Optional, Sequence)
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 #: Reserved destination layer id: pieces sent here must tile the declared
 #: leftover regions instead of a target frame.
 LEFTOVER_LAYER = "leftover"
+
+#: Every construction a certificate may name, in the paper's order, with
+#: the largest n its generator builds cell by cell (cell counts grow as n^5).
+CONSTRUCTIONS: dict[str, int] = {
+    "GAUSS_RECT": 100,
+    "THREE_PYR_2D": 50,
+    "NICOMACHUS_4D_2D": 20,
+    "FIVE_PYR_LAYERS": 10,
+    "STEP2_RESHAPE": 10,
+    "STEP3_SCISSOR": 10,
+    "STEP4_TOP": 12,
+}
 
 #: a + b*sqrt(21) as the int pair (a*D, b*D) over a common denominator D
 Point = tuple[int, int]
@@ -283,8 +295,7 @@ def _shape_defects(cert: LatticeCertificate) -> Iterator[Failure]:
     yield from _typed("a coordinate", list(chain.from_iterable(points)), int)
 
 
-def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
-             built: bool) -> Iterator[Failure]:
+def _defects(cert: LatticeCertificate, built: bool) -> Iterator[Failure]:
     """Structural defects, the first first (each check relies on those
     before it): the construction, n, D, the shapes unless ``built``, a target
     or leftover rect with a side <= 0 on every input kind, the target layer
@@ -293,13 +304,13 @@ def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
     or degenerate source."""
     name, n, d = cert.construction, cert.n, cert.denominator
     yield from _typed("the construction", [name], str)
-    if name not in constructions:
+    if name not in CONSTRUCTIONS:
         yield _malformed(f"unknown construction {bounded(repr(name))}")
     yield from _typed("n", [n], int)  # the wire walk refuses one too
     if n < 1:
         yield _malformed(f"n must be >= 1, got {bounded(str(n))}")
-    if n > constructions[name]:
-        yield _malformed(f"n must be <= {constructions[name]} for {name}, "
+    if n > CONSTRUCTIONS[name]:
+        yield _malformed(f"n must be <= {CONSTRUCTIONS[name]} for {name}, "
                          f"got {bounded(str(n))}")
     yield from _typed("the denominator", [d], int)
     if d < 1 or d.bit_length() > MAX_DENOMINATOR_BITS:
@@ -339,13 +350,12 @@ def _defects(cert: LatticeCertificate, constructions: Mapping[str, int],
                              "degenerate rectangle", source_layer)
 
 
-def _scan(cert: LatticeCertificate, constructions: Mapping[str, int],
-          built: bool = False) -> tuple[Optional[Failure], int, int]:
+def _scan(cert: LatticeCertificate, built: bool) -> tuple[Optional[Failure], int, int]:
     """The verdict: structure, then source disjointness per source layer,
     then exact cover per destination layer, in sorted layer order: the first
     failure (or None), with the layers and cells scanned to it.  ``built``
     skips the shape checks, for input whose tuples a front end built."""
-    failure = next(_defects(cert, constructions, built), None)
+    failure = next(_defects(cert, built), None)
     if failure is not None:
         return failure, 0, 0
     by_source: dict[str, list[LatticeRect]] = {}

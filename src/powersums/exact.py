@@ -202,9 +202,6 @@ def _compare(u: QuadExt, v: QuadLike) -> int:
     return lattice_sign(u._a * d - a * u._d, u._b * d - b * u._d)
 
 
-ZERO = QuadExt(0)
-
-
 def quad_compare(u: QuadLike, v: QuadLike) -> int:
     """Exact sign of u - v as a real number: -1, 0, or +1."""
     return _compare(QuadExt.of(u), v)

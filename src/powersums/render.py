@@ -197,7 +197,7 @@ def _step2(scene: _Scene, spec: FigureSpec) -> None:
 
 def _step3_scissor(scene: _Scene, spec: FigureSpec) -> None:
     n = spec.n
-    data = scissor_rectangle(n, 1, 0, 0)
+    data = scissor_rectangle(n)
     _source_scene(data, "layer/1", scene)  # before: the cut rectangle
     # after: the reshaped rectangle, and the leftovers beside it
     for (_id, _source, rects, t, dest), label in zip(data.cert.pieces, data.labels):
@@ -251,6 +251,16 @@ FIGURE_NAMES = tuple(_FIGURES)
 
 
 def _build_scene(spec: FigureSpec) -> _Scene:
+    if spec.figure_name not in _FIGURES:
+        raise ValueError(f"unknown figure: {spec.figure_name!r}")
+    if spec.format not in ("svg", "tikz"):
+        raise ValueError(f"format must be svg or tikz, got {spec.format!r}")
+    if spec.unit_px is not None:
+        if spec.format == "tikz":
+            raise ValueError("tikz takes no --unit-px")
+        _naturals("", None, unit_px=spec.unit_px)
+        if not 1 <= spec.unit_px <= MAX_UNIT_PX:
+            raise ValueError(f"--unit-px must be 1..{MAX_UNIT_PX}")
     build, max_n = _FIGURES[spec.figure_name]
     if spec.section is not None and build is not _five_pyr_section:
         raise ValueError(f"{spec.figure_name} takes no section")
@@ -334,16 +344,6 @@ def _emit_tikz(scene: _Scene) -> str:
 
 def emit_figure(spec: FigureSpec) -> str:
     """Render one figure to a text document (SVG or TikZ fragment)."""
-    if spec.figure_name not in _FIGURES:
-        raise ValueError(f"unknown figure: {spec.figure_name!r}")
-    if spec.format not in ("svg", "tikz"):
-        raise ValueError(f"format must be svg or tikz, got {spec.format!r}")
-    if spec.unit_px is not None:
-        if spec.format == "tikz":
-            raise ValueError("tikz takes no --unit-px")
-        _naturals("", None, unit_px=spec.unit_px)
-        if not 1 <= spec.unit_px <= MAX_UNIT_PX:
-            raise ValueError(f"--unit-px must be 1..{MAX_UNIT_PX}")
     scene = _build_scene(spec)
     if spec.format == "svg":
         return _emit_svg(scene, spec.unit_px or 24)

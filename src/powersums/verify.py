@@ -204,7 +204,7 @@ def _field_facts(max_n: Optional[int]) -> Optional[str]:
 
 
 def _final_assembly(max_n: Optional[int]) -> Optional[str]:
-    for n in _upto(10, max_n):
+    for n in _upto(CONSTRUCTIONS["FIVE_PYR_LAYERS"], max_n):
         try:
             report = full_theorem_report(n)
         except StageCheckError as exc:
@@ -276,8 +276,8 @@ CRITERIA = (
     Criterion(8, "field/strip-root", "strip root, scissor factor, leftover = 1/3",
               "identity", _field_facts),
     Criterion(9, "theorem/final-assembly",
-              "pipeline n <= 10 and factored form n <= 10000", "cover",
-              _final_assembly),
+              f"pipeline n <= {CONSTRUCTIONS['FIVE_PYR_LAYERS']} and factored "
+              "form n <= 10000", "cover", _final_assembly),
     Criterion(10, "render/golden", "figure emission deterministic and golden",
               "identity", _golden),
 )

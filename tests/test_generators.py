@@ -413,11 +413,10 @@ def test_the_full_scale_bijection_is_ring_n_of_the_layered_one(n):
     assert full == [piece for piece in ring_n if piece[0].startswith(f"{n}/")]
 
 
-#: every certificate builder, one rectangle's scissor cut, and the pipeline
+#: every certificate builder, the figure's scissor cut, and the pipeline
 _N_TAKERS = [*(build for name in CONSTRUCTIONS
                for build in generators.certificate_builders(name).values()),
-             step4_top_layer, full_theorem_report,
-             lambda n: generators.scissor_rectangle(n, 1, 0, 0)]
+             step4_top_layer, full_theorem_report, generators.scissor_rectangle]
 
 
 @pytest.mark.parametrize("value", [True, 2.0, 2.5], ids=repr)
@@ -428,36 +427,17 @@ def test_an_n_that_is_not_an_int_is_refused(build, value):
         build(value)
 
 
-@pytest.mark.parametrize("args, error, shown", [
-    ((2.5, 0, 0), TypeError, "t must be an int, got 2.5"),
-    ((True, 0, 0), TypeError, "t must be an int, got True"),
-    ((1, 0.0, 0), TypeError, "row must be an int, got 0.0"),
-    ((1, 0, True), TypeError, "col must be an int, got True"),
-    ((0, 0, 0), UnsupportedN, "t must be >= 1, got 0"),
-    ((1, -1, 0), UnsupportedN, "row must be >= 0, got -1"),
-    ((1, 0, -1), UnsupportedN, "col must be >= 0, got -1"),
-    ((3, 0, 0), UnsupportedN, "t must be <= 2, got 3"),
-    ((1, 3, 0), UnsupportedN, "row must be <= 2, got 3"),
-    ((1, 0, 2), UnsupportedN, "col must be <= 1, got 2"),
-], ids=["float-t", "bool-t", "float-row", "bool-col", "t-0", "row-neg", "col-neg",
-        "t-above-n", "row-above-n", "col-at-n"])
-def test_a_scissor_cut_refuses_a_layer_row_or_col_that_is_no_count(args, error,
-                                                                    shown):
-    with pytest.raises(error) as refused:
-        generators.scissor_rectangle(2, *args)
-    assert str(refused.value) == f"scissor_rectangle: {shown}"
-
-
 def test_the_scissor_cuts_in_range_are_step3_s_cuts():
-    """Every (t, row, col) that ``scissor_rectangle`` accepts at n is one
-    rectangle's cut in STEP3_SCISSOR at n, in the same order."""
-    n = 2
-    whole = generators._step3_scissor(n)
-    cuts = [generators.scissor_rectangle(n, t, row, col)
-            for t in range(1, n + 1) for row in range(n + 1) for col in range(n)]
-    assert [p for c in cuts for p in c.cert.pieces] == whole.cert.pieces
-    assert [t for c in cuts for t in c.cert.targets] == whole.cert.targets
-    assert [r for c in cuts for r in c.cert.leftovers] == whole.cert.leftovers
+    """``scissor_rectangle(n)`` is the first cut of STEP3_SCISSOR at n: its
+    four pieces, its target and its two leftovers, in order, with their
+    labels."""
+    for n in range(1, CONSTRUCTIONS["STEP3_SCISSOR"] + 1):
+        cut, whole = generators.scissor_rectangle(n), generators._step3_scissor(n)
+        assert cut.cert.pieces == whole.cert.pieces[:4]
+        assert cut.cert.targets == whole.cert.targets[:1]
+        assert cut.cert.leftovers == whole.cert.leftovers[:2]
+        assert list(cut.labels) == list(whole.labels[:4])
+        assert list(cut.leftover_labels) == list(whole.leftover_labels[:2])
 
 
 def test_full_theorem_arithmetic_only_beyond_cap():

@@ -35,7 +35,7 @@ from powersums.dissect.geometry import (LabelledLattice, Rect, Region, _walk,
                                        certificate_from_lattice,
                                        certificate_to_json, dumps_lattice)
 from powersums.dissect.kernel import LatticeCertificate
-from powersums.exact import QuadExt, strip_root
+from powersums.exact import QuadExt, quad_from_triple, strip_root
 
 
 def _cores():
@@ -70,7 +70,7 @@ def _scaled(cert, to: int):
 
 
 def test_x_and_d_are_stated_once():
-    view = geometry.LatticeView(generators.D)
+    view = geometry.PointTable(generators.D, quad_from_triple)
     assert view[generators.X] == strip_root()
     assert all(generators._at(k, s) == (generators.D * k + s * generators.X[0],
                                         s * generators.X[1])

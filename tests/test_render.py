@@ -115,7 +115,7 @@ def test_figures_draw_kernel_data_and_build_no_view(monkeypatch):
                         monkeypatch.setitem(namespace, name, refuse)
     monkeypatch.setattr(geometry.Placement, "placed", refuse)
     monkeypatch.setattr(geometry.RigidTransform, "apply_rect", refuse)
-    monkeypatch.setattr(geometry.LatticeView, "__missing__", refuse)
+    monkeypatch.setattr(geometry.PointTable, "__missing__", refuse)
     for name in FIGURE_NAMES:
         for n in range(1, 4):
             sections = range(1, n + 1) if name == "FIVE_PYR_SECTION" else [None]
@@ -185,6 +185,25 @@ def test_tikz_refuses_a_unit_px(unit_px):
     """TikZ output has no pixel size, so a ``unit_px`` is refused, not ignored."""
     with pytest.raises(ValueError, match="^tikz takes no --unit-px$"):
         emit_figure(FigureSpec("GAUSS", 2, format="tikz", unit_px=unit_px))
+
+
+@pytest.mark.parametrize("spec", [
+    FigureSpec("NOPE", 1),
+    FigureSpec("GAUSS", 1, format="pdf"),
+    FigureSpec("GAUSS", 1, unit_px=-5),
+    FigureSpec("GAUSS", 1, unit_px=True),
+    FigureSpec("GAUSS", 1, format="tikz", unit_px=24),
+], ids=["unknown-figure", "format-pdf", "unit-px-negative", "unit-px-bool",
+        "tikz-unit-px"])
+def test_a_spec_the_emitter_refuses_has_no_cell_count(spec):
+    """``figure_cell_count`` refuses each spec ``emit_figure`` refuses, with
+    the same exception and text."""
+    with pytest.raises((TypeError, ValueError)) as emitted:
+        emit_figure(spec)
+    with pytest.raises((TypeError, ValueError)) as counted:
+        figure_cell_count(spec)
+    assert type(counted.value) is type(emitted.value)
+    assert str(counted.value) == str(emitted.value)
 
 
 def test_unsupported_inputs():
