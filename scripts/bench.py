@@ -11,16 +11,17 @@ Each tree is imported in a child process of its own.  The two children
 take turns call by call, and the side that goes first alternates, so drift
 on a shared host lands on both rows alike.
 
-A row records, per n = 1..10, the wall seconds of ``full_theorem_report(n)``;
-and per construction at its cap, the seconds of its builders (every variant
-of ``certificate_builders``, in one call) and of the route ``powersums
-check`` runs on what they built (``read_certificate`` and
-``check_certificate`` of each certificate's ``dumps_certificate`` text),
-with the work behind them: pieces, source rects, distinct coordinates, and
-the layers and grid cells of the ``CheckReport``; per construction and
-variant at its cap, the seconds of ``powersums certificate`` writing its
-file (``cli.main`` in process, stdout captured), with the bytes written;
-per d = 3, 4, 5, the seconds of ``pyramid.sections_agree(d, 12)``, with
+A row records, per n = 1..10, the wall seconds of
+``full_theorem_report(n)``; and per construction at its cap, the seconds
+of its builders (every variant of ``certificate_builders``, in one call)
+and of the route ``powersums check`` runs on what they built
+(``read_certificate`` and ``check_certificate`` of each certificate's
+``dumps_certificate`` text), with the work behind them: pieces, source
+rects, distinct coordinates, and the layers and grid cells of the
+``CheckReport``; per construction and variant at its cap, the seconds of
+the writer ``powersums certificate`` calls (``geometry.dumps_lattice`` of
+the builder's lattice data, built untimed), with the bytes written; per
+d = 3, 4, 5, the seconds of ``pyramid.sections_agree(d, 12)``, with
 |P_d(12)| and the ``tracemalloc`` peak in KiB of one more, untimed call (a
 count that copies the cells shows there), and as their control the seconds
 of criterion 05 (``verify.CRITERIA[4].run(12)``), which cuts the same
@@ -30,21 +31,25 @@ import from source pays before it runs a line, with its count of non-blank
 lines.  Each time is the median of ``REPEATS`` calls, with their p25 and
 p75 beside it, so a row shows its own spread (compiles take
 ``COMPILE_REPEATS`` calls).
+
+A write sample is the best of ``WRITE_BATCH`` calls, and there are
+``WRITE_REPEATS`` of them.  In each later row, a write's ``ratio``, and
+``write_ratio`` for their sum, give the quartiles over rounds of its
+sample over the first row's sample of the same round: the two are taken
+moments apart, so drift on the host, which widens each side's own
+quartiles, cancels in the ratio.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import gc
-import io
 import json
 import multiprocessing
 import os
 import platform
 import statistics
 import sys
-import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -59,6 +64,9 @@ SECTIONS_D, SECTIONS_N = (3, 4, 5), 12
 #: calls behind each compile median: a compile takes milliseconds, and five
 #: calls left quartiles 30% apart on one module
 COMPILE_REPEATS = 25
+#: samples of each write, and the calls behind each sample (the best of
+#: them): medians of 5 single calls left a 10% change inside the quartiles
+WRITE_REPEATS, WRITE_BATCH = 11, 5
 
 
 def _work(certs: list[Any], reports: list[Any]) -> dict[str, int]:
@@ -80,38 +88,39 @@ def _work(certs: list[Any], reports: list[Any]) -> dict[str, int]:
 
 def _child(src: str, conn: Any) -> None:
     """Import the package from ``src``, send its construction caps and each
-    construction's variants, then time each task received, one call each,
-    until None: ("theorem", n), ("build", name), ("check", name) after that
-    name's build, ("write", (name, variant)), ("sections", d), ("criterion",
-    5) and ("compile", module), a path under ``src``.  Answer each with
-    (seconds, work), the work counters with a name's first check, the bytes
-    with a write, the cells of P_d(12) and the traced peak of one untimed
-    call with sections, and None otherwise."""
+    construction's variants, then time each task received, one call each
+    (a write: the best of ``WRITE_BATCH``), until None: ("theorem", n),
+    ("build", name), ("check", name) after that name's build, ("write",
+    (name, variant)), ("sections", d), ("criterion", 5) and ("compile",
+    module), a path under ``src``.  Answer each with (seconds, work), the
+    work counters with a name's first check, the bytes with a write, the
+    cells of P_d(12) and the traced peak of one untimed call with sections,
+    and None otherwise."""
     sys.path.insert(0, src)
-    from powersums import cli, dissect, pyramid, verify
+    from powersums import dissect, pyramid, verify
 
     caps = dict(dissect.CONSTRUCTIONS)
     built: dict[str, list[Any]] = {}
     peaks: dict[int, float] = {}
     texts: dict[str, list[str]] = {}
+    lattices: dict[tuple[str, Any], Any] = {}
     conn.send((caps, {name: list(dissect.generators.certificate_builders(name))
                       for name in caps}))
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "certificate.json"
-        for kind, key in iter(conn.recv, None):
-            if kind == "compile":
-                source = (Path(src) / key).read_text()
-            elif kind == "write":
-                name, variant = key
-                argv = ["certificate", name, "--n", str(caps[name]), "--out", str(out),
-                        *(() if variant is None else ("--variant", variant))]
+    for kind, key in iter(conn.recv, None):
+        if kind == "compile":
+            source = (Path(src) / key).read_text()
+        elif kind == "write" and key not in lattices:
+            name, variant = key
+            build = dissect.generators.certificate_builders(name)[variant]
+            lattices[key] = build.core(caps[name])
+        seconds = float("inf")
+        for _ in range(WRITE_BATCH if kind == "write" else 1):
             gc.collect()
             start = time.perf_counter()
             if kind == "compile":
                 result = compile(source, key, "exec", dont_inherit=True)
             elif kind == "write":
-                with contextlib.redirect_stdout(io.StringIO()):
-                    result = cli.main(argv)
+                result = dissect.geometry.dumps_lattice(lattices[key])
             elif kind == "theorem":
                 result = dissect.full_theorem_report(key)
             elif kind == "sections":
@@ -124,32 +133,31 @@ def _child(src: str, conn: Any) -> None:
             else:
                 result = [dissect.check_certificate(dissect.read_certificate(text))
                           for text in texts[key]]
-            seconds = time.perf_counter() - start
-            work = None
-            if kind == "theorem":
-                assert result.holds, result
-            elif kind == "build":
-                built[key] = result
-                texts[key] = [dissect.dumps_certificate(cert) for cert in result]
-            elif kind == "check":
-                assert all(report.ok for report in result), result
-                if key in built:
-                    work = _work(built.pop(key), result)
-            elif kind == "write":
-                assert result == 0, (key, result)
-                work = {"bytes": out.stat().st_size}
-            elif kind == "sections":
-                assert result.holds, result
-                if key not in peaks:
-                    tracemalloc.start()
-                    pyramid.sections_agree(key, SECTIONS_N)
-                    peaks[key] = round(tracemalloc.get_traced_memory()[1] / 1024, 1)
-                    tracemalloc.stop()
-                work = {"cells": len(pyramid.build_pyramid(key, SECTIONS_N)),
-                        "peak_kib": peaks[key]}
-            elif kind == "criterion":
-                assert result is None, result
-            conn.send((seconds, work))
+            seconds = min(seconds, time.perf_counter() - start)
+        work = None
+        if kind == "theorem":
+            assert result.holds, result
+        elif kind == "build":
+            built[key] = result
+            texts[key] = [dissect.dumps_certificate(cert) for cert in result]
+        elif kind == "check":
+            assert all(report.ok for report in result), result
+            if key in built:
+                work = _work(built.pop(key), result)
+        elif kind == "write":
+            work = {"bytes": len(result.encode())}
+        elif kind == "sections":
+            assert result.holds, result
+            if key not in peaks:
+                tracemalloc.start()
+                pyramid.sections_agree(key, SECTIONS_N)
+                peaks[key] = round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+                tracemalloc.stop()
+            work = {"cells": len(pyramid.build_pyramid(key, SECTIONS_N)),
+                    "peak_kib": peaks[key]}
+        elif kind == "criterion":
+            assert result is None, result
+        conn.send((seconds, work))
 
 
 def _lines(path: Path) -> int:
@@ -160,6 +168,16 @@ def _lines(path: Path) -> int:
 def _stats(times: list[float]) -> dict[str, float]:
     p25, median, p75 = statistics.quantiles(times, n=4, method="inclusive")
     return {"median_s": median, "p25_s": p25, "p75_s": p75}
+
+
+def _ratio(tasks: list[dict[str, list[float]]], label: str,
+           first: str) -> dict[str, float]:
+    """Quartiles over rounds of ``label``'s samples of ``tasks``, summed,
+    over ``first``'s of the same round."""
+    ratios = [sum(a) / sum(b) for a, b in zip(zip(*(t[label] for t in tasks)),
+                                              zip(*(t[first] for t in tasks)))]
+    p25, median, p75 = statistics.quantiles(ratios, n=4, method="inclusive")
+    return {"median": median, "p25": p25, "p75": p75}
 
 
 def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
@@ -189,7 +207,8 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
         times: dict[tuple[str, Any], dict[str, list[float]]] = {}
         work: dict[tuple[str, Any], dict[str, int]] = {}
         for task in tasks:
-            for i in range(COMPILE_REPEATS if task[0] == "compile" else REPEATS):
+            repeats = {"compile": COMPILE_REPEATS, "write": WRITE_REPEATS}
+            for i in range(repeats.get(task[0], REPEATS)):
                 for label in list(sides)[::1 if i % 2 == 0 else -1]:
                     if task[0] == "compile" and task[1] not in modules[label]:
                         continue
@@ -209,19 +228,24 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
             if process.is_alive():
                 process.terminate()
     rows = []
+    first = next(iter(sides))
     for label in sides:
         theorem = {str(n): _stats(times["theorem", n][label]) for n in range(1, 11)}
         compiled = {module: {**_stats(times["compile", module][label]),
                              "lines": _lines(sources[label] / module)}
                     for module in sorted(modules[label])}
+        later = label != first
         written = {" ".join(filter(None, key)): {
                        "n": caps[0][key[0]], **_stats(times["write", key][label]),
-                       **work[label, key]}
+                       **work[label, key],
+                       **({"ratio": _ratio([times["write", key]], label, first)}
+                          if later else {})}
                    for key in writes}
         sections = {str(d): {"n": SECTIONS_N, **_stats(times["sections", d][label]),
                              **work[label, d]} for d in SECTIONS_D}
         rows.append({
             "label": label, "repeats": REPEATS, "compile_repeats": COMPILE_REPEATS,
+            "write_repeats": WRITE_REPEATS, "write_batch": WRITE_BATCH,
             "python": platform.python_version(), "machine": platform.machine(),
             "cpus": os.cpu_count(), "theorem": theorem,
             "theorem_block_s": sum(t["median_s"] for t in theorem.values()),
@@ -232,6 +256,8 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                 for name, n in caps[0].items()},
             "write": written,
             "write_s": sum(w["median_s"] for w in written.values()),
+            **({"write_ratio": _ratio([times["write", key] for key in writes],
+                                      label, first)} if later else {}),
             "sections": sections,
             "sections_s": sum(s["median_s"] for s in sections.values()),
             "criterion_05": {"max_n": SECTIONS_N,
@@ -258,11 +284,13 @@ def main() -> None:
     compiled = " -> ".join(f"{r['compile_s'] * 1e3:.1f}" for r in rows)
     lines = " -> ".join(str(r["compile_lines"]) for r in rows)
     written = " -> ".join(f"{r['write_s']:.3f}" for r in rows)
+    ratio = rows[-1]["write_ratio"]
     sections = " -> ".join(f"{r['sections_s']:.3f}" for r in rows)
     peaks = " -> ".join(str(max(s["peak_kib"] for s in r["sections"].values()))
                         for r in rows)
     control = " -> ".join(f"{r['criterion_05']['median_s']:.3f}" for r in rows)
-    print(f"theorem block {blocks} s, write {written} s, sections {sections} s "
+    print(f"theorem block {blocks} s, write {written} s (ratio {ratio['median']:.3f}, "
+          f"quartiles {ratio['p25']:.3f}-{ratio['p75']:.3f}), sections {sections} s "
           f"(peak {peaks} KiB, criterion 05 {control} s), compile {compiled} ms "
           f"over {lines} lines (parent -> change) -> {out}")
 

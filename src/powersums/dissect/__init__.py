@@ -1,5 +1,10 @@
 """Dissection certificates: geometry, generators, and the exact-cover checker
-(``kernel`` is the part a verdict rests on)."""
+(``kernel`` is the part a verdict rests on).
+
+``read_certificate`` reads a document into the flat ``WireCertificate``
+that ``check_certificate`` takes; ``loads_certificate`` and
+``certificate_from_json`` return the object view of the same record's
+lattice data, and ``dumps_certificate`` writes an object back."""
 
 from .checker import (
     CellInterval,

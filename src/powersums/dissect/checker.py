@@ -2,39 +2,33 @@
 
 The ground truth for every generator.  The verdict itself comes from
 ``kernel``, which sees only int lattice points; this module hands it one of
-two inputs and turns its answer into a ``CheckReport``:
+three inputs and turns its answer into a ``CheckReport``:
 
 * a ``LatticeCertificate``, the kernel's own data, as it is;
-* a ``WireCertificate`` (a document that passed the strict JSON walk of
-  ``geometry.read_certificate``): each distinct coordinate text, parsed
-  once into a triple, becomes the int pair (a*D, b*D) for a + b*sqrt(21),
-  with D the lcm of every denominator, and no ``QuadExt`` is built.
+* a ``WireCertificate`` (a document read by ``geometry.read_certificate``),
+  as the lattice data ``geometry._lattice`` makes of it, with no ``QuadExt``;
+* a ``DissectionCertificate``, walked as ``certificate_to_json`` gives it,
+  with no JSON text, then converted alike, so an object gets exactly the
+  verdict of its file.
 
-A ``DissectionCertificate`` is walked as ``certificate_to_json`` gives it,
-with no JSON text, so an object gets exactly the verdict of its file.  Only
-a reported cell is rebuilt as ``QuadExt``.
-
-Malformed input produces a report-carrying failure, never an exception.
-"""
+Only a reported cell is rebuilt as ``QuadExt``.  Malformed input produces
+a report-carrying failure, never an exception."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, Collection, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .._nogc import nogc
 from ..exact import QuadExt, quad_to_text
-from .geometry import (DissectionCertificate, Rect, WireCertificate, _walk,
-                       certificate_to_json)
-from .kernel import (MAX_DENOMINATOR_BITS, Failure, LatticeCertificate, LatticeRect,
-                     Point, _check_layer_cover, _scan, bounded)
+from .geometry import (DissectionCertificate, Rect, WireCertificate, _lattice,
+                       _walk, certificate_to_json)
+from .kernel import (Failure, LatticeCertificate, LatticeRect, _check_layer_cover,
+                     _scan, bounded)
 # unused here: perfbench's traced run rebinds these per-layer scans through
 # checker, by name
 from .kernel import _check_source_disjoint, _grid_counts  # noqa: F401
-
-Triple = tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -92,55 +86,6 @@ def _report(failure: Optional[Failure], layers: int, cells: int,
 # -- front ends -------------------------------------------------------------
 
 
-def _lattice_points(triples: Collection[Triple]) -> tuple[int, dict[Triple, Point]]:
-    """D, the lcm of every denominator, and each distinct triple (A, B, den)
-    as the lattice point (A*D/den, B*D/den).
-
-    Raises ValueError on a triple that is not three ints with den >= 1, and
-    beyond ``MAX_DENOMINATOR_BITS``: every coordinate is scaled by D, so
-    input with many unrelated denominators would otherwise cost memory in
-    proportion to their product.
-    """
-    for t in triples:  # each, as a bool or 1.0 equals an int in a set
-        if not (type(t) is tuple and len(t) == 3 and type(t[0]) is int
-                and type(t[1]) is int and type(t[2]) is int and t[2] >= 1):
-            raise ValueError(f"a value must be three ints (A, B, den) with "
-                             f"den >= 1, got {bounded(repr(t))}")
-    distinct = set(triples)
-    d = 1
-    for den in {den for _a, _b, den in distinct}:
-        d = lcm(d, den)
-        if d.bit_length() > MAX_DENOMINATOR_BITS:
-            raise ValueError(f"common denominator exceeds "
-                             f"{MAX_DENOMINATOR_BITS} bits")
-    return d, {t: (t[0] * (d // t[2]), t[1] * (d // t[2])) for t in distinct}
-
-
-def _corners(x: Point, y: Point, w: Point, h: Point) -> LatticeRect:
-    return x, y, (x[0] + w[0], x[1] + w[1]), (y[0] + h[0], y[1] + h[1])
-
-
-def _rects(take: Callable[[], Point], rects: Sequence[object]) -> list[LatticeRect]:
-    """One lattice rect per entry of ``rects``, from the next four points."""
-    return [_corners(take(), take(), take(), take()) for _ in rects]
-
-
-def _from_wire(cert: WireCertificate) -> LatticeCertificate:
-    d, points = _lattice_points(cert.values.values())
-    at = {text: points[t] for text, t in cert.values.items()}
-
-    def rects(texts: list[list[str]]) -> list[LatticeRect]:
-        return [_corners(at[x], at[y], at[w], at[h]) for x, y, w, h in texts]
-
-    pieces = [(p.piece_id, p.source_layer, rects(p.source[1]),
-               (p.quarter_turns, p.reflect, at[p.dx], at[p.dy]),
-               p.destination_layer) for p in cert.placements]
-    targets = [(layer, rects(region[1])) for layer, region in cert.targets]
-    leftovers = [rects(region[1]) for region in cert.leftovers]
-    return LatticeCertificate(cert.construction, cert.n, pieces, targets,
-                              leftovers, d)
-
-
 @nogc
 def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
                                   WireCertificate]) -> CheckReport:
@@ -155,9 +100,9 @@ def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
     """
     try:
         lattice = (cert if isinstance(cert, LatticeCertificate)
-                   else _from_wire(cert if isinstance(cert, WireCertificate)
-                                   else _walk(certificate_to_json(cert))))
-        built = lattice is not cert  # a front end made its tuples
+                   else _lattice(cert if isinstance(cert, WireCertificate)
+                                 else _walk(certificate_to_json(cert))).cert)
+        built = lattice is not cert  # _lattice made its tuples
         return _report(*_scan(lattice, built), lattice.denominator)
     except Exception as exc:  # malformed input must never crash the checker
         return CheckReport(False, CheckFailure(
@@ -175,9 +120,10 @@ def cover_failure(layer: str, piece_rects: Sequence[LatticeRect],
 
 def covers_exactly(piece_rects: Iterable[Rect], target_rects: Iterable[Rect]) -> bool:
     """True iff the first rect collection tiles the second exactly once."""
-    pieces, targets = list(piece_rects), list(target_rects)
-    triples = [v.triple for r in (*pieces, *targets) for v in r]
-    d, at = _lattice_points(triples)
-    take = map(at.__getitem__, triples).__next__
-    return cover_failure("-", _rects(take, pieces), _rects(take, targets),
-                         d) is None
+    groups = list(piece_rects), list(target_rects)
+    triples = [v.triple for rects in groups for r in rects for v in r]
+    # the two groups as two targets, each triple keyed by itself
+    cert = _lattice(WireCertificate("", 0, [], [("-", len(rects)) for rects in groups],
+                                    [], triples, dict(zip(triples, triples)))).cert
+    (_layer, pieces), (_layer, targets) = cert.targets
+    return cover_failure("-", pieces, targets, cert.denominator) is None

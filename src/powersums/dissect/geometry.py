@@ -3,20 +3,23 @@ placements, and the certificate object with its JSON wire format.
 
 All coordinates are QuadExt values; the JSON form serialises every number
 through the canonical Q(sqrt(21)) text representation, so files round-trip
-bit-exactly.  Every document is read by one strict walk, which yields a
-``WireCertificate`` of coordinate texts and their parsed triples: the
-checker takes it as it is, and ``loads_certificate`` builds objects from it.
-Generated certificates are views over lattice data
-(``certificate_from_lattice``), and ``dumps_lattice`` writes that data as
-the document ``dumps_certificate`` writes for its view, byte for byte.
-"""
+bit-exactly.  Every document is read by one strict walk into a flat
+``WireCertificate`` (its layout, the texts of every rect in document order
+and the parsed triple of each distinct text), and ``_lattice`` is the one
+conversion of that record into lattice data: the checker judges what it
+returns, and ``loads_certificate`` views it.  Every certificate object is a
+view over lattice data (``certificate_from_lattice``), and ``dumps_lattice``
+writes that data as the document ``dumps_certificate`` writes for its view,
+byte for byte."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from itertools import islice
+from math import lcm
+from typing import Any, Callable, Collection, Iterable, NamedTuple, Sequence
 
 from ..exact import (
     QuadExt,
@@ -25,8 +28,8 @@ from ..exact import (
     triple_from_text,
     triple_to_text,
 )
-from .kernel import (LEFTOVER_LAYER, LatticeCertificate, LatticeRect, Point,
-                     bounded, lattice_sign)
+from .kernel import (LEFTOVER_LAYER, MAX_DENOMINATOR_BITS, LatticeCertificate,
+                     LatticeRect, Point, bounded, lattice_sign)
 
 class CertificateFormatError(ValueError):
     """Raised when certificate JSON cannot be decoded."""
@@ -168,33 +171,69 @@ def certificate_from_lattice(data: LabelledLattice) -> DissectionCertificate:
 
 # -- JSON wire format ----------------------------------------------------
 
-#: (label, rects) of a region, each rect the coordinate texts [x, y, w, h]
-WireRegion = tuple[str, list[list[str]]]
-
-
-class WirePlacement(NamedTuple):
-    piece_id: str
-    source_layer: str
-    source: WireRegion
-    quarter_turns: int
-    reflect: bool
-    dx: str
-    dy: str
-    destination_layer: str
+Triple = tuple[int, int, int]
 
 
 class WireCertificate(NamedTuple):
-    """A certificate document that passed the strict walk, before any
-    ``QuadExt``, ``Rect`` or ``Region`` is built: every coordinate is still
-    its canonical text, and ``values`` holds the (A, B, D) triple of each
-    distinct text, parsed once."""
+    """A certificate document that passed the strict walk, flat and in
+    document order: the layout of each placement, target and leftover (a
+    target's label is not kept), the x, y, w, h texts of every rect in
+    ``keys``, and the (A, B, D) triple of each distinct text, parsed once.
+    ``_lattice`` turns it into lattice data."""
 
     construction: str
     n: int
-    placements: list[WirePlacement]
-    targets: list[tuple[str, WireRegion]]
-    leftovers: list[WireRegion]
-    values: dict[str, tuple[int, int, int]]
+    #: (piece_id, source_layer, label, quarter_turns, reflect, rect count,
+    #: dx, dy, destination_layer) of each placement
+    pieces: list[tuple[str, str, str, int, bool, int, str, str, str]]
+    targets: list[tuple[str, int]]  # (layer, rect count)
+    leftovers: list[tuple[str, int]]  # (label, rect count)
+    keys: list[str]
+    values: dict[str, Triple]
+
+
+def _lattice_points(triples: Collection[Triple]) -> tuple[int, dict[Triple, Point]]:
+    """D, the lcm of every denominator, and each distinct triple (A, B, den)
+    as the lattice point (A*D/den, B*D/den).
+
+    Raises ValueError on a triple that is not three ints with den >= 1, and
+    beyond ``MAX_DENOMINATOR_BITS``: every coordinate is scaled by D, so
+    input with many unrelated denominators would otherwise cost memory in
+    proportion to their product.
+    """
+    for t in triples:  # each, as a bool or 1.0 equals an int in a set
+        if not (type(t) is tuple and len(t) == 3 and type(t[0]) is int
+                and type(t[1]) is int and type(t[2]) is int and t[2] >= 1):
+            raise ValueError(f"a value must be three ints (A, B, den) with "
+                             f"den >= 1, got {bounded(repr(t))}")
+    distinct = set(triples)
+    d = 1
+    for den in {den for _a, _b, den in distinct}:
+        d = lcm(d, den)
+        if d.bit_length() > MAX_DENOMINATOR_BITS:
+            raise ValueError(f"common denominator exceeds "
+                             f"{MAX_DENOMINATOR_BITS} bits")
+    return d, {t: (t[0] * (d // t[2]), t[1] * (d // t[2])) for t in distinct}
+
+
+def _lattice(wire: WireCertificate) -> LabelledLattice:
+    """The lattice data of ``wire``, over D, the lcm of its denominators:
+    the one way from coordinate texts to lattice points.  Raises
+    ``ValueError`` where ``_lattice_points`` does."""
+    d, points = _lattice_points(wire.values.values())
+    at = {key: points[t] for key, t in wire.values.items()}
+    flat = map(at.__getitem__, wire.keys)
+    rects = iter([(x, y, (x[0] + w[0], x[1] + w[1]), (y[0] + h[0], y[1] + h[1]))
+                  for x, y, w, h in zip(flat, flat, flat, flat)])
+    pieces = [(piece_id, layer, list(islice(rects, k)),
+               (turns, reflect, at[dx], at[dy]), dest)
+              for piece_id, layer, _label, turns, reflect, k, dx, dy, dest
+              in wire.pieces]
+    targets = [(layer, list(islice(rects, k))) for layer, k in wire.targets]
+    leftovers = [list(islice(rects, k)) for _label, k in wire.leftovers]
+    return LabelledLattice(
+        LatticeCertificate(wire.construction, wire.n, pieces, targets, leftovers, d),
+        [piece[2] for piece in wire.pieces], [label for label, _k in wire.leftovers])
 
 
 def _typed(value: Any, kind: type, what: str) -> Any:
@@ -206,16 +245,25 @@ def _typed(value: Any, kind: type, what: str) -> Any:
     return value
 
 
+def _only(obj: dict[str, Any], known: tuple[str, ...], what: str) -> None:
+    """Refuse a key of ``obj`` beyond its ``known`` keys, all of them read."""
+    if len(obj) != len(known):
+        key = next(k for k in obj if k not in known)
+        raise CertificateFormatError(f"unknown key {bounded(repr(key))} in {what}")
+
+
 def _walk(data: Any) -> WireCertificate:
     """The one strict reading of a decoded certificate document.
 
     Fields are read in document order (construction, n, each placement,
     each target, each leftover) and the first defect is raised as a
-    ``CertificateFormatError``.  Each distinct coordinate text is parsed
-    once; a text is looked up only once it is known to be a str, so a value
-    of another JSON type gets the parser's own message.
+    ``CertificateFormatError``; an object's key beyond its own is refused
+    once the object is read.  Each distinct coordinate text is parsed once;
+    a text is looked up only once it is known to be a str, so a value of
+    another JSON type gets the parser's own message.
     """
-    values: dict[str, tuple[int, int, int]] = {}
+    values: dict[str, Triple] = {}
+    keys: list[str] = []
     positive: set[str] = set()  # texts known to be > 0
 
     def coordinate(text: Any) -> str:
@@ -223,7 +271,7 @@ def _walk(data: Any) -> WireCertificate:
             values[text] = triple_from_text(text)
         return text
 
-    def region(data: Any) -> WireRegion:
+    def region(data: Any) -> tuple[str, int]:
         if not isinstance(data, dict) or "label" not in data or "rects" not in data:
             raise CertificateFormatError(
                 f"region must have label and rects: {bounded(repr(data))}")
@@ -233,8 +281,10 @@ def _walk(data: Any) -> WireCertificate:
             if not isinstance(r, list) or len(r) != 4:
                 raise CertificateFormatError(
                     f"rect must be a 4-list, got {bounded(repr(r))}")
-            for text in r:
-                coordinate(text)
+            for text in r:  # coordinate(text), inlined in the hot loop
+                if type(text) is not str or text not in values:
+                    values[text] = triple_from_text(text)
+            keys.extend(r)
             w, h = r[2], r[3]
             if w not in positive or h not in positive:
                 for side in (w, h):
@@ -242,33 +292,40 @@ def _walk(data: Any) -> WireCertificate:
                         raise ValueError("rectangle sides must be positive: "
                                          f"w={bounded(w)} h={bounded(h)}")
                     positive.add(side)
-        return label, rects
+        _only(data, ("label", "rects"), "a region")
+        return label, len(rects)
 
     try:
         construction = _typed(data["construction"], str, "construction")
         n = _typed(data["n"], int, "n")
-        placements = []
+        pieces = []
         for p in _typed(data["placements"], list, "placements"):
             piece_id = _typed(p["piece_id"], str, "piece_id")
             source_layer = _typed(p["source_layer"], str, "source_layer")
-            source = region(p["source"])
+            label, count = region(p["source"])
             t = p["transform"]
-            placements.append(WirePlacement(
-                piece_id, source_layer, source,
-                _typed(t["quarter_turns"], int, "quarter_turns"),
-                _typed(t["reflect"], bool, "reflect"),
-                coordinate(t["dx"]), coordinate(t["dy"]),
-                _typed(p["destination_layer"], str, "destination_layer")))
-        targets = [(_typed(t["layer"], str, "layer"), region(t["region"]))
-                   for t in _typed(data["targets"], list, "targets")]
+            turns = _typed(t["quarter_turns"], int, "quarter_turns")
+            reflect = _typed(t["reflect"], bool, "reflect")
+            dx, dy = coordinate(t["dx"]), coordinate(t["dy"])
+            _only(t, ("quarter_turns", "reflect", "dx", "dy"), "a transform")
+            pieces.append((piece_id, source_layer, label, turns, reflect, count, dx, dy,
+                           _typed(p["destination_layer"], str, "destination_layer")))
+            _only(p, ("piece_id", "source_layer", "source", "transform",
+                      "destination_layer"), "a placement")
+        targets = []
+        for t in _typed(data["targets"], list, "targets"):
+            layer = _typed(t["layer"], str, "layer")
+            targets.append((layer, region(t["region"])[1]))
+            _only(t, ("layer", "region"), "a target")
         leftovers = [region(r)
                      for r in _typed(data["leftovers"], list, "leftovers")]
+        _only(data, ("construction", "n", "placements", "targets", "leftovers"),
+              "the certificate")
     except CertificateFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateFormatError(f"bad certificate structure: {exc}") from exc
-    return WireCertificate(construction, n, placements, targets, leftovers,
-                           values)
+    return WireCertificate(construction, n, pieces, targets, leftovers, keys, values)
 
 
 def _decode(text: str) -> Any:
@@ -319,26 +376,10 @@ def certificate_to_json(cert: DissectionCertificate) -> dict[str, Any]:
 
 
 def certificate_from_json(data: Any) -> DissectionCertificate:
-    """The certificate of a decoded document; ``CertificateFormatError`` if
-    the strict walk refuses it.  Equal texts share one ``QuadExt``."""
-    wire = _walk(data)
-    quads = {text: quad_from_triple(v) for text, v in wire.values.items()}
-
-    def region(wire_region: WireRegion) -> Region:
-        label, rects = wire_region
-        return Region(label, tuple(Rect(quads[x], quads[y], quads[w], quads[h])
-                                   for x, y, w, h in rects))
-
-    placements = tuple(
-        Placement(p.piece_id, p.source_layer, region(p.source),
-                  RigidTransform(p.quarter_turns, p.reflect, quads[p.dx],
-                                 quads[p.dy]),
-                  p.destination_layer)
-        for p in wire.placements)
-    return DissectionCertificate(
-        wire.construction, wire.n, placements,
-        tuple((layer, region(r)) for layer, r in wire.targets),
-        tuple(region(r) for r in wire.leftovers))
+    """The certificate view of a decoded document's lattice data;
+    ``CertificateFormatError`` if the strict walk refuses it, and
+    ``ValueError`` past ``MAX_DENOMINATOR_BITS``."""
+    return certificate_from_lattice(_lattice(_walk(data)))
 
 
 def dumps_certificate(cert: DissectionCertificate) -> str:
@@ -398,7 +439,8 @@ def loads_certificate(text: str) -> DissectionCertificate:
 
 
 def read_certificate(text: str) -> WireCertificate:
-    """A certificate document read for ``check_certificate`` alone: the same
-    strict walk as ``loads_certificate``, with the same errors, but no
-    ``QuadExt``, ``Rect`` or ``Region`` is built."""
+    """A certificate document read for ``check_certificate``: the same
+    strict walk as ``loads_certificate``, with the same errors.  Its lattice
+    data is made inside the check, so a common denominator past
+    ``MAX_DENOMINATOR_BITS`` is a failing report, not an exception."""
     return _walk(_decode(text))

@@ -229,6 +229,32 @@ def test_check_output_is_pinned(name, tmp_path, capsys):
     assert (code, out, err) == EXPECTED[name]
 
 
+# an object with one key beyond its own
+UNKNOWN_KEY_DOCUMENTS: dict[str, str] = {
+    "top level": _edited(_set(lambda d: d, "comment", "x")),
+    "placement": _edited(_set(_placement, "destination_layer2", "elsewhere")),
+    "transform": _edited(_set(_unreflected, "scale", "2")),
+    "region": _edited(_set(lambda d: _placement(d)["source"], "area", "2")),
+    "target": _edited(_set(lambda d: d["targets"][0], "weight", 1)),
+}
+
+UNKNOWN_KEY_EXPECTED: dict[str, tuple[int, str, str]] = {
+    "top level": (3, "", "error: unknown key 'comment' in the certificate\n"),
+    "placement": (3, "", "error: unknown key 'destination_layer2' in a placement\n"),
+    "transform": (3, "", "error: unknown key 'scale' in a transform\n"),
+    "region": (3, "", "error: unknown key 'area' in a region\n"),
+    "target": (3, "", "error: unknown key 'weight' in a target\n"),
+}
+
+
+@pytest.mark.parametrize("name", UNKNOWN_KEY_DOCUMENTS)
+def test_an_unknown_key_is_refused(name, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text(UNKNOWN_KEY_DOCUMENTS[name], encoding="utf-8")
+    code = main(["check", str(path)])
+    assert (code, *capsys.readouterr()) == UNKNOWN_KEY_EXPECTED[name]
+
+
 def _ghost_targets(data: Any) -> None:
     """Two identical targets on a layer that no piece is sent to."""
     square = {"layer": "ghost", "region": {"label": "target",
@@ -320,6 +346,8 @@ def _gauss(edit: Callable[[Any], None]) -> str:
                  id="negative 4000-digit n"),
     pytest.param(_gauss(_set(lambda d: d, "n", int(DIGITS))), 3, "out",
                  id="4000-digit n"),
+    pytest.param(_gauss(_set(_placement, "k" * 100_000, "0")), 3, "err",
+                 id="100000-character unknown key"),
 ])
 def test_oversized_values_are_not_echoed_whole(text, expected_code, stream,
                                                tmp_path, capsys):

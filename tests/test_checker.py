@@ -30,8 +30,7 @@ from powersums.dissect import (
     three_pyramids_2d,
 )
 from powersums.dissect import kernel
-from powersums.dissect.checker import _from_wire
-from powersums.dissect.geometry import Rect, _walk, certificate_to_json
+from powersums.dissect.geometry import Rect, _lattice, _walk, certificate_to_json
 from powersums.dissect.kernel import _sorted_points, lattice_sign as _sign
 from powersums.dissect.mutants import MUTATION_KINDS
 from powersums.exact import QuadExt, quad_to_text, strip_root
@@ -255,7 +254,7 @@ def test_lattice_transform_matches_placed(reflect, quarter_turns, rects, dx,
     piece = Placement("p", "a", Region("piece", (r, *rects)), t, "b")
     cert = DissectionCertificate("GAUSS_RECT", 1, (piece,),
                                  (("b", piece.placed()),), ())
-    lattice = _from_wire(_walk(certificate_to_json(cert)))
+    lattice = _lattice(_walk(certificate_to_json(cert))).cert
     [(_id, _source_layer, source, transform, _layer)] = lattice.pieces
     assert kernel._place(source, transform) == lattice.targets[0][1]
 
@@ -365,5 +364,5 @@ def test_generated_certificates_need_denominator_six(construction):
     # only non-integers the generators emit
     for n in range(1, 5):
         for cert in _CERTIFICATES[construction](n):
-            d = _from_wire(_walk(certificate_to_json(cert))).denominator
+            d = _lattice(_walk(certificate_to_json(cert))).cert.denominator
             assert 6 % d == 0

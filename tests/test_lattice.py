@@ -29,9 +29,8 @@ from powersums.dissect import (
     read_certificate,
 )
 from powersums.dissect import generators, geometry
-from powersums.dissect.checker import _from_wire
 from powersums.dissect.generators import certificate_builders
-from powersums.dissect.geometry import (LabelledLattice, Rect, Region, _walk,
+from powersums.dissect.geometry import (LabelledLattice, Rect, Region, _lattice, _walk,
                                        certificate_from_lattice,
                                        certificate_to_json, dumps_lattice)
 from powersums.dissect.kernel import LatticeCertificate
@@ -86,7 +85,7 @@ def test_the_view_reads_back_as_its_lattice(label, core, n):
     view = certificate_from_lattice(data)
     assert [p.source.label for p in view.placements] == list(data.labels)
     assert {region.label for _layer, region in view.targets} <= {"target"}
-    walked = _from_wire(_walk(certificate_to_json(view)))
+    walked = _lattice(_walk(certificate_to_json(view))).cert
     assert _scaled(walked, generators.D) == _scaled(data.cert, generators.D)
 
 
@@ -98,6 +97,24 @@ def test_every_input_kind_gets_one_report(label, core, n):
     reports = {str(check_certificate(data.cert)), str(check_certificate(view)),
                str(check_certificate(read_certificate(dumps_certificate(view))))}
     assert len(reports) == 1 and reports.pop().startswith("PASS")
+
+
+def _read_back(text: str) -> str:
+    """``text`` read into lattice data and written again: the walk and
+    ``_lattice`` must agree on the order of the flat record."""
+    return dumps_lattice(_lattice(read_certificate(text)))
+
+
+@pytest.mark.parametrize("label,core,n", CORES, ids=[c[0] for c in CORES])
+def test_the_reader_and_the_writer_are_inverses(label, core, n):
+    text = dumps_lattice(core(n))
+    assert _read_back(text) == text
+
+
+def test_the_reader_and_the_writer_are_inverses_on_criterion_07_mutants():
+    for mutant, description in verify.mutants():
+        text = dumps_certificate(mutant)
+        assert _read_back(text) == text, description
 
 
 def test_criterion_07_mutant_reports_are_unchanged():
@@ -356,13 +373,16 @@ def test_the_view_shares_one_value_per_point():
 
 @pytest.mark.parametrize("edit,message", [
     (lambda w: w._replace(n=True), "n must be an int, got True"),
-    (lambda w: w._replace(placements=[w.placements[0]._replace(quarter_turns=True),
-                                      *w.placements[1:]]),
+    (lambda w: w._replace(pieces=[(*w.pieces[0][:3], True, *w.pieces[0][4:]),
+                                  *w.pieces[1:]]),
      "piece 'GAUSS_RECT/plane/a': quarter_turns must be 0..3, got True"),
     # the walk checked every side of the document, not these added after it
-    (lambda w: w._replace(targets=[*w.targets, ("plane", ("target", [["0", "0", "0", "2"]]))]),
+    # (GAUSS_RECT has no leftovers, so a rect's texts go last)
+    (lambda w: w._replace(targets=[*w.targets, ("plane", 1)],
+                          keys=[*w.keys, "0", "0", "0", "2"]),
      "a target or leftover has a degenerate rectangle"),
-    (lambda w: w._replace(leftovers=[*w.leftovers, ("left_b", [["0", "0", "0", "2"]])]),
+    (lambda w: w._replace(leftovers=[*w.leftovers, ("left_b", 1)],
+                          keys=[*w.keys, "0", "0", "0", "2"]),
      "a target or leftover has a degenerate rectangle"),
     # the walk made each value's triple; an edit after it may not be three ints
     *((lambda w, t=triple: w._replace(values={**w.values, "1": t}),
