@@ -150,6 +150,18 @@ def _readme_commands() -> list[str]:
             if line.startswith("powersums ") and "verify-all" not in line]
 
 
+def test_readme_installs_with_the_line_ci_runs():
+    root = Path(__file__).parents[1]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    installs = [line.split("run: ", 1)[1] for line in workflow.splitlines()
+                if "run: " in line and " install " in line]
+    assert installs == ['python -m pip install -e ".[test]"']
+    block = (root / "README.md").read_text(encoding="utf-8").split(
+        "## Install and test", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert [line.split("  #")[0].rstrip() for line in block.splitlines()
+            if " install " in line] == installs
+
+
 def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     lines = _readme_commands()
