@@ -2,7 +2,7 @@
 
 The ground truth for every generator.  The verdict itself comes from
 ``kernel``, which sees only int lattice points; this module hands it one of
-three inputs and turns its answer into a ``CheckReport``:
+three inputs, all judged alike, and turns its answer into a ``CheckReport``:
 
 * a ``LatticeCertificate``, the kernel's own data, as it is;
 * a ``WireCertificate`` (a document read by ``geometry.read_certificate``),
@@ -92,18 +92,17 @@ def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
     """Verify a certificate; returns a report, never raises.  An object is
     walked as its document, so its report is its file's.
 
-    Checks, in order: structural well-formedness, source disjointness per
-    source layer, and exact cover of every destination layer's targets
-    (leftover pieces against the declared leftovers).  The first offending
-    grid cell is reported, with the layers and cells scanned up to and
-    including it.
+    Checks, in order: structural well-formedness (the same checks on every
+    input kind), source disjointness per source layer, and exact cover of
+    every destination layer's targets (leftover pieces against the declared
+    leftovers).  The first offending grid cell is reported, with the layers
+    and cells scanned up to and including it.
     """
     try:
         lattice = (cert if isinstance(cert, LatticeCertificate)
                    else _lattice(cert if isinstance(cert, WireCertificate)
                                  else _walk(certificate_to_json(cert))).cert)
-        built = lattice is not cert  # _lattice made its tuples
-        return _report(*_scan(lattice, built), lattice.denominator)
+        return _report(*_scan(lattice), lattice.denominator)
     except Exception as exc:  # malformed input must never crash the checker
         return CheckReport(False, CheckFailure(
             "malformed", None, None, f"{type(exc).__name__}: {exc}"))

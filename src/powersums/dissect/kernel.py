@@ -1,21 +1,21 @@
-"""The trusted kernel of the certificate checker: structure checks, rigid
-motions, the exact order of coordinates and the exact-cover scans.  It
-imports only the standard library, so it can be audited apart from the code
-that produces certificates and from ``QuadExt``.
+"""The trusted kernel of the certificate checker: structure checks, the
+same for every input, rigid motions, the exact order of coordinates and
+the exact-cover scans.  It imports only the standard library, so it can be
+audited apart from the code that produces certificates and from ``QuadExt``.
 
 Input is plain data: a + b*sqrt(21) is the int pair (a*D, b*D) over one
 common denominator D of the whole certificate, and a rect is its corners
 (x1, y1, x2, y2).  A certificate passes iff its construction is one of
-``CONSTRUCTIONS`` with n at most its cap, its structure is sound, piece
-sources are pairwise disjoint on every source layer, and on every
-destination layer the placed pieces cover each grid cell inside the declared
-targets exactly once and no cell outside them.  Declared leftovers act as
-the target frame of the reserved ``leftover`` layer.
+``CONSTRUCTIONS`` with n at most its cap, its structure is sound, it places
+a piece, its sources are pairwise disjoint on every source layer, and on
+every destination layer the placed pieces cover each grid cell inside the
+declared targets exactly once and no cell outside them.  Declared leftovers
+act as the target frame of the reserved ``leftover`` layer.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from math import isqrt
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -248,114 +248,111 @@ def _malformed(message: str, layer: Optional[str] = None) -> Failure:
     return Failure("malformed", layer, None, message)
 
 
-def _typed(what: str, values: Sequence[object], kind: type | tuple[type, ...],
-           size: Optional[int] = None) -> Iterator[Failure]:
-    """A failure for the first of ``values`` not exactly a ``kind`` (or one
-    of several kinds), of length ``size``, if any; the passing case costs
-    only C-level loops."""
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if not set(map(type, values)) <= set(kinds) or (
-            size is not None and not set(map(len, values)) <= {size}):
-        bad = next(v for v in values
-                   if type(v) not in kinds or size is not None and len(v) != size)
-        shape = f"{'an' if kind is int else 'a'} " + " or ".join(
-            k.__name__ for k in kinds) + ("" if size is None else f" of {size}")
-        yield _malformed(f"{what} must be {shape}, got {bounded(repr(bad))}")
+def _typed(what: str, values: Iterable[object], *kinds: type,
+           size: Optional[int] = None) -> Optional[Failure]:
+    """The failure for the first of ``values`` whose type is none of
+    ``kinds`` or whose length is not ``size``, or None."""
+    for bad in values:
+        if all(type(bad) is not k for k in kinds) or size and len(bad) != size:
+            shape = f"{'an' if kinds[0] is int else 'a'} " + " or ".join(
+                k.__name__ for k in kinds) + (f" of {size}" if size else "")
+            return _malformed(f"{what} must be {shape}, got {bounded(repr(bad))}")
+    return None
 
 
-def _degenerate(rects: Iterable[LatticeRect]) -> bool:
-    """True iff one of ``rects`` has a width or height <= 0."""
-    for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
+def _degenerate(rects: Sequence[LatticeRect], layer: str,
+                piece_id: Optional[str] = None) -> Optional[Failure]:
+    """The failure if ``rects`` is not a list or tuple (a one-shot iterator
+    would leave the scans nothing), or for its first rect that is not a
+    tuple of 4 points of 2 ints, or that is degenerate: a side <= 0."""
+    if type(rects) is not list and type(rects) is not tuple:
+        return _typed("the rects of a region", [rects], list, tuple)
+    for rect in rects:
+        try:  # a tuple unpacks running no outside code; () fails as a wrong length
+            p, q, r, s = rect if type(rect) is tuple else ()
+            (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) = (
+                rect if type(p) is type(q) is type(r) is type(s) is tuple else ())
+        except ValueError:
+            return (_typed("a rect", [rect], tuple, size=4)
+                    or _typed("a point", rect, tuple, size=2))
+        if not (type(x1a) is type(x1b) is type(y1a) is type(y1b) is int
+                and type(x2a) is type(x2b) is type(y2a) is type(y2b) is int):
+            return _typed("a coordinate", [*p, *q, *r, *s], int)
         if not ((x2a > x1a if x1b == x2b  # no sqrt(21) part: no sign call
                  else lattice_sign(x2a - x1a, x2b - x1b) > 0)
                 and (y2a > y1a if y1b == y2b
                      else lattice_sign(y2a - y1a, y2b - y1b) > 0)):
-            return True
-    return False
+            who = ("a target or leftover" if piece_id is None
+                   else f"piece {bounded(repr(piece_id))}")
+            return _malformed(f"{who} has a degenerate rectangle", layer)
+    return None
 
 
-def _shape_defects(cert: LatticeCertificate) -> Iterator[Failure]:
-    """Containers and tuples of the wrong shape, the first first: the
-    pieces, targets and leftovers are lists or tuples, and so are the rects
-    of each region (a one-shot iterator is not: the first pass would use it
-    up and leave the scans nothing); pieces, targets, transforms, rects and
-    points are tuples of 5, 2, 4, 4 and 2; and every coordinate is an int."""
-    for field in ("pieces", "targets", "leftovers"):
-        yield from _typed(field, [getattr(cert, field)], (list, tuple))
-    yield from _typed("a piece", cert.pieces, tuple, 5)
-    yield from _typed("a target", cert.targets, tuple, 2)
-    _ids, _sources, rect_lists, transforms, _dests = list(zip(*cert.pieces)) or [()] * 5
-    yield from _typed("a transform", transforms, tuple, 4)
-    regions = [*rect_lists, *(rs for _l, rs in cert.targets), *cert.leftovers]
-    yield from _typed("the rects of a region", regions, (list, tuple))
-    rects = list(chain.from_iterable(regions))
-    yield from _typed("a rect", rects, tuple, 4)
-    points = list(chain.from_iterable((*rects, *(t[2:] for t in transforms))))
-    yield from _typed("a point", points, tuple, 2)
-    yield from _typed("a coordinate", list(chain.from_iterable(points)), int)
-
-
-def _defects(cert: LatticeCertificate, built: bool) -> Iterator[Failure]:
-    """Structural defects, the first first (each check relies on those
-    before it): the construction, n, D, the shapes unless ``built``, a target
-    or leftover rect with a side <= 0 on every input kind, the target layer
-    ids, a target on the leftover layer, then piece by piece the types of
-    the ids and ``reflect``, a repeated id, a bad quarter turn, and an empty
-    or degenerate source."""
+def _defects(cert: LatticeCertificate) -> Iterator[Optional[Failure]]:
+    """Each structure check's failure or None, in order, each relying on
+    those before it: the construction, n, D, the containers, no piece, each
+    target (with its layer id) and leftover, a target on the leftover layer,
+    then piece by piece its shape, ids, ``reflect``, turns, rects, emptiness."""
     name, n, d = cert.construction, cert.n, cert.denominator
-    yield from _typed("the construction", [name], str)
+    yield _typed("the construction", [name], str)
     if name not in CONSTRUCTIONS:
         yield _malformed(f"unknown construction {bounded(repr(name))}")
-    yield from _typed("n", [n], int)  # the wire walk refuses one too
+    yield _typed("n", [n], int)  # the wire walk refuses one too
     if n < 1:
         yield _malformed(f"n must be >= 1, got {bounded(str(n))}")
     if n > CONSTRUCTIONS[name]:
         yield _malformed(f"n must be <= {CONSTRUCTIONS[name]} for {name}, "
                          f"got {bounded(str(n))}")
-    yield from _typed("the denominator", [d], int)
+    yield _typed("the denominator", [d], int)
     if d < 1 or d.bit_length() > MAX_DENOMINATOR_BITS:
         yield _malformed(f"the denominator must be in 1..2**"
                          f"{MAX_DENOMINATOR_BITS} - 1, got {bounded(str(d))}")
-    if not built:
-        yield from _shape_defects(cert)
-    # the walk refuses a side <= 0 in a document, but not in a
-    # WireCertificate edited after it; a source's is checked per piece
-    frames = (*cert.targets, *((LEFTOVER_LAYER, rs) for rs in cert.leftovers))
-    for layer, rects in frames:
-        if _degenerate(rects):
-            yield _malformed("a target or leftover has a degenerate rectangle", layer)
-    layers = [layer for layer, _rects in cert.targets]
-    yield from _typed("a layer id", layers, str)
-    if LEFTOVER_LAYER in layers:
+    for field in ("pieces", "targets", "leftovers"):
+        yield _typed(field, [getattr(cert, field)], list, tuple)
+    if not cert.pieces:
+        yield _malformed("a certificate must place at least one piece")
+    for frame in [*cert.targets, *((LEFTOVER_LAYER, rs) for rs in cert.leftovers)]:
+        if not (type(frame) is tuple and len(frame) == 2 and type(frame[0]) is str):
+            yield _typed("a target", [frame], tuple, size=2)
+            yield _typed("a layer id", [frame[0]], str)
+        yield _degenerate(frame[1], frame[0])
+    if LEFTOVER_LAYER in [layer for layer, _rects in cert.targets]:
         yield _malformed(f"{LEFTOVER_LAYER!r} is reserved for declared "
                          "leftovers", LEFTOVER_LAYER)
     seen: set[str] = set()
-    for piece_id, source_layer, rects, (turns, reflect, _dx, _dy), dest in cert.pieces:
+    for piece in cert.pieces:
+        if type(piece) is not tuple or len(piece) != 5:
+            yield _typed("a piece", [piece], tuple, size=5)
+        piece_id, source_layer, rects, transform, dest = piece
+        if type(transform) is not tuple or len(transform) != 4:
+            yield _typed("a transform", [transform], tuple, size=4)
+        turns, reflect, dx, dy = transform
+        if not (type(dx) is type(dy) is tuple and len(dx) == len(dy) == 2):
+            yield _typed("a point", [dx, dy], tuple, size=2)
+        if not (type(dx[0]) is type(dx[1]) is type(dy[0]) is type(dy[1]) is int):
+            yield _typed("a coordinate", [*dx, *dy], int)
         if not (type(piece_id) is type(source_layer) is type(dest) is str
                 and type(reflect) is bool):  # _typed for the message
-            yield from _typed("a piece id", [piece_id], str)
-            yield from _typed("a layer id", [source_layer, dest], str)
-            yield from _typed("reflect", [reflect], bool)
+            yield _typed("a piece id", [piece_id], str)
+            yield _typed("a layer id", [source_layer, dest], str)
+            yield _typed("reflect", [reflect], bool)
         if piece_id in seen:
             yield _malformed(f"duplicate piece id {bounded(repr(piece_id))}")
         seen.add(piece_id)
         if type(turns) is not int or not 0 <= turns <= 3:
             yield _malformed(f"piece {bounded(repr(piece_id))}: quarter_turns "
                              f"must be 0..3, got {bounded(str(turns))}")
+        yield _degenerate(rects, source_layer, piece_id)
         if not rects:
             yield _malformed(f"piece {bounded(repr(piece_id))} has an empty "
                              "source region", source_layer)
-        if _degenerate(rects):
-            yield _malformed(f"piece {bounded(repr(piece_id))} has a "
-                             "degenerate rectangle", source_layer)
 
 
-def _scan(cert: LatticeCertificate, built: bool) -> tuple[Optional[Failure], int, int]:
-    """The verdict: structure, then source disjointness per source layer,
-    then exact cover per destination layer, in sorted layer order: the first
-    failure (or None), with the layers and cells scanned to it.  ``built``
-    skips the shape checks, for input whose tuples a front end built."""
-    failure = next(_defects(cert, built), None)
+def _scan(cert: LatticeCertificate) -> tuple[Optional[Failure], int, int]:
+    """The verdict on any input: structure, then source disjointness per
+    source layer, then exact cover per destination layer, in sorted layer
+    order: the first failure (or None), with the layers and cells scanned."""
+    failure = next(filter(None, _defects(cert)), None)
     if failure is not None:
         return failure, 0, 0
     by_source: dict[str, list[LatticeRect]] = {}

@@ -103,6 +103,9 @@ DOCUMENTS: dict[str, str] = {
     "leftover target": _edited(_leftover_target),
     "denominator above 256 bits": _edited(
         _set(_unreflected, "dx", f"1/{2 ** 300}")),
+    "no placements": json.dumps({"construction": "FIVE_PYR_LAYERS", "n": 10,
+                                 "placements": [], "targets": [],
+                                 "leftovers": []}),
 }
 
 
@@ -216,6 +219,11 @@ EXPECTED: dict[str, tuple[int, str, str]] = {
     'denominator above 256 bits': (
         3, 'STEP3_SCISSOR n=1: FAIL malformed: ValueError: common denominator '
            'exceeds 256 bits\n',
+        ''),
+    # it passed with "0 layers, 0 grid cells": nothing placed, nothing proved
+    'no placements': (
+        3, 'FIVE_PYR_LAYERS n=10: FAIL malformed: a certificate must place at '
+           'least one piece\n',
         ''),
 }
 

@@ -4,6 +4,7 @@ commands kept runnable."""
 
 from __future__ import annotations
 
+import ast
 import shlex
 from pathlib import Path
 
@@ -160,6 +161,20 @@ def test_readme_installs_with_the_line_ci_runs():
         "## Install and test", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     assert [line.split("  #")[0].rstrip() for line in block.splitlines()
             if " install " in line] == installs
+
+
+def test_every_source_file_parses_as_python_3_10():
+    """CI's 3.10 job, as far as the grammar goes: every .py file under
+    src/, tests/, scripts/ and perfbench/ parses as Python 3.10.  It checks
+    syntax only, not library APIs, and ``feature_version`` is best-effort:
+    it refuses newer syntax such as ``except*``."""
+    root = Path(__file__).parents[1]
+    paths = sorted(path for folder in ("src", "tests", "scripts", "perfbench")
+                   for path in (root / folder).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                  feature_version=(3, 10))
 
 
 def test_readme_cli_examples_exit_zero(tmp_path, monkeypatch, capsys):

@@ -406,22 +406,58 @@ def _edit_pieces(cert, edits):
 
 def test_the_first_of_two_defects_is_the_first_piece_s():
     """Piece by piece, as the checks ran before the type checks came in: a
-    defect of piece 0 is reported before one of a later piece."""
+    defect of piece 0 is reported before one of a later piece, and a type
+    or shape defect when its frame or piece is reached, not before every
+    value check."""
     cert = generators._three_pyramids_2d(2).cert
     first_id = cert.pieces[0][0]
     x1, y1, _x2, y2 = cert.pieces[0][2][0]
     _turns, reflect, dx, dy = cert.pieces[3][3]
     turned_seven = {(3, 3): (7, reflect, dx, dy)}
+    _turns, reflect0, dx0, dy0 = cert.pieces[0][3]
+    (p1, q1, p2, (y2a, _y2b)), *rest = cert.pieces[3][2]
+
+    def coordinate(value):
+        return {(3, 2): [(p1, q1, p2, (y2a, value)), *rest]}
+
     cases = {
         "has a degenerate rectangle": {(0, 2): [(x1, y1, x1, y2)], (5, 0): first_id},
         "has an empty source region": {(0, 2): [], **turned_seven},
         "duplicate piece id": {(1, 0): first_id, **turned_seven},
+        f"piece {first_id!r}: quarter_turns must be 0..3, got 7": {
+            (0, 3): (7, reflect0, dx0, dy0), **coordinate(True)},
     }
     for message, edits in cases.items():
         failure = check_certificate(_edit_pieces(cert, edits)).failure
         assert failure.kind == "malformed" and message in failure.message
+    layer, frame = cert.targets[0]
+    (t1, u1, _t2, u2), *_rest = frame
+    zero_width = _edit_pieces(cert, coordinate(1.5))._replace(
+        targets=[(layer, [*frame, (t1, u1, t1, u2)]), *cert.targets[1:]])
+    failure = check_certificate(zero_width).failure
+    assert (failure.kind, failure.layer, failure.message) == (
+        "malformed", layer, "a target or leftover has a degenerate rectangle")
     named = check_certificate(cert._replace(construction="NOPE", n=0)).failure
     assert named.message == "unknown construction 'NOPE'"
+
+
+class _Liar:
+    """Reports ``int`` as its ``__class__``, which ``type()`` does not read."""
+
+    __class__ = int
+
+
+def test_a_coordinate_is_judged_by_its_type_not_its_class():
+    cert = generators._gauss_rectangle(2).cert
+    piece_id, layer, rects, (turns, reflect, dx, dy), dest = cert.pieces[0]
+    (x1, y1, x2, y2), *rest = rects
+    assert _Liar().__class__ is int
+    for piece in [(piece_id, layer, [(x1, y1, x2, (_Liar(), 0)), *rest],
+                   (turns, reflect, dx, dy), dest),
+                  (piece_id, layer, rects, (turns, reflect, (_Liar(), 0), dy), dest)]:
+        failure = check_certificate(cert._replace(pieces=[piece, *cert.pieces[1:]])).failure
+        assert failure.kind == "malformed"
+        assert failure.message.startswith("a coordinate must be an int, got <")
 
 
 # -- the lattice writer ------------------------------------------------------
