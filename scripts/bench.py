@@ -16,11 +16,13 @@ each variant's ``dumps_lattice`` text, written untimed, with the work
 behind them (pieces, source rects and distinct coordinates of the data,
 the reports' layers and grid cells); ``write``, ``dumps_lattice`` of each
 variant's data, with the bytes; ``sections``, ``sections_agree(d, 12)``
-for d = 3, 4, 5, with |P_d(12)| and the ``tracemalloc`` peak in KiB of
-one more, untimed call, and as their control ``criterion_05``
+for d = 3, 4, 5, with |P_d(12)|, and as their control ``criterion_05``
 (``verify.CRITERIA[4].run(12)``), which cuts the same pyramids into cell
 sets; and ``compile``, ``compile()`` of each module's source, which an
 import from source pays before it runs a line, with its non-blank lines.
+Each ``theorem``, ``check`` and ``sections`` row also gives, as
+``peak_kib``, the ``tracemalloc`` peak in KiB of one more, untimed call
+in the first round.
 
 One rule samples every task: ``SAMPLES`` rounds of every task, each in new
 children, where a round's sample on each tree is the best of ``BATCH``
@@ -87,8 +89,10 @@ def _child(src: str, conn: Any) -> None:
     until None: ("theorem", n), ("build", name), ("check", name), ("write",
     (name, variant)), ("sections", d), ("criterion", 5) and ("compile",
     module), a path under ``src``.  Answer each with (seconds, work), where
-    work is None for a theorem, build, criterion or compile.  A name's
-    lattice data and texts are made untimed, by its first check or write."""
+    work is None for a theorem, build, criterion or compile.  ("peak",
+    task) makes one call of ``task`` under ``tracemalloc`` instead, and its
+    work is {"peak_kib": the peak in KiB}.  A name's lattice data and texts
+    are made untimed, by its first check or write."""
     sys.path.insert(0, src)
     from powersums import dissect, pyramid, verify
 
@@ -102,16 +106,11 @@ def _child(src: str, conn: Any) -> None:
         return (data, [dissect.geometry.dumps_lattice(d) for d in data.values()],
                 _counts([d.cert for d in data.values()]))
 
-    @functools.cache
-    def peak(d: int) -> float:
-        tracemalloc.start()
-        pyramid.sections_agree(d, SECTIONS_N)
-        traced = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        return round(traced / 1024, 1)
-
     conn.send((caps, {name: list(variants) for name, variants in builders.items()}))
     for kind, key in iter(conn.recv, None):
+        traced = kind == "peak"
+        if traced:
+            kind, key = key
         if kind == "compile":
             source = (Path(src) / key).read_text()
         elif kind in ("check", "write"):
@@ -120,6 +119,8 @@ def _child(src: str, conn: Any) -> None:
         # collection in a call weighs that call's own objects alone
         gc.collect()
         gc.freeze()
+        if traced:
+            tracemalloc.start()
         start = time.perf_counter()
         if kind == "theorem":
             result = dissect.full_theorem_report(key)
@@ -137,6 +138,9 @@ def _child(src: str, conn: Any) -> None:
         else:
             result = compile(source, key, "exec", dont_inherit=True)
         seconds = time.perf_counter() - start
+        if traced:
+            peak_kib = round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+            tracemalloc.stop()
         work = None
         if kind in ("theorem", "sections"):
             assert result.holds, result
@@ -147,11 +151,10 @@ def _child(src: str, conn: Any) -> None:
         elif kind == "write":
             work = {"bytes": len(result.encode())}
         elif kind == "sections":
-            work = {"cells": len(pyramid.build_pyramid(key, SECTIONS_N)),
-                    "peak_kib": peak(key)}
+            work = {"cells": len(pyramid.build_pyramid(key, SECTIONS_N))}
         elif kind == "criterion":
             assert result is None, result
-        conn.send((seconds, work))
+        conn.send((seconds, {"peak_kib": peak_kib} if traced else work))
 
 
 def _ratio(tasks: list[dict[str, list[float]]], label: str,
@@ -231,9 +234,14 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                         seconds, counted = conns[label].recv()
                         best[label] = min(best[label], seconds)
                         if counted is not None:
-                            work[label, task[1]] = counted
+                            work.setdefault((label, task), {}).update(counted)
                 for label, seconds in best.items():
                     times.setdefault(task, {}).setdefault(label, []).append(seconds)
+                    # one traced call per tree: a peak does not vary by round
+                    if i == 0 and task[0] in ("theorem", "check", "sections"):
+                        conns[label].send(("peak", task))
+                        work.setdefault((label, task), {}).update(
+                            conns[label].recv()[1])
     rows = []
     first = next(iter(sources))
     for label in sources:
@@ -241,20 +249,21 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
             "label": label, "samples": SAMPLES, "batch": BATCH,
             "python": platform.python_version(), "machine": platform.machine(),
             "cpus": os.cpu_count(),
-            "theorem": {str(n): _timed(times[kind, n], label, first)
-                        for kind, n in groups["theorem_block"]},
+            "theorem": {str(task[1]): _timed(times[task], label, first,
+                                             **work[label, task])
+                        for task in groups["theorem_block"]},
             "constructions": {
                 name: {"n": n, "build": _timed(times["build", name], label, first),
                        "check": _timed(times["check", name], label, first),
-                       **work[label, name]}
+                       **work[label, ("check", name)]}
                 for name, n in caps[0].items()},
-            "write": {" ".join(filter(None, key)): _timed(
-                          times[kind, key], label, first, n=caps[0][key[0]],
-                          **work[label, key])
-                      for kind, key in groups["write"]},
-            "sections": {str(d): _timed(times[kind, d], label, first, n=SECTIONS_N,
-                                        **work[label, d])
-                         for kind, d in groups["sections"]},
+            "write": {" ".join(filter(None, task[1])): _timed(
+                          times[task], label, first, n=caps[0][task[1][0]],
+                          **work[label, task])
+                      for task in groups["write"]},
+            "sections": {str(task[1]): _timed(times[task], label, first,
+                                              n=SECTIONS_N, **work[label, task])
+                         for task in groups["sections"]},
             "criterion_05": _timed(times["criterion", 5], label, first,
                                    max_n=SECTIONS_N),
             "compile": {module: _timed(
@@ -289,11 +298,11 @@ def main() -> None:
         sums = " -> ".join(f"{r[f'{group}_s']:.4f}" for r in rows)
         print(f"{group}: {sums} s, ratio {ratio['median']:.3f} "
               f"[{ratio['p25']:.3f}, {ratio['p75']:.3f}]")
-    peaks = " -> ".join(str(max(s["peak_kib"] for s in r["sections"].values()))
-                        for r in rows)
+    peaks = {group: " -> ".join(str(max(t["peak_kib"] for t in r[group].values()))
+                                for r in rows) for group in ("theorem", "sections")}
     lines = " -> ".join(str(r["compile_lines"]) for r in rows)
-    print(f"sections peak {peaks} KiB, compile lines {lines} (parent -> change) "
-          f"-> {out}")
+    print(f"theorem peak {peaks['theorem']} KiB, sections peak {peaks['sections']} "
+          f"KiB, compile lines {lines} (parent -> change) -> {out}")
 
 
 if __name__ == "__main__":

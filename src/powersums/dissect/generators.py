@@ -530,13 +530,18 @@ def _layer_sources(cert: LatticeCertificate, layer: str) -> list[LatticeRect]:
             if source_layer == layer for r in rects]
 
 
-def _checked(stage: str, build: Callable[[int], LabelledLattice],
-             n: int) -> LatticeCertificate:
+def _kept(stage: str, build: Callable[[int], LabelledLattice], n: int,
+          sources: Sequence[str] = (), targets: Sequence[str] = (),
+          ) -> tuple[dict[str, list[LatticeRect]], dict[str, list[LatticeRect]]]:
+    """Check ``build(n)``, then keep only the source rects of the layers
+    ``sources`` and the target rects of the layers ``targets``, by layer:
+    the rest of the certificate is dropped before the next stage is built."""
     cert = build(n).cert
     report = check_certificate(cert)
     if not report.ok:
         raise StageCheckError(stage, report)
-    return cert
+    return ({layer: _layer_sources(cert, layer) for layer in sources},
+            {layer: _layer_targets(cert, layer) for layer in targets})
 
 
 def _link(stage: str, layer: str, pieces: list[LatticeRect],
@@ -552,34 +557,38 @@ def full_theorem_report(n: int) -> IdentityReport:
     confirm 5*S_4(n) = n(n+1) * (n-x)(n+1+x) * (n+1/2) exactly.
 
     Stages and links are checked on lattice data: no certificate object is
-    made.  Above the cell-level cap only the arithmetic form is evaluated.
+    made.  Every stage is checked before any link, in the paper's order,
+    and right after its check a stage keeps only the rects its links read.
+    Above the cell-level cap only the arithmetic form is evaluated.
     Raises ``StageCheckError`` naming the failing stage or link.
     """
     _naturals("full_theorem_report: ", 1, UnsupportedN, n=n)
     if n <= CONSTRUCTIONS["FIVE_PYR_LAYERS"]:
-        five = _checked("five_pyramids_layers", _five_pyramids_layers, n)
-        step2 = _checked("step2_reshape", _step2_reshape, n)
-        step3 = _checked("step3_scissor", _step3_scissor, n)
-        bijection = _checked("step4_bijection", _step4_bijection, n)
-        _checked("step4_bijection_full", _step4_bijection_full, n)
-        overlap = _checked("step4_overlap", _step4_overlap, n)
+        layers = [f"layer/{t}" for t in range(1, n + 1)]
+        _, five = _kept("five_pyramids_layers", _five_pyramids_layers, n,
+                        targets=[*layers, "excess"])
+        step2, step2_targets = _kept("step2_reshape", _step2_reshape, n,
+                                     layers, layers)
+        step3, _ = _kept("step3_scissor", _step3_scissor, n, layers)
+        bijection, bijection_targets = _kept(
+            "step4_bijection", _step4_bijection, n, ["corner"], ["dual"])
+        _kept("step4_bijection_full", _step4_bijection_full, n)
+        overlap, _ = _kept("step4_overlap", _step4_overlap, n, ["corner", "dual"])
         # stage interfaces: each stage's sources must retile the previous
         # stage's targets, the excess layer must reappear as the corner
         # copy of both layered top-layer certificates, and the bijection's
         # square-of-corners must be the overlap's copy B.
-        for t in range(1, n + 1):
-            layer = f"layer/{t}"
-            _link(f"interface five->step2 {layer}", layer,
-                  _layer_sources(step2, layer), _layer_targets(five, layer))
-            _link(f"interface step2->step3 {layer}", layer,
-                  _layer_sources(step3, layer), _layer_targets(step2, layer))
-        _link("interface excess->step4", "excess",
-              _layer_sources(overlap, "corner"), _layer_targets(five, "excess"))
+        for layer in layers:
+            _link(f"interface five->step2 {layer}", layer, step2[layer],
+                  five[layer])
+            _link(f"interface step2->step3 {layer}", layer, step3[layer],
+                  step2_targets[layer])
+        _link("interface excess->step4", "excess", overlap["corner"],
+              five["excess"])
         _link("interface excess->step4 bijection", "excess",
-              _layer_sources(bijection, "corner"),
-              _layer_targets(five, "excess"))
-        _link("interface step4 bijection->overlap", "dual",
-              _layer_sources(overlap, "dual"), _layer_targets(bijection, "dual"))
+              bijection["corner"], five["excess"])
+        _link("interface step4 bijection->overlap", "dual", overlap["dual"],
+              bijection_targets["dual"])
         for name in ("R_BALANCE", "TOP_LAYER_DOUBLE", "ARCHIMEDES_GEN",
                      "SCISSOR_FACTOR"):
             report = evaluate_identity(name, {"n": n})

@@ -351,15 +351,17 @@ def _defects(cert: LatticeCertificate) -> Iterator[Optional[Failure]]:
 def _scan(cert: LatticeCertificate) -> tuple[Optional[Failure], int, int]:
     """The verdict on any input: structure, then source disjointness per
     source layer, then exact cover per destination layer, in sorted layer
-    order: the first failure (or None), with the layers and cells scanned."""
+    order: the first failure (or None), with the layers and cells scanned.
+    Each destination layer's pieces are placed just before its cover scan,
+    so one layer's placed rects exist at a time."""
     failure = next(filter(None, _defects(cert)), None)
     if failure is not None:
         return failure, 0, 0
     by_source: dict[str, list[LatticeRect]] = {}
-    by_dest: dict[str, list[LatticeRect]] = {}
-    for _id, source_layer, rects, transform, dest in cert.pieces:
-        by_source.setdefault(source_layer, []).extend(rects)
-        by_dest.setdefault(dest, []).extend(_place(rects, transform))
+    by_dest: dict[str, list[Piece]] = {}
+    for piece in cert.pieces:
+        by_source.setdefault(piece[1], []).extend(piece[2])
+        by_dest.setdefault(piece[4], []).append(piece)
     target_map: dict[str, list[LatticeRect]] = {}
     for layer, rects in cert.targets:
         target_map.setdefault(layer, []).extend(rects)
@@ -374,8 +376,10 @@ def _scan(cert: LatticeCertificate) -> tuple[Optional[Failure], int, int]:
         if failure is not None:
             return failure, layers, cells
     for layer in sorted(set(by_dest) | set(target_map)):
-        failure, scanned = _check_layer_cover(
-            layer, by_dest.get(layer, []), target_map.get(layer, []))
+        # placed in the call, so no layer's placed rects outlive its scan
+        failure, scanned = _check_layer_cover(layer, [
+            r for _id, _source, rects, t, _dest in by_dest.get(layer, ())
+            for r in _place(rects, t)], target_map.get(layer, []))
         layers += 1
         cells += scanned
         if failure is not None:

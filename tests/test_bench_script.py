@@ -1,6 +1,6 @@
 """``scripts/bench.py`` on this tree: its child answers one cheap task of
-each kind, the script times lattice routes only, and its ratio resolves a
-10% slowdown."""
+each kind, timed and traced, the script times lattice routes only, and its
+ratio resolves a 10% slowdown."""
 
 import gc
 import importlib.util
@@ -29,8 +29,11 @@ def test_the_child_answers_each_kind_of_task_with_its_seconds_and_work():
              ("check", "GAUSS_RECT"): {"pieces", "rects", "distinct_coords",
                                        "layers", "cells"},
              ("write", ("GAUSS_RECT", None)): {"bytes"},
-             ("sections", 3): {"cells", "peak_kib"},
-             ("compile", "powersums/exact.py"): None}
+             ("sections", 3): {"cells"},
+             ("compile", "powersums/exact.py"): None,
+             ("peak", ("theorem", 1)): {"peak_kib"},
+             ("peak", ("check", "GAUSS_RECT")): {"peak_kib"},
+             ("peak", ("sections", 3)): {"peak_kib"}}
     ours, theirs = multiprocessing.Pipe()
     path = list(sys.path)
     child = threading.Thread(target=_bench()._child, args=(str(ROOT / "src"), theirs),
@@ -63,6 +66,8 @@ def test_the_child_answers_each_kind_of_task_with_its_seconds_and_work():
         "pieces": 2, "rects": 200, "distinct_coords": 105, "layers": 2,
         "cells": 30200}
     assert answers["sections", 3][1]["cells"] == 650
+    for task in (("theorem", 1), ("check", "GAUSS_RECT"), ("sections", 3)):
+        assert answers["peak", task][1]["peak_kib"] > 0, task
 
 
 def test_the_script_builds_no_certificate_object():

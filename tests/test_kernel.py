@@ -34,7 +34,7 @@ from powersums.dissect import (
     step4_top_layer,
     three_pyramids_2d,
 )
-from powersums.dissect import kernel
+from powersums.dissect import generators, kernel
 from powersums.dissect.generators import certificate_builders
 
 KERNEL_PATH = Path(kernel.__file__)
@@ -551,6 +551,23 @@ def test_a_wide_layer_is_checked_in_little_memory():
         tracemalloc.stop()
     assert report.ok and report.cells_checked == 2 * 1999 ** 2
     assert peak < 8 * 2 ** 20
+
+
+def test_a_stage_is_checked_in_less_memory_than_its_own_data():
+    """Each destination layer is placed just before its scan, so the placed
+    rects of the 11 destination layers of FIVE_PYR_LAYERS at its cap never
+    all exist."""
+    tracemalloc.start()
+    try:
+        cert = generators._five_pyramids_layers(10).cert
+        data, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        report = check_certificate(cert)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.layers_checked == 22  # 11 source, 11 destination
+    assert peak - data < data
 
 
 def test_a_layer_over_the_cell_budget_is_refused_unscanned(monkeypatch, tmp_path,
