@@ -4,12 +4,14 @@ The d-pyramid of height n stacks (d-1)-cubes of side 1..n along coordinate
 0.  Main sections (k**(d-1) cells) cut across the stack, secondary sections
 (truncated pyramids) along a cube-spanning axis; both partition the pyramid,
 the geometric rows/columns lemma.  ``sections_agree`` counts their sizes with
-no slice made, in one pass over P_d(n) per coordinate; criterion 05
-(``verify``) checks each partition cell for cell.
+no slice made, from one walk over P_d(n) that writes every coordinate into
+one flat column; criterion 05 (``verify``) checks each partition cell for
+cell.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, product
@@ -23,10 +25,10 @@ from .figurate import IdentityReport, _naturals, lemma_rows
 Cell = tuple[int, ...]
 
 #: Most cells of a built pyramid: P_3(66), 98,021 cells, builds in 20 ms; its
-#: main sections take 28 ms more, one axis of secondary sections 37 ms, and
-#: ``sections_agree`` 56 ms, build included, at 30 MiB peak RSS for the
-#: process (2-core x86, Python 3.11, best of 15).  The criteria and figures
-#: use at most P_5(12), 60,710 cells.
+#: main sections take 35 ms more, one axis of secondary sections 42 ms, and
+#: ``sections_agree`` 49 ms, build included, at 29 MiB peak RSS for the
+#: process (2-core x86, Python 3.11.7, best of 15).  The criteria and
+#: figures use at most P_5(12), 60,710 cells.
 MAX_PYRAMID_CELLS = 100_000
 
 #: d -> |P_d(n)| = S_(d-1)(n) in closed form, for each supported dimension
@@ -168,12 +170,19 @@ def _secondary(p: CellSet, axis: int) -> tuple[int, int]:
     return axis - 1, _levels(map(itemgetter(0), p.cells))
 
 
-def _slice_sizes(cells: frozenset[Cell], idx: int, n: int) -> list[int]:
-    """How many cells have coordinate idx = 0..n-1, in one C-level pass:
+def _slice_sizes(values: Iterable[int], n: int) -> list[int]:
+    """How many of one coordinate's values are 0..n-1, in one C-level pass:
     dropping a coordinate is injective on cells sharing it, so each count
     is the size of that slice."""
-    counts = Counter(map(itemgetter(idx), cells))
+    counts = Counter(values)
     return [counts[m] for m in range(n)]
+
+
+def _column(cells: Iterable[Cell], n: int) -> memoryview:
+    """Every coordinate of cells, cell after cell, in one flat column: one
+    byte each while n < 256, two above (P_d(n)'s coordinates are 0..n)."""
+    flat = chain.from_iterable(cells)
+    return memoryview(bytes(flat) if n < 256 else array("H", flat))
 
 
 def section_sizes(p: CellSet, axis: int | None = None) -> list[int]:
@@ -183,7 +192,7 @@ def section_sizes(p: CellSet, axis: int | None = None) -> list[int]:
     if axis is None:
         return _level_sizes(p.dimension - 1, Counter(map(itemgetter(0), p.cells)))
     idx, n = _secondary(p, axis)
-    return _slice_sizes(p.cells, idx, n)
+    return _slice_sizes(map(itemgetter(idx), p.cells), n)
 
 
 def main_sections(p: CellSet) -> list[CellSet]:
@@ -214,15 +223,19 @@ def secondary_sections(p: CellSet, axis: int) -> list[CellSet]:
 
 def sections_agree(d: int, n: int) -> IdentityReport:
     """Check that P_d(n)'s main and secondary section sizes, counted on one
-    build in d passes, one per coordinate, both total |P_d(n)|, and that the
-    secondary sizes are sum_{k=m..n} k**(d-2) on every axis: the rows/columns
-    lemma with p = d-2.  The secondary counts are read for m = 1..n, n from
-    the main counts, which ``section_sizes`` has refused unless they are
-    levels 1..n.  Criterion 05 checks each family cell for cell."""
+    build, both total |P_d(n)|, and that the secondary sizes are
+    sum_{k=m..n} k**(d-2) on every axis: the rows/columns lemma with p = d-2.
+    One pass over the cells writes every coordinate into one flat column,
+    one byte each while n < 256 and two above; family i's counts are read
+    from the strided view column[i::d], with no slice made and no copy.
+    The secondary counts are read for m = 1..n, n from the main counts,
+    which ``_level_sizes`` has refused unless they are levels 1..n.
+    Criterion 05 checks each family cell for cell."""
     pyramid = build_pyramid(d, n)
-    main = section_sizes(pyramid)
+    column = _column(pyramid.cells, n)
+    main = _level_sizes(d - 1, Counter(column[0::d]))
     main_total = sum(main)
-    secondaries = [_slice_sizes(pyramid.cells, idx, len(main)) for idx in range(1, d)]
+    secondaries = [_slice_sizes(column[idx::d], len(main)) for idx in range(1, d)]
     secondary_total = sum(secondaries[0])
     holds = (main_total == secondary_total == len(pyramid)
              and secondaries == [lemma_rows(d - 2, 1, n)] * (d - 1))

@@ -145,7 +145,7 @@ def _section_failure(d: int, n: int) -> Optional[str]:
     """Main and secondary sections of P_d(n) each partition it, with the
     sizes k**(d-1) and sum_{k=m..n} k**(d-2)."""
     pyramid = build_pyramid(d, n)
-    cells = set(pyramid.cells)
+    cells = pyramid.cells
     mains = main_sections(pyramid)
     if ([len(s) for s in mains] != [k ** (d - 1) for k in range(1, n + 1)]
             or {(k, *c) for k, s in enumerate(mains, 1) for c in s.cells} != cells):

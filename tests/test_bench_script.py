@@ -9,6 +9,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 from powersums.dissect import geometry
 from powersums.dissect.generators import certificate_builders
 
@@ -86,6 +88,16 @@ def test_the_ratio_resolves_a_ten_percent_slowdown():
                  0.05, -0.06, 0.02, -0.03, 0.0, 0.04, -0.05, 0.01, -0.02))]}
     assert bench._ratio([slow], "change", "parent")["p25"] > 1.09
     assert bench._ratio([slow, noisy], "change", "parent")["p25"] > 1
+    for tasks in ([slow], [noisy], [slow, noisy]):
+        assert bench._ratio(tasks, "change", "parent")["low"] > 1
     same = {"parent": parent, "change": parent[1:] + parent[:1]}
     ratio = bench._ratio([same], "change", "parent")
     assert ratio["p25"] < 1 < ratio["p75"]
+    assert ratio["low"] < 1 < ratio["high"]
+    # the 2nd and 10th of 11 rounds: the median ratio is outside them only
+    # if at most one round falls on one side of it
+    rounds = {"parent": [1.0] * 11, "change": [0.9 + 0.02 * i for i in range(11)]}
+    ratio = bench._ratio([rounds], "change", "parent")
+    assert (ratio["low"], ratio["high"]) == pytest.approx((0.92, 1.08))
+    assert ratio["coverage"] == pytest.approx(1 - 24 / 2048)
+    assert ratio["coverage"] > 0.988

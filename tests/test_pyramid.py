@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import re
+import tracemalloc
+from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -365,6 +368,9 @@ RECORDED_TOTALS = {
     5: [1, 17, 98, 354, 979, 2275, 4676, 8772, 15333, 25333, 39974, 60710],
 }
 
+#: d -> the largest n with P_d(n) under MAX_PYRAMID_CELLS
+_LARGEST = {2: 446, 3: 66, 4: 24, 5: 13}
+
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_sections_agree_reports_are_unchanged(d):
@@ -440,14 +446,18 @@ def _moved_past_n(d, m, n):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_a_cell_past_the_secondary_slices_fails_sections_agree(monkeypatch, d):
     monkeypatch.setattr(pyramid, "_levels_cells", _moved_past_n)
-    for n, total in enumerate(RECORDED_TOTALS[d][:4], start=1):
+    # at the cap the moved coordinate, n + 5, is past 255 for d = 2
+    top = _LARGEST[d]
+    for n, total in [*enumerate(RECORDED_TOTALS[d][:4], start=1),
+                     (top, pyramid._CELLS[d](top))]:
         r = sections_agree(d, n)
         assert (r.holds, r.lhs, r.rhs) == (False, QuadExt(total), QuadExt(total - 1))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_sections_agree_passes_over_the_cells_once_per_coordinate(monkeypatch, d):
-    # the main count, then one count per secondary axis, n taken from the main
+    # one walk writes every coordinate into the column, which each count
+    # then reads, n taken from the main counts
     build = pyramid.build_pyramid
     made = []
 
@@ -459,7 +469,7 @@ def test_sections_agree_passes_over_the_cells_once_per_coordinate(monkeypatch, d
     monkeypatch.setattr(pyramid, "build_pyramid", counting)
     for n in range(1, 13):
         assert sections_agree(d, n).holds
-    assert [cells.iterations for cells in made] == [d] * 12
+    assert [cells.iterations for cells in made] == [1] * 12
 
 
 @pytest.mark.parametrize("cells", [[(1, 0), (1, 0)], {(1, 0)}, ((1, 0),), "ab"],
@@ -473,3 +483,44 @@ def test_cells_that_are_not_a_frozenset_are_refused(cells):
     with pytest.raises(TypeError, match="cells must be a frozenset"):
         CellSet(3, cells)
     assert len(CellSet(2, CountingCells({(1, 0)}))) == 1
+
+
+def _counted_report(d, n):
+    """sections_agree(d, n)'s report as counted when it made one
+    Counter(map(itemgetter(i), cells)) pass per coordinate."""
+    cells = pyramid.build_pyramid(d, n).cells
+    counts = [Counter(map(itemgetter(i), cells)) for i in range(d)]
+    main = [counts[0][k] for k in range(1, n + 1)]
+    secondaries = [[c[m] for m in range(n)] for c in counts[1:]]
+    holds = (sum(main) == sum(secondaries[0]) == len(cells)
+             and secondaries == [lemma_rows(d - 2, 1, n)] * (d - 1))
+    return counts, (holds, QuadExt(sum(main)), QuadExt(sum(secondaries[0])))
+
+
+# n = 255 and 256 lie on each side of the column's one-byte coordinates
+@pytest.mark.parametrize("d,n", [(2, 255), (2, 256), *_LARGEST.items()])
+def test_the_column_holds_every_coordinate_up_to_the_cap(d, n):
+    if n == _LARGEST[d]:
+        assert pyramid._CELLS[d](n) <= MAX_PYRAMID_CELLS < pyramid._CELLS[d](n + 1)
+    counts, report = _counted_report(d, n)
+    column = pyramid._column(build_pyramid(d, n).cells, n)
+    assert [Counter(column[i::d]) for i in range(d)] == counts
+    r = sections_agree(d, n)
+    assert (r.holds, r.lhs, r.rhs) == report == (True, QuadExt(len(column) // d),
+                                                 QuadExt(len(column) // d))
+
+
+def test_the_column_costs_about_one_byte_per_coordinate(monkeypatch):
+    # a zip(*cells) transpose of P_5(13) peaks at 14.4 bytes per coordinate
+    built = build_pyramid(5, 13)
+    monkeypatch.setattr(pyramid, "build_pyramid", lambda d, n: built)
+    tracemalloc.start()
+    try:
+        assert sections_agree(5, 13).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    coordinates = 5 * len(built)
+    assert coordinates == 446_355
+    # one byte each, plus the quarter bytes() may over-allocate as it grows
+    assert peak <= 1.3 * coordinates, peak / coordinates
