@@ -4,7 +4,8 @@
 ``read_certificate`` reads a document into the flat ``WireCertificate``
 that ``check_certificate`` takes; ``loads_certificate`` and
 ``certificate_from_json`` return the object view of the same record's
-lattice data, and ``dumps_certificate`` writes an object back."""
+lattice data, and ``dumps_certificate`` writes an object back through
+the same walk and the one writer, ``geometry.dumps_lattice``."""
 
 from .checker import (
     CellInterval,

@@ -9,8 +9,9 @@ and the parsed triple of each distinct text), and ``_lattice`` is the one
 conversion of that record into lattice data: the checker judges what it
 returns, and ``loads_certificate`` views it.  Every certificate object is a
 view over lattice data (``certificate_from_lattice``), and ``dumps_lattice``
-writes that data as the document ``dumps_certificate`` writes for its view,
-byte for byte."""
+is the one writer: ``dumps_certificate`` writes an object through the walk,
+``_lattice`` and ``dumps_lattice``, so every document written is one the
+reader reads."""
 
 from __future__ import annotations
 
@@ -383,15 +384,26 @@ def certificate_from_json(data: Any) -> DissectionCertificate:
 
 
 def dumps_certificate(cert: DissectionCertificate) -> str:
-    return json.dumps(certificate_to_json(cert), indent=1)
+    """``cert``'s document, written by ``dumps_lattice`` from the strict
+    walk of ``certificate_to_json(cert)``: an object is written only if its
+    document would be read, and a malformed one gets the reader's
+    ``CertificateFormatError`` (or ``ValueError`` past
+    ``MAX_DENOMINATOR_BITS``).  The walk keeps no target label, so a target
+    region labelled anything but "target" is a ``ValueError``."""
+    for _layer, region in cert.targets:
+        if region.label != "target":
+            raise ValueError("a target region must be labelled 'target', got "
+                             f"{bounded(repr(region.label))}")
+    return dumps_lattice(_lattice(_walk(certificate_to_json(cert))))
 
 
 def dumps_lattice(data: LabelledLattice) -> str:
-    """``dumps_certificate(certificate_from_lattice(data))``, byte for byte,
-    for data of the kernel's types, written with no object and no
-    ``QuadExt``: each distinct point is formatted once, strings are escaped
-    by ``json``'s own encoder, and the ``indent=1`` document is joined from
-    strings."""
+    """The one certificate writer, for data of the kernel's types, with no
+    object and no ``QuadExt``: each distinct point is formatted once,
+    strings are escaped by ``json``'s own encoder, and the document is
+    joined from strings, byte for byte as
+    ``json.dumps(certificate_to_json(certificate_from_lattice(data)), indent=1)``
+    writes it."""
     cert = data.cert
     quoted = PointTable(cert.denominator, lambda t: f'"{triple_to_text(t)}"')
     q = encode_basestring_ascii

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -96,3 +97,31 @@ def test_certificate_copies_and_pickles(clone):
     assert twin == cert
     assert hash(twin) == hash(cert)
     assert check_certificate(twin).ok
+
+
+def _edited_first(cert, edit):
+    """``cert`` with its first placement passed through ``edit``."""
+    first, *rest = cert.placements
+    return replace(cert, placements=(edit(first), *rest))
+
+
+@pytest.mark.parametrize("edit,error,message", [
+    (lambda cert: _edited_first(cert, lambda p: replace(p, source=replace(
+        p.source, rects=(_rect(0, 0, 0, 1), *p.source.rects[1:])))),
+     CertificateFormatError,
+     "bad certificate structure: rectangle sides must be positive: w=0 h=1"),
+    (lambda cert: _edited_first(cert, lambda p: replace(
+        p, transform=replace(p.transform, reflect="false"))),
+     CertificateFormatError, "reflect must be a JSON bool, got 'false'"),
+    (lambda cert: replace(cert, targets=tuple(
+        (layer, replace(region, label="frame")) for layer, region in cert.targets)),
+     ValueError, "a target region must be labelled 'target', got 'frame'"),
+], ids=["zero-width rect", "reflect string", "target labelled frame"])
+def test_dumps_refuses_an_object_whose_document_would_not_be_read(edit, error, message):
+    # the writer goes through the reader's walk, which keeps no target
+    # label, so these objects would be written wrong or not read back
+    cert = edit(gauss_rectangle(2))
+    with pytest.raises(error) as exc:
+        dumps_certificate(cert)
+    assert type(exc.value) is error
+    assert str(exc.value) == message

@@ -54,6 +54,20 @@ def test_one_sign_routine():
     assert exact.lattice_sign is kernel.lattice_sign
 
 
+def test_the_construction_table_is_pinned():
+    # each cap bounds what check accepts, so one moved by one must fail here
+    assert list(CONSTRUCTIONS.items()) == [
+        ("GAUSS_RECT", 100), ("THREE_PYR_2D", 50), ("NICOMACHUS_4D_2D", 20),
+        ("FIVE_PYR_LAYERS", 10), ("STEP2_RESHAPE", 10), ("STEP3_SCISSOR", 10),
+        ("STEP4_TOP", 12)]
+
+
+@pytest.mark.parametrize("length,echo", [
+    (200, "x" * 200), (201, "x" * 200 + "... (201 characters)")], ids=["200", "201"])
+def test_bounded_cuts_after_exactly_200_characters(length, echo):
+    assert kernel.bounded("x" * length) == echo
+
+
 def test_pieces_doubled_like_their_targets_are_malformed():
     square = ((0, 0), (0, 0), (1, 0), (1, 0))
     failure, cells = kernel._check_layer_cover("l", [square, square],
