@@ -17,8 +17,8 @@ behind them (pieces, source rects and distinct coordinates of the data,
 the reports' layers and grid cells); ``write``, ``dumps_lattice`` of each
 variant's data, with the bytes; ``sections``, ``sections_agree(d, 12)``
 for d = 3, 4, 5, with |P_d(12)|, and as their control ``criterion_05``
-(``verify.CRITERIA[4].run(12)``), which cuts the same pyramids into cell
-sets; and ``compile``, ``compile()`` of each module's source, which an
+(``verify.CRITERIA[4].run(8)``), which cuts P_d(n) for n up to 8 into
+cell sets; and ``compile``, ``compile()`` of each module's source, which an
 import from source pays before it runs a line, with its non-blank lines.
 Each ``theorem``, ``check`` and ``sections`` row also gives, as
 ``peak_kib``, the ``tracemalloc`` peak in KiB of one more, untimed call
@@ -63,6 +63,10 @@ ROOT = Path(__file__).resolve().parents[1]
 SAMPLES, BATCH = 11, 2
 #: the pyramids of the sections row: P_d(SECTIONS_N) for d in SECTIONS_D
 SECTIONS_D, SECTIONS_N = (3, 4, 5), 12
+#: criterion 05's ``max_n`` as that row's control: about 0.08 s a call on a
+#: 2-core x86, where at 12 it took over a second, 50 times the three
+#: sections tasks
+CRITERION_N = 8
 
 
 def _counts(certs: list[Any]) -> dict[str, int]:
@@ -136,7 +140,7 @@ def _child(src: str, conn: Any) -> None:
         elif kind == "sections":
             result = pyramid.sections_agree(key, SECTIONS_N)
         elif kind == "criterion":
-            result = verify.CRITERIA[key - 1].run(SECTIONS_N)
+            result = verify.CRITERIA[key - 1].run(CRITERION_N)
         else:
             result = compile(source, key, "exec", dont_inherit=True)
         seconds = time.perf_counter() - start
@@ -272,7 +276,7 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                                               n=SECTIONS_N, **work[label, task])
                          for task in groups["sections"]},
             "criterion_05": _timed(times["criterion", 5], label, first,
-                                   max_n=SECTIONS_N),
+                                   max_n=CRITERION_N),
             "compile": {module: _timed(
                             times["compile", module], label, first,
                             lines=sum(1 for line in (sources[label] / module).read_text()

@@ -69,10 +69,13 @@ def _cmd_faulhaber(args: argparse.Namespace) -> int:
 
 
 def _cmd_sections(args: argparse.Namespace) -> int:
-    p = pyramid.build_pyramid(args.dim, args.n)
     if args.emit == "sizes":
-        print("sizes: " + " ".join(map(str, pyramid.section_sizes(p, args.secondary))))
+        families = pyramid.section_counts(args.dim, args.n)
+        family = (0 if args.secondary is None
+                  else pyramid._axis_index(args.dim, args.secondary))
+        print("sizes: " + " ".join(map(str, families[family])))
         return EXIT_OK
+    p = pyramid.build_pyramid(args.dim, args.n)
     sections = (pyramid.main_sections(p) if args.secondary is None
                 else pyramid.secondary_sections(p, args.secondary))
     for index, section in enumerate(sections, start=1):

@@ -3,10 +3,13 @@
 The d-pyramid of height n stacks (d-1)-cubes of side 1..n along coordinate
 0.  Main sections (k**(d-1) cells) cut across the stack, secondary sections
 (truncated pyramids) along a cube-spanning axis; both partition the pyramid,
-the geometric rows/columns lemma.  ``sections_agree`` counts their sizes with
-no slice made, from one walk over P_d(n) that writes every coordinate into
-one flat column; criterion 05 (``verify``) checks each partition cell for
-cell.
+the geometric rows/columns lemma.  One stream of the levels defines the
+cells: ``build_pyramid`` and ``truncated_pyramid`` gather it into a
+``CellSet``, and ``section_counts`` writes it into one flat column of
+coordinates, from which every family's sizes are counted with no cell set,
+no slice and no cell hashed.  ``sections_agree`` and ``powersums sections
+--emit sizes`` read those counts; criterion 05 (``verify``) checks each
+partition cell for cell.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, product
 from operator import itemgetter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .dissect.kernel import bounded
 from .exact import QuadExt
@@ -24,11 +27,11 @@ from .figurate import IdentityReport, _naturals, lemma_rows
 
 Cell = tuple[int, ...]
 
-#: Most cells of a built pyramid: P_3(66), 98,021 cells, builds in 20 ms; its
-#: main sections take 35 ms more, one axis of secondary sections 42 ms, and
-#: ``sections_agree`` 49 ms, build included, at 29 MiB peak RSS for the
-#: process (2-core x86, Python 3.11.7, best of 15).  The criteria and
-#: figures use at most P_5(12), 60,710 cells.
+#: Most cells of a pyramid: P_3(66), 98,021 cells, builds in 16 ms; its
+#: main sections take 32 ms more, one axis of secondary sections 39 ms, and
+#: ``sections_agree``, which builds no cell set, 17 ms at a 328 KiB
+#: ``tracemalloc`` peak (2-core x86, Python 3.11.7, best of 15).  The
+#: criteria and figures use at most P_5(12), 60,710 cells.
 MAX_PYRAMID_CELLS = 100_000
 
 #: d -> |P_d(n)| = S_(d-1)(n) in closed form, for each supported dimension
@@ -96,10 +99,11 @@ def _require(d: int, n: int) -> None:
                          f"{MAX_PYRAMID_CELLS} cells")
 
 
-def _levels_cells(d: int, m: int, n: int) -> frozenset[Cell]:
-    """Levels m..n of P_d(n): level k is {k} x range(k)**(d-1)."""
-    return frozenset(chain.from_iterable(
-        product((k,), *[range(k)] * (d - 1)) for k in range(m, n + 1)))
+def _level_stream(d: int, m: int, n: int) -> Iterator[Cell]:
+    """Levels m..n of P_d(n), level after level: level k is
+    {k} x range(k)**(d-1).  Every cell of a pyramid is made here."""
+    return chain.from_iterable(
+        product((k,), *[range(k)] * (d - 1)) for k in range(m, n + 1))
 
 
 def build_pyramid(d: int, n: int) -> CellSet:
@@ -109,7 +113,7 @@ def build_pyramid(d: int, n: int) -> CellSet:
     by ``MAX_PYRAMID_CELLS`` before any cell is made.
     """
     _require(d, n)
-    return _cell_set(d, _levels_cells(d, 1, n))
+    return _cell_set(d, frozenset(_level_stream(d, 1, n)))
 
 
 def truncated_pyramid(d: int, n: int, m: int) -> CellSet:
@@ -123,7 +127,7 @@ def truncated_pyramid(d: int, n: int, m: int) -> CellSet:
         raise ValueError(f"m must satisfy 1 <= m <= n, "
                          f"got m={bounded(str(m))} n={bounded(str(n))}")
     _require(d, n)
-    return _cell_set(d, _levels_cells(d, m, n))
+    return _cell_set(d, frozenset(_level_stream(d, m, n)))
 
 
 def _levels(levels: Iterable[int]) -> int:
@@ -162,37 +166,40 @@ def _level_sizes(cube: int, counts: dict[int, int]) -> list[int]:
     return [counts[k] for k in range(1, n + 1)]
 
 
-def _secondary(p: CellSet, axis: int) -> tuple[int, int]:
-    """(coordinate, n) of p's secondary sections along axis 2..d."""
-    if type(axis) is not int or not 2 <= axis <= p.dimension:
-        raise AxisOutOfRange(
-            f"axis must be 2..{p.dimension}, got {bounded(str(axis))}")
-    return axis - 1, _levels(map(itemgetter(0), p.cells))
+def _axis_index(d: int, axis: int) -> int:
+    """The coordinate that the secondary sections along axis 2..d fix."""
+    if type(axis) is not int or not 2 <= axis <= d:
+        raise AxisOutOfRange(f"axis must be 2..{d}, got {bounded(str(axis))}")
+    return axis - 1
 
 
-def _slice_sizes(values: Iterable[int], n: int) -> list[int]:
-    """How many of one coordinate's values are 0..n-1, in one C-level pass:
-    dropping a coordinate is injective on cells sharing it, so each count
-    is the size of that slice."""
-    counts = Counter(values)
-    return [counts[m] for m in range(n)]
-
-
-def _column(cells: Iterable[Cell], n: int) -> memoryview:
-    """Every coordinate of cells, cell after cell, in one flat column: one
-    byte each while n < 256, two above (P_d(n)'s coordinates are 0..n)."""
-    flat = chain.from_iterable(cells)
+def _column(d: int, n: int) -> memoryview:
+    """Every coordinate of P_d(n), cell after cell as ``_level_stream``
+    makes them, in one flat column: one byte each while n < 256, two above
+    (P_d(n)'s coordinates are 0..n).  No cell is kept once it is written."""
+    _require(d, n)
+    flat = chain.from_iterable(_level_stream(d, 1, n))
     return memoryview(bytes(flat) if n < 256 else array("H", flat))
 
 
-def section_sizes(p: CellSet, axis: int | None = None) -> list[int]:
-    """The sizes of p's main sections (axis None, refused as by
-    ``main_sections``; one pass over p) or secondary sections along axis
-    (two passes: n is the top level of p, which may be any cell set)."""
-    if axis is None:
-        return _level_sizes(p.dimension - 1, Counter(map(itemgetter(0), p.cells)))
-    idx, n = _secondary(p, axis)
-    return _slice_sizes(map(itemgetter(idx), p.cells), n)
+def section_counts(d: int, n: int) -> list[list[int]]:
+    """The sizes of P_d(n)'s main sections, refused as ``main_sections``
+    refuses them, then of its secondary sections along each axis 2..d.
+
+    Family i is counted in one C-level pass over the strided view
+    column[i::d] of ``_column``, with no slice made and no copy: dropping
+    coordinate i is one-to-one on the cells that share a value of it, so
+    the count at each value is that slice's size.  The secondary counts
+    are read at 0..n-1, n from the main counts, which ``_level_sizes`` has
+    refused unless they are levels 1..n.
+    """
+    column = _column(d, n)
+    main = _level_sizes(d - 1, Counter(column[0::d]))
+    families = [main]
+    for idx in range(1, d):
+        counts = Counter(column[idx::d])
+        families.append([counts[m] for m in range(len(main))])
+    return families
 
 
 def main_sections(p: CellSet) -> list[CellSet]:
@@ -215,29 +222,24 @@ def secondary_sections(p: CellSet, axis: int) -> list[CellSet]:
     sum_{k=m..n} k**(d-2) cells.  One pass over p puts every cell into
     its slice; a cell whose coordinate axis is outside 0..n-1 is in none.
     """
-    idx, n = _secondary(p, axis)
+    idx = _axis_index(p.dimension, axis)
+    n = _levels(map(itemgetter(0), p.cells))
     by_coordinate = _slices(p, idx)
     return [_cell_set(p.dimension - 1, frozenset(by_coordinate.get(m, ())))
             for m in range(n)]
 
 
 def sections_agree(d: int, n: int) -> IdentityReport:
-    """Check that P_d(n)'s main and secondary section sizes, counted on one
-    build, both total |P_d(n)|, and that the secondary sizes are
-    sum_{k=m..n} k**(d-2) on every axis: the rows/columns lemma with p = d-2.
-    One pass over the cells writes every coordinate into one flat column,
-    one byte each while n < 256 and two above; family i's counts are read
-    from the strided view column[i::d], with no slice made and no copy.
-    The secondary counts are read for m = 1..n, n from the main counts,
-    which ``_level_sizes`` has refused unless they are levels 1..n.
-    Criterion 05 checks each family cell for cell."""
-    pyramid = build_pyramid(d, n)
-    column = _column(pyramid.cells, n)
-    main = _level_sizes(d - 1, Counter(column[0::d]))
+    """Check that P_d(n)'s main and secondary section sizes, as
+    ``section_counts`` counts them from one stream of its levels, have one
+    total, and that the secondary sizes are sum_{k=m..n} k**(d-2) on every
+    axis, so that the total is S_(d-1)(n): the rows/columns lemma with
+    p = d-2.  No ``CellSet`` is made; criterion 05 checks each family cell
+    for cell."""
+    main, *secondaries = section_counts(d, n)
     main_total = sum(main)
-    secondaries = [_slice_sizes(column[idx::d], len(main)) for idx in range(1, d)]
     secondary_total = sum(secondaries[0])
-    holds = (main_total == secondary_total == len(pyramid)
+    holds = (main_total == secondary_total
              and secondaries == [lemma_rows(d - 2, 1, n)] * (d - 1))
     return IdentityReport(
         identity_name="ROWS_COLS",

@@ -6,6 +6,7 @@ import hashlib
 import re
 import tracemalloc
 from collections import Counter
+from itertools import chain
 from operator import itemgetter
 
 import pytest
@@ -26,7 +27,7 @@ from powersums.pyramid import (
     build_pyramid,
     main_sections,
     secondary_sections,
-    section_sizes,
+    section_counts,
     sections_agree,
     truncated_pyramid,
 )
@@ -353,10 +354,10 @@ def test_sections_cli_bytes_are_pinned(capsys):
 def test_the_counts_are_the_slices_sizes(d):
     for n in range(1, 7 if d == 5 else 9):
         p = build_pyramid(d, n)
-        assert section_sizes(p) == [len(s) for s in main_sections(p)]
-        for axis in range(2, d + 1):
-            assert (section_sizes(p, axis)
-                    == [len(s) for s in secondary_sections(p, axis)])
+        assert section_counts(d, n) == [
+            [len(s) for s in main_sections(p)],
+            *([len(s) for s in secondary_sections(p, axis)]
+              for axis in range(2, d + 1))]
 
 
 #: d -> |P_d(n)| for n = 1..12, the lhs and rhs of sections_agree(d, n) as
@@ -392,27 +393,27 @@ def test_sections_agree_makes_no_slice(monkeypatch, capsys):
     def sliced(*_args):
         raise AssertionError("a slice was made")
 
-    # perfbench traces pyramid.cells through the module global build_pyramid
     monkeypatch.setattr(pyramid, "build_pyramid", counted)
-    for name in ("main_sections", "secondary_sections", "_slices"):
+    for name in ("main_sections", "secondary_sections", "_slices", "_cell_set"):
         monkeypatch.setattr(pyramid, name, sliced)
     assert sections_agree(5, 4).holds
-    assert built == [(5, 4)]
     for axis in ([], ["--secondary", "3"]):
         assert main(["sections", "--dim", "5", "--n", "4", "--emit", "sizes",
                      *axis]) == 0
     assert capsys.readouterr().out == "sizes: 1 16 81 256\nsizes: 100 99 91 64\n"
+    assert built == []
 
 
-_levels_cells = pyramid._levels_cells
+_level_stream = pyramid._level_stream
 
 
 def _dropped_at_n(d, m, n):
-    return _levels_cells(d, m, n) - {(n, *[n - 1] * (d - 1))}
+    last = (n, *[n - 1] * (d - 1))
+    return (cell for cell in _level_stream(d, m, n) if cell != last)
 
 
 def _stray_at_n_plus_1(d, m, n):
-    return _levels_cells(d, m, n) | {(n + 1, *[0] * (d - 1))}
+    return chain(_level_stream(d, m, n), [(n + 1, *[0] * (d - 1))])
 
 
 @pytest.mark.parametrize("plant,d,n,message", [
@@ -428,7 +429,7 @@ def _stray_at_n_plus_1(d, m, n):
 def test_sections_agree_refuses_what_main_sections_refused(
         monkeypatch, plant, d, n, message):
     # the texts main_sections raised when sections_agree still called it
-    monkeypatch.setattr(pyramid, "_levels_cells", plant)
+    monkeypatch.setattr(pyramid, "_level_stream", plant)
     with pytest.raises(NotAPyramid) as exc:
         sections_agree(d, n)
     assert str(exc.value) == message
@@ -439,13 +440,12 @@ def test_sections_agree_refuses_what_main_sections_refused(
 
 def _moved_past_n(d, m, n):
     # level n keeps its n**(d-1) cells, but one of them leaves the slices
-    return (_levels_cells(d, m, n) - {(n, *[n - 1] * (d - 1))}
-            | {(n, n + 5, *[n - 1] * (d - 2))})
+    return chain(_dropped_at_n(d, m, n), [(n, n + 5, *[n - 1] * (d - 2))])
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_a_cell_past_the_secondary_slices_fails_sections_agree(monkeypatch, d):
-    monkeypatch.setattr(pyramid, "_levels_cells", _moved_past_n)
+    monkeypatch.setattr(pyramid, "_level_stream", _moved_past_n)
     # at the cap the moved coordinate, n + 5, is past 255 for d = 2
     top = _LARGEST[d]
     for n, total in [*enumerate(RECORDED_TOTALS[d][:4], start=1),
@@ -456,20 +456,20 @@ def test_a_cell_past_the_secondary_slices_fails_sections_agree(monkeypatch, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_sections_agree_passes_over_the_cells_once_per_coordinate(monkeypatch, d):
-    # one walk writes every coordinate into the column, which each count
-    # then reads, n taken from the main counts
-    build = pyramid.build_pyramid
+    # one stream of the levels writes every coordinate into the column,
+    # which each count then reads, n taken from the main counts
     made = []
 
-    def counting(d, n):
-        cells = CountingCells(build(d, n).cells)
-        made.append(cells)
-        return pyramid._cell_set(d, cells)
+    def counting(d, m, n):
+        made.append(0)
+        for cell in _level_stream(d, m, n):
+            made[-1] += 1
+            yield cell
 
-    monkeypatch.setattr(pyramid, "build_pyramid", counting)
+    monkeypatch.setattr(pyramid, "_level_stream", counting)
     for n in range(1, 13):
         assert sections_agree(d, n).holds
-    assert [cells.iterations for cells in made] == [1] * 12
+    assert made == RECORDED_TOTALS[d]
 
 
 @pytest.mark.parametrize("cells", [[(1, 0), (1, 0)], {(1, 0)}, ((1, 0),), "ab"],
@@ -503,24 +503,23 @@ def test_the_column_holds_every_coordinate_up_to_the_cap(d, n):
     if n == _LARGEST[d]:
         assert pyramid._CELLS[d](n) <= MAX_PYRAMID_CELLS < pyramid._CELLS[d](n + 1)
     counts, report = _counted_report(d, n)
-    column = pyramid._column(build_pyramid(d, n).cells, n)
+    column = pyramid._column(d, n)
     assert [Counter(column[i::d]) for i in range(d)] == counts
     r = sections_agree(d, n)
     assert (r.holds, r.lhs, r.rhs) == report == (True, QuadExt(len(column) // d),
                                                  QuadExt(len(column) // d))
 
 
-def test_the_column_costs_about_one_byte_per_coordinate(monkeypatch):
-    # a zip(*cells) transpose of P_5(13) peaks at 14.4 bytes per coordinate
-    built = build_pyramid(5, 13)
-    monkeypatch.setattr(pyramid, "build_pyramid", lambda d, n: built)
+def test_the_column_costs_about_one_byte_per_coordinate():
+    # a zip(*cells) transpose of P_5(13) peaks at 14.4 bytes per coordinate;
+    # the stream keeps no cell, so the peak is the column's
     tracemalloc.start()
     try:
         assert sections_agree(5, 13).holds
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    coordinates = 5 * len(built)
+    coordinates = 5 * pyramid._CELLS[5](13)
     assert coordinates == 446_355
     # one byte each, plus the quarter bytes() may over-allocate as it grows
     assert peak <= 1.3 * coordinates, peak / coordinates

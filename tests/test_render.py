@@ -84,7 +84,7 @@ def test_section_figures_build_no_pyramid(monkeypatch):
     monkeypatch.setattr(pyramid, "build_pyramid", refuse)
     # every pyramid builder makes its cells here, so a builder imported by
     # name is refused too
-    monkeypatch.setattr(pyramid, "_levels_cells", refuse)
+    monkeypatch.setattr(pyramid, "_level_stream", refuse)
     for name in ("MAIN_SECTIONS", "SECONDARY_SECTIONS"):
         for fmt in ("svg", "tikz"):
             emit_figure(FigureSpec(name, 4, format=fmt))
