@@ -2,14 +2,11 @@
 
 The ground truth for every generator.  The verdict itself comes from
 ``kernel``, which sees only int lattice points; this module hands it one of
-three inputs, all judged alike, and turns its answer into a ``CheckReport``:
+two inputs, both judged alike, and turns its answer into a ``CheckReport``:
 
 * a ``LatticeCertificate``, the kernel's own data, as it is;
 * a ``WireCertificate`` (a document read by ``geometry.read_certificate``),
-  as the lattice data ``geometry._lattice`` makes of it, with no ``QuadExt``;
-* a ``DissectionCertificate``, walked as ``certificate_to_json`` gives it,
-  with no JSON text, then converted alike, so an object gets exactly the
-  verdict of its file.
+  as the lattice data ``geometry._lattice`` makes of it, with no ``QuadExt``.
 
 Only a reported cell is rebuilt as ``QuadExt``.  Malformed input produces
 a report-carrying failure, never an exception."""
@@ -22,8 +19,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .._nogc import nogc
 from ..exact import QuadExt, quad_to_text
-from .geometry import (DissectionCertificate, Rect, WireCertificate, _lattice,
-                       _walk, certificate_to_json)
+from .geometry import Rect, WireCertificate, _lattice
 from .kernel import (Failure, LatticeCertificate, LatticeRect, _check_layer_cover,
                      _scan, bounded)
 # unused here: perfbench's traced run rebinds these per-layer scans through
@@ -87,10 +83,11 @@ def _report(failure: Optional[Failure], layers: int, cells: int,
 
 
 @nogc
-def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
-                                  WireCertificate]) -> CheckReport:
-    """Verify a certificate; returns a report, never raises.  An object is
-    walked as its document, so its report is its file's.
+def check_certificate(cert: Union[LatticeCertificate, WireCertificate]
+                      ) -> CheckReport:
+    """Verify lattice data or a read document; returns a report, never
+    raises.  Anything else is ``malformed``: check an object as its
+    document, ``_walk(certificate_to_json(obj))`` (criterion 07), or its file.
 
     Checks, in order: structural well-formedness (the same checks on every
     input kind), source disjointness per source layer, and exact cover of
@@ -100,8 +97,7 @@ def check_certificate(cert: Union[LatticeCertificate, DissectionCertificate,
     """
     try:
         lattice = (cert if isinstance(cert, LatticeCertificate)
-                   else _lattice(cert if isinstance(cert, WireCertificate)
-                                 else _walk(certificate_to_json(cert))).cert)
+                   else _lattice(cert).cert)
         return _report(*_scan(lattice), lattice.denominator)
     except Exception as exc:  # malformed input must never crash the checker
         return CheckReport(False, CheckFailure(

@@ -27,8 +27,8 @@ from .dissect import (
     mutate_placement,
 )
 from .dissect.generators import certificate_builders
-from .dissect.geometry import (LabelledLattice, certificate_from_lattice,
-                               lattice_area as _area)
+from .dissect.geometry import (LabelledLattice, _walk, certificate_from_lattice,
+                               certificate_to_json, lattice_area as _area)
 from .exact import QuadExt, rat_to_text, strip_root
 from .figurate import (
     REGISTRY,
@@ -185,21 +185,21 @@ def _certificate_suite(max_n: Optional[int]) -> Optional[str]:
 
 
 def _mutations(max_n: Optional[int]) -> Optional[str]:
-    for mutant, description in mutants():
-        if check_certificate(mutant).ok:
+    for mutant, description in mutants():  # each judged as its document
+        if check_certificate(_walk(certificate_to_json(mutant))).ok:
             return f"mutant {description} passes"
     return None
 
 
 def _field_facts(max_n: Optional[int]) -> Optional[str]:
     x, third = strip_root(), QuadExt(Fraction(1, 3))
+    # x^2 + x is also the leftover: C (x by x) plus B (1 by x)
     if x * x + x != third or x.sign() != 1:
         return f"strip root {x} is not the positive root of x^2 + x = 1/3"
-    if x * 1 + x * x != third:  # B (1 by x) plus C (x by x)
-        return f"leftover {x * 1 + x * x}, not 1/3"
     for n in range(1, 101):  # (n - x)(n + 1 + x) = (3n^2 + 3n - 1)/3
-        if (QuadExt(n) - x) * (QuadExt(n + 1) + x) != n * n + n - third:
-            return f"scissor factor at n={n}"
+        report = evaluate_identity("SCISSOR_FACTOR", {"n": n})
+        if not report.holds:
+            return str(report)
     return None
 
 

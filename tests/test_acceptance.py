@@ -105,6 +105,28 @@ def test_each_criterion_can_fail(number, name, fault, monkeypatch):
     assert isinstance(failure, str) and "\n" not in failure
 
 
+def test_criterion_08_reports_the_scissor_factor_row(monkeypatch):
+    """Criterion 08 evaluates the registry's SCISSOR_FACTOR row rather than
+    restating it, so a wrong form there is reported as that row's report."""
+    _params, form = figurate.REGISTRY["SCISSOR_FACTOR"]
+
+    def wrong_at_7(n):
+        lhs, rhs = form(n)
+        return (lhs + 1 if n == 7 else lhs), rhs
+
+    monkeypatch.setitem(figurate.REGISTRY, "SCISSOR_FACTOR", (("n",), wrong_at_7))
+    row = figurate.evaluate_identity("SCISSOR_FACTOR", {"n": 7})
+    assert not row.holds
+    assert verify.CRITERIA[7].run(None) == str(row)
+
+
+def test_criterion_08_reports_a_root_of_the_wrong_sign(monkeypatch):
+    other = QuadExt(-1) - verify.strip_root()  # x^2 + x = 1/3 holds, x < 0
+    monkeypatch.setattr(verify, "strip_root", lambda: other)
+    assert verify.CRITERIA[7].run(None) == (
+        f"strip root {other} is not the positive root of x^2 + x = 1/3")
+
+
 @pytest.mark.parametrize("max_n, error", [(0, ValueError), (-3, ValueError),
                                           (True, TypeError), ("x", TypeError)],
                          ids=["0", "-3", "True", "x"])

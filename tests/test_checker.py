@@ -30,7 +30,8 @@ from powersums.dissect import (
     three_pyramids_2d,
 )
 from powersums.dissect import kernel
-from powersums.dissect.geometry import Rect, _lattice, _walk, certificate_to_json
+from powersums.dissect.geometry import (Rect, WireCertificate, _lattice, _walk,
+                                       certificate_to_json)
 from powersums.dissect.kernel import _sorted_points, lattice_sign as _sign
 from powersums.dissect.mutants import MUTATION_KINDS
 from powersums.exact import QuadExt, quad_to_text, strip_root
@@ -38,6 +39,11 @@ from powersums.exact import QuadExt, quad_to_text, strip_root
 
 def _rect(x, y, w, h) -> Rect:
     return Rect(*map(QuadExt.of, (x, y, w, h)))
+
+
+def _document(cert: DissectionCertificate) -> WireCertificate:
+    """An edited object as its document: the record criterion 07 checks."""
+    return _walk(certificate_to_json(cert))
 
 
 def _shift_placement(cert: DissectionCertificate, index: int,
@@ -50,13 +56,13 @@ def _shift_placement(cert: DissectionCertificate, index: int,
 
 
 def test_generated_gauss_passes():
-    report = check_certificate(gauss_rectangle(5))
+    report = check_certificate(gauss_rectangle.core(5).cert)
     assert report.ok and report.failure is None
 
 
 def test_translated_piece_breaks_cover():
     cert = _shift_placement(gauss_rectangle(5), 0, 1, 0)
-    report = check_certificate(cert)
+    report = check_certificate(_document(cert))
     assert not report.ok
     assert report.failure.kind in ("overlap", "uncovered", "outside")
     assert report.failure.cell is not None
@@ -69,7 +75,7 @@ def test_enlarged_target_reports_uncovered():
                                           region.rects[0].w + 1,
                                           region.rects[0].h),))
     bad = replace(cert, targets=((layer, widened),))
-    report = check_certificate(bad)
+    report = check_certificate(_document(bad))
     assert not report.ok and report.failure.kind == "uncovered"
 
 
@@ -77,7 +83,7 @@ def test_overlapping_targets_are_malformed():
     cert = gauss_rectangle(2)
     layer, region = cert.targets[0]
     bad = replace(cert, targets=((layer, region), (layer, region)))
-    report = check_certificate(bad)
+    report = check_certificate(_document(bad))
     assert not report.ok and report.failure.kind == "malformed"
 
 
@@ -87,16 +93,16 @@ def test_source_overlap_detected():
     dup = replace(p, piece_id="dup",
                   transform=replace(p.transform, dx=p.transform.dx + 100))
     bad = replace(cert, placements=cert.placements + (dup,))
-    report = check_certificate(bad)
+    report = check_certificate(_document(bad))
     assert not report.ok and report.failure.kind == "source-overlap"
 
 
 def test_leftover_pieces_must_match_declarations():
+    assert check_certificate(step3_scissor.core(1).cert).ok
     cert = step3_scissor(1)
-    assert check_certificate(cert).ok
     # drop one declared leftover: its piece is now outside every target
     bad = replace(cert, leftovers=cert.leftovers[1:])
-    report = check_certificate(bad)
+    report = check_certificate(_document(bad))
     assert not report.ok and report.failure.kind in ("outside", "uncovered")
 
 
@@ -112,14 +118,16 @@ def test_malformed_certificates_never_crash():
         replace(ok, placements=(replace(
             ok.placements[0], source=Region("empty", ())),) + ok.placements[1:]),
         replace(ok, targets=((LEFTOVER_LAYER, ok.targets[0][1]),)),
-        # built in process, so no JSON walk refused these first
-        replace(ok, n=True),
-        replace(ok, n=2.0),
-        replace(ok, placements=(replace(
-            ok.placements[0],
-            transform=RigidTransform(quarter_turns=True)),) + ok.placements[1:]),
     ]
-    for bad in cases:
+    data = gauss_rectangle.core(2).cert
+    piece_id, layer, rects, (_turns, *shift), dest = data.pieces[0]
+    built = [  # lattice data built in process, so no JSON walk refused these first
+        data._replace(n=True),
+        data._replace(n=2.0),
+        data._replace(pieces=[(piece_id, layer, rects, (True, *shift), dest),
+                              *data.pieces[1:]]),
+    ]
+    for bad in [*map(_document, cases), *built]:
         report = check_certificate(bad)
         assert not report.ok and report.failure.kind == "malformed"
 
@@ -131,14 +139,14 @@ def test_oversized_common_denominator_is_malformed():
     tiny = QuadExt(Fraction(1, 2**300))
     bad = replace(cert, targets=((layer, Region(region.label, (
         r._replace(x=r.x + tiny),))),))
-    report = check_certificate(bad)
+    report = check_certificate(_document(bad))
     assert not report.ok and report.failure.kind == "malformed"
     assert "common denominator" in report.failure.message
 
 
 def test_failure_reports_offending_cell_exactly():
     cert = _shift_placement(gauss_rectangle(1), 1, 0, 1)
-    report = check_certificate(cert)
+    report = check_certificate(_document(cert))
     assert not report.ok
     cell = report.failure.cell
     # the vacated or doubly-covered strip is one unit tall
@@ -167,7 +175,7 @@ def test_every_mutation_fails(make):
     rng = random.Random(21)
     for _ in range(40):
         mutant, description = mutate_placement(cert, rng)
-        assert not check_certificate(mutant).ok, description
+        assert not check_certificate(_document(mutant)).ok, description
 
 
 def test_all_mutation_kinds_fail_individually():
@@ -185,7 +193,7 @@ def test_all_mutation_kinds_fail_individually():
         placements = list(cert.placements)
         placements[5] = replace(base, transform=t)
         mutant = replace(cert, placements=tuple(placements))
-        assert not check_certificate(mutant).ok
+        assert not check_certificate(_document(mutant)).ok
 
 
 # -- the integer-lattice kernel ---------------------------------------------
@@ -254,7 +262,7 @@ def test_lattice_transform_matches_placed(reflect, quarter_turns, rects, dx,
     piece = Placement("p", "a", Region("piece", (r, *rects)), t, "b")
     cert = DissectionCertificate("GAUSS_RECT", 1, (piece,),
                                  (("b", piece.placed()),), ())
-    lattice = _lattice(_walk(certificate_to_json(cert))).cert
+    lattice = _lattice(_document(cert)).cert
     [(_id, _source_layer, source, transform, _layer)] = lattice.pieces
     assert kernel._place(source, transform) == lattice.targets[0][1]
 
@@ -339,7 +347,7 @@ def test_pinned_mutant_reports(maker, n, index, description, kind, layer,
     mutation = MUTATION_KINDS.index(description.split(" on ")[0])
     mutant, label = mutate_placement(_MAKERS[maker](n), _Fixed(index, mutation))
     assert label == description
-    report = check_certificate(mutant)
+    report = check_certificate(_document(mutant))
     failure = report.failure
     got_cell = tuple(quad_to_text(v) for v in (
         failure.cell.x1, failure.cell.y1, failure.cell.x2, failure.cell.y2))
@@ -364,5 +372,5 @@ def test_generated_certificates_need_denominator_six(construction):
     # only non-integers the generators emit
     for n in range(1, 5):
         for cert in _CERTIFICATES[construction](n):
-            d = _lattice(_walk(certificate_to_json(cert))).cert.denominator
+            d = _lattice(_document(cert)).cert.denominator
             assert 6 % d == 0

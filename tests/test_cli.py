@@ -394,6 +394,9 @@ def _sweep_work(monkeypatch, max_n):
         monkeypatch.setattr(verify, attr, stub(label, result))
     monkeypatch.setattr(verify, "check_certificate", check)
     monkeypatch.setattr(verify, "_certificates", certificates)
+    # a mutant is checked as its document: here, as itself
+    monkeypatch.setattr(verify, "certificate_to_json", lambda cert: cert)
+    monkeypatch.setattr(verify, "_walk", lambda data: data)
     for criterion in verify.CRITERIA:
         assert criterion.run(max_n) is None, criterion.check
     return calls, generated
@@ -424,6 +427,31 @@ def test_verify_all_reports_a_failing_criterion(monkeypatch, capsys):
     assert code == cli.EXIT_COVER
     assert ("FAIL certificate/mutations (mutant GAUSS_RECT n=2 unchanged "
             "passes)") in out
+
+
+def test_verify_all_refuses_max_n_0(capsys):
+    assert run(capsys, "verify-all", "--max-n", "0") == (
+        cli.EXIT_MALFORMED, "", "error: --max-n must be >= 1\n")
+
+
+@pytest.mark.parametrize("kind,exit_code", [("cover", cli.EXIT_COVER),
+                                            ("identity", cli.EXIT_IDENTITY)])
+def test_verify_all_reports_a_criterion_that_raises(monkeypatch, capsys, kind,
+                                                    exit_code):
+    """A crash is that criterion's failure: the later criteria still run,
+    and the exit code follows the crashed criterion's kind."""
+    def crash(max_n):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(verify, "CRITERIA", (
+        verify.Criterion(1, "planted/crash", "crashes", kind, crash),
+        verify.Criterion(2, "planted/pass", "passes", "cover", lambda max_n: None)))
+    code, out, _ = run(capsys, "verify-all", "--max-n", "1")
+    lines = out.splitlines()
+    assert code == exit_code
+    assert lines[0].startswith("FAIL planted/crash (RuntimeError: planted) (")
+    assert lines[1].startswith("PASS planted/pass (")
+    assert lines[2:] == ["1/2 checks passed"]
 
 
 def test_python_dash_m_help_exits_zero():

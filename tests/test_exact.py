@@ -64,6 +64,14 @@ def test_strip_root_companion_root():
     assert x + y == QuadExt(-1)
 
 
+def test_only_zero_is_false():
+    assert bool(QuadExt(0)) is False
+    assert bool(strip_root()) is True
+    # either part alone makes a value true
+    assert bool(QuadExt(3)) is True
+    assert bool(QuadExt(0, Fraction(1, 6))) is True
+
+
 def test_float_conversion_examples():
     assert quad_to_float(QuadExt(Fraction(1, 3))) == pytest.approx(1 / 3, abs=1e-12)
     assert quad_to_float(strip_root()) == pytest.approx(0.2637626158, abs=1e-9)

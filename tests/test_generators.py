@@ -11,7 +11,7 @@ import pytest
 
 from powersums import verify
 from powersums.dissect import generators
-from powersums.dissect.geometry import lattice_area
+from powersums.dissect.geometry import _walk, certificate_to_json, lattice_area
 from powersums.dissect import (
     CONSTRUCTIONS,
     LEFTOVER_LAYER,
@@ -67,13 +67,11 @@ def test_gauss_examples():
     _, target = cert.targets[0]
     assert (target.rects[0].w, target.rects[0].h) == (QuadExt(2), QuadExt(1))
 
-    cert = gauss_rectangle(4)
     assert _area(gauss_rectangle, 4, "target_area") == QuadExt(20)
-    assert check_certificate(cert).ok
+    assert check_certificate(gauss_rectangle.core(4).cert).ok
 
-    cert = gauss_rectangle(50)
     assert _area(gauss_rectangle, 50, "target_area") == QuadExt(2550)
-    assert check_certificate(cert).ok
+    assert check_certificate(gauss_rectangle.core(50).cert).ok
 
 
 def test_three_pyramids_examples():
@@ -88,11 +86,11 @@ def test_three_pyramids_examples():
     assert all(r.rects[0].w * r.rects[0].h == QuadExt(Fraction(45, 2))
                for _, r in cert.targets)
     assert _area(three_pyramids_2d, 4) == QuadExt(90)  # 3 * (1 + 4 + 9 + 16)
-    assert check_certificate(cert).ok
+    assert check_certificate(three_pyramids_2d.core(4).cert).ok
 
-    cert = three_pyramids_2d(7)  # odd: the middle layer swaps with itself
+    # odd: the middle layer swaps with itself
     assert _area(three_pyramids_2d, 7) == QuadExt(420)
-    assert check_certificate(cert).ok
+    assert check_certificate(three_pyramids_2d.core(7).cert).ok
 
 
 def test_three_pyramids_totals_match_oracle():
@@ -113,12 +111,12 @@ def test_nicomachus_examples():
                and region.rects[0].w * region.rects[0].h == QuadExt(9)
                for _, region in cert.targets)
     assert _area(nicomachus_4d_2d, 2) == QuadExt(36)
-    assert check_certificate(cert).ok
+    assert check_certificate(nicomachus_4d_2d.core(2).cert).ok
 
     cert = nicomachus_4d_2d(4)
     assert len(cert.targets) == 16
     assert _area(nicomachus_4d_2d, 4) == QuadExt(400)
-    assert check_certificate(cert).ok
+    assert check_certificate(nicomachus_4d_2d.core(4).cert).ok
 
 
 def test_nicomachus_totals_match_oracle():
@@ -142,11 +140,10 @@ def test_five_pyramids_examples():
     excess_area = sum((r.w * r.h for t, region in cert.targets if t == "excess"
                        for r in region.rects), QuadExt(0))
     assert excess_area == QuadExt(13)
-    assert check_certificate(cert).ok
+    assert check_certificate(five_pyramids_layers.core(2).cert).ok
 
-    cert = five_pyramids_layers(4)
     assert _area(five_pyramids_layers, 4) == QuadExt(1770)  # 5 * S_4(4)
-    assert check_certificate(cert).ok
+    assert check_certificate(five_pyramids_layers.core(4).cert).ok
 
 
 def test_five_pyramids_excess_is_corner_of_squares():
@@ -178,14 +175,14 @@ def test_step2_examples():
     assert len(per_layer) == 6
     assert all(r.w == QuadExt(3) and r.h == QuadExt(2) for r in per_layer)
     assert _area(step2_reshape, 2) == QuadExt(72)
-    assert check_certificate(cert).ok
+    assert check_certificate(step2_reshape.core(2).cert).ok
 
     cert = step2_reshape(3)
     per_layer = [r for t, region in cert.targets if t == "layer/2"
                  for r in region.rects]
     assert len(per_layer) == 12
     assert _area(step2_reshape, 3) == QuadExt(3 * 144)
-    assert check_certificate(cert).ok
+    assert check_certificate(step2_reshape.core(3).cert).ok
 
 
 def test_step3_examples():
@@ -201,7 +198,7 @@ def test_step3_examples():
     targets = [r for t, region in cert.targets if t == "layer/1"
                for r in region.rects]
     assert all(r.w * r.h == QuadExt(Fraction(17, 3)) for r in targets)
-    assert check_certificate(cert).ok
+    assert check_certificate(step3_scissor.core(2).cert).ok
 
 
 def test_step3_leftovers_are_one_third_per_rectangle():
@@ -236,13 +233,12 @@ def test_step3_target_sides_multiply_to_scissor_factor():
 
 
 def test_step4_certificates_and_counts():
-    res = step4_top_layer(3)
     # layered: sum (2k-1)k^2
     assert _area(generators.step4_bijection, 3) == QuadExt(58)
     assert _area(generators.step4_bijection_full, 3) == QuadExt(45)  # 9 * 5
     assert _area(generators.step4_overlap, 3) == QuadExt(144)  # 3^2 * 4^2
-    for cert in res.certificates():
-        assert check_certificate(cert).ok
+    for build in generators.certificate_builders("STEP4_TOP").values():
+        assert check_certificate(build.core(3).cert).ok
     assert evaluate_identity("R_BALANCE", {"n": 3}).holds
     assert evaluate_identity("TOP_LAYER_DOUBLE", {"n": 3}).holds
 
@@ -264,10 +260,10 @@ def test_step4_bijection_is_cell_level():
 
 
 def test_step4_bijection_exhaustive_at_upper_bound():
-    res = step4_top_layer(12)
-    assert len(res.bijection.placements) == odd_weighted_squares(12)
-    assert check_certificate(res.bijection).ok
-    assert check_certificate(res.bijection_full_scale).ok
+    bijection = generators.step4_bijection.core(12).cert
+    assert len(bijection.pieces) == odd_weighted_squares(12)
+    assert check_certificate(bijection).ok
+    assert check_certificate(generators.step4_bijection_full.core(12).cert).ok
 
 
 def test_full_theorem_report_examples():
@@ -400,7 +396,8 @@ def test_a_moved_bijection_breaks_its_pipeline_link(monkeypatch, move, stage,
     honest = generators._step4_bijection
     moved = move(honest(3))
     assert check_certificate(moved.cert).ok  # it passes on its own
-    assert check_certificate(generators.certificate_from_lattice(moved)).ok
+    assert check_certificate(_walk(certificate_to_json(
+        generators.certificate_from_lattice(moved)))).ok  # and as its document
     monkeypatch.setattr(generators, "_step4_bijection",
                         lambda n: move(honest(n)))
     with pytest.raises(StageCheckError) as info:

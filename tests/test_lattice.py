@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from powersums import exact, verify
 from powersums.dissect import (
     CONSTRUCTIONS,
+    CertificateFormatError,
     check_certificate,
     dumps_certificate,
     excess_corner_layout,
@@ -95,7 +96,8 @@ def test_the_view_reads_back_as_its_lattice(label, core, n):
 def test_every_input_kind_gets_one_report(label, core, n):
     data = core(n)
     view = certificate_from_lattice(data)
-    reports = {str(check_certificate(data.cert)), str(check_certificate(view)),
+    reports = {str(check_certificate(data.cert)),
+               str(check_certificate(_walk(certificate_to_json(view)))),
                str(check_certificate(read_certificate(dumps_certificate(view))))}
     assert len(reports) == 1 and reports.pop().startswith("PASS")
 
@@ -119,11 +121,13 @@ def test_the_reader_and_the_writer_are_inverses_on_criterion_07_mutants():
 
 
 def test_criterion_07_mutant_reports_are_unchanged():
-    """One digest over the 700 mutants' reports, as the object pipeline
-    gave them before the builders moved to lattice data."""
+    """One digest over the 700 mutants' reports, each mutant checked as its
+    document, as the object pipeline gave them before the builders moved to
+    lattice data."""
     digest = hashlib.sha256()
     for mutant, description in verify.mutants():
-        digest.update(f"{description}: {check_certificate(mutant)}\n".encode())
+        report = check_certificate(_walk(certificate_to_json(mutant)))
+        digest.update(f"{description}: {report}\n".encode())
     assert digest.hexdigest() == (
         "7cae379646dd9badeb79662cba62b667e4a9b9ecaea28871f1c9e77b886bf564")
 
@@ -249,9 +253,18 @@ def test_a_field_of_the_wrong_type_is_malformed(edit, message):
      "bad certificate structure: rectangle sides must be positive: w=0 h=2"),
 ])
 def test_an_object_is_judged_as_its_document(edit, message):
-    """An edited object gets the strict walk's refusal, as its file would."""
-    report = check_certificate(edit(gauss_rectangle(2)))
-    assert str(report) == f"FAIL malformed: CertificateFormatError: {message}"
+    """An edited object's document gets the strict walk's refusal, as its
+    file would."""
+    with pytest.raises(CertificateFormatError) as info:
+        _walk(certificate_to_json(edit(gauss_rectangle(2))))
+    assert str(info.value) == message
+
+
+def test_an_object_is_malformed_input():
+    """The checker takes lattice data and read documents only: an object,
+    unedited, is refused with a report, never an exception."""
+    report = check_certificate(gauss_rectangle(2))
+    assert not report.ok and report.failure.kind == "malformed"
 
 
 def test_every_target_and_leftover_rect_has_positive_sides():
