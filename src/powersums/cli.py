@@ -22,11 +22,7 @@ from typing import Callable, Sequence
 from . import dissect, figurate, pyramid, render, verify
 from ._nogc import nogc
 # _GENERATORS is bound here too, as the same dict: perfbench reads it from cli
-from .dissect.generators import (  # noqa: F401
-    _GENERATORS,
-    _STEP4_VARIANTS,
-    certificate_builders,
-)
+from .dissect.generators import _GENERATORS, certificate_builders  # noqa: F401
 from .dissect.geometry import dumps_lattice, lattice_area
 from .dissect.kernel import bounded
 from .exact import quad_to_text, rat_to_text
@@ -186,7 +182,7 @@ def _build_parser() -> _Parser:
     p.add_argument("construction", choices=tuple(dissect.CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--variant", choices=tuple(_STEP4_VARIANTS),
+    p.add_argument("--variant", choices=tuple(certificate_builders("STEP4_TOP")),
                    help="which STEP4_TOP certificate to write "
                         "(default overlap)")
 

@@ -96,6 +96,9 @@ def check_certificate(cert: Union[LatticeCertificate, WireCertificate]
     and cells scanned up to and including it.
     """
     try:
+        if not isinstance(cert, (LatticeCertificate, WireCertificate)):
+            raise TypeError("check_certificate takes a LatticeCertificate or a "
+                            f"WireCertificate, got {type(cert).__name__}")
         lattice = (cert if isinstance(cert, LatticeCertificate)
                    else _lattice(cert).cert)
         return _report(*_scan(lattice), lattice.denominator)

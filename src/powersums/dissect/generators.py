@@ -599,7 +599,7 @@ def full_theorem_report(n: int) -> IdentityReport:
 
 # -- by name ------------------------------------------------------------------
 
-#: construction name -> its generator; STEP4_TOP's are ``_STEP4_VARIANTS``
+#: construction name -> its generator (STEP4_TOP's: ``certificate_builders``)
 _GENERATORS: dict[str, Callable[[int], DissectionCertificate]] = {
     "GAUSS_RECT": gauss_rectangle,
     "THREE_PYR_2D": three_pyramids_2d,
@@ -609,12 +609,6 @@ _GENERATORS: dict[str, Callable[[int], DissectionCertificate]] = {
     "STEP3_SCISSOR": step3_scissor,
 }
 
-#: STEP4_TOP's variants, the default first -> the builder of that one
-#: certificate
-_STEP4_VARIANTS: dict[str, Callable[[int], DissectionCertificate]] = {
-    "overlap": step4_overlap, "bijection": step4_bijection,
-    "bijection-full": step4_bijection_full}
-
 
 def certificate_builders(
         name: str) -> dict[str | None, Callable[[int], DissectionCertificate]]:
@@ -622,5 +616,6 @@ def certificate_builders(
     construction with one certificate has the one variant ``None``.  Each
     builder raises UnsupportedN beyond the construction's cap."""
     if name == "STEP4_TOP":
-        return dict(_STEP4_VARIANTS)
+        return {"overlap": step4_overlap, "bijection": step4_bijection,
+                "bijection-full": step4_bijection_full}
     return {None: _GENERATORS[name]}

@@ -177,10 +177,10 @@ Triple = tuple[int, int, int]
 
 class WireCertificate(NamedTuple):
     """A certificate document that passed the strict walk, flat and in
-    document order: the layout of each placement, target and leftover (a
-    target's label is not kept), the x, y, w, h texts of every rect in
-    ``keys``, and the (A, B, D) triple of each distinct text, parsed once.
-    ``_lattice`` turns it into lattice data."""
+    document order: the layout of each placement, target and leftover (no
+    target label: the walk allows only "target"), the x, y, w, h texts of
+    every rect in ``keys``, and the (A, B, D) triple of each distinct text,
+    parsed once.  ``_lattice`` turns it into lattice data."""
 
     construction: str
     n: int
@@ -259,9 +259,10 @@ def _walk(data: Any) -> WireCertificate:
     Fields are read in document order (construction, n, each placement,
     each target, each leftover) and the first defect is raised as a
     ``CertificateFormatError``; an object's key beyond its own is refused
-    once the object is read.  Each distinct coordinate text is parsed once;
-    a text is looked up only once it is known to be a str, so a value of
-    another JSON type gets the parser's own message.
+    once the object is read, and a target region labelled anything but
+    "target" once its rects are read.  Each distinct coordinate text is
+    parsed once; a text is looked up only once it is known to be a str, so
+    a value of another JSON type gets the parser's own message.
     """
     values: dict[str, Triple] = {}
     keys: list[str] = []
@@ -316,7 +317,12 @@ def _walk(data: Any) -> WireCertificate:
         targets = []
         for t in _typed(data["targets"], list, "targets"):
             layer = _typed(t["layer"], str, "layer")
-            targets.append((layer, region(t["region"])[1]))
+            label, count = region(t["region"])
+            if label != "target":
+                raise CertificateFormatError(
+                    "a target region must be labelled 'target', got "
+                    f"{bounded(repr(label))}")
+            targets.append((layer, count))
             _only(t, ("layer", "region"), "a target")
         leftovers = [region(r)
                      for r in _typed(data["leftovers"], list, "leftovers")]
@@ -388,12 +394,7 @@ def dumps_certificate(cert: DissectionCertificate) -> str:
     walk of ``certificate_to_json(cert)``: an object is written only if its
     document would be read, and a malformed one gets the reader's
     ``CertificateFormatError`` (or ``ValueError`` past
-    ``MAX_DENOMINATOR_BITS``).  The walk keeps no target label, so a target
-    region labelled anything but "target" is a ``ValueError``."""
-    for _layer, region in cert.targets:
-        if region.label != "target":
-            raise ValueError("a target region must be labelled 'target', got "
-                             f"{bounded(repr(region.label))}")
+    ``MAX_DENOMINATOR_BITS``)."""
     return dumps_lattice(_lattice(_walk(certificate_to_json(cert))))
 
 

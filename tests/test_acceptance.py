@@ -9,6 +9,7 @@ in this file are wall-clock limits.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -105,6 +106,20 @@ def test_each_criterion_can_fail(number, name, fault, monkeypatch):
     assert isinstance(failure, str) and "\n" not in failure
 
 
+def test_criterion_05_reports_a_secondary_section(monkeypatch):
+    """A secondary section that loses a cell is reported with its pyramid
+    and axis.  Only a section of two or more cells loses one here, so
+    P_3(1), whose sections are single cells, passes and P_3(2) fails."""
+    def drop_a_cell(p, axis):
+        first, *rest = pyramid.secondary_sections(p, axis)
+        if len(first) > 1:
+            first = pyramid.CellSet(first.dimension, first.cells - {min(first.cells)})
+        return [first, *rest]
+
+    monkeypatch.setattr(verify, "secondary_sections", drop_a_cell)
+    assert verify.CRITERIA[4].run(2) == "P_3(2): secondary sections along axis 2"
+
+
 def test_criterion_08_reports_the_scissor_factor_row(monkeypatch):
     """Criterion 08 evaluates the registry's SCISSOR_FACTOR row rather than
     restating it, so a wrong form there is reported as that row's report."""
@@ -125,6 +140,21 @@ def test_criterion_08_reports_a_root_of_the_wrong_sign(monkeypatch):
     monkeypatch.setattr(verify, "strip_root", lambda: other)
     assert verify.CRITERIA[7].run(None) == (
         f"strip root {other} is not the positive root of x^2 + x = 1/3")
+
+
+def test_criterion_09_reports_a_sampled_final_assembly_row(monkeypatch):
+    """The sampled FINAL_ASSEMBLY rows go through ``verify``'s own
+    ``evaluate_identity``, so a wrong row is reported as that row's report.
+    The pipeline calls the ``generators`` binding, so it still passes."""
+    evaluate = verify.evaluate_identity
+
+    def wrong_at_20(name, params):
+        report = evaluate(name, params)
+        return replace(report, holds=False) if params["n"] == 20 else report
+
+    monkeypatch.setattr(verify, "evaluate_identity", wrong_at_20)
+    row = replace(evaluate("FINAL_ASSEMBLY", {"n": 20}), holds=False)
+    assert verify.CRITERIA[8].run(1) == str(row)
 
 
 @pytest.mark.parametrize("max_n, error", [(0, ValueError), (-3, ValueError),

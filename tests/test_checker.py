@@ -260,8 +260,8 @@ def test_lattice_transform_matches_placed(reflect, quarter_turns, rects, dx,
     r = Rect(x + Fraction(1, 3), QuadExt(-2) - x, QuadExt(3) + x, x)
     t = RigidTransform(quarter_turns, reflect, dx, dy)
     piece = Placement("p", "a", Region("piece", (r, *rects)), t, "b")
-    cert = DissectionCertificate("GAUSS_RECT", 1, (piece,),
-                                 (("b", piece.placed()),), ())
+    target = Region("target", piece.placed().rects)
+    cert = DissectionCertificate("GAUSS_RECT", 1, (piece,), (("b", target),), ())
     lattice = _lattice(_document(cert)).cert
     [(_id, _source_layer, source, transform, _layer)] = lattice.pieces
     assert kernel._place(source, transform) == lattice.targets[0][1]

@@ -72,6 +72,13 @@ def test_only_zero_is_false():
     assert bool(QuadExt(0, Fraction(1, 6))) is True
 
 
+@pytest.mark.parametrize("other", ["1", None], ids=["str", "None"])
+def test_a_value_of_another_type_is_not_equal(other):
+    # no text or None is coerced: Python's fallback compares identities
+    assert QuadExt(1).__eq__(other) is NotImplemented
+    assert (QuadExt(1) == other) is False
+
+
 def test_float_conversion_examples():
     assert quad_to_float(QuadExt(Fraction(1, 3))) == pytest.approx(1 / 3, abs=1e-12)
     assert quad_to_float(strip_root()) == pytest.approx(0.2637626158, abs=1e-9)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powersums import cli
 from powersums.dissect import (
     RigidTransform,
     check_certificate,
@@ -18,6 +20,7 @@ from powersums.dissect import (
     five_pyramids_layers,
     gauss_rectangle,
     loads_certificate,
+    read_certificate,
     step3_scissor,
 )
 from powersums.dissect.geometry import (CertificateFormatError, Rect, _walk,
@@ -116,13 +119,33 @@ def _edited_first(cert, edit):
      CertificateFormatError, "reflect must be a JSON bool, got 'false'"),
     (lambda cert: replace(cert, targets=tuple(
         (layer, replace(region, label="frame")) for layer, region in cert.targets)),
-     ValueError, "a target region must be labelled 'target', got 'frame'"),
+     CertificateFormatError,
+     "a target region must be labelled 'target', got 'frame'"),
 ], ids=["zero-width rect", "reflect string", "target labelled frame"])
 def test_dumps_refuses_an_object_whose_document_would_not_be_read(edit, error, message):
-    # the writer goes through the reader's walk, which keeps no target
-    # label, so these objects would be written wrong or not read back
+    # the writer goes through the reader's walk, so these objects, which
+    # would not be read back, are not written
     cert = edit(gauss_rectangle(2))
     with pytest.raises(error) as exc:
         dumps_certificate(cert)
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def test_a_target_not_labelled_target_is_refused_by_every_reader(tmp_path, capsys):
+    """The reader owns the target label: a document whose first target is
+    labelled "frame" is not read, by any route, and ``check`` exits 3."""
+    cert = gauss_rectangle(2)
+    (layer, region), *rest = cert.targets
+    cert = replace(cert, targets=((layer, replace(region, label="frame")), *rest))
+    text = json.dumps(certificate_to_json(cert), indent=1)
+    message = "a target region must be labelled 'target', got 'frame'"
+    for read in (read_certificate, loads_certificate,
+                 lambda _text: _walk(certificate_to_json(cert))):
+        with pytest.raises(CertificateFormatError) as exc:
+            read(text)
+        assert str(exc.value) == message
+    path = tmp_path / "frame.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["check", str(path)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -229,10 +229,8 @@ def test_an_object_gets_the_verdict_of_its_file(tmp_path, capsys, path, value):
         record = None  # the value has no document
     try:
         text = dumps_certificate(cert)
-    except (AttributeError, TypeError, ValueError) as exc:
-        # no file: no record either, or only the writer's own label rule
-        assert (record is None
-                or str(exc).startswith("a target region must be labelled"))
+    except (AttributeError, TypeError, ValueError):
+        assert record is None  # no file: no record either
         return
     assert record is not None
     file = tmp_path / "cert.json"
@@ -556,7 +554,7 @@ def _diagonal(k: int) -> str:
                                       "dx": "0", "dy": "0"},
                         "destination_layer": "t"} for i in range(k)],
         "targets": [{"layer": "t",
-                     "region": {"label": "square", "rects": [square(i)]}}
+                     "region": {"label": "target", "rects": [square(i)]}}
                     for i in range(k)],
         "leftovers": []})
 

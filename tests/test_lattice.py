@@ -264,7 +264,9 @@ def test_an_object_is_malformed_input():
     """The checker takes lattice data and read documents only: an object,
     unedited, is refused with a report, never an exception."""
     report = check_certificate(gauss_rectangle(2))
-    assert not report.ok and report.failure.kind == "malformed"
+    assert str(report) == (
+        "FAIL malformed: TypeError: check_certificate takes a LatticeCertificate "
+        "or a WireCertificate, got DissectionCertificate")
 
 
 def test_every_target_and_leftover_rect_has_positive_sides():
