@@ -18,8 +18,10 @@ the reports' layers and grid cells); ``write``, ``dumps_lattice`` of each
 variant's data, with the bytes; ``sections``, ``sections_agree(d, 12)``
 for d = 3, 4, 5, with |P_d(12)|, and as their control ``criterion_05``
 (``verify.CRITERIA[4].run(8)``), which cuts P_d(n) for n up to 8 into
-cell sets; and ``compile``, ``compile()`` of each module's source, which an
-import from source pays before it runs a line, with its non-blank lines.
+cell sets; ``criterion_07`` (``verify.CRITERIA[6].run(8)``, which no bound
+cuts), criterion 07's 700 mutants checked; and ``compile``, ``compile()``
+of each module's source, which an import from source pays before it runs
+a line, with its non-blank lines.
 Each ``theorem``, ``check`` and ``sections`` row also gives, as
 ``peak_kib``, the ``tracemalloc`` peak in KiB of one more, untimed call
 in the first round.
@@ -63,9 +65,11 @@ ROOT = Path(__file__).resolve().parents[1]
 SAMPLES, BATCH = 11, 2
 #: the pyramids of the sections row: P_d(SECTIONS_N) for d in SECTIONS_D
 SECTIONS_D, SECTIONS_N = (3, 4, 5), 12
-#: criterion 05's ``max_n`` as that row's control: about 0.08 s a call on a
-#: 2-core x86, where at 12 it took over a second, 50 times the three
-#: sections tasks
+#: the criteria timed as rows of their own, ``criterion_05`` and so on
+CRITERIA_TIMED = (5, 7)
+#: the ``max_n`` of each: criterion 05 at 8, the sections row's control, is
+#: about 0.08 s a call on a 2-core x86, where at 12 it took over a second,
+#: 50 times the three sections tasks; criterion 07 has no range of n to cut
 CRITERION_N = 8
 
 
@@ -93,7 +97,8 @@ def _child(src: str, conn: Any) -> None:
     """Import the package from ``src``, send its construction caps and each
     construction's variants, then time one call of each task received
     until None: ("theorem", n), ("build", name), ("check", name), ("write",
-    (name, variant)), ("sections", d), ("criterion", 5) and ("compile",
+    (name, variant)), ("sections", d), ("criterion", k) for k in
+    ``CRITERIA_TIMED`` and ("compile",
     module), a path under ``src``.  Answer each with (seconds, work), where
     work is None for a theorem, build, criterion or compile.  ("peak",
     task) makes one call of ``task`` under ``tracemalloc`` instead, and its
@@ -233,7 +238,7 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                 "write": [("write", (name, variant))
                           for name, names in variants[0].items() for variant in names],
                 "sections": [("sections", d) for d in SECTIONS_D],
-                "criterion_05": [("criterion", 5)],
+                **{f"criterion_{k:02d}": [("criterion", k)] for k in CRITERIA_TIMED},
                 "compile": [("compile", module)
                             for module in sorted(set().union(*modules.values()))]}
             for task in (task for tasks in groups.values() for task in tasks):
@@ -275,8 +280,9 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
             "sections": {str(task[1]): _timed(times[task], label, first,
                                               n=SECTIONS_N, **work[label, task])
                          for task in groups["sections"]},
-            "criterion_05": _timed(times["criterion", 5], label, first,
-                                   max_n=CRITERION_N),
+            **{f"criterion_{k:02d}": _timed(times["criterion", k], label, first,
+                                            max_n=CRITERION_N)
+               for k in CRITERIA_TIMED},
             "compile": {module: _timed(
                             times["compile", module], label, first,
                             lines=sum(1 for line in (sources[label] / module).read_text()

@@ -96,7 +96,9 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     cert = dissect.read_certificate(args.path.read_text(encoding="utf-8"))
     report = dissect.check_certificate(cert)
-    print(f"{bounded(cert.construction)} n={bounded(str(cert.n))}: {report}")
+    name = cert.construction  # quoted unless printable: no line of its own
+    name = name if name.isprintable() else repr(name)
+    print(f"{bounded(name)} n={bounded(str(cert.n))}: {report}")
     if report.ok:
         return EXIT_OK
     if report.failure is not None and report.failure.kind == "malformed":
@@ -182,9 +184,10 @@ def _build_parser() -> _Parser:
     p.add_argument("construction", choices=tuple(dissect.CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--variant", choices=tuple(certificate_builders("STEP4_TOP")),
+    variants = tuple(certificate_builders("STEP4_TOP"))
+    p.add_argument("--variant", choices=variants,
                    help="which STEP4_TOP certificate to write "
-                        "(default overlap)")
+                        f"(default {variants[0]})")
 
     p = command("check", _cmd_check, "verify a certificate file")
     p.add_argument("path", type=Path)

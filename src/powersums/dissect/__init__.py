@@ -5,7 +5,9 @@
 that ``check_certificate`` takes; ``loads_certificate`` and
 ``certificate_from_json`` return the object view of the same record's
 lattice data, and ``dumps_certificate`` writes an object back through
-the same walk and the one writer, ``geometry.dumps_lattice``."""
+the same walk and the one writer, ``geometry.dumps_lattice``.
+``mutate_placement`` corrupts an object with ``mutants.MUTATIONS``, the
+table that criterion 07 applies to lattice data (``mutants.mutate_piece``)."""
 
 from .checker import (
     CellInterval,

@@ -87,7 +87,7 @@ def check_certificate(cert: Union[LatticeCertificate, WireCertificate]
                       ) -> CheckReport:
     """Verify lattice data or a read document; returns a report, never
     raises.  Anything else is ``malformed``: check an object as its
-    document, ``_walk(certificate_to_json(obj))`` (criterion 07), or its file.
+    document, ``_walk(certificate_to_json(obj))``, or its file.
 
     Checks, in order: structural well-formedness (the same checks on every
     input kind), source disjointness per source layer, and exact cover of

@@ -20,15 +20,13 @@ from typing import Callable, Iterator, NamedTuple, Optional
 
 from .dissect import (
     CONSTRUCTIONS,
-    DissectionCertificate,
     StageCheckError,
     check_certificate,
     full_theorem_report,
-    mutate_placement,
 )
 from .dissect.generators import certificate_builders
-from .dissect.geometry import (LabelledLattice, _walk, certificate_from_lattice,
-                               certificate_to_json, lattice_area as _area)
+from .dissect.geometry import LabelledLattice, lattice_area as _area
+from .dissect.mutants import mutate_piece
 from .exact import QuadExt, rat_to_text, strip_root
 from .figurate import (
     REGISTRY,
@@ -93,14 +91,15 @@ def _certificates(name: str, n: int) -> Iterator[tuple[str, LabelledLattice]]:
         yield f"{name} n={n}" + (f" {variant}" if variant else ""), build.core(n)
 
 
-def mutants() -> Iterator[tuple[DissectionCertificate, str]]:
+def mutants() -> Iterator[tuple[LabelledLattice, str]]:
     """Criterion 07's mutants with their descriptions: 100 per construction,
-    at n = 2, in table order, from one seeded generator."""
+    at n = 2, in table order, from one seeded generator, each the default
+    certificate's lattice data with one piece moved by ``mutate_piece``."""
     rng = random.Random(21)
     for name in CONSTRUCTIONS:
-        cert = certificate_from_lattice(next(_certificates(name, 2))[1])
+        data = next(_certificates(name, 2))[1]
         for _ in range(100):
-            mutant, description = mutate_placement(cert, rng)
+            mutant, description = mutate_piece(data, rng)
             yield mutant, f"{name} n=2 {description}"
 
 
@@ -185,8 +184,8 @@ def _certificate_suite(max_n: Optional[int]) -> Optional[str]:
 
 
 def _mutations(max_n: Optional[int]) -> Optional[str]:
-    for mutant, description in mutants():  # each judged as its document
-        if check_certificate(_walk(certificate_to_json(mutant))).ok:
+    for mutant, description in mutants():
+        if check_certificate(mutant.cert).ok:
             return f"mutant {description} passes"
     return None
 

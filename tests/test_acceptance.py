@@ -91,7 +91,7 @@ FAULTS = [
     (5, "main_sections", _drop_a_cell),
     (6, "check_certificate", _fails(SimpleNamespace(ok=False))),
     (6, "AREAS", {**verify.AREAS, "GAUSS_RECT": ("target_area", lambda n: n * n)}),
-    (7, "mutate_placement", lambda cert, rng: (cert, "no change")),
+    (7, "mutate_piece", lambda data, rng: (data, "no change")),
     (8, "strip_root", lambda: QuadExt(Fraction(1, 3))),
     (9, "full_theorem_report", _fails(SimpleNamespace(holds=False, lhs=0))),
     (10, "emit_figure", lambda spec: render.emit_figure(spec) + " "),

@@ -28,6 +28,7 @@ def _bench():
 def test_the_child_answers_each_kind_of_task_with_its_seconds_and_work():
     # criterion 05 is left out: one call takes over a second
     tasks = {("theorem", 1): None, ("build", "GAUSS_RECT"): None,
+             ("criterion", 7): None,
              ("check", "GAUSS_RECT"): {"pieces", "rects", "distinct_coords",
                                        "layers", "cells"},
              ("write", ("GAUSS_RECT", None)): {"bytes"},

@@ -20,6 +20,7 @@ from powersums.dissect import (
     RigidTransform,
     check_certificate,
     covers_exactly,
+    dumps_certificate,
     five_pyramids_layers,
     gauss_rectangle,
     mutate_placement,
@@ -29,11 +30,11 @@ from powersums.dissect import (
     step4_top_layer,
     three_pyramids_2d,
 )
-from powersums.dissect import kernel
+from powersums.dissect import generators, kernel
 from powersums.dissect.geometry import (Rect, WireCertificate, _lattice, _walk,
-                                       certificate_to_json)
+                                       certificate_to_json, dumps_lattice)
 from powersums.dissect.kernel import _sorted_points, lattice_sign as _sign
-from powersums.dissect.mutants import MUTATION_KINDS
+from powersums.dissect.mutants import MUTATION_KINDS, mutate_piece
 from powersums.exact import QuadExt, quad_to_text, strip_root
 
 
@@ -42,7 +43,7 @@ def _rect(x, y, w, h) -> Rect:
 
 
 def _document(cert: DissectionCertificate) -> WireCertificate:
-    """An edited object as its document: the record criterion 07 checks."""
+    """An edited object as its document: the record its file is read into."""
     return _walk(certificate_to_json(cert))
 
 
@@ -284,7 +285,7 @@ _MAKERS = {
     "five_pyramids_layers": five_pyramids_layers,
     "step2_reshape": step2_reshape,
     "step3_scissor": step3_scissor,
-    "step4_overlap": lambda n: step4_top_layer(n).overlap,
+    "step4_overlap": generators.step4_overlap,
 }
 
 # Reports recorded from the checker that ordered QuadExt coordinates
@@ -344,15 +345,33 @@ PINNED_MUTANTS = [
     ids=[row[3] for row in PINNED_MUTANTS])
 def test_pinned_mutant_reports(maker, n, index, description, kind, layer,
                                cell, layers, cells):
+    """Each row through both appliers of the one table of edits: the
+    object's, checked as its document, and the lattice data's."""
     mutation = MUTATION_KINDS.index(description.split(" on ")[0])
-    mutant, label = mutate_placement(_MAKERS[maker](n), _Fixed(index, mutation))
-    assert label == description
-    report = check_certificate(_document(mutant))
-    failure = report.failure
-    got_cell = tuple(quad_to_text(v) for v in (
-        failure.cell.x1, failure.cell.y1, failure.cell.x2, failure.cell.y2))
-    assert (failure.kind, failure.layer, got_cell, report.layers_checked,
-            report.cells_checked) == (kind, layer, cell, layers, cells)
+    build = _MAKERS[maker]
+    mutant, label = mutate_placement(build(n), _Fixed(index, mutation))
+    data, data_label = mutate_piece(build.core(n), _Fixed(index, mutation))
+    assert label == data_label == description
+    for report in (check_certificate(_document(mutant)), check_certificate(data.cert)):
+        failure = report.failure
+        got_cell = tuple(quad_to_text(v) for v in (
+            failure.cell.x1, failure.cell.y1, failure.cell.x2, failure.cell.y2))
+        assert (failure.kind, failure.layer, got_cell, report.layers_checked,
+                report.cells_checked) == (kind, layer, cell, layers, cells)
+
+
+@pytest.mark.parametrize("maker", _MAKERS)
+def test_both_appliers_write_the_same_mutant(maker):
+    """Each kind of edit, on the first and the last piece, gives the same
+    document from the object and from its lattice data."""
+    build = _MAKERS[maker]
+    cert, data = build(2), build.core(2)
+    for index in (0, len(cert.placements) - 1):
+        for mutation in range(len(MUTATION_KINDS)):
+            mutant, label = mutate_placement(cert, _Fixed(index, mutation))
+            lattice, data_label = mutate_piece(data, _Fixed(index, mutation))
+            assert label == data_label
+            assert dumps_certificate(mutant) == dumps_lattice(lattice), label
 
 
 _CERTIFICATES = {

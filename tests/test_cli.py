@@ -181,6 +181,30 @@ def test_step4_variants(tmp_path, capsys):
         assert loads_certificate(path.read_text()).construction == "STEP4_TOP"
 
 
+def test_the_variant_help_names_the_default_it_writes(monkeypatch, tmp_path, capsys):
+    """The help's default is the first key of ``certificate_builders``, and
+    so is the variant written without ``--variant``, in either order."""
+    table = cli.certificate_builders("STEP4_TOP")
+    default, named = tmp_path / "default.json", tmp_path / "named.json"
+    try:
+        for order in (list(table), list(table)[::-1]):
+            with monkeypatch.context() as m:
+                m.setattr(cli, "certificate_builders",
+                          lambda name: {variant: table[variant] for variant in order})
+                cli._build_parser.cache_clear()
+                with pytest.raises(SystemExit) as done:
+                    main(["certificate", "--help"])
+                assert done.value.code == 0
+                help_text = " ".join(capsys.readouterr().out.split())
+                assert f"(default {order[0]})" in help_text
+                for path, flags in ((default, ()), (named, ("--variant", order[0]))):
+                    assert run(capsys, "certificate", "STEP4_TOP", "--n", "2",
+                               "--out", str(path), *flags)[0] == 0
+            assert default.read_bytes() == named.read_bytes()
+    finally:
+        cli._build_parser.cache_clear()
+
+
 #: STEP4_TOP's variants -> the generators function that builds it
 _STEP4_BUILDERS = {"overlap": "step4_overlap", "bijection": "step4_bijection",
                    "bijection-full": "step4_bijection_full"}
@@ -367,7 +391,7 @@ def _sweep_work(monkeypatch, max_n):
     in order."""
     calls: Counter = Counter()
     generated = []
-    mutant = object()
+    mutant = SimpleNamespace(cert=object())
 
     def stub(label, result):
         def counted(*args):
@@ -381,22 +405,18 @@ def _sweep_work(monkeypatch, max_n):
 
     def check(cert):
         calls["check"] += 1
-        return SimpleNamespace(ok=cert is not mutant)
+        return SimpleNamespace(ok=cert is not mutant.cert)
 
     for attr, label, result in (
             ("evaluate_identity", "identity", SimpleNamespace(holds=True)),
             ("_section_failure", "sections", None),
             ("full_theorem_report", "pipeline",
              SimpleNamespace(holds=True, lhs=ANY)),
-            ("mutate_placement", "mutate", (mutant, "")),
-            ("certificate_from_lattice", "view", None),
+            ("mutate_piece", "mutate", (mutant, "")),
             ("_area", "area", ANY)):  # areas equal to any expected value
         monkeypatch.setattr(verify, attr, stub(label, result))
     monkeypatch.setattr(verify, "check_certificate", check)
     monkeypatch.setattr(verify, "_certificates", certificates)
-    # a mutant is checked as its document: here, as itself
-    monkeypatch.setattr(verify, "certificate_to_json", lambda cert: cert)
-    monkeypatch.setattr(verify, "_walk", lambda data: data)
     for criterion in verify.CRITERIA:
         assert criterion.run(max_n) is None, criterion.check
     return calls, generated
@@ -421,8 +441,8 @@ def test_verify_all_mutations_match_criterion_07(monkeypatch):
 
 
 def test_verify_all_reports_a_failing_criterion(monkeypatch, capsys):
-    monkeypatch.setattr(verify, "mutate_placement",
-                        lambda cert, rng: (cert, "unchanged"))
+    monkeypatch.setattr(verify, "mutate_piece",
+                        lambda data, rng: (data, "unchanged"))
     code, out, _ = run(capsys, "verify-all", "--max-n", "1")
     assert code == cli.EXIT_COVER
     assert ("FAIL certificate/mutations (mutant GAUSS_RECT n=2 unchanged "

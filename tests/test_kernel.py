@@ -131,7 +131,7 @@ def test_front_ends_agree_on_generated_certificates(construction, tmp_path,
 
 
 def test_front_ends_agree_on_criterion_07_mutants():
-    codes = {_verdict(dumps_certificate(mutant))[0]
+    codes = {_verdict(geometry.dumps_lattice(mutant))[0]
              for mutant, _description in verify.mutants()}
     assert codes == {cli.EXIT_COVER}
 
@@ -220,8 +220,8 @@ object_values = st.sampled_from([
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(OBJECT_PATHS), object_values)
 def test_an_object_gets_the_verdict_of_its_file(tmp_path, capsys, path, value):
-    """An edited object's walked record, which criterion 07 checks, and its
-    ``dumps_certificate`` file get the same exit code, or both are refused."""
+    """An edited object's walked record and its ``dumps_certificate`` file
+    get the same exit code, or both are refused."""
     cert = _object_put(SMALL_OBJECT, path, value)
     try:
         record = _walk(certificate_to_json(cert))
@@ -388,10 +388,9 @@ def _assert_scans_agree(scan: str, layer: str, *rect_lists) -> Any:
     return got
 
 
-def _assert_layers_agree(cert) -> list:
-    """Every source and destination layer of ``cert`` through
-    ``_assert_scans_agree``: the kernel's results, layer by layer."""
-    lattice = geometry._lattice(geometry._walk(geometry.certificate_to_json(cert))).cert
+def _assert_layers_agree(lattice) -> list:
+    """Every source and destination layer of the lattice data ``lattice``
+    through ``_assert_scans_agree``: the kernel's results, layer by layer."""
     sources, placed, targets = {}, {}, {}
     for _id, source_layer, rects, transform, dest in lattice.pieces:
         sources.setdefault(source_layer, []).extend(rects)
@@ -413,7 +412,7 @@ def _assert_layers_agree(cert) -> list:
 def test_scans_match_both_references_on_every_variant(construction):
     for n in range(1, 4):
         for build in certificate_builders(construction).values():
-            results = _assert_layers_agree(build(n))
+            results = _assert_layers_agree(build.core(n).cert)
             assert all(failure is None for failure, _cells in results)
 
 
@@ -444,8 +443,8 @@ def test_a_copied_source_fails_the_source_scan(construction):
 def test_scans_match_both_references_on_criterion_07_mutants():
     kinds = set()
     for mutant, _description in verify.mutants():
-        kinds.update(failure.kind for failure, _cells in _assert_layers_agree(mutant)
-                     if failure is not None)
+        results = _assert_layers_agree(mutant.cert)
+        kinds.update(failure.kind for failure, _cells in results if failure is not None)
     assert kinds == {"outside", "uncovered", "overlap"}  # they move pieces only
 
 

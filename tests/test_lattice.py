@@ -10,10 +10,12 @@ verdict.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -116,20 +118,22 @@ def test_the_reader_and_the_writer_are_inverses(label, core, n):
 
 def test_the_reader_and_the_writer_are_inverses_on_criterion_07_mutants():
     for mutant, description in verify.mutants():
-        text = dumps_certificate(mutant)
+        text = dumps_lattice(mutant)
         assert _read_back(text) == text, description
 
 
 def test_criterion_07_mutant_reports_are_unchanged():
-    """One digest over the 700 mutants' reports, each mutant checked as its
-    document, as the object pipeline gave them before the builders moved to
-    lattice data."""
-    digest = hashlib.sha256()
+    """One digest over the 700 mutants' reports, each mutant checked as
+    lattice data and as its written document, as the object pipeline gave
+    them before the builders and the mutants moved to lattice data."""
+    digests = {"lattice": hashlib.sha256(), "document": hashlib.sha256()}
     for mutant, description in verify.mutants():
-        report = check_certificate(_walk(certificate_to_json(mutant)))
-        digest.update(f"{description}: {report}\n".encode())
-    assert digest.hexdigest() == (
-        "7cae379646dd9badeb79662cba62b667e4a9b9ecaea28871f1c9e77b886bf564")
+        for route, cert in (("lattice", mutant.cert),
+                            ("document", read_certificate(dumps_lattice(mutant)))):
+            report = check_certificate(cert)
+            digests[route].update(f"{description}: {report}\n".encode())
+    assert {route: d.hexdigest() for route, d in digests.items()} == dict.fromkeys(
+        digests, "7cae379646dd9badeb79662cba62b667e4a9b9ecaea28871f1c9e77b886bf564")
 
 
 def _refuse_objects(monkeypatch):
@@ -181,6 +185,21 @@ def test_the_pipeline_builds_no_quadext_per_piece(monkeypatch):
 def test_criterion_06_builds_no_certificate_object(monkeypatch):
     _refuse_objects(monkeypatch)
     assert verify._certificate_suite(3) is None
+
+
+def test_criterion_07_builds_no_certificate_object(monkeypatch):
+    _refuse_objects(monkeypatch)
+    assert verify._mutations(None) is None
+
+
+def test_verify_imports_no_object_model_name():
+    """The criteria run on lattice data: ``verify`` imports no name that
+    builds, edits, writes or walks a certificate object."""
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    names = {a.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert not names & {"DissectionCertificate", "certificate_from_lattice",
+                        "certificate_to_json", "_walk", "mutate_placement"}
 
 
 def _view_area(view, side: str) -> QuadExt:
