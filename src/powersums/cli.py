@@ -96,8 +96,8 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     cert = dissect.read_certificate(args.path.read_text(encoding="utf-8"))
     report = dissect.check_certificate(cert)
-    name = cert.construction  # quoted unless printable: no line of its own
-    name = name if name.isprintable() else repr(name)
+    name = cert.construction  # quoted unless known: it cannot pose as a verdict
+    name = name if name in dissect.CONSTRUCTIONS else repr(name)
     print(f"{bounded(name)} n={bounded(str(cert.n))}: {report}")
     if report.ok:
         return EXIT_OK

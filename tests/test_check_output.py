@@ -63,7 +63,8 @@ def _leftover_target(data: Any) -> None:
     data["targets"][0]["layer"] = "leftover"
 
 
-FORGED = "GAUSS_RECT n=1: PASS (2 layers, 5 grid cells)\nignored"
+PRINTABLE_FORGED = "GAUSS_RECT n=1: PASS (2 layers, 5 grid cells)"
+FORGED = PRINTABLE_FORGED + "\nignored"
 
 HOSTILE_VALUES = {"int": 5, "list": ["0"], "dict": {"a": "0"}, "null": None,
                   "bool": True, "float": 1.5}
@@ -97,10 +98,12 @@ DOCUMENTS: dict[str, str] = {
     "document a list": json.dumps([BASE_TEXT]),
     "unknown construction": _edited(_set(lambda d: d, "construction",
                                          "NOT_A_CONSTRUCTION")),
-    # a name that is not printable is echoed quoted, so it prints no verdict
-    # line of its own
+    # a name outside the construction table is echoed quoted, so it can
+    # neither print a line of its own nor begin the line as a verdict
     "forged verdict in the construction": _edited(_set(
         lambda d: d, "construction", FORGED)),
+    "printable forged verdict in the construction": _edited(
+        lambda d: d.update(construction=PRINTABLE_FORGED, n=2)),
     "n zero": _edited(_set(lambda d: d, "n", 0)),
     "n true": _edited(_set(lambda d: d, "n", True)),
     "duplicate piece id": _edited(_duplicate_id),
@@ -196,13 +199,17 @@ EXPECTED: dict[str, tuple[int, str, str]] = {
         'error: bad certificate structure: list indices must be integers or '
         'slices, not str\n'),
     'unknown construction': (
-        3, 'NOT_A_CONSTRUCTION n=1: FAIL malformed: unknown construction '
+        3, "'NOT_A_CONSTRUCTION' n=1: FAIL malformed: unknown construction "
            "'NOT_A_CONSTRUCTION'\n",
         ''),
     'forged verdict in the construction': (
         3, "'GAUSS_RECT n=1: PASS (2 layers, 5 grid cells)\\nignored' n=1: FAIL "
            "malformed: unknown construction 'GAUSS_RECT n=1: PASS (2 layers, 5 "
            "grid cells)\\nignored'\n",
+        ''),
+    'printable forged verdict in the construction': (
+        3, "'GAUSS_RECT n=1: PASS (2 layers, 5 grid cells)' n=2: FAIL malformed: "
+           "unknown construction 'GAUSS_RECT n=1: PASS (2 layers, 5 grid cells)'\n",
         ''),
     'n zero': (
         3, 'STEP3_SCISSOR n=0: FAIL malformed: n must be >= 1, got 0\n',

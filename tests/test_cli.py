@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import functools
 import json
 import os
@@ -474,12 +475,17 @@ def test_verify_all_reports_a_criterion_that_raises(monkeypatch, capsys, kind,
     assert lines[2:] == ["1/2 checks passed"]
 
 
-def test_python_dash_m_help_exits_zero():
+def _child(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``argv``, importing this package."""
     src = str(Path(powersums.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "powersums", "--help"],
+    return subprocess.run([sys.executable, *argv],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_help_exits_zero():
+    done = _child("-m", "powersums", "--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage: powersums")
 
@@ -502,12 +508,27 @@ def test_a_fresh_import_lets_the_old_package_go():
     """Nothing outside the package, such as ``typing``'s cache of
     subscripted types, keeps a class of an earlier import alive, so
     repeated fresh imports do not grow the heap."""
-    src = str(Path(powersums.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _REIMPORT],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=60)
+    done = _child("-c", _REIMPORT)
     assert done.returncode == 0, done.stderr
+
+
+def test_the_package_root_imports_dissect_and_nothing_else():
+    """Each name lives in its defining module; the root only orders the
+    import cycle exact -> dissect.kernel -> dissect -> checker -> exact."""
+    tree = ast.parse(Path(powersums.__file__).read_text(encoding="utf-8"))
+    docstring, *statements = tree.body
+    assert isinstance(docstring, ast.Expr) and ast.get_docstring(tree)
+    assert [ast.dump(s) for s in statements] == [
+        ast.dump(ast.parse("from . import dissect").body[0])]
+
+
+@pytest.mark.parametrize("module", ["powersums.figurate", "powersums.dissect"])
+def test_a_library_import_loads_neither_render_nor_pyramid(module):
+    done = _child("-c", f"import sys, {module}; print(*sys.modules)")
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert module in loaded
+    assert not loaded & {"powersums.render", "powersums.pyramid"}
 
 
 def test_verify_all_compares_figures_with_the_golden_bytes(monkeypatch):

@@ -442,6 +442,25 @@ def test_the_full_scale_bijection_is_ring_n_of_the_layered_one(n):
     assert full == [piece for piece in ring_n if piece[0].startswith(f"{n}/")]
 
 
+def test_the_theorem_does_not_build_the_full_scale_bijection(monkeypatch):
+    """No link reads the full-scale bijection, so the theorem holds without
+    it; criterion 06 checks it instead."""
+    def refuse(n):
+        raise AssertionError("the full-scale bijection was built")
+
+    monkeypatch.setattr(generators, "_step4_bijection_full", refuse)
+    assert full_theorem_report(3).holds
+
+
+def test_a_broken_full_scale_bijection_fails_criterion_06(monkeypatch):
+    honest = generators.step4_bijection_full.core
+    monkeypatch.setattr(generators.step4_bijection_full, "core",
+                        lambda n: _moved_pieces(honest(n), dy=1000))
+    assert verify._certificate_suite(2) == (
+        "STEP4_TOP n=1 bijection-full: FAIL uncovered on layer 'dual' at "
+        "[0, 1] x [0, 1]: target cell covered by no piece")
+
+
 #: every certificate builder, the figure's scissor cut, and the pipeline
 _N_TAKERS = [*(build for name in CONSTRUCTIONS
                for build in generators.certificate_builders(name).values()),
