@@ -1,9 +1,11 @@
 """Time the pipeline and each construction's lattice routes on a parent
 tree and on this one, and write both rows to ``BENCH_<pr>.json``.
 
-Standard library only, and only the public API of ``powersums.dissect``,
-``powersums.pyramid`` and ``powersums.verify``, so the same script
-measures any checkout's ``src``:
+Standard library only.  It reads ``powersums.pyramid``,
+``powersums.verify``, ``powersums.dissect.full_theorem_report`` and, for
+every other ``dissect`` name, the submodule that defines it (``kernel``,
+``geometry``, ``checker``, ``generators``), which older trees have too, so
+the same script measures any checkout's ``src``:
 
     python3 scripts/bench.py --pr PR --parent ../parent/src
 
@@ -107,7 +109,7 @@ def _child(src: str, conn: Any) -> None:
     sys.path.insert(0, src)
     from powersums import dissect, pyramid, verify
 
-    caps = dict(dissect.CONSTRUCTIONS)
+    caps = dict(dissect.kernel.CONSTRUCTIONS)
     builders = {name: dissect.generators.certificate_builders(name) for name in caps}
 
     @functools.cache
@@ -138,8 +140,8 @@ def _child(src: str, conn: Any) -> None:
         elif kind == "build":
             result = [build.core(caps[key]) for build in builders[key].values()]
         elif kind == "check":
-            result = [dissect.check_certificate(dissect.read_certificate(text))
-                      for text in texts]
+            result = [dissect.checker.check_certificate(
+                dissect.geometry.read_certificate(text)) for text in texts]
         elif kind == "write":
             result = dissect.geometry.dumps_lattice(data[key[1]])
         elif kind == "sections":

@@ -19,12 +19,13 @@ import time
 from pathlib import Path
 from typing import Callable, Sequence
 
-from . import dissect, figurate, pyramid, render, verify
+from . import figurate, pyramid, render
 from ._nogc import nogc
+from .dissect.checker import check_certificate
 # _GENERATORS is bound here too, as the same dict: perfbench reads it from cli
 from .dissect.generators import _GENERATORS, certificate_builders  # noqa: F401
-from .dissect.geometry import dumps_lattice, lattice_area
-from .dissect.kernel import bounded
+from .dissect.geometry import dumps_lattice, lattice_area, read_certificate
+from .dissect.kernel import CONSTRUCTIONS, bounded
 from .exact import quad_to_text, rat_to_text
 
 EXIT_OK = 0
@@ -94,10 +95,10 @@ def _cmd_certificate(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cert = dissect.read_certificate(args.path.read_text(encoding="utf-8"))
-    report = dissect.check_certificate(cert)
+    cert = read_certificate(args.path.read_text(encoding="utf-8"))
+    report = check_certificate(cert)
     name = cert.construction  # quoted unless known: it cannot pose as a verdict
-    name = name if name in dissect.CONSTRUCTIONS else repr(name)
+    name = name if name in CONSTRUCTIONS else repr(name)
     print(f"{bounded(name)} n={bounded(str(cert.n))}: {report}")
     if report.ok:
         return EXIT_OK
@@ -116,12 +117,13 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
+    from . import verify  # here, not at the top: no other command loads it
+
     if args.max_n < 1:
         raise ValueError("--max-n must be >= 1")
     results = []
     exit_code = EXIT_OK
     for criterion in verify.CRITERIA:
-        name = criterion.check
         start = time.perf_counter()
         try:
             failure = criterion.run(args.max_n)
@@ -129,10 +131,10 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
             failure = f"{type(exc).__name__}: {exc}"
         elapsed = time.perf_counter() - start
         ok = failure is None
-        if not ok:
-            name = f"{name} ({failure})"
-        results.append({"check": name, "ok": ok, "seconds": round(elapsed, 3)})
+        results.append({"check": criterion.check, "ok": ok, "failure": failure,
+                        "seconds": round(elapsed, 3)})
         if args.report == "text":
+            name = criterion.check if ok else f"{criterion.check} ({failure})"
             print(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.2f}s)")
         if not ok and exit_code == EXIT_OK:
             exit_code = (EXIT_COVER if criterion.kind == "cover"
@@ -181,7 +183,7 @@ def _build_parser() -> _Parser:
 
     p = command("certificate", _cmd_certificate,
                 "generate a dissection certificate")
-    p.add_argument("construction", choices=tuple(dissect.CONSTRUCTIONS))
+    p.add_argument("construction", choices=tuple(CONSTRUCTIONS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", type=Path, required=True)
     variants = tuple(certificate_builders("STEP4_TOP"))

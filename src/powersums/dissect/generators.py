@@ -28,10 +28,10 @@ from typing import Callable, Sequence
 from .._nogc import nogc
 from ..figurate import IdentityReport, _naturals, evaluate_identity
 from .checker import CheckReport, check_certificate, cover_failure
-from .geometry import (LEFTOVER_LAYER, DissectionCertificate, LabelledLattice,
+from .geometry import (DissectionCertificate, LabelledLattice,
                        certificate_from_lattice)
-from .kernel import (CONSTRUCTIONS, LatticeCertificate, LatticeRect, Point,
-                     Transform, bounded)
+from .kernel import (CONSTRUCTIONS, LEFTOVER_LAYER, LatticeCertificate,
+                     LatticeRect, Point, Transform, bounded)
 
 #: The common denominator of every generated coordinate: k + s*x or a half.
 D = 6

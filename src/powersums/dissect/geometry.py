@@ -29,8 +29,8 @@ from ..exact import (
     triple_from_text,
     triple_to_text,
 )
-from .kernel import (LEFTOVER_LAYER, MAX_DENOMINATOR_BITS, LatticeCertificate,
-                     LatticeRect, Point, bounded, lattice_sign)
+from .kernel import (MAX_DENOMINATOR_BITS, LatticeCertificate, LatticeRect,
+                     Point, bounded, lattice_sign)
 
 class CertificateFormatError(ValueError):
     """Raised when certificate JSON cannot be decoded."""
@@ -76,7 +76,7 @@ class RigidTransform:
 @dataclass(frozen=True)
 class Placement:
     """One piece: a source region on a source layer, moved rigidly to a
-    destination layer (``LEFTOVER_LAYER`` for set-aside pieces)."""
+    destination layer (``kernel.LEFTOVER_LAYER`` for set-aside pieces)."""
 
     piece_id: str
     source_layer: str

@@ -18,8 +18,8 @@ from .dissect.generators import (D, X, UnsupportedN, _box, _five_pyramids_layers
                                   _gauss_rectangle, _nicomachus_4d_2d, _stair_rows,
                                   _step2_reshape, _step4_overlap,
                                   _three_pyramids_2d, scissor_rectangle)
-from .dissect.geometry import LEFTOVER_LAYER, LabelledLattice
-from .dissect.kernel import LatticeRect, Point, _place, bounded
+from .dissect.geometry import LabelledLattice
+from .dissect.kernel import LEFTOVER_LAYER, LatticeRect, Point, _place, bounded
 from .exact import quad_from_triple, quad_to_float
 from .figurate import _naturals
 

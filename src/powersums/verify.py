@@ -18,14 +18,11 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from .dissect import (
-    CONSTRUCTIONS,
-    StageCheckError,
-    check_certificate,
-    full_theorem_report,
-)
-from .dissect.generators import certificate_builders
+from .dissect.checker import check_certificate
+from .dissect.generators import (StageCheckError, certificate_builders,
+                                 full_theorem_report)
 from .dissect.geometry import LabelledLattice, lattice_area as _area
+from .dissect.kernel import CONSTRUCTIONS
 from .dissect.mutants import mutate_piece
 from .exact import QuadExt, rat_to_text, strip_root
 from .figurate import (

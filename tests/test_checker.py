@@ -11,30 +11,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powersums.dissect import (
-    CONSTRUCTIONS,
-    DissectionCertificate,
-    LEFTOVER_LAYER,
-    Placement,
-    Region,
-    RigidTransform,
-    check_certificate,
-    covers_exactly,
-    dumps_certificate,
-    five_pyramids_layers,
-    gauss_rectangle,
-    mutate_placement,
-    nicomachus_4d_2d,
-    step2_reshape,
-    step3_scissor,
-    step4_top_layer,
-    three_pyramids_2d,
-)
 from powersums.dissect import generators, kernel
-from powersums.dissect.geometry import (Rect, WireCertificate, _lattice, _walk,
-                                       certificate_to_json, dumps_lattice)
-from powersums.dissect.kernel import _sorted_points, lattice_sign as _sign
-from powersums.dissect.mutants import MUTATION_KINDS, mutate_piece
+from powersums.dissect.checker import check_certificate, covers_exactly
+from powersums.dissect.generators import (five_pyramids_layers, gauss_rectangle,
+                                         nicomachus_4d_2d, step2_reshape,
+                                         step3_scissor, step4_top_layer,
+                                         three_pyramids_2d)
+from powersums.dissect.geometry import (DissectionCertificate, Placement, Rect,
+                                       Region, RigidTransform, WireCertificate,
+                                       _lattice, _walk, certificate_to_json,
+                                       dumps_certificate, dumps_lattice)
+from powersums.dissect.kernel import (CONSTRUCTIONS, LEFTOVER_LAYER, _sorted_points,
+                                     lattice_sign as _sign)
+from powersums.dissect.mutants import MUTATION_KINDS, mutate_piece, mutate_placement
 from powersums.exact import QuadExt, quad_to_text, strip_root
 
 

@@ -6,6 +6,8 @@ import ast
 import functools
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -16,15 +18,12 @@ from unittest.mock import ANY
 import pytest
 
 import powersums
-from powersums import cli, figurate, verify
+from powersums import cli, dissect, figurate, verify
 from powersums.cli import main
 from powersums.dissect import generators
-from powersums.dissect import (
-    CONSTRUCTIONS,
-    dumps_certificate,
-    gauss_rectangle,
-    loads_certificate,
-)
+from powersums.dissect.generators import gauss_rectangle
+from powersums.dissect.geometry import dumps_certificate, loads_certificate
+from powersums.dissect.kernel import CONSTRUCTIONS
 
 
 def run(capsys, *argv):
@@ -375,8 +374,19 @@ def test_verify_all_json_report(capsys):
     payload = json.loads(out)
     assert payload["ok"] is True
     assert all(check["ok"] for check in payload["checks"])
+    assert all(check["failure"] is None for check in payload["checks"])
     assert [check["check"] for check in payload["checks"]] == [
         criterion.check for criterion in verify.CRITERIA]
+
+
+def test_verify_all_json_report_keeps_a_failing_check_s_name(monkeypatch,
+                                                             capsys):
+    monkeypatch.setattr(verify, "CRITERIA", (verify.Criterion(
+        1, "planted/fail", "fails", "identity", lambda max_n: "planted"),))
+    code, out, _ = run(capsys, "verify-all", "--max-n", "1", "--report", "json")
+    assert code == cli.EXIT_IDENTITY
+    assert json.loads(out)["checks"] == [{"check": "planted/fail", "ok": False,
+                                          "failure": "planted", "seconds": ANY}]
 
 
 def test_verify_all_max_n_8_exits_zero(capsys):
@@ -490,6 +500,18 @@ def test_python_dash_m_help_exits_zero():
     assert done.stdout.startswith("usage: powersums")
 
 
+_CHECK_MODULES = """
+import runpy, sys
+sys.argv[0] = "powersums"
+sys.argv.insert(1, "check")
+try:
+    runpy.run_module("powersums", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    assert stop.code == 0, stop.code
+print(*sorted(n for n in sys.modules if n.split(".")[0] == "powersums"))
+"""
+
+
 _REIMPORT = """
 import gc, sys, weakref
 def load():
@@ -520,6 +542,44 @@ def test_the_package_root_imports_dissect_and_nothing_else():
     assert isinstance(docstring, ast.Expr) and ast.get_docstring(tree)
     assert [ast.dump(s) for s in statements] == [
         ast.dump(ast.parse("from . import dissect").body[0])]
+
+
+def test_dissect_binds_only_the_names_perfbench_reads_through_it():
+    """``dissect/__init__`` imports the ten names that the benchmark reads
+    as ``dissect.<name>`` or ``d.<name>``, and every one of them is read
+    there; any other name is imported from the submodule that defines it."""
+    tree = ast.parse(Path(dissect.__file__).read_text(encoding="utf-8"))
+    docstring, *statements = tree.body
+    assert isinstance(docstring, ast.Expr) and ast.get_docstring(tree)
+    assert all(isinstance(s, ast.ImportFrom) and s.level == 1
+               for s in statements)
+    imported = {alias.name for s in statements for alias in s.names}
+    assert imported == {
+        "gauss_rectangle", "three_pyramids_2d", "nicomachus_4d_2d",
+        "five_pyramids_layers", "step2_reshape", "step3_scissor",
+        "step4_top_layer", "full_theorem_report", "dumps_certificate",
+        "mutate_placement"}
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    read = {name for path in perfbench.glob("*.py") for name in re.findall(
+        r"\b(?:dissect|d)\.(\w+)", path.read_text(encoding="utf-8"))}
+    submodules = {m.name for m in pkgutil.iter_modules(dissect.__path__)}
+    assert read - submodules == imported
+
+
+def test_check_loads_thirteen_package_modules(tmp_path):
+    """``python -m powersums check`` loads these 13 package modules;
+    ``verify`` is not among them."""
+    path = tmp_path / "gauss.json"
+    path.write_text(dumps_certificate(gauss_rectangle(1)), encoding="utf-8")
+    done = _child("-c", _CHECK_MODULES, str(path))
+    assert done.returncode == 0, done.stderr
+    *_, loaded = done.stdout.splitlines()
+    assert loaded.split() == [
+        "powersums", "powersums._nogc", "powersums.cli", "powersums.dissect",
+        "powersums.dissect.checker", "powersums.dissect.generators",
+        "powersums.dissect.geometry", "powersums.dissect.kernel",
+        "powersums.dissect.mutants", "powersums.exact", "powersums.figurate",
+        "powersums.pyramid", "powersums.render"]
 
 
 @pytest.mark.parametrize("module", ["powersums.figurate", "powersums.dissect"])

@@ -9,17 +9,13 @@ import random
 import pytest
 
 from powersums import cli
-from powersums.dissect import (
-    UnsupportedN,
-    check_certificate,
-    dumps_certificate,
-    five_pyramids_layers,
-    full_theorem_report,
-    loads_certificate,
-    mutate_placement,
-)
 from powersums.dissect import checker, generators
-from powersums.dissect.geometry import _walk, certificate_to_json
+from powersums.dissect.checker import check_certificate
+from powersums.dissect.generators import (UnsupportedN, five_pyramids_layers,
+                                         full_theorem_report)
+from powersums.dissect.geometry import (_walk, certificate_to_json,
+                                       dumps_certificate, loads_certificate)
+from powersums.dissect.mutants import mutate_placement
 
 
 @pytest.fixture

@@ -11,23 +11,16 @@ import pytest
 
 from powersums import verify
 from powersums.dissect import generators
+from powersums.dissect.checker import check_certificate
+from powersums.dissect.generators import (StageCheckError, UnsupportedN,
+                                         excess_corner_layout,
+                                         five_pyramids_layers,
+                                         full_theorem_report, gauss_rectangle,
+                                         nicomachus_4d_2d, step2_reshape,
+                                         step3_scissor, step4_top_layer,
+                                         three_pyramids_2d)
 from powersums.dissect.geometry import _walk, certificate_to_json, lattice_area
-from powersums.dissect import (
-    CONSTRUCTIONS,
-    LEFTOVER_LAYER,
-    StageCheckError,
-    UnsupportedN,
-    check_certificate,
-    excess_corner_layout,
-    five_pyramids_layers,
-    full_theorem_report,
-    gauss_rectangle,
-    nicomachus_4d_2d,
-    step2_reshape,
-    step3_scissor,
-    step4_top_layer,
-    three_pyramids_2d,
-)
+from powersums.dissect.kernel import CONSTRUCTIONS, LEFTOVER_LAYER
 from powersums.exact import QuadExt, strip_root
 from powersums.figurate import (
     evaluate_identity,

@@ -13,18 +13,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from powersums import cli
-from powersums.dissect import (
-    RigidTransform,
-    check_certificate,
-    dumps_certificate,
-    five_pyramids_layers,
-    gauss_rectangle,
-    loads_certificate,
-    read_certificate,
-    step3_scissor,
-)
-from powersums.dissect.geometry import (CertificateFormatError, Rect, _walk,
-                                       certificate_to_json)
+from powersums.dissect.checker import check_certificate
+from powersums.dissect.generators import (five_pyramids_layers, gauss_rectangle,
+                                         step3_scissor)
+from powersums.dissect.geometry import (CertificateFormatError, Rect,
+                                       RigidTransform, _walk,
+                                       certificate_to_json, dumps_certificate,
+                                       loads_certificate, read_certificate)
 from powersums.exact import QuadExt
 
 small_quads = st.builds(

@@ -18,24 +18,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from powersums import cli, exact, verify
-from powersums.dissect import (
-    CONSTRUCTIONS,
-    CertificateFormatError,
-    check_certificate,
-    dumps_certificate,
-    five_pyramids_layers,
-    gauss_rectangle,
-    geometry,
-    nicomachus_4d_2d,
-    read_certificate,
-    step2_reshape,
-    step3_scissor,
-    step4_top_layer,
-    three_pyramids_2d,
-)
-from powersums.dissect import checker, generators, kernel
-from powersums.dissect.generators import certificate_builders
-from powersums.dissect.geometry import _walk, certificate_to_json
+from powersums.dissect import checker, generators, geometry, kernel
+from powersums.dissect.checker import check_certificate
+from powersums.dissect.generators import (certificate_builders,
+                                         five_pyramids_layers, gauss_rectangle,
+                                         nicomachus_4d_2d, step2_reshape,
+                                         step3_scissor, step4_top_layer,
+                                         three_pyramids_2d)
+from powersums.dissect.geometry import (CertificateFormatError, _walk,
+                                       certificate_to_json, dumps_certificate,
+                                       read_certificate)
+from powersums.dissect.kernel import CONSTRUCTIONS
 
 KERNEL_PATH = Path(kernel.__file__)
 

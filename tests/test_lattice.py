@@ -22,22 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powersums import exact, verify
-from powersums.dissect import (
-    CONSTRUCTIONS,
-    CertificateFormatError,
-    check_certificate,
-    dumps_certificate,
-    excess_corner_layout,
-    full_theorem_report,
-    gauss_rectangle,
-    read_certificate,
-)
 from powersums.dissect import generators, geometry
-from powersums.dissect.generators import certificate_builders
-from powersums.dissect.geometry import (LabelledLattice, Rect, Region, _lattice, _walk,
+from powersums.dissect.checker import check_certificate
+from powersums.dissect.generators import (certificate_builders,
+                                         excess_corner_layout,
+                                         full_theorem_report, gauss_rectangle)
+from powersums.dissect.geometry import (CertificateFormatError, LabelledLattice,
+                                       Rect, Region, _lattice, _walk,
                                        certificate_from_lattice,
-                                       certificate_to_json, dumps_lattice)
-from powersums.dissect.kernel import LatticeCertificate
+                                       certificate_to_json, dumps_certificate,
+                                       dumps_lattice, read_certificate)
+from powersums.dissect.kernel import CONSTRUCTIONS, LatticeCertificate
 from powersums.exact import QuadExt, quad_from_triple, strip_root
 
 

@@ -11,15 +11,10 @@ import pytest
 
 from powersums import pyramid
 from powersums.cli import main
-from powersums.dissect import (
-    UnsupportedN,
-    five_pyramids_layers,
-    gauss_rectangle,
-    generators,
-    geometry,
-    nicomachus_4d_2d,
-    step4_top_layer,
-)
+from powersums.dissect import generators, geometry
+from powersums.dissect.generators import (UnsupportedN, five_pyramids_layers,
+                                         gauss_rectangle, nicomachus_4d_2d,
+                                         step4_top_layer)
 from powersums.render import (
     _FIGURES,
     FIGURE_NAMES,
@@ -172,7 +167,8 @@ def test_step3_annotates_strip_width():
 def test_palette_covers_all_generator_labels():
     certs = [gauss_rectangle(2), nicomachus_4d_2d(2), five_pyramids_layers(2)]
     labels = {p.source.label for cert in certs for p in cert.placements}
-    from powersums.dissect import step2_reshape, step3_scissor, three_pyramids_2d
+    from powersums.dissect.generators import (step2_reshape, step3_scissor,
+                                             three_pyramids_2d)
     more = [three_pyramids_2d(2), step2_reshape(2), step3_scissor(2),
             step4_top_layer(2).overlap]
     labels |= {p.source.label for cert in more for p in cert.placements}

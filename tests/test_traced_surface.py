@@ -45,7 +45,7 @@ def test_instrumentation_wraps_the_pipeline_and_uninstalls():
         assert mods.dissect.full_theorem_report(2).holds
         pipeline = dict(inst.tracer.self_s), inst.snapshot()
         rects = mods.dissect.step4_top_layer(2).overlap.placements[0].source.rects
-        assert mods.dissect.covers_exactly(rects, rects)
+        assert mods.dissect.checker.covers_exactly(rects, rects)
     finally:
         inst.uninstall()
     assert _surface(mods) == before
