@@ -17,8 +17,9 @@ uses), and ``check``, ``read_certificate`` and ``check_certificate`` of
 each variant's ``dumps_lattice`` text, written untimed, with the work
 behind them (pieces, source rects and distinct coordinates of the data,
 the reports' layers and grid cells); ``write``, ``dumps_lattice`` of each
-variant's data, with the bytes; ``sections``, ``sections_agree(d, 12)``
-for d = 3, 4, 5, with |P_d(12)|, and as their control ``criterion_05``
+variant's data, with the bytes; ``sections``, ``sections_agree(d, n)``
+for d = 3, 4, 5 at n = 12 and for (2, 255), (3, 66) and (2, 446), with
+|P_d(n)|, and as their control ``criterion_05``
 (``verify.CRITERIA[4].run(8)``), which cuts P_d(n) for n up to 8 into
 cell sets; ``criterion_07`` (``verify.CRITERIA[6].run(8)``, which no bound
 cuts), criterion 07's 700 mutants checked; and ``compile``, ``compile()``
@@ -65,13 +66,19 @@ ROOT = Path(__file__).resolve().parents[1]
 #: of them, each tree first once): a run stays under 240 s on a slow 2-core
 #: host, where 14 rounds took 232 s
 SAMPLES, BATCH = 11, 2
-#: the pyramids of the sections row: P_d(SECTIONS_N) for d in SECTIONS_D
-SECTIONS_D, SECTIONS_N = (3, 4, 5), 12
+#: the pyramids of the sections row, P_d(n) for each (d, n): d = 3, 4, 5 at
+#: SECTIONS_N, whose strips ``section_counts`` counts one value at a time and
+#: whose rows keep the key d, then three past its per-value limit, which it
+#: counts with ``Counter``: two on a ``bytes`` column, one on an ``array``
+SECTIONS_N = 12
+SECTIONS = ((3, SECTIONS_N), (4, SECTIONS_N), (5, SECTIONS_N), (2, 255), (3, 66),
+            (2, 446))
 #: the criteria timed as rows of their own, ``criterion_05`` and so on
 CRITERIA_TIMED = (5, 7)
 #: the ``max_n`` of each: criterion 05 at 8, the sections row's control, is
 #: about 0.08 s a call on a 2-core x86, where at 12 it took over a second,
-#: 50 times the three sections tasks; criterion 07 has no range of n to cut
+#: 50 times the three n = 12 sections tasks; criterion 07 has no range of n
+#: to cut
 CRITERION_N = 8
 
 
@@ -99,7 +106,7 @@ def _child(src: str, conn: Any) -> None:
     """Import the package from ``src``, send its construction caps and each
     construction's variants, then time one call of each task received
     until None: ("theorem", n), ("build", name), ("check", name), ("write",
-    (name, variant)), ("sections", d), ("criterion", k) for k in
+    (name, variant)), ("sections", (d, n)), ("criterion", k) for k in
     ``CRITERIA_TIMED`` and ("compile",
     module), a path under ``src``.  Answer each with (seconds, work), where
     work is None for a theorem, build, criterion or compile.  ("peak",
@@ -145,7 +152,7 @@ def _child(src: str, conn: Any) -> None:
         elif kind == "write":
             result = dissect.geometry.dumps_lattice(data[key[1]])
         elif kind == "sections":
-            result = pyramid.sections_agree(key, SECTIONS_N)
+            result = pyramid.sections_agree(*key)
         elif kind == "criterion":
             result = verify.CRITERIA[key - 1].run(CRITERION_N)
         else:
@@ -164,7 +171,7 @@ def _child(src: str, conn: Any) -> None:
         elif kind == "write":
             work = {"bytes": len(result.encode())}
         elif kind == "sections":
-            work = {"cells": len(pyramid.build_pyramid(key, SECTIONS_N))}
+            work = {"cells": len(pyramid.build_pyramid(*key))}
         elif kind == "criterion":
             assert result is None, result
         conn.send((seconds, {"peak_kib": peak_kib} if traced else work))
@@ -239,7 +246,7 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                 "check": [("check", name) for name in caps[0]],
                 "write": [("write", (name, variant))
                           for name, names in variants[0].items() for variant in names],
-                "sections": [("sections", d) for d in SECTIONS_D],
+                "sections": [("sections", dn) for dn in SECTIONS],
                 **{f"criterion_{k:02d}": [("criterion", k)] for k in CRITERIA_TIMED},
                 "compile": [("compile", module)
                             for module in sorted(set().union(*modules.values()))]}
@@ -279,9 +286,10 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                           times[task], label, first, n=caps[0][task[1][0]],
                           **work[label, task])
                       for task in groups["write"]},
-            "sections": {str(task[1]): _timed(times[task], label, first,
-                                              n=SECTIONS_N, **work[label, task])
-                         for task in groups["sections"]},
+            "sections": {(str(d) if n == SECTIONS_N else f"{d} n={n}"): _timed(
+                             times["sections", (d, n)], label, first, n=n,
+                             **work[label, ("sections", (d, n))])
+                         for d, n in SECTIONS},
             **{f"criterion_{k:02d}": _timed(times["criterion", k], label, first,
                                             max_n=CRITERION_N)
                for k in CRITERIA_TIMED},

@@ -6,8 +6,8 @@ The d-pyramid of height n stacks (d-1)-cubes of side 1..n along coordinate
 the geometric rows/columns lemma.  One stream of the levels defines the
 cells: ``build_pyramid`` and ``truncated_pyramid`` gather it into a
 ``CellSet``, and ``section_counts`` writes it into one flat column of
-coordinates, from which every family's sizes are counted with no cell set,
-no slice and no cell hashed.  ``sections_agree`` and ``powersums sections
+coordinates, from which every family's sizes are counted with no cell set
+and no cell hashed.  ``sections_agree`` and ``powersums sections
 --emit sizes`` read those counts; criterion 05 (``verify``) checks each
 partition cell for cell.
 """
@@ -28,11 +28,18 @@ from .figurate import IdentityReport, _naturals, lemma_rows
 Cell = tuple[int, ...]
 
 #: Most cells of a pyramid: P_3(66), 98,021 cells, builds in 16 ms; its
-#: main sections take 32 ms more, one axis of secondary sections 39 ms, and
-#: ``sections_agree``, which builds no cell set, 17 ms at a 328 KiB
+#: main sections take 27 ms more, one axis of secondary sections 34 ms, and
+#: ``sections_agree``, which builds no cell set, 16 ms at a 395 KiB
 #: ``tracemalloc`` peak (2-core x86, Python 3.11.7, best of 15).  The
 #: criteria and figures use at most P_5(12), 60,710 cells.
 MAX_PYRAMID_CELLS = 100_000
+
+#: A strip of fewer values than this is counted one value at a time, each a
+#: C-level ``bytes.count`` of about 0.4 ns per byte, where one ``Counter``
+#: pass costs about 30 ns per byte.  Each count also pays a fixed cost, so
+#: ``section_counts`` breaks even near 52 values on P_2(n)'s short strips,
+#: and past 67 on P_3(n)'s (2-core x86, Python 3.11.7).
+_PER_VALUE_LIMIT = 48
 
 #: d -> |P_d(n)| = S_(d-1)(n) in closed form, for each supported dimension
 _CELLS = {
@@ -173,32 +180,50 @@ def _axis_index(d: int, axis: int) -> int:
     return axis - 1
 
 
-def _column(d: int, n: int) -> memoryview:
+def _column(d: int, n: int) -> bytes | array:
     """Every coordinate of P_d(n), cell after cell as ``_level_stream``
     makes them, in one flat column: one byte each while n < 256, two above
     (P_d(n)'s coordinates are 0..n).  No cell is kept once it is written."""
     _require(d, n)
     flat = chain.from_iterable(_level_stream(d, 1, n))
-    return memoryview(bytes(flat) if n < 256 else array("H", flat))
+    return bytes(flat) if n < 256 else array("H", flat)
+
+
+def _family_counts(column: bytes | array, d: int, idx: int, n: int) -> dict[int, int]:
+    """value -> how many cells of ``column`` take it at coordinate idx, for
+    the values present.
+
+    The strip column[idx::d] is a copy for a ``bytes`` column, one C loop
+    that ``Counter`` then reads faster than a view, and a view for an
+    ``array``, whose strided slice copies item by item.  While the values
+    0..n are fewer than ``_PER_VALUE_LIMIT``, each is counted by one
+    ``bytes.count``.  Past that, one ``Counter`` pass counts the strip.  It
+    does so too when the per-value counts fall short of the strip: a value
+    lies outside 0..n, and ``_level_sizes`` must see it to refuse it."""
+    strip = column[idx::d] if type(column) is bytes else memoryview(column)[idx::d]
+    if n < _PER_VALUE_LIMIT:
+        counts = {v: c for v in range(n + 1) if (c := strip.count(v))}
+        if sum(counts.values()) == len(strip):
+            return counts
+    return Counter(strip)
 
 
 def section_counts(d: int, n: int) -> list[list[int]]:
     """The sizes of P_d(n)'s main sections, refused as ``main_sections``
     refuses them, then of its secondary sections along each axis 2..d.
 
-    Family i is counted in one C-level pass over the strided view
-    column[i::d] of ``_column``, with no slice made and no copy: dropping
-    coordinate i is one-to-one on the cells that share a value of it, so
-    the count at each value is that slice's size.  The secondary counts
-    are read at 0..n-1, n from the main counts, which ``_level_sizes`` has
-    refused unless they are levels 1..n.
+    Family i is counted by ``_family_counts`` off the one ``_column``:
+    dropping coordinate i is one-to-one on the cells that share a value of
+    it, so the count at each value is that slice's size.  The secondary
+    counts are read at 0..n-1, n from the main counts, which
+    ``_level_sizes`` has refused unless they are levels 1..n.
     """
     column = _column(d, n)
-    main = _level_sizes(d - 1, Counter(column[0::d]))
+    main = _level_sizes(d - 1, _family_counts(column, d, 0, n))
     families = [main]
     for idx in range(1, d):
-        counts = Counter(column[idx::d])
-        families.append([counts[m] for m in range(len(main))])
+        counts = _family_counts(column, d, idx, n)
+        families.append([counts.get(m, 0) for m in range(len(main))])
     return families
 
 

@@ -32,11 +32,11 @@ def test_the_child_answers_each_kind_of_task_with_its_seconds_and_work():
              ("check", "GAUSS_RECT"): {"pieces", "rects", "distinct_coords",
                                        "layers", "cells"},
              ("write", ("GAUSS_RECT", None)): {"bytes"},
-             ("sections", 3): {"cells"},
+             ("sections", (3, 12)): {"cells"},
              ("compile", "powersums/exact.py"): None,
              ("peak", ("theorem", 1)): {"peak_kib"},
              ("peak", ("check", "GAUSS_RECT")): {"peak_kib"},
-             ("peak", ("sections", 3)): {"peak_kib"}}
+             ("peak", ("sections", (3, 12))): {"peak_kib"}}
     ours, theirs = multiprocessing.Pipe()
     path = list(sys.path)
     child = threading.Thread(target=_bench()._child, args=(str(ROOT / "src"), theirs),
@@ -68,8 +68,8 @@ def test_the_child_answers_each_kind_of_task_with_its_seconds_and_work():
     assert answers["check", "GAUSS_RECT"][1] == {
         "pieces": 2, "rects": 200, "distinct_coords": 105, "layers": 2,
         "cells": 30200}
-    assert answers["sections", 3][1]["cells"] == 650
-    for task in (("theorem", 1), ("check", "GAUSS_RECT"), ("sections", 3)):
+    assert answers["sections", (3, 12)][1]["cells"] == 650
+    for task in (("theorem", 1), ("check", "GAUSS_RECT"), ("sections", (3, 12))):
         assert answers["peak", task][1]["peak_kib"] > 0, task
 
 

@@ -268,7 +268,12 @@ def core_builds():
     previous = sys.getprofile()
     sys.setprofile(profile)
     yield calls
-    sys.setprofile(previous)
+    # a cProfile.Profile is not callable, so sys.setprofile refuses it; it
+    # installs itself again by its enable()
+    if hasattr(previous, "enable"):
+        previous.enable()
+    else:
+        sys.setprofile(previous)
 
 
 def test_figures_and_verify_build_only_what_they_draw(builds, core_builds,

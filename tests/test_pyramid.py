@@ -425,6 +425,9 @@ def _stray_at_n_plus_1(d, m, n):
     (_stray_at_n_plus_1, 2, 3, "level 4 has 1 cells, expected 4"),
     (_stray_at_n_plus_1, 3, 4, "level 5 has 1 cells, expected 25"),
     (_stray_at_n_plus_1, 5, 4, "level 5 has 1 cells, expected 625"),
+    # counted by Counter: past the per-value limit, and on the two-byte column
+    (_stray_at_n_plus_1, 2, 100, "level 101 has 1 cells, expected 101"),
+    (_stray_at_n_plus_1, 2, 300, "level 301 has 1 cells, expected 301"),
 ])
 def test_sections_agree_refuses_what_main_sections_refused(
         monkeypatch, plant, d, n, message):
@@ -497,8 +500,15 @@ def _counted_report(d, n):
     return counts, (holds, QuadExt(sum(main)), QuadExt(sum(secondaries[0])))
 
 
-# n = 255 and 256 lie on each side of the column's one-byte coordinates
-@pytest.mark.parametrize("d,n", [(2, 255), (2, 256), *_LARGEST.items()])
+_PER_VALUE = pyramid._PER_VALUE_LIMIT
+
+
+# the last n whose strips are counted one value at a time and the first
+# counted by Counter, then n = 255 and 256 on each side of the column's
+# one-byte coordinates
+@pytest.mark.parametrize("d,n", [(2, _PER_VALUE - 1), (2, _PER_VALUE),
+                                 (3, _PER_VALUE - 1), (3, _PER_VALUE), (2, 255),
+                                 (2, 256), *_LARGEST.items()])
 def test_the_column_holds_every_coordinate_up_to_the_cap(d, n):
     if n == _LARGEST[d]:
         assert pyramid._CELLS[d](n) <= MAX_PYRAMID_CELLS < pyramid._CELLS[d](n + 1)
