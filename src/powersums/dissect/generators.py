@@ -26,6 +26,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .._nogc import nogc
+from ..exact import strip_root
 from ..figurate import IdentityReport, _naturals, evaluate_identity
 from .checker import CheckReport, check_certificate, cover_failure
 from .geometry import (DissectionCertificate, LabelledLattice,
@@ -35,8 +36,8 @@ from .kernel import (CONSTRUCTIONS, LEFTOVER_LAYER, LatticeCertificate,
 
 #: The common denominator of every generated coordinate: k + s*x or a half.
 D = 6
-#: The scissor-cut width x = (-3 + sqrt(21))/6, as a lattice point over D.
-X = (-3, 1)
+#: The scissor-cut width x = ``strip_root()``, as a lattice point over D.
+X = (D * strip_root()).triple[:2]
 
 
 class UnsupportedN(ValueError):

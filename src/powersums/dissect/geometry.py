@@ -29,6 +29,7 @@ from ..exact import (
     triple_from_text,
     triple_to_text,
 )
+from . import kernel
 from .kernel import (MAX_DENOMINATOR_BITS, LatticeCertificate, LatticeRect,
                      Point, bounded, lattice_sign)
 
@@ -139,11 +140,11 @@ def lattice_area(cert: LatticeCertificate, side: str) -> QuadExt:
     if side not in ("source_area", "target_area"):
         raise ValueError("side must be 'source_area' or 'target_area', got "
                          f"{bounded(repr(side))}")
-    a = b = 0
+    a, b, r = 0, 0, kernel.RADICAND
     for rects in ([piece[2] for piece in cert.pieces] if side == "source_area"
                   else [rects for _layer, rects in cert.targets]):
         for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
-            a += (x2a - x1a) * (y2a - y1a) + 21 * (x2b - x1b) * (y2b - y1b)
+            a += (x2a - x1a) * (y2a - y1a) + r * (x2b - x1b) * (y2b - y1b)
             b += (x2a - x1a) * (y2b - y1b) + (x2b - x1b) * (y2a - y1a)
     return quad_from_triple((a, b, cert.denominator ** 2))
 

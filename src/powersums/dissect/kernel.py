@@ -3,12 +3,12 @@ same for every input, rigid motions, the exact order of coordinates and
 the exact-cover scans.  It imports only the standard library, so it can be
 audited apart from the code that produces certificates and from ``QuadExt``.
 
-Input is plain data: a + b*sqrt(21) is the int pair (a*D, b*D) over one
-common denominator D of the whole certificate, and a rect is its corners
-(x1, y1, x2, y2).  A certificate passes iff its construction is one of
-``CONSTRUCTIONS`` with n at most its cap, its structure is sound, it places
-a piece, its sources are pairwise disjoint on every source layer, and on
-every destination layer the placed pieces cover each grid cell inside the
+Input is plain data: with r = ``RADICAND``, a + b*sqrt(r) is the int pair
+(a*D, b*D) over one common denominator D of the certificate, and a rect is
+its corners (x1, y1, x2, y2).  A certificate passes iff its construction is
+one of ``CONSTRUCTIONS`` with n at most its cap, its structure is sound, it
+places a piece, its sources are pairwise disjoint on every source layer, and
+on every destination layer the placed pieces cover each grid cell inside the
 declared targets exactly once and no cell outside them.  Declared leftovers
 act as the target frame of the reserved ``leftover`` layer.
 """
@@ -36,7 +36,10 @@ CONSTRUCTIONS: dict[str, int] = {
     "STEP4_TOP": 12,
 }
 
-#: a + b*sqrt(21) as the int pair (a*D, b*D) over a common denominator D
+#: The field is Q(sqrt(RADICAND)), 21 the discriminant of 3n**2 + 3n - 1
+RADICAND = 21
+
+#: a + b*sqrt(r) as the int pair (a*D, b*D) over a common denominator D
 Point = tuple[int, int]
 #: corners (x1, y1, x2, y2) of an axis-aligned rectangle, as lattice points
 LatticeRect = tuple[Point, Point, Point, Point]
@@ -79,15 +82,15 @@ def bounded(text: str) -> str:
 
 
 def lattice_sign(a: int, b: int) -> int:
-    """Sign of the real number a + b*sqrt(21) for ints a, b.
+    """Sign of the real number a + b*sqrt(r) for ints a, b, r = ``RADICAND``.
 
     With mixed-sign parts the root term dominates exactly when
-    21*b**2 > a**2 (never equal unless b == 0, as sqrt(21) is irrational).
+    r*b**2 > a**2 (never equal unless b == 0, as sqrt(r) is irrational).
     """
     if b == 0:
         return (a > 0) - (a < 0)
     sb = 1 if b > 0 else -1
-    if a == 0 or (a > 0) == (b > 0) or a * a < 21 * b * b:
+    if a == 0 or (a > 0) == (b > 0) or a * a < RADICAND * b * b:
         return sb
     return -sb
 
@@ -95,22 +98,22 @@ def lattice_sign(a: int, b: int) -> int:
 def _sorted_points(points: Iterable[Point]) -> list[Point]:
     """The points in increasing real order, exactly.
 
-    Each point u = A + B*sqrt(21) is keyed by the integer floor(S*u) with
-    S = 12*M, where M bounds |A| and |B| over the points; the root part's
-    floor is an ``isqrt`` (21*(B*S)**2 is never a square for B != 0).  The
-    key is injective: for distinct u, v the norm of u - v is a non-zero
-    integer, and the conjugate of u - v is at most 2M(1 + sqrt(21)) < S
-    in size, so |u - v| > 1/S.  Being monotone too, it orders exactly.
+    Each point u = A + B*sqrt(r) is keyed by the integer floor(S*u) with
+    S = 2M(isqrt(r) + 2), M a bound on |A| and |B| over the points; the root
+    part's floor is an ``isqrt`` (r*(B*S)**2 is never a square for B != 0).
+    The key is injective: for distinct u, v the norm of u - v is a non-zero
+    integer, and the conjugate of u - v is at most 2M(1 + sqrt(r)) < S in
+    size, so |u - v| > 1/S.  Being monotone too, it orders exactly.
     """
-    points = list(points)
-    s = 12 * max((max(abs(a), abs(b)) for a, b in points), default=1)
+    points, r = list(points), RADICAND
+    s = 2 * max((max(abs(a), abs(b)) for a, b in points), default=1) * (isqrt(r) + 2)
 
     def key(point: Point) -> int:
         a, b = point
         if b > 0:
-            return a * s + isqrt(21 * (b * s) ** 2)
+            return a * s + isqrt(r * (b * s) ** 2)
         if b < 0:
-            return a * s - isqrt(21 * (b * s) ** 2) - 1
+            return a * s - isqrt(r * (b * s) ** 2) - 1
         return a * s
 
     return sorted(points, key=key)
@@ -278,7 +281,7 @@ def _degenerate(rects: Sequence[LatticeRect], layer: str,
         if not (type(x1a) is type(x1b) is type(y1a) is type(y1b) is int
                 and type(x2a) is type(x2b) is type(y2a) is type(y2b) is int):
             return _typed("a coordinate", [*p, *q, *r, *s], int)
-        if not ((x2a > x1a if x1b == x2b  # no sqrt(21) part: no sign call
+        if not ((x2a > x1a if x1b == x2b  # no root part: no sign call
                  else lattice_sign(x2a - x1a, x2b - x1b) > 0)
                 and (y2a > y1a if y1b == y2b
                      else lattice_sign(y2a - y1a, y2b - y1b) > 0)):

@@ -1,10 +1,10 @@
 """Exact arithmetic: rationals and the real quadratic field Q(sqrt(21)).
 
 Rationals are plain ``fractions.Fraction`` values (always canonical:
-positive denominator, reduced).  ``QuadExt`` adds the field extension
-generated by sqrt(21), which hosts the scissor-cut width
-x = (-3 + sqrt(21))/6 -- the positive root of x**2 + x - 1/3 = 0 -- and
-every coordinate produced by the cut-and-paste constructions.
+positive denominator, reduced).  ``QuadExt`` adds sqrt(r), r = ``RADICAND``
+of the kernel, read as it computes, for the scissor-cut width
+x = (-3 + sqrt(21))/6 -- the positive root of x**2 + x - 1/3 = 0 -- and for
+every coordinate of the constructions; its text ``sqrt21`` is fixed at import.
 
 The builders, the checker's kernel and the figures compute on lattice ints,
 so a ``QuadExt`` serves the edges only: the certificate object views, the
@@ -32,6 +32,7 @@ from functools import total_ordering
 from math import gcd, isqrt
 from typing import Union
 
+from .dissect import kernel
 from .dissect.kernel import bounded, lattice_sign
 
 Rat = Fraction
@@ -39,16 +40,17 @@ Rat = Fraction
 RatLike = Union[int, Fraction]
 QuadLike = Union[int, Fraction, "QuadExt"]
 
+_ROOT, _FIELD = f"sqrt{kernel.RADICAND}", f"Q(sqrt({kernel.RADICAND}))"
 # canonical literals only: no "-0", no "/1", no zero root part, ASCII digits
 _TEXT_RE = re.compile(
     r"(?P<an>0|-?[1-9][0-9]*)(?:/(?P<ad>[2-9]|[1-9][0-9]+))?"
-    r"(?:\+(?P<bn>-?[1-9][0-9]*)(?:/(?P<bd>[2-9]|[1-9][0-9]+))?\*sqrt21)?"
+    rf"(?:\+(?P<bn>-?[1-9][0-9]*)(?:/(?P<bd>[2-9]|[1-9][0-9]+))?\*{_ROOT})?"
 )
 
 
 @total_ordering
 class QuadExt:
-    """Element a + b*sqrt(21) of Q(sqrt(21)) with exact rational parts.
+    """Element a + b*sqrt(r) of Q(sqrt(r)) with exact rational parts.
 
     Stored as the canonical integer triple (A, B, D): a = A/D, b = B/D,
     D > 0 and gcd(A, B, D) = 1, so equal values have equal triples.
@@ -82,7 +84,7 @@ class QuadExt:
 
     @property
     def triple(self) -> tuple[int, int, int]:
-        """(A, B, D) with self = (A + B*sqrt(21))/D, D > 0 and
+        """(A, B, D) with self = (A + B*sqrt(r))/D, D > 0 and
         gcd(A, B, D) = 1."""
         return self._a, self._b, self._d
 
@@ -93,13 +95,13 @@ class QuadExt:
 
     @property
     def b(self) -> Fraction:
-        """The sqrt(21) part."""
+        """The sqrt(r) part."""
         return Fraction(self._b, self._d)
 
     # -- predicates ------------------------------------------------------
 
     def sign(self) -> int:
-        """Sign of the real number a + b*sqrt(21), computed exactly."""
+        """Sign of the real number a + b*sqrt(r), computed exactly."""
         return lattice_sign(self._a, self._b)
 
     # -- arithmetic ------------------------------------------------------
@@ -125,7 +127,7 @@ class QuadExt:
     def __mul__(self, other: QuadLike) -> QuadExt:
         a, b, d = _parts(other)
         sa, sb = self._a, self._b
-        return _reduced(sa * a + 21 * sb * b, sa * b + sb * a, self._d * d)
+        return _reduced(sa * a + kernel.RADICAND * sb * b, sa * b + sb * a, self._d * d)
 
     __rmul__ = __mul__
 
@@ -135,7 +137,7 @@ class QuadExt:
         if isinstance(other, QuadExt):
             return (self._a == other._a and self._b == other._b
                     and self._d == other._d)
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or isinstance(other, Fraction):
             return (self._b == 0 and self._a == other.numerator
                     and self._d == other.denominator)
         return NotImplemented
@@ -166,7 +168,7 @@ _alloc = object.__new__
 
 
 def _new(a: int, b: int, d: int) -> QuadExt:
-    """(a + b*sqrt(21))/d from a triple that is already canonical."""
+    """(a + b*sqrt(r))/d from a triple that is already canonical."""
     u = _alloc(QuadExt)
     _set_a(u, a)
     _set_b(u, b)
@@ -175,7 +177,7 @@ def _new(a: int, b: int, d: int) -> QuadExt:
 
 
 def _reduced(a: int, b: int, d: int) -> QuadExt:
-    """(a + b*sqrt(21))/d for any d > 0, reduced to canonical form."""
+    """(a + b*sqrt(r))/d for any d > 0, reduced to canonical form."""
     g = gcd(a, b, d)
     return _new(a // g, b // g, d // g)
 
@@ -219,7 +221,7 @@ def strip_root() -> QuadExt:
 def quad_to_float(u: QuadLike) -> float:
     """Nearest-float approximation of u, accurate to a few ulp.
 
-    Brackets sqrt(21) between exact rationals and tightens the bracket
+    Brackets sqrt(r) between exact rationals and tightens the bracket
     until both endpoints round to the same float, so cancellation between
     the rational and root parts cannot poison the result.  Int division
     rounds correctly, so each endpoint is its nearest float.  Raises
@@ -231,7 +233,7 @@ def quad_to_float(u: QuadLike) -> float:
     prec = 64
     while prec <= 1 << 14:
         scale = 1 << prec
-        root_lo = isqrt(21 * scale * scale)  # root_lo/scale <= sqrt(21)
+        root_lo = isqrt(kernel.RADICAND * scale * scale)  # root_lo/scale <= sqrt(r)
         # endpoints (a*scale + b*root)/(d*scale) for root = root_lo, root_lo + 1
         den = d * scale
         lo = a * scale + b * root_lo
@@ -273,7 +275,7 @@ def triple_to_text(triple: tuple[int, int, int]) -> str:
     a, b, d = triple
     if b == 0:
         return _ratio_text(a, d)
-    return f"{_ratio_text(a, d)}+{_ratio_text(b, d)}*sqrt21"
+    return f"{_ratio_text(a, d)}+{_ratio_text(b, d)}*{_ROOT}"
 
 
 def triple_from_text(text: str) -> tuple[int, int, int]:
@@ -281,8 +283,7 @@ def triple_from_text(text: str) -> tuple[int, int, int]:
     reads from ``text``, without building a ``QuadExt``."""
     m = _TEXT_RE.fullmatch(text)
     if m is None:
-        raise ValueError(
-            f"not a canonical Q(sqrt(21)) literal: {bounded(repr(text))}")
+        raise ValueError(f"not a canonical {_FIELD} literal: {bounded(repr(text))}")
     an, ad = int(m["an"]), int(m["ad"] or 1)
     bn, bd = (int(m["bn"]), int(m["bd"] or 1)) if m["bn"] else (0, 1)
     if gcd(an, ad) != 1 or gcd(bn, bd) != 1:

@@ -1,15 +1,18 @@
-"""Field arithmetic, exact ordering, and serialisation of Q(sqrt(21))."""
+"""Field arithmetic, exact ordering, and serialisation of Q(sqrt(21)), and
+the arithmetic, order and floats of Q(sqrt(r)) for other r."""
 
 from __future__ import annotations
 
 import math
 import operator
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powersums.dissect import kernel
 from powersums.exact import (
     QuadExt,
     quad_compare,
@@ -77,6 +80,14 @@ def test_a_value_of_another_type_is_not_equal(other):
     # no text or None is coerced: Python's fallback compares identities
     assert QuadExt(1).__eq__(other) is NotImplemented
     assert (QuadExt(1) == other) is False
+
+
+def test_a_bool_equals_no_value():
+    # a bool is never an operand (QuadExt(1) + True raises), so no value
+    # equals one either, while the int of the same value stays equal
+    assert (QuadExt(1) == True) is False and (QuadExt(0) == False) is False  # noqa: E712
+    assert (True == QuadExt(1)) is False  # noqa: E712
+    assert (QuadExt(1) == 1) is True
 
 
 def test_float_conversion_examples():
@@ -152,15 +163,19 @@ def test_field_laws(u, v, w):
     assert u * QuadExt(1) == u
 
 
-@given(quads, quads)
-@settings(max_examples=60)
-def test_order_is_total_and_matches_floats(u, v):
+def _order_matches_floats(u, v):
     c = quad_compare(u, v)
     assert c in (-1, 0, 1)
     assert c == -quad_compare(v, u)
     fu, fv = quad_to_float(u), quad_to_float(v)
     if abs(fu - fv) > 1e-6:
         assert c == (1 if fu > fv else -1)
+
+
+@given(quads, quads)
+@settings(max_examples=60)
+def test_order_is_total_and_matches_floats(u, v):
+    _order_matches_floats(u, v)
 
 
 @given(quads, quads, quads)
@@ -220,9 +235,10 @@ def test_there_is_no_float_conversion():
 
 # -- differential test against a Fraction-pair reference ---------------------
 #
-# The reference keeps a + b*sqrt(21) as the pair (a, b) of Fractions and
+# The reference keeps a + b*sqrt(r) as the pair (a, b) of Fractions and
 # does the textbook field arithmetic on it; QuadExt, stored as integers
-# over one denominator, must agree with it everywhere.
+# over one denominator, must agree with it everywhere, at r = 21 and, with
+# ``kernel.RADICAND`` set to r, in other fields.
 
 def _ref_add(u, v):
     return u[0] + v[0], u[1] + v[1]
@@ -232,18 +248,18 @@ def _ref_neg(u):
     return -u[0], -u[1]
 
 
-def _ref_mul(u, v):
-    return u[0] * v[0] + 21 * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
+def _ref_mul(u, v, r=21):
+    return u[0] * v[0] + r * u[1] * v[1], u[0] * v[1] + u[1] * v[0]
 
 
-def _ref_sign(u):
+def _ref_sign(u, r=21):
     a, b = u
     sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
     if sb == 0:
         return sa
     if sa == 0 or sa == sb:
         return sb
-    return sa if a * a > 21 * b * b else sb
+    return sa if a * a > r * b * b else sb
 
 
 def _ref_text(u):
@@ -275,15 +291,13 @@ u_refs = st.one_of(quad_refs, lattice_refs, int_refs)
 v_refs = st.one_of(operand_refs, lattice_refs, int_refs)
 
 
-@given(u_refs, v_refs)
-@settings(max_examples=200)
-def test_arithmetic_matches_fraction_pairs(u_ref, v_ref):
+def _arithmetic_agrees(u_ref, v_ref, r=21):
     (u, ru), (v, rv) = u_ref, v_ref
     cases = [
         (u + v, _ref_add(ru, rv)), (v + u, _ref_add(ru, rv)),
         (u - v, _ref_add(ru, _ref_neg(rv))), (v - u, _ref_add(rv, _ref_neg(ru))),
         (-u, _ref_neg(ru)),
-        (u * v, _ref_mul(ru, rv)), (v * u, _ref_mul(ru, rv)),
+        (u * v, _ref_mul(ru, rv, r)), (v * u, _ref_mul(ru, rv, r)),
     ]
     for got, want in cases:
         assert isinstance(got, QuadExt)
@@ -291,15 +305,25 @@ def test_arithmetic_matches_fraction_pairs(u_ref, v_ref):
         assert (got.a, got.b) == want
 
 
-@given(u_refs, v_refs)
-@settings(max_examples=200)
-def test_sign_and_order_match_fraction_pairs(u_ref, v_ref):
+def _sign_and_order_agree(u_ref, v_ref, r=21):
     (u, ru), (v, rv) = u_ref, v_ref
-    assert u.sign() == _ref_sign(ru)
-    s = _ref_sign(_ref_add(ru, _ref_neg(rv)))
+    assert u.sign() == _ref_sign(ru, r)
+    s = _ref_sign(_ref_add(ru, _ref_neg(rv)), r)
     assert quad_compare(u, v) == s
     assert ((u < v), (u <= v), (u > v), (u >= v)) == (s < 0, s <= 0, s > 0, s >= 0)
     assert (u == v) == (s == 0) == (v == u)
+
+
+@given(u_refs, v_refs)
+@settings(max_examples=200)
+def test_arithmetic_matches_fraction_pairs(u_ref, v_ref):
+    _arithmetic_agrees(u_ref, v_ref)
+
+
+@given(u_refs, v_refs)
+@settings(max_examples=200)
+def test_sign_and_order_match_fraction_pairs(u_ref, v_ref):
+    _sign_and_order_agree(u_ref, v_ref)
 
 
 @given(quad_refs)
@@ -310,6 +334,54 @@ def test_text_and_float_match_fraction_pairs(u_ref):
     assert quad_from_text(_ref_text(ru)) == u
     if ru[1] == 0:
         assert quad_to_float(u) == float(ru[0])
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+@given(u_refs, v_refs, quads, quads)
+@settings(max_examples=100)
+def test_another_field_matches_fraction_pairs(r, u_ref, v_ref, u, v):
+    """``kernel.RADICAND`` set to r alone moves arithmetic, sign, order and
+    floats into Q(sqrt(r)): they agree with the reference over the same r."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "RADICAND", r)
+        _arithmetic_agrees(u_ref, v_ref, r)
+        _sign_and_order_agree(u_ref, v_ref, r)
+        _order_matches_floats(u, v)
+        assert quad_to_float(u) == pytest.approx(
+            float(u.a) + float(u.b) * math.sqrt(r), rel=1e-9, abs=1e-6)
+
+
+#: a unit a + b*sqrt(r) of each field: a**2 - r*b**2 = +-1
+_UNITS = {2: (1, 1), 3: (2, 1), 5: (2, 1), 35: (6, 1)}
+
+
+@pytest.mark.parametrize("r", sorted(_UNITS))
+@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)),
+                max_size=30),
+       st.integers(1, 12), st.integers(-10**9, 10**9), st.integers(-2, 2))
+def test_kernel_order_matches_fraction_pairs_in_another_field(r, points, k, c, offset):
+    """``kernel._sorted_points`` in Q(sqrt(r)) sorts as the reference sign
+    does, near ties included: 0 against a - b*sqrt(r), about 1/(2a) for
+    a + b*sqrt(r) the k-th power of a unit, and a + c*sqrt(r) within 3 of
+    0.  That difference split across 0, so that M is about a/2, is the
+    closest pair for its bound M, and is sorted alone, both ways round.  At
+    r = 35, sqrt(r) > 5: the bound S = 12*M that held for sqrt(21) < 5 is
+    past its premise, and S derived from r must hold."""
+    a, b = _UNITS[r]
+    ua, ub = 1, 0
+    for _ in range(k):
+        ua, ub = a * ua + r * b * ub, b * ua + a * ub
+    near = -math.isqrt(r * c * c) if c > 0 else math.isqrt(r * c * c)
+    # the split's root parts, k0 and k0 + b, stay within a/2 as c moves them
+    k0 = c % (ua - ub + 1) - ua // 2
+    split = [(ua // 2, k0), (ua // 2 - ua, k0 + ub)]
+    points = {*points, (0, 0), (ua, -ub), (-ua, ub), (near + offset, c)}
+    order = cmp_to_key(lambda p, q: _ref_sign((p[0] - q[0], p[1] - q[1]), r))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "RADICAND", r)
+        assert kernel._sorted_points(points) == sorted(points, key=order)
+        for pair in (split, split[::-1]):
+            assert kernel._sorted_points(pair) == sorted(pair, key=order)
 
 
 @given(st.one_of(rationals, st.integers()))

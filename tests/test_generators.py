@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from powersums import verify
-from powersums.dissect import generators
+from powersums.dissect import generators, kernel
 from powersums.dissect.checker import check_certificate
 from powersums.dissect.generators import (StageCheckError, UnsupportedN,
                                          excess_corner_layout,
@@ -223,6 +223,35 @@ def test_step3_target_sides_multiply_to_scissor_factor():
             assert r.w * r.h == expected
         # assembled area per layer is rational: the sqrt(21) part cancels
         assert _area(step3_scissor, n, "target_area").b == 0
+
+
+@pytest.fixture
+def in_q_sqrt3(monkeypatch):
+    """The kernel in Q(sqrt(3)).  ``_at`` caches the lattice points it makes
+    with ``generators.X``, so its cache is cleared on entry and on exit."""
+    monkeypatch.setattr(kernel, "RADICAND", 3)
+    generators._at.cache_clear()
+    yield monkeypatch
+    generators._at.cache_clear()
+
+
+@pytest.mark.parametrize("width,leftover", [
+    ((-3, 3), Fraction(1, 2)),  # y = (-1 + sqrt(3))/2: y**2 + y = 1/2
+    ((-3, 2), Fraction(1, 12)),  # (-3 + 2*sqrt(3))/6, a control
+], ids=["y", "control"])
+def test_the_next_factor_comes_from_the_same_cut(in_q_sqrt3, width, leftover):
+    """STEP3's cut of width y over Q(sqrt(3)) passes the kernel and leaves
+    y + y**2 = 1/2 per rectangle, where x leaves 1/3: each rectangle becomes
+    (n+1+y) x (n-y) = (2n**2 + 2n - 1)/2, S_5's factor, as x gives S_4's
+    (3n**2 + 3n - 1)/3.  Any width in (0, 1) passes: only the leftover
+    pins the root."""
+    in_q_sqrt3.setattr(generators, "X", width)
+    for n in range(1, 11):
+        cert = generators._step3_scissor(n).cert
+        assert check_certificate(cert).ok
+        rectangles = n * n * (n + 1)
+        assert _leftover_area(cert) == leftover * rectangles
+        assert lattice_area(cert, "target_area") == (n * n + n - leftover) * rectangles
 
 
 def test_step4_certificates_and_counts():

@@ -7,6 +7,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import math
 import tracemalloc
 from itertools import accumulate
 from operator import add
@@ -53,6 +54,21 @@ def test_the_checker_imports_no_object_front_end():
 
 def test_one_sign_routine():
     assert exact.lattice_sign is kernel.lattice_sign
+
+
+def test_the_radicand_alone_moves_every_field_operation(monkeypatch):
+    """Arithmetic, sign, order, floats and areas read ``kernel.RADICAND``
+    as they run; the text form, fixed when ``exact`` loads, names sqrt21."""
+    root = exact.QuadExt(0, 1)
+    square = kernel.LatticeCertificate(  # [0, sqrt(r)] x [0, sqrt(r)]
+        "GAUSS_RECT", 1, [], [("t", [((0, 0), (0, 0), (0, 1), (0, 1))])], [], 1)
+    monkeypatch.setattr(kernel, "RADICAND", 3)
+    assert root * root == 3
+    assert kernel.lattice_sign(-2, 1) == -1 and root < 2  # sqrt(3) < 2 < sqrt(21)
+    assert kernel._sorted_points([(2, 0), (0, 1)]) == [(0, 1), (2, 0)]
+    assert exact.quad_to_float(root) == math.sqrt(3)
+    assert geometry.lattice_area(square, "target_area") == 3
+    assert exact.quad_to_text(root) == "0+1*sqrt21"
 
 
 def test_the_construction_table_is_pinned():
