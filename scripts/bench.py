@@ -3,9 +3,10 @@ tree and on this one, and write both rows to ``BENCH_<pr>.json``.
 
 Standard library only.  It reads ``powersums.pyramid``,
 ``powersums.verify``, ``powersums.dissect.full_theorem_report`` and, for
-every other ``dissect`` name, the submodule that defines it (``kernel``,
-``geometry``, ``checker``, ``generators``), which older trees have too, so
-the same script measures any checkout's ``src``:
+every other ``dissect`` name, a submodule that binds it (``geometry``,
+``checker``, ``generators``; the construction caps as
+``generators.CONSTRUCTIONS``), which older trees have too, so the same
+script measures any checkout's ``src``:
 
     python3 scripts/bench.py --pr PR --parent ../parent/src
 
@@ -116,7 +117,7 @@ def _child(src: str, conn: Any) -> None:
     sys.path.insert(0, src)
     from powersums import dissect, pyramid, verify
 
-    caps = dict(dissect.kernel.CONSTRUCTIONS)
+    caps = dict(dissect.generators.CONSTRUCTIONS)
     builders = {name: dissect.generators.certificate_builders(name) for name in caps}
 
     @functools.cache

@@ -7,7 +7,3 @@ sections, the four-pyramid cube puzzle, and the five-pyramid construction
 whose scissor cut of width (-3 + sqrt(21))/6 explains the irreducible
 factor (3n^2 + 3n - 1).
 """
-
-# dissect first: exact takes its sign routine from dissect.kernel, and the
-# rest of dissect needs exact complete
-from . import dissect  # noqa: F401

@@ -25,8 +25,8 @@ from .dissect.checker import check_certificate
 # _GENERATORS is bound here too, as the same dict: perfbench reads it from cli
 from .dissect.generators import _GENERATORS, certificate_builders  # noqa: F401
 from .dissect.geometry import dumps_lattice, lattice_area, read_certificate
-from .dissect.kernel import CONSTRUCTIONS, bounded
 from .exact import quad_to_text, rat_to_text
+from .kernel import CONSTRUCTIONS, bounded
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1

@@ -1,12 +1,12 @@
 """Dissection certificates: geometry, generators, and the exact-cover checker
-(``kernel`` is the part a verdict rests on).
+(a verdict rests on ``powersums.kernel``, which this package imports).
 
 Each name lives in the submodule that defines it, and callers import it
 from there.  The package binds only the ten names that the benchmark under
 ``perfbench/`` reads as attributes of ``powersums.dissect``: the seven
 public builders, ``full_theorem_report``, ``dumps_certificate`` and
-``mutate_placement``.  Importing them binds the submodules ``kernel``,
-``geometry``, ``checker``, ``generators`` and ``mutants`` too."""
+``mutate_placement``.  Importing them binds the submodules ``geometry``,
+``checker``, ``generators`` and ``mutants`` too."""
 
 from .generators import (
     five_pyramids_layers,

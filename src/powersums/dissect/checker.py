@@ -20,11 +20,11 @@ from typing import Iterable, Optional, Sequence, Union
 from .._nogc import nogc
 from ..exact import QuadExt, quad_to_text
 from .geometry import Rect, WireCertificate, _lattice
-from .kernel import (Failure, LatticeCertificate, LatticeRect, _check_layer_cover,
-                     _scan, bounded)
+from ..kernel import (Failure, LatticeCertificate, LatticeRect, _check_layer_cover,
+                      _scan, bounded)
 # unused here: perfbench's traced run rebinds these per-layer scans through
 # checker, by name
-from .kernel import _check_source_disjoint, _grid_counts  # noqa: F401
+from ..kernel import _check_source_disjoint, _grid_counts  # noqa: F401
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from ..figurate import IdentityReport, _naturals, evaluate_identity
 from .checker import CheckReport, check_certificate, cover_failure
 from .geometry import (DissectionCertificate, LabelledLattice,
                        certificate_from_lattice)
-from .kernel import (CONSTRUCTIONS, LEFTOVER_LAYER, LatticeCertificate,
-                     LatticeRect, Point, Transform, bounded)
+from ..kernel import (CONSTRUCTIONS, LEFTOVER_LAYER, LatticeCertificate,
+                      LatticeRect, Point, Transform, bounded)
 
 #: The common denominator of every generated coordinate: k + s*x or a half.
 D = 6

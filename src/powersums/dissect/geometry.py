@@ -29,9 +29,9 @@ from ..exact import (
     triple_from_text,
     triple_to_text,
 )
-from . import kernel
-from .kernel import (MAX_DENOMINATOR_BITS, LatticeCertificate, LatticeRect,
-                     Point, bounded, lattice_sign)
+from .. import kernel
+from ..kernel import (MAX_DENOMINATOR_BITS, LatticeCertificate, LatticeRect,
+                      Point, bounded)
 
 class CertificateFormatError(ValueError):
     """Raised when certificate JSON cannot be decoded."""
@@ -263,11 +263,13 @@ def _walk(data: Any) -> WireCertificate:
     once the object is read, and a target region labelled anything but
     "target" once its rects are read.  Each distinct coordinate text is
     parsed once; a text is looked up only once it is known to be a str, so
-    a value of another JSON type gets the parser's own message.
+    a value of another JSON type gets the parser's own message.  The walk
+    reads and does not judge: a rect's side <= 0 is the kernel's to refuse,
+    as a malformed report naming its layer, so reading needs no field
+    arithmetic.
     """
     values: dict[str, Triple] = {}
     keys: list[str] = []
-    positive: set[str] = set()  # texts known to be > 0
 
     def coordinate(text: Any) -> str:
         if type(text) is not str or text not in values:
@@ -288,13 +290,6 @@ def _walk(data: Any) -> WireCertificate:
                 if type(text) is not str or text not in values:
                     values[text] = triple_from_text(text)
             keys.extend(r)
-            w, h = r[2], r[3]
-            if w not in positive or h not in positive:
-                for side in (w, h):
-                    if lattice_sign(*values[side][:2]) <= 0:
-                        raise ValueError("rectangle sides must be positive: "
-                                         f"w={bounded(w)} h={bounded(h)}")
-                    positive.add(side)
         _only(data, ("label", "rects"), "a region")
         return label, len(rects)
 
@@ -395,7 +390,8 @@ def dumps_certificate(cert: DissectionCertificate) -> str:
     walk of ``certificate_to_json(cert)``: an object is written only if its
     document would be read, and a malformed one gets the reader's
     ``CertificateFormatError`` (or ``ValueError`` past
-    ``MAX_DENOMINATOR_BITS``)."""
+    ``MAX_DENOMINATOR_BITS``).  A rect with a side <= 0 is read, so it is
+    written, and ``check`` refuses its document."""
     return dumps_lattice(_lattice(_walk(certificate_to_json(cert))))
 
 

@@ -22,6 +22,10 @@ coerced: a part or operand is an int (not a bool), a ``Fraction`` or a
 ``QuadExt``, and anything else, a float, str or bool, raises ``TypeError``.
 Floating point is consulted nowhere except ``quad_to_float``, the one way
 out to floats, which exists for rendering only.
+
+The module imports the standard library and the kernel only, so the
+arithmetic stack (``exact``, ``figurate``, ``pyramid``) loads no part of
+``dissect``.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from functools import total_ordering
 from math import gcd, isqrt
 from typing import Union
 
-from .dissect import kernel
-from .dissect.kernel import bounded, lattice_sign
+from . import kernel
+from .kernel import bounded, lattice_sign
 
 Rat = Fraction
 

@@ -23,8 +23,8 @@ from itertools import accumulate
 from math import comb
 from typing import Callable, Mapping
 
-from .dissect.kernel import bounded
 from .exact import QuadExt, Rat, strip_root
+from .kernel import bounded
 
 
 class IdentityError(Exception):

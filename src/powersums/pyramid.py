@@ -21,9 +21,9 @@ from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
-from .dissect.kernel import bounded
 from .exact import QuadExt
 from .figurate import IdentityReport, _naturals, lemma_rows
+from .kernel import bounded
 
 Cell = tuple[int, ...]
 

@@ -19,9 +19,9 @@ from .dissect.generators import (D, X, UnsupportedN, _box, _five_pyramids_layers
                                   _step2_reshape, _step4_overlap,
                                   _three_pyramids_2d, scissor_rectangle)
 from .dissect.geometry import LabelledLattice
-from .dissect.kernel import LEFTOVER_LAYER, LatticeRect, Point, _place, bounded
 from .exact import quad_from_triple, quad_to_float
 from .figurate import _naturals
+from .kernel import LEFTOVER_LAYER, LatticeRect, Point, _place, bounded
 
 #: Fill colours per piece label (total over everything the generators and
 #: figure builders emit).

@@ -3,10 +3,11 @@
 Each criterion is a function of a bound ``max_n``.  ``None`` runs the
 acceptance ranges; an int cuts every range of n at ``max_n`` (criterion 03
 at ``10 * max_n``), never beyond the acceptance range or a construction's
-cap.  Criteria 01, 02, 07, 08 and 10 and the arithmetic form of 09 have no
-range of n to cut, but every criterion refuses a bound that is not None or
-an int >= 1 (``Criterion.run``).  A criterion returns ``None`` when it
-holds, else one line naming the first failing case.
+cap.  Criteria 01, 02, 07 and 10 have no range of n, and criterion 08's
+SCISSOR_FACTOR sweep (n <= 100) and 09's arithmetic form (n <= 10,000) are
+fixed ranges that no ``max_n`` cuts; every criterion refuses a bound that
+is not None or an int >= 1 (``Criterion.run``).  A criterion returns
+``None`` when it holds, else one line naming the first failing case.
 
 ``powersums verify-all`` runs ``CRITERIA`` in order, and the acceptance
 tests run each entry at ``max_n=None`` within its time budget.
@@ -22,7 +23,6 @@ from .dissect.checker import check_certificate
 from .dissect.generators import (StageCheckError, certificate_builders,
                                  full_theorem_report)
 from .dissect.geometry import LabelledLattice, lattice_area as _area
-from .dissect.kernel import CONSTRUCTIONS
 from .dissect.mutants import mutate_piece
 from .exact import QuadExt, rat_to_text, strip_root
 from .figurate import (
@@ -34,6 +34,7 @@ from .figurate import (
     lemma_rows,
     sum_powers_bruteforce,
 )
+from .kernel import CONSTRUCTIONS
 from .pyramid import build_pyramid, main_sections, secondary_sections
 from .render import FigureSpec, emit_figure
 
@@ -207,15 +208,12 @@ def _final_assembly(max_n: Optional[int]) -> Optional[str]:
             return f"pipeline n={n}: {exc}"
         if not report.holds or report.lhs != 5 * sum_powers_bruteforce(4, n):
             return f"pipeline n={n}: {report}"
-    # the arithmetic form: a running sum against the factored product, and
-    # the QuadExt route sampled on top of it
+    # the arithmetic form: a running sum against the factored product, with
+    # the paper's irreducible factor, and the QuadExt route sampled on top
     running = 0
     for n in range(1, 10001):
         running += n**4
-        factored = (Fraction(n * (n + 1)) * Fraction(2 * n + 1, 2)
-                    * (Fraction(n * n + n) - Fraction(1, 3)))
-        if (5 * running != factored or 30 * running
-                != n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1)):
+        if 30 * running != n * (n + 1) * (2 * n + 1) * (3 * n * n + 3 * n - 1):
             return f"factored form at n={n}"
         if n % 500 == 0 or n <= 20:
             report = evaluate_identity("FINAL_ASSEMBLY", {"n": n})

@@ -165,13 +165,11 @@ EXPECTED: dict[str, tuple[int, str, str]] = {
     'bool in dx': _type_error('bool'),
     'float in dx': _type_error('float'),
     'zero-width rect': (
-        3, '',
-        'error: bad certificate structure: rectangle sides must be positive: '
-        'w=0 h=3/2+-1/6*sqrt21\n'),
+        3, "STEP3_SCISSOR n=1: FAIL malformed on layer 'layer/1': piece "
+        "'STEP3_SCISSOR/layer/1/0,0/body' has a degenerate rectangle\n", ''),
     'negative-height rect': (
-        3, '',
-        'error: bad certificate structure: rectangle sides must be positive: '
-        'w=2 h=1/2+-1/6*sqrt21\n'),
+        3, "STEP3_SCISSOR n=1: FAIL malformed on layer 'layer/1': piece "
+        "'STEP3_SCISSOR/layer/1/0,0/body' has a degenerate rectangle\n", ''),
     'three-value rect': (
         3, '',
         "error: rect must be a 4-list, got ['0', '0', '2']\n"),
@@ -253,6 +251,22 @@ def test_check_output_is_pinned(name, tmp_path, capsys):
     code = main(["check", str(path)])
     out, err = capsys.readouterr()
     assert (code, out, err) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("edit, layer", [
+    (_set(lambda d: d["targets"][0]["region"]["rects"][0], 2, "0"), "layer/1"),
+    (_set(lambda d: d["leftovers"][0]["rects"][0], 3, "1/2+-1/6*sqrt21"), "leftover"),
+], ids=["zero-width target", "negative-height leftover"])
+def test_a_degenerate_target_or_leftover_is_malformed_on_its_layer(
+        edit, layer, tmp_path, capsys):
+    """The reader does not judge a rect's shape; the kernel refuses it on
+    the layer the rect frames."""
+    path = tmp_path / "cert.json"
+    path.write_text(_edited(edit), encoding="utf-8")
+    code = main(["check", str(path)])
+    assert (code, *capsys.readouterr()) == (
+        3, f"STEP3_SCISSOR n=1: FAIL malformed on layer '{layer}': a target or "
+           "leftover has a degenerate rectangle\n", "")
 
 
 # an object with one key beyond its own
@@ -364,7 +378,7 @@ def _gauss(edit: Callable[[Any], None]) -> str:
                  id="quarter_turns 7 on a 100000-character id"),
     pytest.param(_gauss(_set(lambda d: d["targets"][0], "layer", "L" * 100_000)),
                  2, "out", id="100000-character target layer"),
-    pytest.param(_gauss(_set(_rect, 2, "-" + DIGITS)), 3, "err",
+    pytest.param(_gauss(_set(_rect, 2, "-" + DIGITS)), 3, "out",
                  id="negative 4000-digit side"),
     pytest.param(_gauss(_set(_rect, 0, "-" + DIGITS)), 2, "out",
                  id="4000-digit cell corner"),

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powersums.dissect import generators, kernel
+from powersums import kernel
+from powersums.dissect import generators
 from powersums.dissect.checker import check_certificate, covers_exactly
 from powersums.dissect.generators import (five_pyramids_layers, gauss_rectangle,
                                          nicomachus_4d_2d, step2_reshape,
@@ -21,10 +22,10 @@ from powersums.dissect.geometry import (DissectionCertificate, Placement, Rect,
                                        Region, RigidTransform, WireCertificate,
                                        _lattice, _walk, certificate_to_json,
                                        dumps_certificate, dumps_lattice)
-from powersums.dissect.kernel import (CONSTRUCTIONS, LEFTOVER_LAYER, _sorted_points,
-                                     lattice_sign as _sign)
 from powersums.dissect.mutants import MUTATION_KINDS, mutate_piece, mutate_placement
 from powersums.exact import QuadExt, quad_to_text, strip_root
+from powersums.kernel import (CONSTRUCTIONS, LEFTOVER_LAYER, _sorted_points,
+                              lattice_sign as _sign)
 
 
 def _rect(x, y, w, h) -> Rect:

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from importlib.util import resolve_name
 from pathlib import Path
 from types import SimpleNamespace
 from unittest.mock import ANY
@@ -23,7 +24,7 @@ from powersums.cli import main
 from powersums.dissect import generators
 from powersums.dissect.generators import gauss_rectangle
 from powersums.dissect.geometry import dumps_certificate, loads_certificate
-from powersums.dissect.kernel import CONSTRUCTIONS
+from powersums.kernel import CONSTRUCTIONS
 
 
 def run(capsys, *argv):
@@ -539,14 +540,63 @@ def test_a_fresh_import_lets_the_old_package_go():
     assert done.returncode == 0, done.stderr
 
 
-def test_the_package_root_imports_dissect_and_nothing_else():
-    """Each name lives in its defining module; the root only orders the
-    import cycle exact -> dissect.kernel -> dissect -> checker -> exact."""
+def test_the_package_root_imports_nothing():
+    """Each name lives in its defining module, and imports run one way, so
+    the root holds its docstring alone."""
     tree = ast.parse(Path(powersums.__file__).read_text(encoding="utf-8"))
     docstring, *statements = tree.body
     assert isinstance(docstring, ast.Expr) and ast.get_docstring(tree)
-    assert [ast.dump(s) for s in statements] == [
-        ast.dump(ast.parse("from . import dissect").body[0])]
+    assert statements == []
+
+
+def _import_graph() -> dict[str, set[str]]:
+    """Each package module's intra-package imports, function-level ones
+    too.  Importing ``a.b`` runs ``a/__init__`` first, so an import of a
+    submodule is an edge to each package above it as well, but for the
+    importer's own packages, which are running or done by then."""
+    root = Path(powersums.__file__).parent
+    names = {".".join(("powersums", *p.relative_to(root).with_suffix("").parts))
+             .removesuffix(".__init__"): p for p in root.rglob("*.py")}
+    graph: dict[str, set[str]] = {}
+    for name, path in names.items():
+        package = name if path.name == "__init__.py" else name.rpartition(".")[0]
+        own = {".".join(name.split(".")[:k]) for k in range(1, name.count(".") + 1)}
+        edges = graph[name] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = resolve_name("." * node.level + (node.module or ""), package)
+                targets = [f"{base}.{a.name}" if f"{base}.{a.name}" in names else base
+                           for a in node.names]
+            else:
+                continue
+            for parts in (t.split(".") for t in targets if t.split(".")[0] == "powersums"):
+                edges.update(".".join(parts[:k]) for k in range(1, len(parts) + 1))
+        edges -= own | {name}
+    return graph
+
+
+def test_the_package_import_graph_is_acyclic():
+    """The stdlib-only kernel sits at the bottom and every import runs one
+    way, so no module relies on the order in which another is imported."""
+    graph = _import_graph()
+    assert graph["powersums"] == set()
+    assert graph["powersums.kernel"] == set()
+    assert {"powersums.kernel"} <= graph["powersums.exact"]
+    # an import of dissect.<sub> runs dissect/__init__ first
+    assert "powersums.dissect" in graph["powersums.cli"]
+    done: set[str] = set()
+
+    def visit(name: str, path: tuple[str, ...]) -> None:
+        assert name not in path, " -> ".join((*path, name))
+        if name not in done:
+            for target in sorted(graph[name]):
+                visit(target, (*path, name))
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name, ())
 
 
 def test_dissect_binds_only_the_names_perfbench_reads_through_it():
@@ -582,8 +632,8 @@ def test_check_loads_thirteen_package_modules(tmp_path):
     assert loaded.split() == [
         "powersums", "powersums._nogc", "powersums.cli", "powersums.dissect",
         "powersums.dissect.checker", "powersums.dissect.generators",
-        "powersums.dissect.geometry", "powersums.dissect.kernel",
-        "powersums.dissect.mutants", "powersums.exact", "powersums.figurate",
+        "powersums.dissect.geometry", "powersums.dissect.mutants",
+        "powersums.exact", "powersums.figurate", "powersums.kernel",
         "powersums.pyramid", "powersums.render"]
 
 
@@ -594,6 +644,19 @@ def test_a_library_import_loads_neither_render_nor_pyramid(module):
     loaded = set(done.stdout.split())
     assert module in loaded
     assert not loaded & {"powersums.render", "powersums.pyramid"}
+
+
+@pytest.mark.parametrize("module, loads", [
+    ("powersums.exact", []),
+    ("powersums.figurate", ["powersums.figurate"]),
+    ("powersums.pyramid", ["powersums.figurate", "powersums.pyramid"])])
+def test_an_arithmetic_import_loads_the_kernel_and_no_dissect_module(module, loads):
+    """``exact`` reaches the stdlib-only kernel directly, so a library
+    import of the arithmetic stack loads none of the dissection stack."""
+    done = _child("-c", f"import sys, {module}; print(*sys.modules)")
+    assert done.returncode == 0, done.stderr
+    loaded = {m for m in done.stdout.split() if m.split(".")[0] == "powersums"}
+    assert loaded == {"powersums", "powersums.kernel", "powersums.exact", *loads}
 
 
 def test_verify_all_compares_figures_with_the_golden_bytes(monkeypatch):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersums.dissect import kernel
+from powersums import kernel
 from powersums.exact import (
     QuadExt,
     quad_compare,

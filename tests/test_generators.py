@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from powersums import verify
-from powersums.dissect import generators, kernel
+from powersums import kernel, verify
+from powersums.dissect import generators
 from powersums.dissect.checker import check_certificate
 from powersums.dissect.generators import (StageCheckError, UnsupportedN,
                                          excess_corner_layout,
@@ -20,13 +20,13 @@ from powersums.dissect.generators import (StageCheckError, UnsupportedN,
                                          step3_scissor, step4_top_layer,
                                          three_pyramids_2d)
 from powersums.dissect.geometry import _walk, certificate_to_json, lattice_area
-from powersums.dissect.kernel import CONSTRUCTIONS, LEFTOVER_LAYER
 from powersums.exact import QuadExt, strip_root
 from powersums.figurate import (
     evaluate_identity,
     odd_weighted_squares,
     sum_powers_bruteforce,
 )
+from powersums.kernel import CONSTRUCTIONS, LEFTOVER_LAYER
 from powersums.verify import AREAS
 
 

@@ -18,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from powersums import cli, exact, verify
-from powersums.dissect import checker, generators, geometry, kernel
+from powersums import cli, exact, kernel, verify
+from powersums.dissect import checker, generators, geometry
 from powersums.dissect.checker import check_certificate
 from powersums.dissect.generators import (certificate_builders,
                                          five_pyramids_layers, gauss_rectangle,
@@ -29,7 +29,7 @@ from powersums.dissect.generators import (certificate_builders,
 from powersums.dissect.geometry import (CertificateFormatError, _walk,
                                        certificate_to_json, dumps_certificate,
                                        read_certificate)
-from powersums.dissect.kernel import CONSTRUCTIONS
+from powersums.kernel import CONSTRUCTIONS
 
 KERNEL_PATH = Path(kernel.__file__)
 

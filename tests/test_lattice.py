@@ -32,8 +32,8 @@ from powersums.dissect.geometry import (CertificateFormatError, LabelledLattice,
                                        certificate_from_lattice,
                                        certificate_to_json, dumps_certificate,
                                        dumps_lattice, read_certificate)
-from powersums.dissect.kernel import CONSTRUCTIONS, LatticeCertificate
 from powersums.exact import QuadExt, quad_from_triple, strip_root
+from powersums.kernel import CONSTRUCTIONS, LatticeCertificate
 
 
 def _cores():
@@ -264,14 +264,20 @@ def test_a_field_of_the_wrong_type_is_malformed(edit, message):
      "construction must be a JSON str, got ['GAUSS_RECT']"),
     (lambda c: replace(c, targets=(*c.targets, ("plane", Region("target", (
         Rect(QuadExt(0), QuadExt(0), QuadExt(0), QuadExt(2)),))))),
-     "bad certificate structure: rectangle sides must be positive: w=0 h=2"),
+     "a target or leftover has a degenerate rectangle"),
 ])
 def test_an_object_is_judged_as_its_document(edit, message):
     """An edited object's document gets the strict walk's refusal, as its
-    file would."""
-    with pytest.raises(CertificateFormatError) as info:
-        _walk(certificate_to_json(edit(gauss_rectangle(2))))
-    assert str(info.value) == message
+    file would; a rect's shape, which the walk does not judge, gets the
+    kernel's malformed report."""
+    document = certificate_to_json(edit(gauss_rectangle(2)))
+    try:
+        wire = _walk(document)
+    except CertificateFormatError as exc:
+        assert str(exc) == message
+    else:
+        report = check_certificate(wire)
+        assert (report.failure.kind, report.failure.message) == ("malformed", message)
 
 
 def test_an_object_is_malformed_input():

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powersums.dissect.kernel import lattice_sign
 from powersums.figurate import bernoulli_table, faulhaber
+from powersums.kernel import lattice_sign
 
 sympy = pytest.importorskip("sympy")
 
