@@ -17,16 +17,18 @@ construction at its cap, ``build``, the ``core`` of each variant of
 uses), and ``check``, ``read_certificate`` and ``check_certificate`` of
 each variant's ``dumps_lattice`` text, written untimed, with the work
 behind them (pieces, source rects and distinct coordinates of the data,
-the reports' layers and grid cells); ``write``, ``dumps_lattice`` of each
-variant's data, with the bytes; ``sections``, ``sections_agree(d, n)``
-for d = 3, 4, 5 at n = 12 and for (2, 255), (3, 66) and (2, 446), with
-|P_d(n)|, and as their control ``criterion_05``
+the reports' layers and grid cells); ``scan``, ``check_certificate`` of
+each variant's lattice data itself, made untimed, with the reports' layers
+and grid cells, which times the kernel apart from reading; ``write``,
+``dumps_lattice`` of each variant's data, with the bytes; ``sections``,
+``sections_agree(d, n)`` for d = 3, 4, 5 at n = 12 and for (2, 255),
+(3, 66) and (2, 446), with |P_d(n)|, and as their control ``criterion_05``
 (``verify.CRITERIA[4].run(8)``), which cuts P_d(n) for n up to 8 into
 cell sets; ``criterion_07`` (``verify.CRITERIA[6].run(8)``, which no bound
 cuts), criterion 07's 700 mutants checked; and ``compile``, ``compile()``
 of each module's source, which an import from source pays before it runs
 a line, with its non-blank lines.
-Each ``theorem``, ``check`` and ``sections`` row also gives, as
+Each ``theorem``, ``check``, ``scan`` and ``sections`` row also gives, as
 ``peak_kib``, the ``tracemalloc`` peak in KiB of one more, untimed call
 in the first round.
 
@@ -106,14 +108,14 @@ def _counts(certs: list[Any]) -> dict[str, int]:
 def _child(src: str, conn: Any) -> None:
     """Import the package from ``src``, send its construction caps and each
     construction's variants, then time one call of each task received
-    until None: ("theorem", n), ("build", name), ("check", name), ("write",
-    (name, variant)), ("sections", (d, n)), ("criterion", k) for k in
-    ``CRITERIA_TIMED`` and ("compile",
-    module), a path under ``src``.  Answer each with (seconds, work), where
-    work is None for a theorem, build, criterion or compile.  ("peak",
-    task) makes one call of ``task`` under ``tracemalloc`` instead, and its
-    work is {"peak_kib": the peak in KiB}.  A name's lattice data and texts
-    are made untimed, by its first check or write."""
+    until None: ("theorem", n), ("build", name), ("check", name), ("scan",
+    name), ("write", (name, variant)), ("sections", (d, n)), ("criterion",
+    k) for k in ``CRITERIA_TIMED`` and ("compile", module), a path under
+    ``src``.  Answer each with (seconds, work), where work is None for a
+    theorem, build, criterion or compile.  ("peak", task) makes one call of
+    ``task`` under ``tracemalloc`` instead, and its work is {"peak_kib":
+    the peak in KiB}.  A name's lattice data and texts are made untimed, by
+    its first check, scan or write."""
     sys.path.insert(0, src)
     from powersums import dissect, pyramid, verify
 
@@ -134,8 +136,8 @@ def _child(src: str, conn: Any) -> None:
             kind, key = key
         if kind == "compile":
             source = (Path(src) / key).read_text()
-        elif kind in ("check", "write"):
-            data, texts, counts = made(key if kind == "check" else key[0])
+        elif kind in ("check", "scan", "write"):
+            data, texts, counts = made(key[0] if kind == "write" else key)
         # what the child holds is frozen out of the collector's passes, so a
         # collection in a call weighs that call's own objects alone
         gc.collect()
@@ -150,6 +152,8 @@ def _child(src: str, conn: Any) -> None:
         elif kind == "check":
             result = [dissect.checker.check_certificate(
                 dissect.geometry.read_certificate(text)) for text in texts]
+        elif kind == "scan":
+            result = [dissect.checker.check_certificate(d.cert) for d in data.values()]
         elif kind == "write":
             result = dissect.geometry.dumps_lattice(data[key[1]])
         elif kind == "sections":
@@ -165,9 +169,10 @@ def _child(src: str, conn: Any) -> None:
         work = None
         if kind in ("theorem", "sections"):
             assert result.holds, result
-        if kind == "check":
+        if kind in ("check", "scan"):
             assert all(report.ok for report in result), result
-            work = {**counts, "layers": sum(r.layers_checked for r in result),
+            work = {**(counts if kind == "check" else {}),
+                    "layers": sum(r.layers_checked for r in result),
                     "cells": sum(r.cells_checked for r in result)}
         elif kind == "write":
             work = {"bytes": len(result.encode())}
@@ -245,6 +250,7 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                 "theorem_block": [("theorem", n) for n in range(1, 11)],
                 "build": [("build", name) for name in caps[0]],
                 "check": [("check", name) for name in caps[0]],
+                "scan": [("scan", name) for name in caps[0]],
                 "write": [("write", (name, variant))
                           for name, names in variants[0].items() for variant in names],
                 "sections": [("sections", dn) for dn in SECTIONS],
@@ -264,7 +270,7 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
                 for label, seconds in best.items():
                     times.setdefault(task, {}).setdefault(label, []).append(seconds)
                     # one traced call per tree: a peak does not vary by round
-                    if i == 0 and task[0] in ("theorem", "check", "sections"):
+                    if i == 0 and task[0] in ("theorem", "check", "scan", "sections"):
                         conns[label].send(("peak", task))
                         work.setdefault((label, task), {}).update(
                             conns[label].recv()[1])
@@ -281,7 +287,9 @@ def measure(sources: dict[str, Path]) -> list[dict[str, Any]]:
             "constructions": {
                 name: {"n": n, "build": _timed(times["build", name], label, first),
                        "check": _timed(times["check", name], label, first),
-                       **work[label, ("check", name)]}
+                       **work[label, ("check", name)],
+                       "scan": _timed(times["scan", name], label, first,
+                                      **work[label, ("scan", name)])}
                 for name, n in caps[0].items()},
             "write": {" ".join(filter(None, task[1])): _timed(
                           times[task], label, first, n=caps[0][task[1][0]],

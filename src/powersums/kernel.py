@@ -15,7 +15,7 @@ act as the target frame of the reserved ``leftover`` layer.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate
 from math import isqrt
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -137,6 +137,23 @@ def _place(rects: Sequence[LatticeRect], t: Transform) -> list[LatticeRect]:
     return placed
 
 
+def _placed(pieces: Iterable[Piece]) -> list[LatticeRect]:
+    """The rects of ``pieces`` placed, in order, in one loop: an identity
+    adds the source rects themselves, turns and reflections go to ``_place``."""
+    placed: list[LatticeRect] = []
+    for _id, _source, rects, t, _dest in pieces:
+        turns, reflect, (dxa, dxb), (dya, dyb) = t
+        if turns or reflect:
+            placed += _place(rects, t)
+        elif dxa or dxb or dya or dyb:
+            for (x1a, x1b), (y1a, y1b), (x2a, x2b), (y2a, y2b) in rects:
+                placed.append(((x1a + dxa, x1b + dxb), (y1a + dya, y1b + dyb),
+                               (x2a + dxa, x2b + dxb), (y2a + dya, y2b + dyb)))
+        else:
+            placed += rects
+    return placed
+
+
 _X1, _Y1, _X2, _Y2 = (itemgetter(k) for k in range(4))
 
 #: Largest common denominator D, in bits; generated certificates have D = 6.
@@ -152,11 +169,11 @@ def _grid_counts(groups: Sequence[tuple[int, Sequence[LatticeRect]]],
     """Weighted compressed-grid coverage counts of (weight, rects) groups.
 
     Returns the sorted distinct x and y coordinates and an iterator over
-    the len(xs)-1 rows: row i holds, for each of the len(ys)-1 cells
-    between xs[i] and xs[i+1], the summed weights of the rects covering
-    it.  Each rect's y-interval is bucketed at its two x-edges and one
-    y-difference row is kept running, so memory is O(X + Y + R) for X and
-    Y distinct coordinates and R rects, and rows are made one at a time.
+    the len(xs)-1 rows between xs[i] and xs[i+1], each the running
+    y-difference list, updated in place: its running sums are the summed
+    weights of the rects over each of the len(ys)-1 cells, then a 0.  Each
+    rect's y-interval is bucketed at its two x-edges, so memory is
+    O(X + Y + R) for X and Y distinct coordinates and R rects.
     """
     coords_x: set[Point] = set()
     coords_y: set[Point] = set()
@@ -180,7 +197,7 @@ def _grid_counts(groups: Sequence[tuple[int, Sequence[LatticeRect]]],
             for j1, j2, weight in edges[i]:
                 diff[j1] += weight
                 diff[j2] -= weight
-            yield list(islice(accumulate(diff), len(ys) - 1))
+            yield diff
 
     return xs, ys, rows()
 
@@ -201,10 +218,11 @@ def _first_outside(layer: str,
                        f"too large: {len(xs) - 1} x {ny} grid cells, at most "
                        f"{MAX_LAYER_CELLS} on one layer"), 0
     cells = 0
-    for i, row in enumerate(rows):
-        if allowed.issuperset(row):
+    for i, diff in enumerate(rows):
+        if allowed.issuperset(accumulate(diff)):
             cells += ny
             continue
+        row = list(accumulate(diff))
         j = next(j for j, count in enumerate(row) if count not in allowed)
         kind, message = describe(row[j])
         return (Failure(kind, layer, (xs[i], ys[j], xs[i + 1], ys[j + 1]),
@@ -380,9 +398,8 @@ def _scan(cert: LatticeCertificate) -> tuple[Optional[Failure], int, int]:
             return failure, layers, cells
     for layer in sorted(set(by_dest) | set(target_map)):
         # placed in the call, so no layer's placed rects outlive its scan
-        failure, scanned = _check_layer_cover(layer, [
-            r for _id, _source, rects, t, _dest in by_dest.get(layer, ())
-            for r in _place(rects, t)], target_map.get(layer, []))
+        failure, scanned = _check_layer_cover(
+            layer, _placed(by_dest.get(layer, ())), target_map.get(layer, []))
         layers += 1
         cells += scanned
         if failure is not None:

@@ -31,6 +31,7 @@ def test_the_child_answers_each_kind_of_task_with_its_seconds_and_work():
              ("criterion", 7): None,
              ("check", "GAUSS_RECT"): {"pieces", "rects", "distinct_coords",
                                        "layers", "cells"},
+             ("scan", "GAUSS_RECT"): {"layers", "cells"},
              ("write", ("GAUSS_RECT", None)): {"bytes"},
              ("sections", (3, 12)): {"cells"},
              ("compile", "powersums/exact.py"): None,
@@ -68,6 +69,7 @@ def test_the_child_answers_each_kind_of_task_with_its_seconds_and_work():
     assert answers["check", "GAUSS_RECT"][1] == {
         "pieces": 2, "rects": 200, "distinct_coords": 105, "layers": 2,
         "cells": 30200}
+    assert answers["scan", "GAUSS_RECT"][1] == {"layers": 2, "cells": 30200}
     assert answers["sections", (3, 12)][1]["cells"] == 650
     for task in (("theorem", 1), ("check", "GAUSS_RECT"), ("sections", (3, 12))):
         assert answers["peak", task][1]["peak_kib"] > 0, task

@@ -545,6 +545,99 @@ def test_scans_match_both_references_on_moved_tilings(
                         kernel._place(targets, motion))
 
 
+# -- one layer's pieces placed in one loop -----------------------------------
+
+IDENTITY = (0, False, (0, 0), (0, 0))
+# the identity, shifts by rational and sqrt(21) amounts, and all 8 turn and
+# reflect motions, each with or without a shift
+transforms = st.one_of(
+    st.just(IDENTITY),
+    st.tuples(st.just(0), st.just(False), offsets, offsets),
+    st.tuples(st.integers(0, 3), st.booleans(), st.one_of(st.just((0, 0)), offsets),
+              st.one_of(st.just((0, 0)), offsets)))
+MIXED_LAYER = [(IDENTITY, [_SQUARE, _WIDE]), ((0, False, (3, 0), (-2, 0)), [_SQUARE]),
+               ((0, False, (0, 1), (0, 0)), [_ROOT_SQUARE]),
+               ((0, False, (0, 0), (0, -1)), (_WIDE,))]
+MIXED_LAYER += [((turns, reflect, (1, 1), (0, 0)), [_WIDE, _ROOT_SQUARE])
+                for turns in range(4) for reflect in (False, True)]
+
+
+def _pieces(layer):
+    return [(f"p{k}", "s", rects, t, "d") for k, (t, rects) in enumerate(layer)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(transforms, guillotine_tilings().map(lambda ft: ft[1])),
+                max_size=6))
+@example(MIXED_LAYER)
+def test_a_layer_is_placed_as_its_pieces_one_by_one(layer):
+    pieces = _pieces(layer)
+    assert kernel._placed(pieces) == [r for _id, _source, rects, t, _dest in pieces
+                                      for r in kernel._place(rects, t)]
+
+
+def test_an_identity_moved_piece_adds_its_own_source_rects():
+    rects = [((0, 0), (0, 0), (k + 1, 0), (1, 0)) for k in range(3)]
+    placed = kernel._placed(_pieces([(IDENTITY, rects), (IDENTITY, tuple(rects[:1])),
+                                     ((0, False, (0, 0), (0, 1)), rects[:1])]))
+    assert [r is s for r, s in zip(placed, rects + rects[:2])] == [
+        True, True, True, True, False]
+    assert placed[4] == ((0, 0), (0, 1), (1, 0), (1, 1))
+    # FIVE_PYR_LAYERS' stairs and squares stay where they are
+    cert = certificate_builders("FIVE_PYR_LAYERS")[None].core(2).cert
+    still = [p for p in cert.pieces if p[3] == IDENTITY]
+    assert len(still) == 24
+    assert all(r is s for r, s in zip(kernel._placed(still),
+                                      [s for p in still for s in p[2]]))
+
+
+# -- grid rows tested as they are summed -------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), guillotine_tilings(), st.integers(1, 5))
+def test_every_difference_row_sums_to_the_weighted_counts_then_zero(
+        data, tiling, k):
+    targets, tiles = data.draw(perturbed(tiling))
+    groups = [(1, tiles), (k, targets)]
+    xs, ys, rows = kernel._grid_counts(groups)
+    summed = [list(accumulate(diff)) for diff in rows]
+    assert all(row[-1] == 0 for row in summed)
+    _xs, _ys, (pieces, frames) = _dense_counts([tiles, targets])
+    assert (_xs, _ys) == (xs, ys)
+    assert summed == [[p + k * t for p, t in zip(*row)] + [0]
+                      for row in zip(pieces, frames)]
+
+
+def _unit(i, j):
+    return ((i, 0), (j, 0), (i + 1, 0), (j + 1, 0))
+
+
+_BLOCK = ((0, 0), (0, 0), (2, 0), (2, 0))  # 2 x 2: rows x = 0..1 and 1..2
+
+
+@pytest.mark.parametrize("scan,rects,expected", [
+    ("cover", ([_unit(0, 0), _unit(1, 0), _unit(1, 1)], [_BLOCK]),
+     (("uncovered", "l", _unit(0, 1), "target cell covered by no piece"), 2)),
+    ("cover", ([_unit(0, 0), _unit(0, 1), _unit(1, 0), _unit(1, 1), _unit(1, 1)],
+               [_BLOCK]),
+     (("overlap", "l", _unit(1, 1), "target cell covered 2 times"), 4)),
+    ("cover", ([_unit(0, 0), _unit(0, 1), _unit(1, 0), _unit(1, 1), _unit(2, 1)],
+               [_BLOCK]),
+     (("outside", "l", _unit(2, 1), "1 piece(s) outside every target"), 6)),
+    ("cover", ([_unit(0, 0), _unit(0, 1), _unit(1, 0)], [_BLOCK, _unit(1, 1)]),
+     (("malformed", "l", _unit(1, 1), "target regions overlap (2 deep)"), 4)),
+    ("source", ([_unit(0, 0), _unit(1, 0), _BLOCK],),
+     (("source-overlap", "l", _unit(0, 0), "piece sources overlap (2 deep)"), 1)),
+    ("source", ([_unit(0, 0), _unit(0, 1), _unit(1, 0), _unit(1, 1), _unit(1, 1)],),
+     (("source-overlap", "l", _unit(1, 1), "piece sources overlap (2 deep)"), 4)),
+], ids=["last cell of the first row", "last cell of the last row",
+        "last row, past the targets", "last row, targets overlapping",
+        "first cell", "source, last cell of the last row"])
+def test_a_defect_at_the_end_of_a_row_or_in_the_last_row(scan, rects, expected):
+    assert _assert_scans_agree(scan, "l", *rects) == expected
+
+
 # -- bounded memory and the layer budget -------------------------------------
 
 

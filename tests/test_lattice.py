@@ -246,7 +246,7 @@ def _first_transform(cert, reflect):
     (lambda c: _first_transform(c, "no"), "reflect must be a bool, got 'no'"),
     (lambda c: c._replace(construction=["GAUSS_RECT"]),
      "the construction must be a str, got ['GAUSS_RECT']"),
-])
+], ids=["piece id", "layer id", "reflect", "construction"])
 def test_a_field_of_the_wrong_type_is_malformed(edit, message):
     report = check_certificate(edit(generators._gauss_rectangle(2).cert))
     assert not report.ok
@@ -265,7 +265,8 @@ def test_a_field_of_the_wrong_type_is_malformed(edit, message):
     (lambda c: replace(c, targets=(*c.targets, ("plane", Region("target", (
         Rect(QuadExt(0), QuadExt(0), QuadExt(0), QuadExt(2)),))))),
      "a target or leftover has a degenerate rectangle"),
-])
+], ids=["piece_id", "destination_layer", "reflect", "construction",
+        "degenerate target"])
 def test_an_object_is_judged_as_its_document(edit, message):
     """An edited object's document gets the strict walk's refusal, as its
     file would; a rect's shape, which the walk does not judge, gets the
