@@ -25,7 +25,7 @@ from .dissect.checker import check_certificate
 # _GENERATORS is bound here too, as the same dict: perfbench reads it from cli
 from .dissect.generators import _GENERATORS, certificate_builders  # noqa: F401
 from .dissect.geometry import dumps_lattice, lattice_area, read_certificate
-from .exact import quad_to_text, rat_to_text
+from .exact import quad_to_text
 from .kernel import CONSTRUCTIONS, bounded
 
 EXIT_OK = 0
@@ -56,12 +56,12 @@ def _cmd_identity(args: argparse.Namespace) -> int:
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
     for m, value in enumerate(figurate.bernoulli_table(args.upto)):
-        print(f"B_{m} = {rat_to_text(value)}")
+        print(f"B_{m} = {quad_to_text(value)}")
     return EXIT_OK
 
 
 def _cmd_faulhaber(args: argparse.Namespace) -> int:
-    print(rat_to_text(figurate.faulhaber(args.p, args.n)))
+    print(quad_to_text(figurate.faulhaber(args.p, args.n)))
     return EXIT_OK
 
 
@@ -99,7 +99,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     report = check_certificate(cert)
     name = cert.construction  # quoted unless known: it cannot pose as a verdict
     name = name if name in CONSTRUCTIONS else repr(name)
-    print(f"{bounded(name)} n={bounded(str(cert.n))}: {report}")
+    print(f"{bounded(name)} n={bounded(cert.n)}: {report}")
     if report.ok:
         return EXIT_OK
     if report.failure is not None and report.failure.kind == "malformed":

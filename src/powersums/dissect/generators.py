@@ -60,7 +60,7 @@ def _require(construction: str, n: int) -> None:
     cap = CONSTRUCTIONS[construction]
     if n > cap:
         raise UnsupportedN(f"{construction}: cell-level generation supports "
-                           f"n <= {cap}, got {bounded(str(n))}")
+                           f"n <= {cap}, got {bounded(n)}")
 
 
 @cache
@@ -561,40 +561,36 @@ def full_theorem_report(n: int) -> IdentityReport:
     made.  Every stage is checked before any link, in the paper's order,
     and right after its check a stage keeps only the rects its links read.
     The full-scale bijection, which no link reads, is left to criterion 06.
-    Above the cell-level cap only the arithmetic form is evaluated.
+    A larger n than FIVE_PYR_LAYERS' cap raises ``UnsupportedN`` before any
+    stage is built; there the factored form is the registry's FINAL_ASSEMBLY.
     Raises ``StageCheckError`` naming the failing stage or link.
     """
-    _naturals("full_theorem_report: ", 1, UnsupportedN, n=n)
-    if n <= CONSTRUCTIONS["FIVE_PYR_LAYERS"]:
-        layers = [f"layer/{t}" for t in range(1, n + 1)]
-        _, five = _kept("five_pyramids_layers", _five_pyramids_layers, n,
-                        targets=[*layers, "excess"])
-        step2, step2_targets = _kept("step2_reshape", _step2_reshape, n,
-                                     layers, layers)
-        step3, _ = _kept("step3_scissor", _step3_scissor, n, layers)
-        bijection, bijection_targets = _kept(
-            "step4_bijection", _step4_bijection, n, ["corner"], ["dual"])
-        overlap, _ = _kept("step4_overlap", _step4_overlap, n, ["corner", "dual"])
-        # stage interfaces: each stage's sources must retile the previous
-        # stage's targets, the excess layer must reappear as the corner
-        # copy of both layered top-layer certificates, and the bijection's
-        # square-of-corners must be the overlap's copy B.
-        for layer in layers:
-            _link(f"interface five->step2 {layer}", layer, step2[layer],
-                  five[layer])
-            _link(f"interface step2->step3 {layer}", layer, step3[layer],
-                  step2_targets[layer])
-        _link("interface excess->step4", "excess", overlap["corner"],
-              five["excess"])
-        _link("interface excess->step4 bijection", "excess",
-              bijection["corner"], five["excess"])
-        _link("interface step4 bijection->overlap", "dual", overlap["dual"],
-              bijection_targets["dual"])
-        for name in ("R_BALANCE", "TOP_LAYER_DOUBLE", "ARCHIMEDES_GEN",
-                     "SCISSOR_FACTOR"):
-            report = evaluate_identity(name, {"n": n})
-            if not report.holds:
-                raise StageCheckError(f"identity {name}", report)
+    _require("FIVE_PYR_LAYERS", n)
+    layers = [f"layer/{t}" for t in range(1, n + 1)]
+    _, five = _kept("five_pyramids_layers", _five_pyramids_layers, n,
+                    targets=[*layers, "excess"])
+    step2, step2_targets = _kept("step2_reshape", _step2_reshape, n, layers, layers)
+    step3, _ = _kept("step3_scissor", _step3_scissor, n, layers)
+    bijection, bijection_targets = _kept(
+        "step4_bijection", _step4_bijection, n, ["corner"], ["dual"])
+    overlap, _ = _kept("step4_overlap", _step4_overlap, n, ["corner", "dual"])
+    # stage interfaces: each stage's sources must retile the previous stage's
+    # targets, the excess layer must reappear as the corner copy of both
+    # layered top-layer certificates, and the bijection's square-of-corners
+    # must be the overlap's copy B.
+    for layer in layers:
+        _link(f"interface five->step2 {layer}", layer, step2[layer], five[layer])
+        _link(f"interface step2->step3 {layer}", layer, step3[layer],
+              step2_targets[layer])
+    _link("interface excess->step4", "excess", overlap["corner"], five["excess"])
+    _link("interface excess->step4 bijection", "excess", bijection["corner"],
+          five["excess"])
+    _link("interface step4 bijection->overlap", "dual", overlap["dual"],
+          bijection_targets["dual"])
+    for name in ("R_BALANCE", "TOP_LAYER_DOUBLE", "ARCHIMEDES_GEN", "SCISSOR_FACTOR"):
+        report = evaluate_identity(name, {"n": n})
+        if not report.holds:
+            raise StageCheckError(f"identity {name}", report)
     return evaluate_identity("FINAL_ASSEMBLY", {"n": n})
 
 

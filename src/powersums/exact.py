@@ -12,7 +12,8 @@ identity registry and failure reports.  ``quad_from_triple`` is the one way
 from a lattice point (A, B) over D to a ``QuadExt``, but for the failure
 reports' ``QuadExt(Fraction, Fraction)``, which perfbench's traced ``check``
 counts as ``QuadExt.__init__`` calls.  ``triple_to_text`` is the one
-formatter of a value: ``quad_to_text`` and the lattice writer call it.  A
+formatter of a value: the lattice writer calls it, and so does
+``quad_to_text``, which writes a ``QuadExt``, an int or a ``Fraction``.  A
 ``QuadExt`` is stored as integer numerators over one common denominator (as
 FLINT/Antic store ``nf_elem``), so arithmetic, ordering and the text codec
 run on ints and build no ``Fraction``.
@@ -257,10 +258,6 @@ def _ratio_text(num: int, den: int) -> str:
     if g == den:
         return str(num // den)
     return f"{num // g}/{den // g}"
-
-
-def rat_to_text(r: Fraction) -> str:
-    return _ratio_text(r.numerator, r.denominator)
 
 
 def quad_to_text(u: QuadLike) -> str:

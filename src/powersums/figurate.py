@@ -73,12 +73,13 @@ def _naturals(where: str, floor: int | None = 0,
     int (a bool or 2.0 is never coerced) with ``TypeError``, or is under
     ``floor`` (None: any int) with ``below``.  Each message starts with
     ``where`` (a prefix such as ``"faulhaber: "``, or empty), names the
-    value and echoes it through ``bounded``, and is made only on refusal."""
+    value and echoes it through ``bounded`` (an int too long to write as
+    text by its bit length), and is made only on refusal."""
     for key, value in values.items():
         if type(value) is not int:
             raise TypeError(f"{where}{key} must be an int, got {bounded(repr(value))}")
         if floor is not None and value < floor:
-            raise below(f"{where}{key} must be >= {floor}, got {bounded(str(value))}")
+            raise below(f"{where}{key} must be >= {floor}, got {bounded(value)}")
 
 
 def sum_powers_bruteforce(p: int, n: int) -> int:
@@ -321,18 +322,18 @@ def evaluate_identity(name: str, params: Mapping[str, int]) -> IdentityReport:
         args[key] = params[key]
     if args["n"] < 1:
         raise ConstraintViolated(
-            f"{name}: n must be >= 1, got {bounded(str(args['n']))}")
+            f"{name}: n must be >= 1, got {bounded(args['n'])}")
     if args["n"] > MAX_IDENTITY_N:
         raise ConstraintViolated(f"too large: {name} is evaluated for "
                                  f"n <= {MAX_IDENTITY_N}")
     if "m" in args and not 1 <= args["m"] <= args["n"]:
         raise ConstraintViolated(
             f"{name}: m must satisfy 1 <= m <= n, "
-            f"got m={bounded(str(args['m']))} n={args['n']}"
+            f"got m={bounded(args['m'])} n={args['n']}"
         )
     if "p" in args and args["p"] < 0:
         raise ConstraintViolated(
-            f"{name}: p must be >= 0, got {bounded(str(args['p']))}")
+            f"{name}: p must be >= 0, got {bounded(args['p'])}")
     if "p" in args and args["p"] > MAX_IDENTITY_P:
         raise ConstraintViolated(f"too large: {name} is evaluated for "
                                  f"p <= {MAX_IDENTITY_P}")

@@ -73,9 +73,14 @@ class Failure(NamedTuple):
     message: str
 
 
-def bounded(text: str) -> str:
-    """``text``, cut after 200 characters: messages echo outside values
-    through it, so their size does not grow with the input."""
+def bounded(value: int | str) -> str:
+    """``str(value)``, cut after 200 characters, or an int too long for
+    ``str`` named by its bit length: messages echo outside values through
+    it, so their size does not grow with the input."""
+    try:
+        text = str(value)
+    except ValueError:  # the interpreter's limit on an int's digits
+        return f"an int of {value.bit_length()} bits"
     if len(text) <= 200:
         return text
     return f"{text[:200]}... ({len(text)} characters)"
@@ -320,14 +325,14 @@ def _defects(cert: LatticeCertificate) -> Iterator[Optional[Failure]]:
         yield _malformed(f"unknown construction {bounded(repr(name))}")
     yield _typed("n", [n], int)  # the wire walk refuses one too
     if n < 1:
-        yield _malformed(f"n must be >= 1, got {bounded(str(n))}")
+        yield _malformed(f"n must be >= 1, got {bounded(n)}")
     if n > CONSTRUCTIONS[name]:
         yield _malformed(f"n must be <= {CONSTRUCTIONS[name]} for {name}, "
-                         f"got {bounded(str(n))}")
+                         f"got {bounded(n)}")
     yield _typed("the denominator", [d], int)
     if d < 1 or d.bit_length() > MAX_DENOMINATOR_BITS:
         yield _malformed(f"the denominator must be in 1..2**"
-                         f"{MAX_DENOMINATOR_BITS} - 1, got {bounded(str(d))}")
+                         f"{MAX_DENOMINATOR_BITS} - 1, got {bounded(d)}")
     for field in ("pieces", "targets", "leftovers"):
         yield _typed(field, [getattr(cert, field)], list, tuple)
     if not cert.pieces:
@@ -362,7 +367,7 @@ def _defects(cert: LatticeCertificate) -> Iterator[Optional[Failure]]:
         seen.add(piece_id)
         if type(turns) is not int or not 0 <= turns <= 3:
             yield _malformed(f"piece {bounded(repr(piece_id))}: quarter_turns "
-                             f"must be 0..3, got {bounded(str(turns))}")
+                             f"must be 0..3, got {bounded(turns)}")
         yield _degenerate(rects, source_layer, piece_id)
         if not rects:
             yield _malformed(f"piece {bounded(repr(piece_id))} has an empty "

@@ -99,7 +99,7 @@ def _require(d: int, n: int) -> None:
     """Refuse P_d(n) unless d is an int in 2..5, n an int >= 1, and it has
     at most ``MAX_PYRAMID_CELLS`` cells."""
     if type(d) is not int or d not in _CELLS:
-        raise DimensionOutOfRange(f"dimension must be 2..5, got {bounded(str(d))}")
+        raise DimensionOutOfRange(f"dimension must be 2..5, got {bounded(d)}")
     _naturals("", 1, n=n)
     if _CELLS[d](n) > MAX_PYRAMID_CELLS:
         raise ValueError(f"too large: P_{d}(n) is built for at most "
@@ -132,7 +132,7 @@ def truncated_pyramid(d: int, n: int, m: int) -> CellSet:
     _naturals("", None, m=m, n=n)
     if not 1 <= m <= n:
         raise ValueError(f"m must satisfy 1 <= m <= n, "
-                         f"got m={bounded(str(m))} n={bounded(str(n))}")
+                         f"got m={bounded(m)} n={bounded(n)}")
     _require(d, n)
     return _cell_set(d, frozenset(_level_stream(d, m, n)))
 
@@ -176,7 +176,7 @@ def _level_sizes(cube: int, counts: dict[int, int]) -> list[int]:
 def _axis_index(d: int, axis: int) -> int:
     """The coordinate that the secondary sections along axis 2..d fix."""
     if type(axis) is not int or not 2 <= axis <= d:
-        raise AxisOutOfRange(f"axis must be 2..{d}, got {bounded(str(axis))}")
+        raise AxisOutOfRange(f"axis must be 2..{d}, got {bounded(axis)}")
     return axis - 1
 
 

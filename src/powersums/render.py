@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from .dissect.generators import (D, X, UnsupportedN, _box, _five_pyramids_layers,
-                                  _gauss_rectangle, _nicomachus_4d_2d, _stair_rows,
-                                  _step2_reshape, _step4_overlap,
+                                  _gauss_rectangle, _gnomon_cells, _nicomachus_4d_2d,
+                                  _stair_rows, _step2_reshape, _step4_overlap,
                                   _three_pyramids_2d, scissor_rectangle)
 from .dissect.geometry import LabelledLattice
 from .exact import quad_from_triple, quad_to_float
@@ -88,11 +88,6 @@ class _Scene:
     frames: list[_Box] = field(default_factory=list)
     notes: list[tuple[float, float, str]] = field(default_factory=list)
 
-    def add_cells(self, x: int, y: int, w: int, h: int, label: str) -> None:
-        """The w x h unit cells whose lower-left corner is (x, y)."""
-        self.fills += [((i, j, i + 1, j + 1, 1, 1), label)
-                       for i in range(x, x + w) for j in range(y, y + h)]
-
     def add_rects(self, label: str, rects: Sequence[LatticeRect], dx: int = 0,
                   dy: int = 0) -> None:
         """Each rect, shifted by (dx, dy): as unit cells if its corners are
@@ -102,8 +97,9 @@ class _Scene:
                 self.fills.append((_float_box(rect, dx, dy), label))
             else:
                 (x1, _), (y1, _), (x2, _), (y2, _) = rect
-                self.add_cells(x1 // D + dx, y1 // D + dy, (x2 - x1) // D,
-                               (y2 - y1) // D, label)
+                self.fills += [((i, j, i + 1, j + 1, 1, 1), label)
+                               for i in range(x1 // D + dx, x2 // D + dx)
+                               for j in range(y1 // D + dy, y2 // D + dy)]
 
     def add_frame(self, rect: LatticeRect, dx: int = 0) -> None:
         self.frames.append(_float_box(rect, dx, 0))
@@ -129,11 +125,11 @@ def _source_scene(data: LabelledLattice, layer: str, scene: _Scene,
 
 
 def _gnomon(scene: _Scene, k: int, x0: int, y0: int) -> None:
-    """The k-th odd number 2k - 1 as an L of unit cells: the column, then
-    the rest of the row (empty for k = 1)."""
+    """The k-th odd number 2k - 1 as the generators' ring-k gnomon of unit
+    cells, shifted by (x0, y0)."""
     label = f"ring{(k - 1) % 5}"
-    scene.add_cells(x0 + k - 1, y0, 1, k, label)
-    scene.add_cells(x0, y0 + k - 1, k - 1, 1, label)
+    scene.fills += [((x0 + i, y0 + j, x0 + i + 1, y0 + j + 1, 1, 1), label)
+                    for i, j in _gnomon_cells(k)]
 
 
 # -- one builder per figure ----------------------------------------------------
@@ -153,7 +149,7 @@ def _main_sections(scene: _Scene, spec: FigureSpec) -> None:
     """Main section k of P_3(n) is the k x k square, k = 1..n."""
     x0 = 0
     for k in range(1, spec.n + 1):
-        scene.add_cells(x0, 0, k, k, "square_orange")
+        scene.add_rects("square_orange", [_box(x0, 0, k, k)])
         x0 += k + 1
 
 
@@ -184,7 +180,7 @@ def _five_pyr_section(scene: _Scene, spec: FigureSpec) -> None:
     n, t = spec.n, 1 if spec.section is None else spec.section
     if not 1 <= t <= n:
         raise UnsupportedN(f"FIVE_PYR_SECTION: section must be 1..{n}, "
-                           f"got {bounded(str(t))}")
+                           f"got {bounded(t)}")
     _placed_scene(_five_pyramids_layers(n), f"layer/{t}", scene)
 
 
@@ -269,7 +265,7 @@ def _build_scene(spec: FigureSpec) -> _Scene:
         _naturals("", None, section=spec.section)
     if max_n is not None and spec.n > max_n:
         raise UnsupportedN(f"{spec.figure_name}: figure supports n <= {max_n}, "
-                           f"got {bounded(str(spec.n))}")
+                           f"got {bounded(spec.n)}")
     scene = _Scene()
     build(scene, spec)
     return scene

@@ -24,7 +24,7 @@ from .dissect.generators import (StageCheckError, certificate_builders,
                                  full_theorem_report)
 from .dissect.geometry import LabelledLattice, lattice_area as _area
 from .dissect.mutants import mutate_piece
-from .exact import QuadExt, rat_to_text, strip_root
+from .exact import QuadExt, quad_to_text, strip_root
 from .figurate import (
     REGISTRY,
     _naturals,
@@ -105,14 +105,14 @@ def mutants() -> Iterator[tuple[LabelledLattice, str]]:
 
 
 def _bernoulli_table(max_n: Optional[int]) -> Optional[str]:
-    got = tuple(rat_to_text(b) for b in bernoulli_table(15))
+    got = tuple(quad_to_text(b) for b in bernoulli_table(15))
     return None if got == BERNOULLI else f"B_0..B_15 = {' '.join(got)}"
 
 
 def _boast(max_n: Optional[int]) -> Optional[str]:
     p, n, want = BOAST
     got = faulhaber(p, n)
-    return None if got == want else f"faulhaber({p}, {n}) = {rat_to_text(got)}"
+    return None if got == want else f"faulhaber({p}, {n}) = {quad_to_text(got)}"
 
 
 def _faulhaber_oracle(max_n: Optional[int]) -> Optional[str]:
@@ -122,7 +122,7 @@ def _faulhaber_oracle(max_n: Optional[int]) -> Optional[str]:
         for n in range(top + 1):
             got = faulhaber(p, n)
             if got != running:
-                return f"faulhaber({p}, {n}) = {rat_to_text(got)}, not {running}"
+                return f"faulhaber({p}, {n}) = {quad_to_text(got)}, not {running}"
             running += (n + 1) ** p
     return None
 

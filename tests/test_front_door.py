@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from powersums import cli, figurate, pyramid
+from powersums import cli, figurate, pyramid, render
 from powersums.cli import main
-from powersums.dissect import full_theorem_report
+from powersums.dissect import full_theorem_report, generators
+from powersums.dissect.checker import check_certificate
+from powersums.dissect.generators import UnsupportedN
 
 HUGE = "1" + "0" * 400  # 10**400
 
@@ -251,3 +253,21 @@ def test_library_refusals_do_not_echo_an_int_whole():
         with pytest.raises(ValueError) as exc:
             refuse()
         assert len(str(exc.value)) < 1024
+    # past the interpreter's int-to-text limit (4,300 digits), each refusal
+    # keeps its own class and words and names the int by its size
+    huge, gauss = 10**5000, "GAUSS_RECT: cell-level generation supports n <= 100"
+    for refuse, kind, prefix in (
+            (lambda: generators._gauss_rectangle(huge), UnsupportedN, gauss),
+            (lambda: render.emit_figure(render.FigureSpec("GAUSS", huge)),
+             UnsupportedN, gauss),
+            (lambda: figurate.faulhaber(3, -huge), ValueError,
+             "faulhaber: n must be >= 0"),
+            (lambda: full_theorem_report(huge), UnsupportedN,
+             "FIVE_PYR_LAYERS: cell-level generation supports n <= 10")):
+        with pytest.raises(ValueError) as exc:
+            refuse()
+        assert type(exc.value) is kind
+        assert str(exc.value) == f"{prefix}, got an int of 16610 bits"
+    report = check_certificate(generators._gauss_rectangle(1).cert._replace(n=huge))
+    assert str(report) == ("FAIL malformed: n must be <= 100 for GAUSS_RECT, "
+                           "got an int of 16610 bits")

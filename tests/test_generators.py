@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import re
 import tracemalloc
 from fractions import Fraction
@@ -510,10 +511,14 @@ def test_the_scissor_cuts_in_range_are_step3_s_cuts():
         assert list(cut.leftover_labels) == list(whole.leftover_labels[:2])
 
 
-def test_full_theorem_arithmetic_only_beyond_cap():
-    r = full_theorem_report(500)
-    assert r.holds
-    assert r.lhs == QuadExt(5 * sum_powers_bruteforce(4, 500))
+def test_full_theorem_report_refuses_n_beyond_the_pipeline_cap():
+    """Above FIVE_PYR_LAYERS' cap the report checks nothing, so it answers
+    nothing: the refusal comes before any layer list is made, which keeps
+    n = 10**9 as quick as n = 11, and the collector is back on after it."""
+    for n in (11, 500, 10**9, 10**5000):
+        with pytest.raises(UnsupportedN, match=r"n <= 10, got "):
+            full_theorem_report(n)
+        assert gc.isenabled()
 
 
 def test_unsupported_n_raises():

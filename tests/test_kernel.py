@@ -85,6 +85,12 @@ def test_bounded_cuts_after_exactly_200_characters(length, echo):
     assert kernel.bounded("x" * length) == echo
 
 
+def test_bounded_names_an_int_too_long_for_text_by_its_size():
+    assert kernel.bounded(10**5000) == kernel.bounded(-10**5000) == (
+        "an int of 16610 bits")
+    assert kernel.bounded(10**4000) == kernel.bounded(str(10**4000))
+
+
 def test_pieces_doubled_like_their_targets_are_malformed():
     square = ((0, 0), (0, 0), (1, 0), (1, 0))
     failure, cells = kernel._check_layer_cover("l", [square, square],

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from powersums import pyramid
+from powersums import pyramid, render
 from powersums.cli import main
 from powersums.dissect import generators, geometry
 from powersums.dissect.generators import (UnsupportedN, five_pyramids_layers,
@@ -120,6 +120,18 @@ def test_figures_draw_kernel_data_and_build_no_view(monkeypatch):
     for (name, n, fmt), digest in GOLDEN_FIGURES.items():
         document = emit_figure(FigureSpec(name, n, format=fmt))
         assert hashlib.sha256(document.encode()).hexdigest() == digest
+
+
+def test_the_ring_figures_draw_the_generators_gnomon(monkeypatch):
+    """TOP_DUAL draws each ring's cells as ``generators._gnomon_cells``
+    lists them: reversing that list moves its fills, but no cell."""
+    spec = FigureSpec("TOP_DUAL", 3)
+    honest = render._build_scene(spec).fills
+    monkeypatch.setattr(render, "_gnomon_cells",
+                        lambda k: generators._gnomon_cells(k)[::-1])
+    reversed_rings = render._build_scene(spec).fills
+    assert reversed_rings != honest
+    assert sorted(reversed_rings) == sorted(honest)
 
 
 def _source_area(cert) -> int:
